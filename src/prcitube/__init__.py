@@ -8,7 +8,7 @@ from .conformal import (
     nonconformity_score,
     two_step_calibrate,
 )
-from .control import ContractingPolicy, closed_loop_input, min_norm_feedback, residual_trace
+from .control import ContractingPolicy, min_norm_feedback
 from .errors import (
     DegenerateConstraint,
     DimensionMismatch,
@@ -38,7 +38,6 @@ from .predictor import (
     generate_perturbed_dataset,
     generate_reference_dataset,
     make_zero_predictor,
-    predict,
     train,
 )
 from .systems import (

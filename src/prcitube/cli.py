@@ -86,12 +86,14 @@ def main(argv=None) -> int:
         _print_calibration(report)
     if args.command in ("evaluate", "pipeline"):
         _print_coverage(report)
-    if args.command == "plan" and "plan" in report:
-        p = report["plan"]
+    plan = report.get("plan")
+    if args.command == "plan" and plan:
         print(
-            f"plan: cost={p['plan_cost']:.6g} converged={p['plan_converged']} "
-            f"violations={p['plan_violations']}"
+            f"plan: cost={plan['plan_cost']:.6g} converged={plan['plan_converged']} "
+            f"violations={plan['plan_violations']}"
         )
+    if args.command in ("plan", "pipeline") and plan and not plan["plan_converged"]:
+        print("warning: planner did not converge", file=sys.stderr)
     if not report.get("valid", True):
         print("error: a stage failed its internal validation", file=sys.stderr)
         return 1

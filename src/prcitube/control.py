@@ -1,4 +1,5 @@
-"""Contracting tracking feedback and the uncertainty-compensated closed loop.
+"""Contracting tracking feedback, the uncertainty-compensated closed loop,
+and the residual traces that calibration scores.
 
 The nominal policy is u_c(x, t) = u_ref(t) + kappa(x, x_ref(t)) where kappa
 solves the min-norm program
@@ -8,7 +9,9 @@ solves the min-norm program
 whose single inequality asks the geodesic energy between the tracked and
 reference states to decay at the metric's rate.  With one constraint the
 solution is the projection of the origin onto the halfspace, so no QP
-solver is involved:  kappa = 0 when b <= 0, else (b/||a||^2) a.
+solver is involved:  kappa = 0 when b <= 0, else (b/||a||^2) a.  Constant
+metrics take the constraint data in closed form on the straight segment;
+state-dependent metrics compute a discretized geodesic.
 
 The compensated policy subtracts the predicted uncertainty through the
 actuation pseudo-inverse, u = u_c - B(x)^+ zeta_hat(x, u_minus), where
@@ -16,16 +19,20 @@ u_minus is the input committed at the previous controller tick (zero before
 the first).  The tick ladder is driven by the integrator's notify_step
 hook, so u_minus at time t is exactly the input computed at grid time
 floor(t/dt)*dt - dt.
+
+``residual_norms`` is the residual trace of a stored rollout: the norm of
+the uncertainty left after compensation at every grid point, whose
+supremum is the conformal score.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateConstraint
-from .metric import ContractionMetric, Geodesic, riemannian_distance, GEODESIC_SEGMENTS
+from .metric import GEODESIC_SEGMENTS, ContractionMetric, riemannian_distance
 from .systems import DynamicalSystem, TrajectoryRecord
 
 Array = np.ndarray
@@ -38,7 +45,6 @@ class FeedbackTerms(NamedTuple):
     a: Array            # constraint coefficient: a^T kappa >= b
     b: float
     energy: float
-    geodesic: Geodesic
     a_scale: float      # magnitude a would have absent cancellation
 
 
@@ -48,17 +54,31 @@ def feedback_terms(
     x: Array,
     x_ref: Array,
     u_ref: Array,
-    segments: int = GEODESIC_SEGMENTS,
 ) -> FeedbackTerms:
-    """Constraint data (a, b) of the min-norm program and the geodesic.
+    """Constraint data (a, b) of the min-norm program.
 
     The constraint is a^T kappa >= b, with the geodesic oriented
-    gamma(0) = x_ref, gamma(1) = x.
+    gamma(0) = x_ref, gamma(1) = x.  A constant metric's geodesic is the
+    straight segment and is not built: the energy is d^T M d, d = x - x_ref,
+    and the tangents are ``Geodesic.endpoint_tangents`` of its discretization
+    at the four nodes they read.  They equal d in exact arithmetic only; VTOL
+    closed loops amplify that last-bit gap to 3e-4 in a calibration quantile.
     """
-    _, geo = riemannian_distance(metric, x_ref, x, segments=segments)
-    g0, g1 = geo.endpoint_tangents()
-    M_x = metric.evaluate(x)
-    M_r = metric.evaluate(x_ref)
+    if metric.is_constant:
+        d = x - x_ref
+        K = GEODESIC_SEGMENTS
+        w = np.array([[1.0], [2.0], [K - 2.0], [K - 1.0]]) / K
+        c1, c2, c_2, c_1 = (1.0 - w) * x_ref + w * x
+        g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
+        g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
+        M_x = M_r = metric.constant_matrix
+        energy = float(d @ M_x @ d)
+    else:
+        _, geo = riemannian_distance(metric, x_ref, x)
+        g0, g1 = geo.endpoint_tangents()
+        M_x = metric.evaluate(x)
+        M_r = metric.evaluate(x_ref)
+        energy = geo.energy
     fx = sys_nominal.drift(x)
     Bx = sys_nominal.actuation(x)
     fr = sys_nominal.drift(x_ref)
@@ -67,13 +87,13 @@ def feedback_terms(
     a = -(Bx.T @ Mg)
     t1 = g1 @ (M_x @ (fx + Bx @ u_ref))
     t2 = g0 @ (M_r @ (fr + Br @ u_ref))
-    b = metric.rate * geo.energy + t1 - t2
+    b = metric.rate * energy + t1 - t2
     # roundoff floor: at x == x_ref all terms vanish in exact arithmetic
-    scale = metric.rate * geo.energy + abs(t1) + abs(t2)
+    scale = metric.rate * energy + abs(t1) + abs(t2)
     if b <= 1e-12 * scale:
         b = min(b, 0.0)
     a_scale = float(np.linalg.norm(Bx) * np.linalg.norm(Mg))
-    return FeedbackTerms(a, float(b), geo.energy, geo, a_scale)
+    return FeedbackTerms(a, float(b), energy, a_scale)
 
 
 def min_norm_feedback(
@@ -82,7 +102,6 @@ def min_norm_feedback(
     x: Array,
     x_ref: Array,
     u_ref: Array,
-    segments: int = GEODESIC_SEGMENTS,
 ) -> Array:
     """Smallest feedback satisfying the geodesic energy-decay inequality.
 
@@ -90,7 +109,7 @@ def min_norm_feedback(
     coefficient vanishes relative to its constituents (the tracking
     direction is uncontrollable at this state).
     """
-    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref, segments)
+    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref)
     if terms.b <= 0.0:
         return np.zeros(sys_nominal.input_dim)
     na = float(np.linalg.norm(terms.a))
@@ -118,16 +137,13 @@ class ContractingPolicy:
         sys_nominal: DynamicalSystem,
         reference: TrajectoryRecord,
         predictor=None,
-        dt: Optional[float] = None,
-        segments: int = GEODESIC_SEGMENTS,
         saturate: bool = False,
     ):
         self.metric = metric
         self.sys_nominal = sys_nominal
         self.reference = reference
         self.predictor = predictor
-        self.dt = reference.dt if dt is None else float(dt)
-        self.segments = segments
+        self.dt = reference.dt
         self.saturate = saturate
         self.saturation_events: list[float] = []
         self.reset()
@@ -177,9 +193,7 @@ class ContractingPolicy:
     def _compute(self, x: Array, t: float, u_minus: Array) -> Array:
         x_ref = self.reference.state_at(t)
         u_ref = self.reference.input_at(t)
-        kappa = min_norm_feedback(
-            self.metric, self.sys_nominal, x, x_ref, u_ref, self.segments
-        )
+        kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref)
         u = u_ref + kappa
         if self.predictor is not None:
             zeta_hat = self.predictor.predict(x, u_minus)
@@ -195,16 +209,11 @@ class ContractingPolicy:
     def config_dict(self) -> dict:
         return {
             "dt_s": self.dt,
-            "geodesic_segments": self.segments,
+            "geodesic_segments": GEODESIC_SEGMENTS,
             "saturate": self.saturate,
             "predictor": getattr(self.predictor, "family", None),
             "metric": self.metric.to_json_dict(),
         }
-
-
-def closed_loop_input(policy: ContractingPolicy, x: Array, t: float) -> Array:
-    """The composed input at (x, t); delegates to the policy instance."""
-    return policy(x, t)
 
 
 def residual_norms(
@@ -234,9 +243,3 @@ def residual_norms(
         out[k] = np.linalg.norm(r)
     return out
 
-
-def residual_trace(
-    sys_true: DynamicalSystem, policy: ContractingPolicy, trajectory: TrajectoryRecord
-) -> Array:
-    """Residual norms along a rollout produced under this policy."""
-    return residual_norms(sys_true, policy.predictor, trajectory)

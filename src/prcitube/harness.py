@@ -26,7 +26,7 @@ import numpy as np
 
 from . import conformal, tube as tube_mod
 from .control import ContractingPolicy
-from .errors import NonFiniteState, PrcitubeError
+from .errors import InsufficientCalibrationData, NonFiniteState, PrcitubeError
 from .metric import ContractionMetric, box_grid, synthesize_constant_metric, verify_contraction
 from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
 from .predictor import (
@@ -40,7 +40,17 @@ from .predictor import (
     split_reference,
     train,
 )
-from .systems import DynamicalSystem, TrajectoryRecord, make_benchmark_3d, make_benchmark_vtol
+from .systems import (
+    VTOL_ARM,
+    VTOL_GRAVITY,
+    VTOL_INERTIA,
+    VTOL_MASS,
+    DynamicalSystem,
+    TrajectoryRecord,
+    integrate,
+    make_benchmark_3d,
+    make_benchmark_vtol,
+)
 from .tube import PRCITube, project_tube_2d, tighten_input_box, tighten_state_box
 
 log = logging.getLogger(__name__)
@@ -133,7 +143,6 @@ class ExperimentConfig:
     two_step_fraction: float = 0.5
     tighten_budget: int = 32
     # misc
-    workers: int = 1
     out_dir: str = "runs/experiment"
 
     @staticmethod
@@ -178,8 +187,6 @@ def _input_center(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndar
     if config.input_knot_center is not None:
         return np.asarray(config.input_knot_center, dtype=float)
     if config.benchmark == "vtol":
-        from .systems import VTOL_GRAVITY, VTOL_MASS
-
         return np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0)
     return np.zeros(sys_nom.input_dim)
 
@@ -216,8 +223,6 @@ def _waypoint_pd_inputs(config, sys_nom, tag: str, index: int) -> PiecewiseLinea
     random waypoint and its recorded input sequence becomes the open-loop
     reference signal.
     """
-    from .systems import VTOL_GRAVITY, VTOL_INERTIA, VTOL_MASS, VTOL_ARM, integrate as _int
-
     rng = rng_stream(config.seed, f"{tag}-policy-{index}")
     wbox = (
         np.asarray(config.waypoint_box, dtype=float).reshape(-1, 2)
@@ -242,7 +247,7 @@ def _waypoint_pd_inputs(config, sys_nom, tag: str, index: int) -> PiecewiseLinea
         box = sys_nom.input_box
         return np.clip(np.array([u1, u2]), box[:, 0], box[:, 1])
 
-    rec = _int(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)
+    rec = integrate(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)
     return PiecewiseLinearInput(rec.times, rec.inputs)
 
 
@@ -474,7 +479,9 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
     n1 = int(round(config.two_step_fraction * n)) if config.two_step else n
     first = TrainingDataset(cal_ds.entries[:n1], "cal")
     scores_a = conformal.score_dataset(first, predictor, sys_true)
-    cal_a = conformal.calibrate(scores_a, config.alpha, {"step": "tube-radius"})
+    cal_a = conformal.calibrate(
+        scores_a, config.alpha, {"step": "tube-radius", "n": len(scores_a)}
+    )
     radius_a = float(np.sqrt(metric.upper_bound) * cal_a.quantile_value / metric.rate)
 
     s_box = tighten_state_box(sys_nom.state_box, radius_a, metric)
@@ -529,11 +536,15 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         },
     )
 
+    # Single-step fallback: the tightening quantile doubles as the tracking
+    # quantile (the Remark-1 exchangeability caveat applies).
+    cal_tube = cal_track = cal_a
     if config.two_step:
         # Second calibration step: same count as the held-out half,
         # regenerated under the tightened plan (ball starts), restoring
-        # exchangeability with the evaluation rollouts below.
-        second_entries = []
+        # exchangeability with the evaluation rollouts below.  The first
+        # half was scored once, above.
+        scores_b = []
         for i in range(n - n1):
             rng = rng_stream(config.seed, f"twostep-start-{i}")
             x0 = tube_mod.sample_metric_ball(
@@ -541,22 +552,18 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
             )[1]
             policy = ContractingPolicy(metric, sys_nom, result.record, predictor=predictor)
             try:
-                rec = integrate_true(sys_true, x0, policy, config.horizon_s, config.dt_s)
+                rec = integrate(sys_true, x0, policy, config.horizon_s, config.dt_s)
             except NonFiniteState as err:
                 log.warning("two-step record %d diverged: %s", i, err)
                 continue
-            second_entries.append(
-                DatasetEntry(f"twostep-{i:04d}", rec, result.input_policy(), result.record)
+            scores_b.append(conformal.nonconformity_score(rec, predictor, sys_true))
+        if not scores_b:
+            raise InsufficientCalibrationData(
+                f"two-step split needs both halves non-empty, got {n1}/0"
             )
-        second_ds = TrainingDataset(tuple(second_entries), "cal")
-        cal_tube, cal_track = conformal.two_step_calibrate(
-            cal_ds, predictor, sys_true, config.alpha,
-            split_fraction=config.two_step_fraction, second_stage_records=second_ds,
+        cal_track = conformal.calibrate(
+            scores_b, config.alpha, {"step": "tracking", "n": len(scores_b)}
         )
-    else:
-        # single-step fallback: the tightening quantile doubles as the
-        # tracking quantile (the Remark-1 exchangeability caveat applies)
-        cal_tube = cal_track = cal_a
     write_json(plan_dir / "calibration_tube.json", cal_tube.to_json_dict())
     write_json(plan_dir / "calibration_tracking.json", cal_track.to_json_dict())
 
@@ -595,12 +602,6 @@ def _plan_warm_start(config, sys_nom) -> Optional[np.ndarray]:
     return np.tile(center, (n_steps + 1, 1))
 
 
-def integrate_true(sys_true, x0, policy, T, dt):
-    from .systems import integrate
-
-    return integrate(sys_true, x0, policy, T, dt)
-
-
 def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out: Path) -> dict:
     rpath = out / "test" / "coverage.json"
     if rpath.exists():
@@ -611,7 +612,7 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
         x0 = sample_initial_condition(config, sys_nom, "test", i)
         pol = sample_reference_policy(config, sys_nom, "test", i)
         try:
-            ref = integrate_true(sys_nom, x0, pol, config.horizon_s, config.dt_s)
+            ref = integrate(sys_nom, x0, pol, config.horizon_s, config.dt_s)
         except NonFiniteState as err:
             log.warning("test reference %d diverged: %s", i, err)
             continue
@@ -623,7 +624,7 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
             start = ref.states[0]
         policy = ContractingPolicy(metric, sys_nom, ref, predictor=predictor)
         try:
-            roll = integrate_true(sys_true, start, policy, config.horizon_s, config.dt_s)
+            roll = integrate(sys_true, start, policy, config.horizon_s, config.dt_s)
         except NonFiniteState as err:
             log.warning("test rollout %d diverged: %s", i, err)
             continue

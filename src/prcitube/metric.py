@@ -188,14 +188,6 @@ class Geodesic:
     converged: bool = True
 
     @property
-    def endpoint_a(self) -> Array:
-        return self.nodes[0]
-
-    @property
-    def endpoint_b(self) -> Array:
-        return self.nodes[-1]
-
-    @property
     def segments(self) -> int:
         return self.nodes.shape[0] - 1
 

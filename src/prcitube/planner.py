@@ -3,8 +3,8 @@
 Direct single shooting: the decision variables are the input values on the
 simulation grid (linear interpolation between nodes, matching how the
 integrator samples policies), rolled out through the nominal dynamics with
-the same RK4 stages the simulator uses, so stored plans re-integrate to
-themselves.  The objective is
+the simulator's own RK4 step (``systems.rk4_step``), so stored plans
+re-integrate to themselves.  The objective is
 
     sum_k dt * ( w1 ||u_k||^2 + w2 * P(x_k, u_k) )  +  w2 * goal_dist(x_N)^2
 
@@ -26,7 +26,7 @@ from .control import ContractingPolicy
 from .errors import InfeasiblePlan, NonFiniteState
 from .metric import ContractionMetric, jacobian_fd
 from .predictor import UncertaintyPredictor
-from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate
+from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate, rk4_step
 from .tube import PRCITube, sample_metric_ball, trajectory_distances
 
 Array = np.ndarray
@@ -149,27 +149,31 @@ class _Shooting:
             else np.asarray(problem.goal_weights, dtype=float)
         )
 
+    def _field(self, x: Array, u: Array) -> Array:
+        return self.p.sys.drift(x) + self.p.sys.actuation(x) @ u
+
     def rollout(self, U: Array) -> Array:
-        p, dt = self.p, self.p.dt
-        f, B = p.sys.drift, p.sys.actuation
+        return self._forward(U)[0]
+
+    def _forward(self, U: Array) -> tuple[Array, list]:
+        """States on the grid under the input nodes U, and per step the RK4
+        stage states and inputs the adjoint needs.  A diverging trial is
+        NaN from the first bad step on."""
+        p, F = self.p, self._field
         X = np.empty((self.n_steps + 1, p.sys.state_dim))
         X[0] = p.x0
         x = p.x0.astype(float)
+        stages = []
         for k in range(self.n_steps):
-            um = 0.5 * (U[k] + U[k + 1])
-            k1 = f(x) + B(x) @ U[k]
-            x2 = x + 0.5 * dt * k1
-            k2 = f(x2) + B(x2) @ um
-            x3 = x + 0.5 * dt * k2
-            k3 = f(x3) + B(x3) @ um
-            x4 = x + dt * k3
-            k4 = f(x4) + B(x4) @ U[k + 1]
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ua, ub = U[k], U[k + 1]
+            um = 0.5 * (ua + ub)
+            x, xs = rk4_step(lambda z, c: F(z, um if c == 0.5 else ub), x, p.dt, F(x, ua))
+            stages.append(xs + (ua, um, ub))
             if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e8:
                 X[k + 1 :] = np.nan     # divergent trial; cost() maps it to inf
-                return X
+                break
             X[k + 1] = x
-        return X
+        return X, stages
 
     def _stage_cost(self, x, u):
         p = self.p
@@ -217,29 +221,9 @@ class _Shooting:
 
     def cost_and_grad(self, U: Array):
         p, dt = self.p, self.p.dt
-        f, B = p.sys.drift, p.sys.actuation
-
-        def F(x, u):
-            return f(x) + B(x) @ u
-
+        B, F = p.sys.actuation, self._field
         n = p.sys.state_dim
-        stages = []
-        X = np.empty((self.n_steps + 1, n))
-        X[0] = p.x0
-        x = p.x0.astype(float)
-        for k in range(self.n_steps):
-            um = 0.5 * (U[k] + U[k + 1])
-            x1 = x
-            k1 = F(x1, U[k])
-            x2 = x + 0.5 * dt * k1
-            k2 = F(x2, um)
-            x3 = x + 0.5 * dt * k2
-            k3 = F(x3, um)
-            x4 = x + dt * k3
-            k4 = F(x4, U[k + 1])
-            stages.append((x1, x2, x3, x4, U[k], um, U[k + 1]))
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            X[k + 1] = x
+        X, stages = self._forward(U)
 
         total = 0.0
         run_gx = np.zeros((self.n_steps + 1, n))
@@ -328,8 +312,7 @@ def plan(
                 break
             alpha *= 0.5
         else:
-            converged = True
-            break
+            break       # the line search ran out: a stall, not convergence
         U, prev, cost = trial, cost, c_new
         step = alpha * 2.0
         history.append(cost)
@@ -339,7 +322,7 @@ def plan(
             converged = True
             break
     if not converged:
-        log.warning("plan: iteration cap reached, returning best iterate")
+        log.warning("plan: not converged (cap reached or line search stalled), best iterate kept")
 
     X = sh.rollout(U)
     times = np.arange(sh.n_steps + 1) * p.dt

@@ -4,7 +4,9 @@ The predictor maps (x, u) to an estimate of the additive uncertainty.
 Three families: "zero" (no compensation baseline), "linear_features"
 (polynomial features, solved by least squares on per-timestep errors) and
 "mlp" (tanh network trained in plain NumPy by mini-batch gradient descent
-with step halving, fully deterministic given the seed).
+with step halving, fully deterministic given the seed).  A single (x, u)
+pair is evaluated as a one-row batch, so each family has one evaluation
+path.
 
 The trained objective is the per-record worst-case error
 
@@ -24,6 +26,7 @@ training.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -120,7 +123,6 @@ def generate_perturbed_dataset(
     split_tag: str,
     metric: Optional[ContractionMetric] = None,
     predictor: Optional["UncertaintyPredictor"] = None,
-    segments: int = 16,
 ) -> TrainingDataset:
     """Run the perturbed plant over a reference subset.
 
@@ -142,9 +144,7 @@ def generate_perturbed_dataset(
         x0 = ref.states[0]
         T, dt = ref.horizon, ref.dt
         if closed:
-            policy = ContractingPolicy(
-                metric, sys_true.nominal, ref, predictor=predictor, segments=segments
-            )
+            policy = ContractingPolicy(metric, sys_true.nominal, ref, predictor=predictor)
         else:
             policy = e.policy
         try:
@@ -173,24 +173,28 @@ def polynomial_terms(n_inputs: int, degree: int) -> list[tuple[int, ...]]:
     return terms
 
 
-def _poly_features(terms, xu: Array) -> Array:
-    out = np.empty(len(terms))
+def _monomial_columns(terms, n_inputs: int) -> Array:
+    """(len(terms), degree) column indices whose product is each monomial,
+    in ascending variable order; index n_inputs pads with a column of ones."""
+    degree = max(1, max(sum(expo) for expo in terms))
+    cols = np.full((len(terms), degree), n_inputs)
     for i, expo in enumerate(terms):
-        v = 1.0
-        for k, e in enumerate(expo):
-            if e:
-                v *= xu[k] ** e
-        out[i] = v
-    return out
+        idx = [k for k, e in enumerate(expo) for _ in range(e)]
+        cols[i, : len(idx)] = idx
+    return cols
 
 
-def _poly_features_batch(terms, XU: Array) -> Array:
-    out = np.ones((XU.shape[0], len(terms)))
-    for i, expo in enumerate(terms):
-        for k, e in enumerate(expo):
-            if e:
-                out[:, i] *= XU[:, k] ** e
-    return out
+def _poly_features(cols: Array, XU: Array) -> Array:
+    """Monomial features of every row of XU, one product per degree."""
+    A = np.empty((XU.shape[0], XU.shape[1] + 1))
+    A[:, :-1] = XU
+    A[:, -1] = 1.0
+    out = A[:, cols[:, 0]]
+    for j in range(1, cols.shape[1]):
+        out = out * A[:, cols[:, j]]
+    # row-major like the input rows: the BLAS summation order of the
+    # product with the coefficients depends on the layout
+    return np.ascontiguousarray(out)
 
 
 def _mlp_shapes(layers):
@@ -237,6 +241,10 @@ class UncertaintyPredictor:
             return xu
         return np.clip(xu, np.asarray(lo), np.asarray(self.feature_spec["input_high"]))
 
+    @functools.cached_property
+    def _feature_columns(self) -> Array:
+        return _monomial_columns(self.feature_spec["terms"], sum(self.input_dims))
+
     def predict(self, x: Array, u: Array) -> Array:
         n, m = self.input_dims
         x = np.asarray(x, dtype=float)
@@ -245,33 +253,25 @@ class UncertaintyPredictor:
             raise DimensionMismatch(
                 f"expected x:({n},) u:({m},), got x:{x.shape} u:{u.shape}"
             )
-        if self.family == "zero":
-            return np.zeros(self.output_dim)
-        xu = self._clamp(np.concatenate([x, u]))
-        if self.family == "linear_features":
-            terms = self.feature_spec["terms"]
-            coef = self.theta.reshape(len(terms), self.output_dim)
-            return _poly_features(terms, xu) @ coef
-        if self.family == "mlp":
-            spec = self.feature_spec
-            z = (xu - np.asarray(spec["input_shift"])) / np.asarray(spec["input_scale"])
-            params = _unpack_mlp(self.theta, spec["layers"])
-            raw = _mlp_forward_batch(params, z[None, :])[0]
-            return raw * np.asarray(spec["output_scale"]) + np.asarray(spec["output_shift"])
-        raise ValueError(f"unknown family {self.family!r}")
+        return self._evaluate(np.concatenate([x, u])[None, :])[0]
 
     def predict_batch(self, X: Array, U: Array) -> Array:
+        return self._evaluate(np.hstack([X, U]))
+
+    def _evaluate(self, XU: Array) -> Array:
+        """Family dispatch on stacked (x, u) rows."""
         if self.family == "zero":
-            return np.zeros((X.shape[0], self.output_dim))
-        XU = self._clamp(np.hstack([X, U]))
+            return np.zeros((XU.shape[0], self.output_dim))
+        XU = self._clamp(XU)
         if self.family == "linear_features":
-            terms = self.feature_spec["terms"]
-            coef = self.theta.reshape(len(terms), self.output_dim)
-            return _poly_features_batch(terms, XU) @ coef
-        spec = self.feature_spec
-        Z = (XU - np.asarray(spec["input_shift"])) / np.asarray(spec["input_scale"])
-        raw = _mlp_forward_batch(_unpack_mlp(self.theta, spec["layers"]), Z)
-        return raw * np.asarray(spec["output_scale"]) + np.asarray(spec["output_shift"])
+            coef = self.theta.reshape(-1, self.output_dim)
+            return _poly_features(self._feature_columns, XU) @ coef
+        if self.family == "mlp":
+            spec = self.feature_spec
+            Z = (XU - np.asarray(spec["input_shift"])) / np.asarray(spec["input_scale"])
+            raw = _mlp_forward_batch(_unpack_mlp(self.theta, spec["layers"]), Z)
+            return raw * np.asarray(spec["output_scale"]) + np.asarray(spec["output_shift"])
+        raise ValueError(f"unknown family {self.family!r}")
 
     def to_json_dict(self) -> dict:
         spec = dict(self.feature_spec)
@@ -299,10 +299,6 @@ class UncertaintyPredictor:
             d["output_dim"],
             d.get("training_info", {}),
         )
-
-
-def predict(p: UncertaintyPredictor, x: Array, u: Array) -> Array:
-    return p.predict(x, u)
 
 
 def make_zero_predictor(n: int, m: int) -> UncertaintyPredictor:
@@ -468,7 +464,8 @@ def train(
         p = make_zero_predictor(n, m)
     elif family == "linear_features":
         terms = polynomial_terms(n + m, cfg.degree)
-        Phi = np.vstack([_poly_features_batch(terms, np.hstack([X, U])) for X, U, _ in data])
+        cols = _monomial_columns(terms, n + m)
+        Phi = np.vstack([_poly_features(cols, np.hstack([X, U])) for X, U, _ in data])
         Zs = np.vstack([Z for _, _, Z in data])
         coef, *_ = np.linalg.lstsq(Phi, Zs, rcond=1e-8)
         if not np.all(np.isfinite(coef)):

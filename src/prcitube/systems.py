@@ -9,10 +9,12 @@ optional additive uncertainty zeta.  Two benchmarks are provided: a 3D
 nonlinear system with parametric uncertainty and input-matrix mismatch, and
 a planar VTOL aircraft with a thrust-channel disturbance.
 
-Simulation is classical fixed-step RK4.  Feedback policies are sampled at
-every RK4 stage; policies that carry sampled-and-held internal state (the
-delayed input of the compensated controller) are notified once per grid
-step through the optional ``notify_step`` hook.
+Simulation is classical fixed-step RK4, written once in ``rk4_step`` and
+shared by ``integrate`` and the planner's shooting rollouts.  Feedback
+policies are sampled at every RK4 stage; policies that carry
+sampled-and-held internal state (the delayed input of the compensated
+controller) are notified once per grid step through the optional
+``notify_step`` hook.
 """
 
 from __future__ import annotations
@@ -244,6 +246,24 @@ def _in_box(x: Array, box: Array) -> bool:
     return bool(np.all(x >= box[:, 0]) and np.all(x <= box[:, 1]))
 
 
+def rk4_step(
+    slope: Callable[[Array, float], Array], x: Array, dt: float, k1: Array
+) -> tuple[Array, tuple[Array, Array, Array, Array]]:
+    """One classical RK4 step from x, given the first-stage slope k1.
+
+    ``slope(z, c)`` is the vector field at stage state z and stage time
+    t + c*dt, called with c = 0.5, 0.5, 1.  Returns the next state and the
+    four stage states (x, x2, x3, x4).
+    """
+    x2 = x + 0.5 * dt * k1
+    k2 = slope(x2, 0.5)
+    x3 = x + 0.5 * dt * k2
+    k3 = slope(x3, 0.5)
+    x4 = x + dt * k3
+    k4 = slope(x4, 1.0)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (x, x2, x3, x4)
+
+
 def integrate(
     sys: DynamicalSystem,
     x0: Array,
@@ -297,10 +317,7 @@ def integrate(
         left_box = left_box or not _in_box(x, sys.state_box)
         if k == n_steps:
             break
-        k2, _ = rhs(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3, _ = rhs(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4, _ = rhs(x + dt * k3, t + dt)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x, _ = rk4_step(lambda z, c: rhs(z, t + c * dt)[0], x, dt, k1)
 
     return TrajectoryRecord(times, states, inputs, zetas, left_state_box=left_box)
 

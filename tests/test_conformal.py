@@ -15,7 +15,7 @@ from prcitube.conformal import (
     score_dataset,
     two_step_calibrate,
 )
-from prcitube.control import residual_trace, ContractingPolicy
+from prcitube.control import residual_norms
 from prcitube.errors import InsufficientCalibrationData, InvalidAlpha
 from prcitube.predictor import (
     TrainConfig,
@@ -146,8 +146,7 @@ def cal_setup(bench3d, metric3d):
 def test_score_equals_max_residual_trace(cal_setup):
     nom, true, metric, predictor, cal_ds = cal_setup
     e = cal_ds.entries[0]
-    policy = ContractingPolicy(metric, nom, e.reference, predictor=predictor)
-    trace = residual_trace(true, policy, e.record)
+    trace = residual_norms(true, predictor, e.record)
     score = nonconformity_score(e.record, predictor, true)
     assert score == pytest.approx(np.max(trace), rel=1e-12)
 

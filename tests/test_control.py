@@ -3,10 +3,9 @@ import pytest
 
 from prcitube.control import (
     ContractingPolicy,
-    closed_loop_input,
     feedback_terms,
     min_norm_feedback,
-    residual_trace,
+    residual_norms,
 )
 from prcitube.errors import DegenerateConstraint
 from prcitube.metric import ContractionMetric
@@ -140,6 +139,80 @@ def test_degenerate_constraint_raises():
         min_norm_feedback(metric, sys, np.array([1.0]), np.array([0.0]), np.array([0.0]))
 
 
+def _single_term_polynomial(metric):
+    """The constant metric written as a one-term polynomial metric, so the
+    feedback takes the general geodesic path."""
+    n = metric.dim
+    return ContractionMetric.polynomial(
+        [((0,) * n, metric.constant_matrix)],
+        metric.rate,
+        metric.lower_bound,
+        metric.upper_bound,
+    )
+
+
+@pytest.mark.parametrize("bench", ["threeD", "vtol"])
+def test_constant_metric_closed_form_matches_geodesic_path(
+    bench, bench3d, metric3d, vtol, metric_vtol
+):
+    if bench == "threeD":
+        sys, metric = bench3d[0], metric3d
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+    else:
+        sys, metric = vtol.nominal, metric_vtol
+        lo = np.array([-1.0, -1.0, -0.4, -0.8, -0.4, -0.4])
+        hi = -lo
+    poly = _single_term_polynomial(metric)
+    rng = np.random.default_rng(23)
+    active = 0
+    for _ in range(200):
+        x_ref = rng.uniform(lo, hi)
+        x = x_ref + 0.3 * rng.uniform(lo, hi)
+        u_ref = rng.uniform(sys.input_box[:, 0], sys.input_box[:, 1])
+        closed = min_norm_feedback(metric, sys, x, x_ref, u_ref)
+        geodesic = min_norm_feedback(poly, sys, x, x_ref, u_ref)
+        err = np.linalg.norm(closed - geodesic)
+        assert err <= 1e-9 * max(np.linalg.norm(geodesic), 1e-300)
+        active += bool(np.any(geodesic != 0.0))
+    assert 0 < active < 200     # both branches of the min-norm solution occur
+
+
+def test_constant_metric_terms_equal_discretized_geodesic_bit_for_bit():
+    """The constant-metric shortcut keeps the arithmetic of the tangents of
+    the discretized straight geodesic, so closed-loop rollouts keep their
+    bits."""
+    from prcitube.metric import riemannian_distance
+
+    rng = np.random.default_rng(19)
+    for i in range(300):
+        metric, sys, x, x_ref, u_ref = random_instance(rng)
+        x = x_ref + 10.0 ** -(i % 8) * (x - x_ref)
+        _, geo = riemannian_distance(metric, x_ref, x)
+        g0, g1 = geo.endpoint_tangents()
+        M = metric.constant_matrix
+        a = -(sys.actuation(x).T @ (M @ g1))
+        t1 = g1 @ (M @ (sys.drift(x) + sys.actuation(x) @ u_ref))
+        t2 = g0 @ (M @ (sys.drift(x_ref) + sys.actuation(x_ref) @ u_ref))
+        b = metric.rate * geo.energy + t1 - t2
+        if b <= 1e-12 * (metric.rate * geo.energy + abs(t1) + abs(t2)):
+            b = min(b, 0.0)
+        terms = feedback_terms(metric, sys, x, x_ref, u_ref)
+        np.testing.assert_array_equal(terms.a, a)
+        assert terms.b == b and terms.energy == geo.energy
+
+
+def test_constant_metric_feedback_builds_no_geodesic(monkeypatch):
+    import prcitube.control as control
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("constant metrics need no geodesic")
+
+    monkeypatch.setattr(control, "riemannian_distance", forbidden)
+    sys, metric = scalar_tracking_setup(1.5)
+    k = min_norm_feedback(metric, sys, np.array([0.8]), np.array([0.0]), np.array([0.0]))
+    assert k[0] == pytest.approx(-0.4, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Closed-loop policy
 # ---------------------------------------------------------------------------
@@ -183,7 +256,7 @@ def test_full_compensation_with_square_B():
     ref = make_reference(sys_true.nominal, np.array([0.5, -0.5]))
     policy = ContractingPolicy(metric, sys_true.nominal, ref, predictor=Perfect())
     roll = integrate(sys_true, np.array([0.5, -0.5]), policy, 1.0, 0.01)
-    norms = residual_trace(sys_true, policy, roll)
+    norms = residual_norms(sys_true, policy.predictor, roll)
     # u_minus lags one tick, so the first step compensates zeta(x, 0) != zeta(x, u);
     # here zeta does not depend on u, so cancellation is exact everywhere.
     assert np.max(norms) < 1e-12
@@ -207,7 +280,7 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
 
     policy = ContractingPolicy(metric_vtol, nom, ref, predictor=Half())
     roll = integrate(vtol, np.zeros(6), policy, 1.0, 0.01)
-    norms = residual_trace(vtol, policy, roll)
+    norms = residual_norms(vtol, policy.predictor, roll)
     B = nom.actuation(np.zeros(6))
     Bp = np.linalg.pinv(B, rcond=1e-10)
     for k in (0, 7, 50, 100):
@@ -244,14 +317,6 @@ def test_boundary_inputs_match_stored_record():
     roll = integrate(sys, np.array([0.7]), policy, 0.2, 0.01)
     assert len(policy.boundary_inputs) == len(roll.times)
     np.testing.assert_array_equal(np.array(policy.boundary_inputs), roll.inputs)
-
-
-def test_closed_loop_input_function_alias():
-    sys, metric = scalar_tracking_setup(0.5)
-    ref = make_reference(sys, np.array([1.0]))
-    policy = ContractingPolicy(metric, sys, ref)
-    x = np.array([0.3])
-    np.testing.assert_array_equal(closed_loop_input(policy, x, 0.1), policy(x, 0.1))
 
 
 def test_nominal_contraction_rate(bench3d, metric3d):

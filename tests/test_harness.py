@@ -250,35 +250,48 @@ def test_benchmark_systems_mapping():
         benchmark_systems(ExperimentConfig(benchmark="nope"))
 
 
+SINGLE_STEP_PLAN = {
+    "benchmark": "threeD",
+    "seed": 2,
+    "n_train": 4,
+    "n_cal": 5,
+    "n_test": 2,
+    "horizon_s": 1.0,
+    "dt_s": 0.01,
+    "alpha": 0.4,
+    "predictor_family": "linear_features",
+    "metric_grid_points": 3,
+    "lambda_lo": 0.3,
+    "lambda_hi": 0.8,
+    "plan_enabled": True,
+    "two_step": False,
+    "plan_start": [0.3, 0.2, 0.1],
+    "plan_goal": [-0.2, 0.1, 0.0],
+    "plan_max_iter": 10,
+    "tighten_budget": 4,
+}
+
+
 def test_pipeline_single_step_tightening(tmp_path):
     # two_step = false: the tightening quantile doubles as the tracking one
-    cfg = ExperimentConfig.from_dict(
-        {
-            "benchmark": "threeD",
-            "seed": 2,
-            "n_train": 4,
-            "n_cal": 5,
-            "n_test": 2,
-            "horizon_s": 1.0,
-            "dt_s": 0.01,
-            "alpha": 0.4,
-            "predictor_family": "linear_features",
-            "metric_grid_points": 3,
-            "lambda_lo": 0.3,
-            "lambda_hi": 0.8,
-            "plan_enabled": True,
-            "two_step": False,
-            "plan_start": [0.3, 0.2, 0.1],
-            "plan_goal": [-0.2, 0.1, 0.0],
-            "plan_max_iter": 10,
-            "tighten_budget": 4,
-            "out_dir": str(tmp_path / "single"),
-        }
-    )
+    cfg = ExperimentConfig.from_dict(dict(SINGLE_STEP_PLAN, out_dir=str(tmp_path / "single")))
     report = run_pipeline(cfg, stop_after="plan")
     p = report["plan"]
     assert p["tube_quantile"] == p["tracking_quantile"]
     assert (tmp_path / "single" / "plan" / "plan.csv").exists()
+
+
+def test_cli_warns_when_planner_does_not_converge(tmp_path, capsys):
+    # the micro config of test_pipeline_single_step_tightening, one iteration
+    settings = dict(SINGLE_STEP_PLAN, plan_max_iter=1)
+    cfg = tmp_path / "plan.toml"
+    cfg.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in settings.items()))
+    out = tmp_path / "cli_plan"
+    assert cli_main(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "converged=False" in captured.out
+    assert "warning: planner did not converge" in captured.err
+    assert json.loads((out / "report.json").read_text())["plan"]["plan_converged"] is False
 
 
 def test_pipeline_vtol_micro(tmp_path):

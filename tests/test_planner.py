@@ -49,6 +49,65 @@ def test_zero_plan_at_equilibrium_goal():
     assert result.converged
 
 
+def test_stalled_line_search_is_not_convergence(monkeypatch):
+    problem = PlanProblem(
+        sys=double_integrator(),
+        T=0.5,
+        dt=0.05,
+        x0=np.zeros(2),
+        goal=np.array([1.0, 0.0]),
+        state_box=free_box(2),
+        input_box=free_box(1),
+    )
+    real_cost = _Shooting.cost
+    calls = []
+
+    def no_descent(self, U, X=None):
+        # the initial cost is real; every trial step is rejected
+        calls.append(None)
+        return real_cost(self, U, X) if len(calls) == 1 else np.inf
+
+    monkeypatch.setattr(_Shooting, "cost", no_descent)
+    result = plan(problem, max_iter=50)
+    assert not result.converged
+    assert len(result.cost_history) == 1
+
+
+def test_rollout_is_textbook_rk4_bit_for_bit():
+    vt = make_benchmark_vtol().nominal
+    problem = PlanProblem(
+        sys=vt,
+        T=0.2,
+        dt=0.02,
+        x0=np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.02]),
+        goal=np.zeros(6),
+        state_box=free_box(6),
+        input_box=free_box(2),
+    )
+    sh = _Shooting(problem)
+    rng = np.random.default_rng(2)
+    U = VTOL_MASS * VTOL_GRAVITY / 2.0 + 0.1 * rng.normal(size=(sh.n_steps + 1, 2))
+    X, stages = sh._forward(U)
+
+    def F(x, u):
+        return vt.drift(x) + vt.actuation(x) @ u
+
+    dt, x = problem.dt, problem.x0
+    for k in range(sh.n_steps):
+        um = 0.5 * (U[k] + U[k + 1])
+        k1 = F(x, U[k])
+        x2 = x + 0.5 * dt * k1
+        k2 = F(x2, um)
+        x3 = x + 0.5 * dt * k2
+        k3 = F(x3, um)
+        x4 = x + dt * k3
+        k4 = F(x4, U[k + 1])
+        for got, want in zip(stages[k], (x, x2, x3, x4, U[k], um, U[k + 1])):
+            np.testing.assert_array_equal(got, want)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.testing.assert_array_equal(X[k + 1], x)
+
+
 def test_adjoint_gradient_matches_finite_differences():
     vt = make_benchmark_vtol().nominal
     problem = PlanProblem(

@@ -4,13 +4,14 @@ import pytest
 from prcitube.errors import DimensionMismatch
 from prcitube.predictor import (
     TrainConfig,
+    _monomial_columns,
+    _poly_features,
     TrainingDataset,
     UncertaintyPredictor,
     generate_perturbed_dataset,
     generate_reference_dataset,
     make_zero_predictor,
     polynomial_terms,
-    predict,
     split_reference,
     sup_loss,
     train,
@@ -59,7 +60,64 @@ def test_predict_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         p.predict(np.ones(2), np.ones(2))
     with pytest.raises(DimensionMismatch):
-        predict(p, np.ones(3), np.ones(3))
+        p.predict(np.ones(3), np.ones(3))
+
+
+def _random_predictor(family, n, m, rng):
+    """A predictor of the given family with random parameters and a training
+    envelope narrower than the sampled inputs, so clamping is exercised."""
+    if family == "zero":
+        return make_zero_predictor(n, m)
+    envelope = {"input_low": [-1.5] * (n + m), "input_high": [1.5] * (n + m)}
+    if family == "linear_features":
+        terms = polynomial_terms(n + m, 2)
+        theta = rng.normal(size=len(terms) * n)
+        return UncertaintyPredictor(
+            family, theta, {"degree": 2, "terms": terms, **envelope}, (n, m), n
+        )
+    layers = [n + m, 8, 6, n]
+    size = sum(o * i + o for i, o in zip(layers[:-1], layers[1:]))
+    spec = {
+        "layers": layers,
+        "activation": "tanh",
+        "input_shift": rng.normal(size=n + m).tolist(),
+        "input_scale": rng.uniform(0.5, 2.0, n + m).tolist(),
+        "output_shift": rng.normal(size=n).tolist(),
+        "output_scale": rng.uniform(0.5, 2.0, n).tolist(),
+        **envelope,
+    }
+    return UncertaintyPredictor(family, rng.normal(size=size), spec, (n, m), n)
+
+
+@pytest.mark.parametrize("family", ["zero", "linear_features", "mlp"])
+@pytest.mark.parametrize("n", [3, 6], ids=["threeD", "vtol"])
+def test_predict_is_one_row_of_predict_batch(family, n):
+    rng = np.random.default_rng(31 + n)
+    p = _random_predictor(family, n, 2, rng)
+    X = rng.normal(0.0, 1.0, (1000, n))
+    U = rng.normal(0.0, 1.0, (1000, 2))
+    for x, u in zip(X, U):
+        np.testing.assert_array_equal(p.predict(x, u), p.predict_batch(x[None], u[None])[0])
+    # stacking rows must not change a row's value beyond BLAS blocking
+    single = np.array([p.predict(x, u) for x, u in zip(X, U)])
+    np.testing.assert_allclose(p.predict_batch(X, U), single, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_poly_features_match_term_loop(degree):
+    n_inputs = 5
+    terms = polynomial_terms(n_inputs, degree)
+    XU = np.random.default_rng(degree).normal(0.0, 2.0, (300, n_inputs))
+    loop = np.ones((XU.shape[0], len(terms)))
+    for i, expo in enumerate(terms):
+        for k, e in enumerate(expo):
+            if e:
+                loop[:, i] *= XU[:, k] ** e
+    got = _poly_features(_monomial_columns(terms, n_inputs), XU)
+    if degree <= 2:     # at most one rounded product per monomial, in the same order
+        np.testing.assert_array_equal(got, loop)
+    else:
+        np.testing.assert_allclose(got, loop, rtol=1e-14, atol=0.0)
 
 
 def test_linear_basis_coefficient_reads_feature():

@@ -157,6 +157,26 @@ def test_rk4_order():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_integrate_is_textbook_rk4_bit_for_bit():
+    _, true = make_benchmark_3d()
+    pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
+    dt = 0.01
+    rec = integrate(true, np.array([0.1, 0.2, -0.1]), pol, 1.0, dt)
+
+    def f(x, t):
+        return true.dynamics(x, pol(x, t))
+
+    x = rec.states[0]
+    for k in range(len(rec.times) - 1):
+        t = rec.times[k]
+        k1 = f(x, t)
+        k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.testing.assert_array_equal(rec.states[k + 1], x)
+
+
 def test_integrate_determinism():
     _, true = make_benchmark_3d()
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
