@@ -30,7 +30,7 @@ from .metric import (
     synthesize_constant_metric,
     verify_contraction,
 )
-from .planner import ObstacleEllipse, PlanProblem, PlanResult, end_to_end_run, plan
+from .planner import ObstacleEllipse, PlanProblem, PlanResult, end_to_end_run, plan, track
 from .predictor import (
     TrainConfig,
     TrainingDataset,

@@ -18,7 +18,10 @@ actuation pseudo-inverse, u = u_c - B(x)^+ zeta_hat(x, u_minus), where
 u_minus is the input committed at the previous controller tick (zero before
 the first).  The tick ladder is driven by the integrator's notify_step
 hook, so u_minus at time t is exactly the input computed at grid time
-floor(t/dt)*dt - dt.
+floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
+integrator uses that input as the step's first RK4 stage, so the policy
+is evaluated once per grid point plus three times per step.  Closed-loop
+rollouts of the true plant are built in one place, ``planner.track``.
 
 ``residual_norms`` is the residual trace of a stored rollout: the norm of
 the uncertainty left after compensation at every grid point, whose
@@ -145,7 +148,6 @@ class ContractingPolicy:
         self.predictor = predictor
         self.dt = reference.dt
         self.saturate = saturate
-        self.saturation_events: list[float] = []
         self.reset()
 
     def reset(self) -> None:
@@ -153,10 +155,7 @@ class ContractingPolicy:
         self._step_index = -1
         self._u_prev = np.zeros(m)
         self._u_curr = np.zeros(m)
-        self._cache_key = None
-        self._cache_u = None
-        self.boundary_inputs: list[Array] = []
-        self.saturation_events = []
+        self.saturation_events: list[float] = []
 
     # -- delayed-input ladder ------------------------------------------------
 
@@ -169,7 +168,9 @@ class ContractingPolicy:
             return self._u_curr
         return self._u_prev
 
-    def notify_step(self, x: Array, t: float) -> None:
+    def notify_step(self, x: Array, t: float) -> Array:
+        """Commit the input of the grid step starting at (x, t) and return
+        it; the integrator uses it as that step's first RK4 stage."""
         k = int(round(t / self.dt))
         if abs(t - k * self.dt) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"notify_step at off-grid time t={t!r}")
@@ -179,13 +180,9 @@ class ContractingPolicy:
         u = self._compute(x, t, u_minus)
         self._u_prev, self._u_curr = self._u_curr, u
         self._step_index = k
-        self.boundary_inputs.append(u)
-        self._cache_key = (t, x.tobytes())
-        self._cache_u = u
+        return u
 
     def __call__(self, x: Array, t: float) -> Array:
-        if self._cache_key is not None and self._cache_key == (t, x.tobytes()):
-            return self._cache_u
         return self._compute(x, t, self.delayed_input(t))
 
     # -- composition -----------------------------------------------------------
@@ -205,15 +202,6 @@ class ContractingPolicy:
             if self.saturate:
                 u = np.clip(u, box[:, 0], box[:, 1])
         return u
-
-    def config_dict(self) -> dict:
-        return {
-            "dt_s": self.dt,
-            "geodesic_segments": GEODESIC_SEGMENTS,
-            "saturate": self.saturate,
-            "predictor": getattr(self.predictor, "family", None),
-            "metric": self.metric.to_json_dict(),
-        }
 
 
 def residual_norms(

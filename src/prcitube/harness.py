@@ -25,10 +25,9 @@ from typing import Optional
 import numpy as np
 
 from . import conformal, tube as tube_mod
-from .control import ContractingPolicy
 from .errors import InsufficientCalibrationData, NonFiniteState, PrcitubeError
 from .metric import ContractionMetric, box_grid, synthesize_constant_metric, verify_contraction
-from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
+from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan, track
 from .predictor import (
     PiecewiseLinearInput,
     TrainConfig,
@@ -335,7 +334,7 @@ def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path):
     path = out / "metric.json"
     vpath = out / "metric_verification.json"
     if path.exists():
-        metric = ContractionMetric.load(path)
+        metric = ContractionMetric.from_json_dict(read_json(path))
     else:
         if config.metric_source == "synthesize":
             grid = _metric_grid(config, sys_nom, config.metric_grid_points)
@@ -347,12 +346,11 @@ def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path):
                 margin_target=config.metric_margin,
             )
         else:
-            metric = ContractionMetric.load(config.metric_source)
-        metric.save(path)
+            metric = ContractionMetric.from_json_dict(read_json(config.metric_source))
+        write_json(path, metric.to_json_dict())
     if not vpath.exists():
         fine = _metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
-        report = verify_contraction(metric, sys_nom, fine)
-        report.save(vpath)
+        write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
     report = read_json(vpath)
     return metric, report
 
@@ -482,11 +480,11 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
     cal_a = conformal.calibrate(
         scores_a, config.alpha, {"step": "tube-radius", "n": len(scores_a)}
     )
-    radius_a = float(np.sqrt(metric.upper_bound) * cal_a.quantile_value / metric.rate)
+    rep_ref = first.entries[0].reference or first.entries[0].record
+    rep_tube = PRCITube.from_calibration(rep_ref, metric, cal_a, "tightening")
+    radius_a = rep_tube.radius
 
     s_box = tighten_state_box(sys_nom.state_box, radius_a, metric)
-    rep_ref = first.entries[0].reference or first.entries[0].record
-    rep_tube = PRCITube(rep_ref, metric, radius_a, config.alpha, "tightening")
     a_box = tighten_input_box(
         sys_nom.input_box, rep_tube, metric, sys_nom,
         budget=config.tighten_budget, seed=config.seed,
@@ -543,20 +541,14 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         # Second calibration step: same count as the held-out half,
         # regenerated under the tightened plan (ball starts), restoring
         # exchangeability with the evaluation rollouts below.  The first
-        # half was scored once, above.
+        # half was scored once, above.  A diverged record is skipped.
         scores_b = []
         for i in range(n - n1):
             rng = rng_stream(config.seed, f"twostep-start-{i}")
-            x0 = tube_mod.sample_metric_ball(
-                metric, result.record.states[0], radius_a, 2, rng
-            )[1]
-            policy = ContractingPolicy(metric, sys_nom, result.record, predictor=predictor)
-            try:
-                rec = integrate(sys_true, x0, policy, config.horizon_s, config.dt_s)
-            except NonFiniteState as err:
-                log.warning("two-step record %d diverged: %s", i, err)
-                continue
-            scores_b.append(conformal.nonconformity_score(rec, predictor, sys_true))
+            x0 = tube_mod.start_in_ball(metric, result.record.states[0], radius_a, rng)
+            rec = track(sys_true, metric, predictor, result.record, x0)
+            if rec is not None:
+                scores_b.append(conformal.nonconformity_score(rec, predictor, sys_true))
         if not scores_b:
             raise InsufficientCalibrationData(
                 f"two-step split needs both halves non-empty, got {n1}/0"
@@ -578,8 +570,6 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         start_mode="ball",
         start_radius=radius_a,      # same start law as the second-step records
         obstacles=obstacles,
-        state_box=sys_true.state_box,
-        input_box=sys_true.input_box,
     )
     report = {
         "plan_cost": result.cost,
@@ -617,27 +607,15 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
             log.warning("test reference %d diverged: %s", i, err)
             continue
         t = PRCITube.from_calibration(ref, metric, calibration, source_id="test")
-        if config.start_mode == "ball" and np.isfinite(t.radius):
+        start = ref.states[0]
+        if config.start_mode == "ball":
             rng = rng_stream(config.seed, f"test-start-{i}")
-            start = tube_mod.sample_metric_ball(metric, ref.states[0], t.radius, 2, rng)[1]
-        else:
-            start = ref.states[0]
-        policy = ContractingPolicy(metric, sys_nom, ref, predictor=predictor)
-        try:
-            roll = integrate(sys_true, start, policy, config.horizon_s, config.dt_s)
-        except NonFiniteState as err:
-            log.warning("test rollout %d diverged: %s", i, err)
-            continue
+            start = tube_mod.start_in_ball(metric, start, t.radius, rng)
+        # a diverged rollout (None) stays in the count as not contained
         tubes.append(t)
-        rollouts.append(roll)
+        rollouts.append(track(sys_true, metric, predictor, ref, start))
         ids.append(f"test-{i:04d}")
     result = tube_mod.containment_experiment(tubes, rollouts)
-    env_worst = float("-inf")
-    for t, roll in zip(tubes, rollouts):
-        d = tube_mod.trajectory_distances(t, roll)
-        if np.max(d) <= t.radius:
-            env_worst = max(env_worst, tube_mod.envelope_violation(t, roll, slack=0.05))
-    result["envelope_worst_excess_contained"] = env_worst
     result["ids"] = ids
     write_json(rpath, result)
     lines = ["id,sup_distance,contained"]

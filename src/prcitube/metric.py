@@ -21,7 +21,6 @@ of the inverse metric against the worst grid margin.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -167,16 +166,6 @@ class ContractionMetric:
             )
         terms = [(tuple(t["exponents"]), np.array(t["matrix"])) for t in d["terms"]]
         return ContractionMetric.polynomial(terms, d["lambda"], d["m_lower"], d["m_upper"])
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path) -> "ContractionMetric":
-        with open(path) as fh:
-            return ContractionMetric.from_json_dict(json.load(fh))
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,11 +384,6 @@ class VerificationReport:
                 c.to_json_dict() for c in (self.bounds, self.killing, self.contraction)
             ],
         }
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def box_grid(box: Array, points_per_dim) -> Array:

@@ -6,12 +6,14 @@ integrator samples policies), rolled out through the nominal dynamics with
 the simulator's own RK4 step (``systems.rk4_step``), so stored plans
 re-integrate to themselves.  The objective is
 
-    sum_k dt * ( w1 ||u_k||^2 + w2 * P(x_k, u_k) )  +  w2 * goal_dist(x_N)^2
+    sum_{k=0..N} dt * ( w1_k ||u_k||^2 + w2 * P(x_k, u_k) )  +  w2 * goal_dist(x_N)^2
 
-where P collects bounded log-barriers on obstacle ellipses and on the
-(tightened) state/input boxes.  Gradients come from a discrete adjoint
-sweep through the RK4 stages (stage Jacobians by central differences),
-descent is plain gradient with backtracking line search.
+with w1_k = w1 before the last node and 0 at it, where P collects bounded
+log-barriers on obstacle ellipses and on the (tightened) state/input boxes.
+The cost is the forward half of the gradient, which a discrete adjoint
+sweep through the RK4 stages completes (stage Jacobians by central
+differences); descent is plain gradient with backtracking line search.
+``track`` is the one compensated closed-loop rollout of the true plant.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .control import ContractingPolicy
 from .errors import InfeasiblePlan, NonFiniteState
 from .metric import ContractionMetric, jacobian_fd
 from .predictor import UncertaintyPredictor
-from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate, rk4_step
-from .tube import PRCITube, sample_metric_ball, trajectory_distances
+from .systems import DynamicalSystem, TrajectoryRecord, _in_box, integrate, rk4_step
+from .tube import PRCITube, rollout_containment, start_in_ball
 
 Array = np.ndarray
 log = logging.getLogger(__name__)
@@ -62,14 +64,6 @@ class ObstacleEllipse:
             "coords": list(self.coords),
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ObstacleEllipse":
-        return ObstacleEllipse(
-            np.array(d["center"], dtype=float),
-            np.array(d["shape"], dtype=float),
-            tuple(d["coords"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class PlanProblem:
@@ -95,9 +89,6 @@ class PlanResult:
     cost_history: tuple
     converged: bool
     violations: dict
-
-    def input_policy(self) -> PiecewiseLinearInput:
-        return PiecewiseLinearInput(self.record.times, self.record.inputs)
 
 
 def _box_barrier(v: Array, box: Array, mu: float):
@@ -175,76 +166,54 @@ class _Shooting:
             X[k + 1] = x
         return X, stages
 
-    def _stage_cost(self, x, u):
-        p = self.p
-        vb, gb_x = _box_barrier(x, p.state_box, p.mu_box)
-        if not np.isfinite(vb):
-            return np.inf, None, None
-        vo, go_x = _obstacle_barrier(x, p.obstacles, p.mu_obstacle)
-        if not np.isfinite(vo):
-            return np.inf, None, None
-        vu, gb_u = _box_barrier(u, p.input_box, p.mu_box)
-        if not np.isfinite(vu):
-            return np.inf, None, None
-        val = p.w1 * float(u @ u) + p.w2 * (vb + vo + vu)
-        gx = p.w2 * (gb_x + go_x)
-        gu = 2.0 * p.w1 * u + p.w2 * gb_u
-        return val, gx, gu
-
-    def _terminal_barrier(self, x, u):
-        """Barrier-only term keeping the final grid point admissible."""
+    def _stage_cost(self, x, u, w1):
+        """Barriers at one node plus w1 ||u||^2 (w1 = 0 at the last node,
+        whose barrier-only term keeps the final grid point admissible)."""
         p = self.p
         vb, gb_x = _box_barrier(x, p.state_box, p.mu_box)
         vo, go_x = _obstacle_barrier(x, p.obstacles, p.mu_obstacle)
         vu, gb_u = _box_barrier(u, p.input_box, p.mu_box)
         if not (np.isfinite(vb) and np.isfinite(vo) and np.isfinite(vu)):
             return np.inf, None, None
-        return p.w2 * (vb + vo + vu), p.w2 * (gb_x + go_x), p.w2 * gb_u
+        val = w1 * float(u @ u) + p.w2 * (vb + vo + vu)
+        gx = p.w2 * (gb_x + go_x)
+        gu = 2.0 * w1 * u + p.w2 * gb_u
+        return val, gx, gu
 
-    def cost(self, U: Array, X: Optional[Array] = None) -> float:
+    def _objective(self, U: Array):
+        """Forward half: the cost, the RK4 stages of the rollout, and the
+        explicit gradients in each node's state and input.  The cost is inf
+        when the rollout diverges or leaves a barrier's domain."""
         p, dt = self.p, self.p.dt
-        if X is None:
-            X = self.rollout(U)
-        if not np.all(np.isfinite(X)):
-            return np.inf
-        total = 0.0
-        for k in range(self.n_steps):
-            v, _, _ = self._stage_cost(X[k], U[k])
-            if not np.isfinite(v):
-                return np.inf
-            total += dt * v
-        vt, _, _ = self._terminal_barrier(X[-1], U[-1])
-        if not np.isfinite(vt):
-            return np.inf
-        e = self.gw * (X[-1] - p.goal)
-        return total + dt * vt + p.w2 * float(e @ e)
-
-    def cost_and_grad(self, U: Array):
-        p, dt = self.p, self.p.dt
-        B, F = p.sys.actuation, self._field
-        n = p.sys.state_dim
         X, stages = self._forward(U)
-
-        total = 0.0
-        run_gx = np.zeros((self.n_steps + 1, n))
+        run_gx = np.zeros_like(X)
         gU = np.zeros_like(U)
-        for k in range(self.n_steps):
-            v, gx, gu = self._stage_cost(X[k], U[k])
+        if not np.all(np.isfinite(X)):
+            return np.inf, stages, run_gx, gU
+        total = 0.0
+        for k in range(self.n_steps + 1):
+            w1 = p.w1 if k < self.n_steps else 0.0
+            v, gx, gu = self._stage_cost(X[k], U[k], w1)
             if not np.isfinite(v):
-                return np.inf, gU
+                return np.inf, stages, run_gx, gU
             total += dt * v
             run_gx[k] = dt * gx
             gU[k] += dt * gu
-        vt, gt_x, gt_u = self._terminal_barrier(X[-1], U[-1])
-        if not np.isfinite(vt):
-            return np.inf, gU
-        total += dt * vt
-        gU[-1] += dt * gt_u
         e = self.gw * (X[-1] - p.goal)
-        total += p.w2 * float(e @ e)
+        run_gx[-1] += 2.0 * p.w2 * self.gw * e
+        return total + p.w2 * float(e @ e), stages, run_gx, gU
+
+    def cost(self, U: Array) -> float:
+        return self._objective(U)[0]
+
+    def cost_and_grad(self, U: Array):
+        dt, B, F = self.p.dt, self.p.sys.actuation, self._field
+        total, stages, run_gx, gU = self._objective(U)
+        if not np.isfinite(total):
+            return total, gU
 
         # Adjoint sweep: lam = dJ/dx_k, distributed through the RK4 stages.
-        lam = 2.0 * p.w2 * self.gw * e + dt * gt_x
+        lam = run_gx[-1]
         for k in range(self.n_steps - 1, -1, -1):
             x1, x2, x3, x4, ua, um, ub = stages[k]
             J1 = jacobian_fd(lambda z: F(z, ua), x1)
@@ -358,6 +327,28 @@ def plan(
 # Closed-loop evaluation of a plan against the true system
 # ---------------------------------------------------------------------------
 
+def track(
+    sys_true: DynamicalSystem,
+    metric: ContractionMetric,
+    predictor: Optional[UncertaintyPredictor],
+    reference: TrajectoryRecord,
+    x0: Array,
+) -> Optional[TrajectoryRecord]:
+    """One compensated closed-loop rollout of the true plant from x0,
+    tracking ``reference`` on its own time grid.
+
+    This is the event the tube's guarantee is about; evaluation, the
+    second calibration step and ``end_to_end_run`` all simulate it here.
+    Returns None (and logs the NonFiniteState) when the rollout diverges.
+    """
+    policy = ContractingPolicy(metric, sys_true.nominal, reference, predictor=predictor)
+    try:
+        return integrate(sys_true, x0, policy, reference.horizon, reference.dt)
+    except NonFiniteState as err:
+        log.warning("closed-loop rollout diverged: %s", err)
+        return None
+
+
 def end_to_end_run(
     sys_true: DynamicalSystem,
     plan_result: PlanResult,
@@ -375,11 +366,12 @@ def end_to_end_run(
     """Track the plan with the compensated policy against the true plant.
 
     Reports per-rollout tube containment, original state/input constraint
-    satisfaction and obstacle clearance.  Rollout starts are sampled
-    uniformly in the initial cross-section of radius ``start_radius``
-    (default: the tube radius) in "ball" mode, or placed at the reference
-    start in "center" mode.  Pass the same radius that generated the
-    calibration records so starts stay exchangeable with them.
+    satisfaction and obstacle clearance; a diverged rollout fails all of
+    them.  Rollout starts are sampled uniformly in the initial
+    cross-section of radius ``start_radius`` (default: the tube radius) in
+    "ball" mode, or placed at the reference start in "center" mode.  Pass
+    the same radius that generated the calibration records so starts stay
+    exchangeable with them.
     """
     ref = plan_result.record
     tube = PRCITube.from_calibration(ref, metric, calibration, source_id="end-to-end")
@@ -387,59 +379,34 @@ def end_to_end_run(
     input_box = sys_true.input_box if input_box is None else np.asarray(input_box, dtype=float)
     r0 = tube.radius if start_radius is None else float(start_radius)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    rollouts = []
-    for _ in range(n_rollouts):
-        if start_mode == "ball" and np.isfinite(r0):
-            x0 = sample_metric_ball(tube.metric, ref.states[0], r0, 2, rng)[1]
-        else:
-            x0 = ref.states[0]
-        policy = ContractingPolicy(metric, sys_true.nominal, ref, predictor=predictor)
-        try:
-            rollouts.append(integrate(sys_true, x0, policy, ref.horizon, ref.dt))
-        except NonFiniteState as err:
-            log.warning("end_to_end_run: rollout diverged: %s", err)
-            rollouts.append(None)
 
     per = []
-    for roll in rollouts:
+    for _ in range(n_rollouts):
+        x0 = ref.states[0]
+        if start_mode == "ball":
+            x0 = start_in_ball(metric, x0, r0, rng)
+        roll = track(sys_true, metric, predictor, ref, x0)
+        c = rollout_containment(tube, roll)
+        row = {
+            "contained": c.contained,
+            # the invariance statement assumes the start lies in the tube
+            "start_eligible": bool(c.start_distance <= tube.radius),
+            "sup_distance": c.sup_distance,
+        }
         if roll is None:
-            per.append(
-                {
-                    "contained": False,
-                    "start_eligible": False,
-                    "sup_distance": float("inf"),
-                    "state_ok": False,
-                    "input_ok": False,
-                    "min_clearance": float("-inf"),
-                }
+            row.update(state_ok=False, input_ok=False, min_clearance=float("-inf"))
+        else:
+            row.update(
+                state_ok=_in_box(roll.states, state_box),
+                input_ok=_in_box(roll.inputs, input_box),
+                min_clearance=float(
+                    min((o.clearance(x) for o in obstacles for x in roll.states), default=np.inf)
+                ),
             )
-            continue
-        d = trajectory_distances(tube, roll)
-        state_ok = bool(
-            np.all(roll.states >= state_box[:, 0]) and np.all(roll.states <= state_box[:, 1])
-        )
-        input_ok = bool(
-            np.all(roll.inputs >= input_box[:, 0]) and np.all(roll.inputs <= input_box[:, 1])
-        )
-        clearance = (
-            min(min(o.clearance(x) for x in roll.states) for o in obstacles)
-            if obstacles
-            else float("inf")
-        )
-        per.append(
-            {
-                "contained": bool(np.max(d) <= tube.radius),
-                # the invariance statement assumes the start lies in the tube
-                "start_eligible": bool(d[0] <= tube.radius),
-                "sup_distance": float(np.max(d)),
-                "state_ok": state_ok,
-                "input_ok": input_ok,
-                "min_clearance": float(clearance),
-            }
-        )
+        per.append(row)
     n = len(per)
     eligible = [r for r in per if r["start_eligible"]]
-    report = {
+    return {
         "n_rollouts": n,
         "radius": tube.radius,
         "alpha": tube.alpha,
@@ -456,4 +423,3 @@ def end_to_end_run(
         "obstacle_violation_fraction": sum(r["min_clearance"] < 0.0 for r in per) / n,
         "rollouts": per,
     }
-    return report

@@ -14,13 +14,13 @@ shared by ``integrate`` and the planner's shooting rollouts.  Feedback
 policies are sampled at every RK4 stage; policies that carry
 sampled-and-held internal state (the delayed input of the compensated
 controller) are notified once per grid step through the optional
-``notify_step`` hook.
+``notify_step`` hook, which returns the input committed at that grid
+point and so also supplies the step's first stage.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -204,11 +204,6 @@ class TrajectoryRecord:
             "left_state_box": bool(self.left_state_box),
         }
 
-    def save_envelope(self, path, benchmark: str = "") -> None:
-        with open(path, "w") as fh:
-            json.dump(self.envelope(benchmark), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearInput:
@@ -275,8 +270,9 @@ def integrate(
 
     The policy is evaluated at every RK4 stage.  If the policy object has a
     ``notify_step(x, t)`` method it is called once at the start of each grid
-    step (and at the final grid point), before the stage evaluations; this
-    is how sampled-and-held controller state advances.
+    step (and at the final grid point) instead of the first-stage call; it
+    advances sampled-and-held controller state and returns the input it
+    commits, which is stored and drives the first stage.
 
     Raises NonFiniteState as soon as a committed state goes NaN/inf.
     """
@@ -287,14 +283,13 @@ def integrate(
     n_steps = int(round(T / dt))
     x0 = np.asarray(x0, dtype=float)
 
-    notify = getattr(policy, "notify_step", None)
+    first_input = getattr(policy, "notify_step", policy)
 
-    def rhs(x, t):
-        u = policy(x, t)
+    def field(x, u):
         dx = sys.drift(x) + sys.actuation(x) @ u
         if sys.uncertainty is not None:
             dx = dx + sys.uncertainty(x, u)
-        return dx, u
+        return dx
 
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, sys.state_dim))
@@ -307,17 +302,15 @@ def integrate(
         t = times[k]
         if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _BLOWUP_LIMIT:
             raise NonFiniteState(t, x)
-        if notify is not None:
-            notify(x, t)
+        u_k = first_input(x, t)
         states[k] = x
-        k1, u_k = rhs(x, t)
         inputs[k] = u_k
         if zetas is not None:
             zetas[k] = sys.uncertainty(x, u_k)
         left_box = left_box or not _in_box(x, sys.state_box)
         if k == n_steps:
             break
-        x, _ = rk4_step(lambda z, c: rhs(z, t + c * dt)[0], x, dt, k1)
+        x, _ = rk4_step(lambda z, c: field(z, policy(z, t + c * dt)), x, dt, field(x, u_k))
 
     return TrajectoryRecord(times, states, inputs, zetas, left_state_box=left_box)
 

@@ -9,19 +9,23 @@ containing perturbed closed-loop trajectories with probability at least
 
     (d0 - c2) e^(-rate t) + c2,   c2 = radius
 
-bounds the tracking error pathwise.  Tightening shrinks admissible boxes by
-the tube's worst-case excursion: exact per-axis ellipsoid extents for
-constant metrics, the conservative Euclidean outer bound radius/sqrt(m_lower)
-otherwise.  Input tightening is a sampled supremum of the feedback over
-tube cross-sections (inner approximation, inflated 10%).  2D projections
-marginalize the remaining coordinates with the Schur complement.
+bounds the tracking error pathwise.  Where a closed-loop rollout starts
+(``start_in_ball``) and whether it stayed in the tube, a diverged rollout
+counting as not contained (``rollout_containment``), are decided here once.
+
+Tightening shrinks admissible boxes by the tube's worst-case excursion:
+exact per-axis ellipsoid extents for constant metrics, the conservative
+Euclidean outer bound radius/sqrt(m_lower) otherwise.  Input tightening is
+a sampled supremum of the feedback over tube cross-sections (inner
+approximation, inflated 10%).  2D projections marginalize the remaining
+coordinates with the Schur complement.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,8 +51,10 @@ class IEBEnvelope:
         return abs(self.d0 - self.asymptote)
 
 
-def envelope_at(e: IEBEnvelope, t: float) -> float:
-    if t < 0:
+def envelope_at(e: IEBEnvelope, t):
+    """Envelope value at time t, a scalar or an array of times."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("t must be nonnegative")
     return (e.d0 - e.asymptote) * np.exp(-e.rate * t) + e.asymptote
 
@@ -121,36 +127,52 @@ def trajectory_distances(tube: PRCITube, rollout: TrajectoryRecord) -> Array:
     )
 
 
+class RolloutContainment(NamedTuple):
+    sup_distance: float
+    start_distance: float       # tracking error at t = 0
+    contained: bool             # sup_distance <= radius
+    envelope_excess: float      # worst excess over the envelope + slack*c2
+
+
+def rollout_containment(
+    tube: PRCITube, rollout: Optional[TrajectoryRecord], slack: float = 0.05
+) -> RolloutContainment:
+    """Whether one closed-loop rollout stayed in the tube, and by how much.
+
+    A rollout counts as contained only if its tracking error stays at or
+    below the tube radius at every grid time.  ``None`` stands for a
+    rollout that diverged: not contained, at distance inf.
+    """
+    if rollout is None:
+        return RolloutContainment(np.inf, np.inf, False, np.inf)
+    d = trajectory_distances(tube, rollout)
+    sup = float(np.max(d))
+    env = envelope_at(tube.envelope(float(d[0])), rollout.times)
+    excess = float(np.max(d - (env + slack * tube.radius)))
+    return RolloutContainment(sup, float(d[0]), bool(sup <= tube.radius), excess)
+
+
 def envelope_violation(tube: PRCITube, rollout: TrajectoryRecord, slack: float = 0.05) -> float:
     """Worst excess of the tracking error over the envelope + slack*c2.
 
     Nonpositive means the envelope holds at every grid time.
     """
-    d = trajectory_distances(tube, rollout)
-    env = envelope_at_grid(tube.envelope(float(d[0])), rollout.times)
-    return float(np.max(d - (env + slack * tube.radius)))
-
-
-def envelope_at_grid(e: IEBEnvelope, times: Array) -> Array:
-    return (e.d0 - e.asymptote) * np.exp(-e.rate * np.asarray(times)) + e.asymptote
+    return rollout_containment(tube, rollout, slack).envelope_excess
 
 
 def containment_experiment(
-    tubes: Sequence[PRCITube], rollouts: Sequence[TrajectoryRecord]
+    tubes: Sequence[PRCITube], rollouts: Sequence[Optional[TrajectoryRecord]]
 ) -> dict:
     """Whole-trajectory containment fraction over paired (tube, rollout).
 
-    A rollout counts as contained only if its tracking error stays at or
-    below the tube radius at every grid time.
+    Each pair is decided by ``rollout_containment``, so a diverged rollout
+    (``None``) counts against the fraction.  Also reports the worst
+    envelope excess over the contained rollouts (-inf when none is).
     """
     if len(tubes) != len(rollouts):
         raise ValueError("need one tube per rollout")
-    sup_d = []
-    contained = 0
-    for tube, roll in zip(tubes, rollouts):
-        d = trajectory_distances(tube, roll)
-        sup_d.append(float(np.max(d)))
-        contained += bool(np.max(d) <= tube.radius)
+    per = [rollout_containment(t, r) for t, r in zip(tubes, rollouts)]
+    contained = sum(c.contained for c in per)
     n = len(rollouts)
     return {
         "n_rollouts": n,
@@ -158,7 +180,10 @@ def containment_experiment(
         "fraction": contained / n if n else float("nan"),
         "alpha": tubes[0].alpha if n else None,
         "radius": tubes[0].radius if n else None,
-        "sup_distances": sup_d,
+        "sup_distances": [c.sup_distance for c in per],
+        "envelope_worst_excess_contained": max(
+            (c.envelope_excess for c in per if c.contained), default=float("-inf")
+        ),
     }
 
 
@@ -171,9 +196,6 @@ class TightenedBox:
     box: Array          # (n, 2); meaningless when empty
     margins: Array      # per-coordinate shrink applied to both sides
     empty: bool
-
-    def contains(self, v: Array) -> bool:
-        return bool(np.all(v >= self.box[:, 0]) and np.all(v <= self.box[:, 1]))
 
 
 def _shrink(box: Array, margins: Array) -> TightenedBox:
@@ -219,6 +241,15 @@ def sample_metric_ball(
         r = rng.uniform() ** (1.0 / n)
         out[i] = center + radius * (A @ (r * z))
     return out
+
+
+def start_in_ball(metric: ContractionMetric, center: Array, radius: float, rng) -> Array:
+    """One start drawn uniformly in the metric ball of ``radius`` around
+    ``center`` (the second point of ``sample_metric_ball``), or ``center``
+    itself when the radius is not finite."""
+    if not np.isfinite(radius):
+        return center
+    return sample_metric_ball(metric, center, radius, 2, rng)[1]
 
 
 def tighten_input_box(

@@ -297,26 +297,57 @@ def test_delayed_input_ladder():
     policy = ContractingPolicy(metric, sys, ref)
     dt = 0.01
     x = np.array([0.5])
-    policy.notify_step(x, 0.0)
-    u0 = policy.boundary_inputs[0]
+    u0 = policy.notify_step(x, 0.0)
     np.testing.assert_array_equal(policy.delayed_input(0.0), np.zeros(1))
     np.testing.assert_array_equal(policy.delayed_input(0.5 * dt), np.zeros(1))
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
     x1 = np.array([0.45])
-    policy.notify_step(x1, dt)
-    u1 = policy.boundary_inputs[1]
+    u1 = policy.notify_step(x1, dt)
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
     np.testing.assert_array_equal(policy.delayed_input(1.5 * dt), u0)
     np.testing.assert_array_equal(policy.delayed_input(2 * dt), u1)
 
 
+class CountingPolicy(ContractingPolicy):
+    """Records what the integrator asks of the policy."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.committed = []
+        self.stage_calls = 0
+
+    def notify_step(self, x, t):
+        u = super().notify_step(x, t)
+        self.committed.append(u)
+        return u
+
+    def __call__(self, x, t):
+        self.stage_calls += 1
+        return super().__call__(x, t)
+
+
 def test_boundary_inputs_match_stored_record():
     sys, metric = scalar_tracking_setup(0.8)
     ref = make_reference(sys, np.array([1.0]), T=0.2, dt=0.01)
-    policy = ContractingPolicy(metric, sys, ref)
+    policy = CountingPolicy(metric, sys, ref)
     roll = integrate(sys, np.array([0.7]), policy, 0.2, 0.01)
-    assert len(policy.boundary_inputs) == len(roll.times)
-    np.testing.assert_array_equal(np.array(policy.boundary_inputs), roll.inputs)
+    assert len(policy.committed) == len(roll.times)
+    np.testing.assert_array_equal(np.array(policy.committed), roll.inputs)
+
+
+def test_policy_notified_once_and_called_three_times_per_step(vtol, metric_vtol):
+    from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
+
+    nom = vtol.nominal
+    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+    knots = PiecewiseLinearInput(np.array([0.0, 1.0]), np.full((2, 2), hover))
+    ref = integrate(nom, np.zeros(6), knots, 0.5, 0.01)
+    policy = CountingPolicy(metric_vtol, nom, ref, predictor=make_zero_predictor(6, 2))
+    roll = integrate(vtol, np.full(6, 0.01), policy, 0.5, 0.01)
+    n_steps = len(roll.times) - 1
+    assert n_steps == 50
+    assert len(policy.committed) == n_steps + 1
+    assert policy.stage_calls == 3 * n_steps
 
 
 def test_nominal_contraction_rate(bench3d, metric3d):
@@ -386,18 +417,3 @@ def test_qp_matches_scipy_slsqp_oracle():
         np.testing.assert_allclose(kappa, res.x, atol=1e-6)
         checked += 1
     assert checked >= 20
-
-
-def test_policy_config_serializes():
-    import json
-
-    sys, metric = scalar_tracking_setup(0.5)
-    ref = make_reference(sys, np.array([1.0]))
-    policy = ContractingPolicy(metric, sys, ref, predictor=make_zero_predictor(1, 1))
-    cfg = policy.config_dict()
-    text = json.dumps(cfg, sort_keys=True)
-    back = json.loads(text)
-    assert back["dt_s"] == ref.dt
-    assert back["saturate"] is False
-    assert back["predictor"] == "zero"
-    assert back["metric"]["parameterization"] == "constant"

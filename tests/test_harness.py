@@ -10,6 +10,7 @@ from prcitube.harness import (
     benchmark_systems,
     load_dataset,
     parse_flat_config,
+    read_json,
     rng_stream,
     run_pipeline,
     save_dataset,
@@ -201,6 +202,46 @@ def test_evaluate_csv_format(smoke_run):
     assert ident.startswith("test-")
     float(sup)
     assert contained in ("0", "1")
+
+
+def test_diverged_test_rollout_counts_against_coverage(tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    cfg = ExperimentConfig.from_dict(dict(parse_flat_config(SMOKE), out_dir=str(tmp_path / "run")))
+    run_pipeline(cfg, stop_after="tube")
+    real_track, calls = harness.track, []
+
+    def track(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else real_track(*args)   # test index 0 diverges
+
+    monkeypatch.setattr(harness, "track", track)
+    report = run_pipeline(cfg)
+    coverage = read_json(tmp_path / "run" / "test" / "coverage.json")
+    assert len(calls) == cfg.n_test
+    assert coverage["n_rollouts"] == cfg.n_test == report["coverage"]["n_rollouts"]
+    assert coverage["ids"][0] == "test-0000"
+    assert coverage["sup_distances"][0] == "inf"
+    assert coverage["contained"] <= cfg.n_test - 1
+    rows = (tmp_path / "run" / "test" / "sup_distances.csv").read_text().splitlines()
+    assert rows[1] == "test-0000,inf,0"
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every function the benchmark tracer wraps still exists under its
+    traced name, and the tracer leaves nothing patched behind."""
+    import importlib.util
+    import sys
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    with tracer.Tracer().installed():
+        for owner, attr, *_ in tracer.TARGETS:
+            assert hasattr(getattr(tracer._resolve(owner), attr), tracer.MARK), (owner, attr)
+    assert tracer.patched_sites() == []
 
 
 def test_tube_ellipse_csv_header(smoke_run):

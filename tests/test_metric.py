@@ -1,5 +1,4 @@
 import heapq
-import json
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prcitube.errors import InfeasibleMetric
+from prcitube.harness import read_json, write_json
 from prcitube.metric import (
     ContractionMetric,
     box_grid,
@@ -297,8 +297,8 @@ def test_synthesis_3d_passes_on_finer_grid(bench3d, metric3d):
 def test_metric_json_roundtrip(tmp_path, metric3d, poly_metric_2d):
     for m in (metric3d, poly_metric_2d):
         path = tmp_path / "m.json"
-        m.save(path)
-        back = ContractionMetric.load(path)
+        write_json(path, m.to_json_dict())
+        back = ContractionMetric.from_json_dict(read_json(path))
         assert back.parameterization == m.parameterization
         assert back.rate == m.rate
         x = np.array([0.3, -0.2] if m.dim == 2 else [0.3, -0.2, 0.5])
@@ -309,8 +309,8 @@ def test_verification_report_json(tmp_path, bench3d, metric3d):
     nom, _ = bench3d
     rep = verify_contraction(metric3d, nom, box_grid(nom.state_box, 3))
     path = tmp_path / "verify.json"
-    rep.save(path)
-    data = json.loads(path.read_text())
+    write_json(path, rep.to_json_dict())
+    data = read_json(path)
     assert data["passed"] is True
     assert len(data["conditions"]) == 3
     names = [c["name"] for c in data["conditions"]]

@@ -6,11 +6,13 @@ from prcitube.errors import InfeasiblePlan
 from prcitube.planner import (
     ObstacleEllipse,
     PlanProblem,
+    PlanResult,
     _Shooting,
     end_to_end_run,
     plan,
+    track,
 )
-from prcitube.systems import DynamicalSystem, integrate, make_benchmark_vtol
+from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate, make_benchmark_vtol
 from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
 from prcitube.tube import PRCITube, project_tube_2d, tighten_state_box
 
@@ -62,10 +64,10 @@ def test_stalled_line_search_is_not_convergence(monkeypatch):
     real_cost = _Shooting.cost
     calls = []
 
-    def no_descent(self, U, X=None):
+    def no_descent(self, U):
         # the initial cost is real; every trial step is rejected
         calls.append(None)
-        return real_cost(self, U, X) if len(calls) == 1 else np.inf
+        return real_cost(self, U) if len(calls) == 1 else np.inf
 
     monkeypatch.setattr(_Shooting, "cost", no_descent)
     result = plan(problem, max_iter=50)
@@ -140,6 +142,32 @@ def test_adjoint_gradient_matches_finite_differences():
     assert err < 1e-5
 
 
+def test_cost_is_the_forward_half_of_cost_and_grad_bit_for_bit(bench3d):
+    nom, _ = bench3d
+    problem = PlanProblem(
+        sys=nom,
+        T=0.1,
+        dt=0.02,
+        x0=np.array([0.6, 0.4, 0.24]),
+        goal=np.array([-0.5, 0.25, -0.2]),
+        state_box=np.array([[-1.0, 1.0]] * 3),
+        input_box=np.array([[-1.2, 1.2]] * 2),
+        obstacles=(ObstacleEllipse(np.array([0.0, -0.5]), np.diag([9.0, 9.0])),),
+        w1=0.1,
+        w2=1.0,
+    )
+    sh = _Shooting(problem)
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        U = rng.uniform(-1.0, 1.0, (sh.n_steps + 1, 2))
+        cost = sh.cost(U)
+        assert np.isfinite(cost)
+        assert cost == sh.cost_and_grad(U)[0]
+    U[-1, 0] = 1.5          # the last node leaves the input box
+    assert sh.cost(U) == np.inf
+    assert sh.cost_and_grad(U)[0] == np.inf
+
+
 def test_double_integrator_matches_dense_quadratic_oracle():
     sys = double_integrator()
     w1, w2 = 0.5, 4.0
@@ -192,7 +220,8 @@ def test_plan_reintegrates_to_itself(bench3d):
         w2=1.0,
     )
     result = plan(problem, max_iter=40)
-    re = integrate(nom, problem.x0, result.input_policy(), problem.T, problem.dt)
+    inputs = PiecewiseLinearInput(result.record.times, result.record.inputs)
+    re = integrate(nom, problem.x0, inputs, problem.T, problem.dt)
     assert np.max(np.abs(re.states - result.record.states)) < 1e-10
 
 
@@ -353,3 +382,28 @@ def test_end_to_end_nominal_all_margins(bench3d, metric3d):
     assert report["containment_fraction"] == 1.0
     assert report["original_violation_fraction"] == 0.0
     assert report["obstacle_violation_fraction"] == 0.0
+
+
+def test_diverged_track_counts_as_failure(bench3d, metric3d, monkeypatch):
+    import prcitube.planner as planner
+    from prcitube.errors import NonFiniteState
+
+    nom, true = bench3d
+    knots = PiecewiseLinearInput(np.array([0.0, 0.5]), np.zeros((2, 2)))
+    ref = integrate(nom, np.array([0.3, 0.0, 0.0]), knots, 0.5, 0.01)
+    assert track(true, metric3d, None, ref, ref.states[0]).states.shape == ref.states.shape
+
+    def diverge(sys, x0, policy, T, dt):
+        raise NonFiniteState(0.25, np.full(3, np.inf))
+
+    monkeypatch.setattr(planner, "integrate", diverge)
+    assert track(true, metric3d, None, ref, ref.states[0]) is None
+    result = PlanResult(ref, 0.0, (0.0,), True, {})
+    report = end_to_end_run(
+        true, result, metric3d, None, calibrate([0.05, 0.07, 0.06], 0.25), n_rollouts=2
+    )
+    assert report["n_rollouts"] == 2
+    assert report["containment_fraction"] == 0.0
+    assert report["original_violation_fraction"] == 1.0
+    assert report["n_start_eligible"] == 0
+    assert [r["sup_distance"] for r in report["rollouts"]] == [np.inf, np.inf]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prcitube.errors import NonFiniteState
+from prcitube.harness import read_json, write_json
 from prcitube.systems import (
     DynamicalSystem,
     PiecewiseLinearInput,
@@ -262,8 +263,8 @@ def test_record_envelope(tmp_path):
     assert env["dt_s"] == pytest.approx(0.1)
     assert env["horizon_s"] == pytest.approx(1.0)
     assert env["benchmark"] == "scalar"
-    rec.save_envelope(tmp_path / "rec.json", "scalar")
-    assert (tmp_path / "rec.json").exists()
+    write_json(tmp_path / "rec.json", env)
+    assert read_json(tmp_path / "rec.json") == env
 
 
 def test_record_interpolation():

@@ -12,8 +12,10 @@ from prcitube.tube import (
     envelope_at,
     envelope_violation,
     project_tube_2d,
+    rollout_containment,
     sample_metric_ball,
     schur_projection,
+    start_in_ball,
     tighten_input_box,
     tighten_state_box,
     trajectory_distances,
@@ -131,6 +133,45 @@ def test_containment_experiment_nominal(metric3d, bench3d):
     assert result["fraction"] == 1.0
     assert result["contained"] == 4
     assert max(result["sup_distances"]) == 0.0
+
+
+def test_rollout_containment_decides_once_and_fails_diverged_rollouts():
+    tube = flat_tube(n=2, radius=1.0)
+    ref = tube.reference
+    k = len(ref.times)
+    inside = TrajectoryRecord(ref.times, np.tile([0.6, 0.0], (k, 1)), ref.inputs)
+    outside = TrajectoryRecord(ref.times, np.tile([0.0, 1.5], (k, 1)), ref.inputs)
+    c = rollout_containment(tube, inside)
+    assert (c.sup_distance, c.start_distance, c.contained) == (0.6, 0.6, True)
+    np.testing.assert_allclose(c.envelope_excess, -0.05)
+    assert c.envelope_excess == envelope_violation(tube, inside)
+    assert not rollout_containment(tube, outside).contained
+    assert rollout_containment(tube, None) == (np.inf, np.inf, False, np.inf)
+    result = containment_experiment([tube] * 3, [inside, None, outside])
+    assert result["n_rollouts"] == 3 and result["contained"] == 1
+    assert result["sup_distances"] == [0.6, np.inf, 1.5]
+    assert result["envelope_worst_excess_contained"] == c.envelope_excess
+
+
+def test_start_in_ball_is_the_second_ball_sample(metric3d):
+    center = np.array([0.2, -0.1, 0.3])
+    for seed in range(5):
+        a = start_in_ball(metric3d, center, 0.4, np.random.default_rng(seed))
+        b = sample_metric_ball(metric3d, center, 0.4, 2, np.random.default_rng(seed))[1]
+        np.testing.assert_array_equal(a, b)
+    rng = np.random.default_rng(0)
+    assert start_in_ball(metric3d, center, np.inf, rng) is center
+    assert rng.uniform() == np.random.default_rng(0).uniform()     # no draw consumed
+
+
+def test_envelope_at_takes_arrays():
+    e = IEBEnvelope(d0=2.0, rate=1.0, asymptote=1.0)
+    times = np.array([0.0, 0.5, np.log(2.0)])
+    values = envelope_at(e, times)
+    assert values.shape == (3,)
+    assert list(values) == [envelope_at(e, t) for t in times]
+    with pytest.raises(ValueError):
+        envelope_at(e, np.array([0.0, -0.1]))
 
 
 def test_envelope_violation_nonpositive_for_nominal(metric3d, bench3d):
