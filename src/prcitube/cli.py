@@ -1,7 +1,8 @@
 """Command-line entry points for the experiment pipeline.
 
 Every subcommand takes --config and optionally --out / --seed overrides,
-runs the pipeline up to its stage (reusing persisted artifacts) and exits
+runs the pipeline up to its stage (reusing the artifacts that the same
+config persisted) and exits
 nonzero if a stage fails its internal validation.
 """
 
@@ -13,17 +14,6 @@ from dataclasses import replace
 
 from .errors import PrcitubeError
 from .harness import ExperimentConfig, run_pipeline
-
-_STAGE_OF = {
-    "gen-data": "gen-data",
-    "train": "train",
-    "calibrate": "calibrate",
-    "tube": "tube",
-    "plan": "plan",
-    "evaluate": "evaluate",
-    "pipeline": "evaluate",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,7 +68,8 @@ def main(argv=None) -> int:
             config = replace(config, out_dir=args.out)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        report = run_pipeline(config, stop_after=_STAGE_OF[args.command])
+        stage = "evaluate" if args.command == "pipeline" else args.command
+        report = run_pipeline(config, stop_after=stage)
     except (PrcitubeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

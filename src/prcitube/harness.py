@@ -1,8 +1,11 @@
 """Experiment orchestration: configs, persistence, the staged pipeline.
 
 A pipeline run is a sequence of stages, each persisting its artifacts under
-the output directory and loading them back instead of recomputing when they
-already exist (delete downstream artifacts to regenerate exactly those).
+the output directory.  A stage loads its artifacts back instead of
+recomputing only when all of them exist and the ledger ``provenance.json``
+records that stage under the digest of the current config (without
+``out_dir``); any config change except ``out_dir`` therefore recomputes every
+stage, and deleting one artifact regenerates exactly its stage.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -19,6 +22,7 @@ import json
 import logging
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -106,7 +110,6 @@ class ExperimentConfig:
     init_box: Optional[list] = None         # flat [lo1, hi1, lo2, hi2, ...]
     reference_sampler: str = "spline"       # spline | waypoint_pd (vtol)
     input_knot_amp: float = 0.4
-    input_knot_center: Optional[list] = None
     input_knot_trim_start: bool = False     # pin the first knot to the trim input
     knot_spacing_s: float = 1.0
     waypoint_box: Optional[list] = None     # flat (p_x, p_z) bounds for waypoint_pd
@@ -116,10 +119,8 @@ class ExperimentConfig:
     predictor_hidden: list = field(default_factory=lambda: [32, 32])
     predictor_degree: int = 2
     predictor_lr: float = 0.05
-    predictor_temperature: float = 20.0
     predictor_batch: int = 16
     # metric
-    metric_source: str = "synthesize"       # or a path to a metric JSON
     lambda_lo: float = 0.3
     lambda_hi: float = 1.0
     metric_grid_points: int = 5
@@ -135,7 +136,6 @@ class ExperimentConfig:
     plan_goal: Optional[list] = None
     plan_w1: float = 0.1
     plan_w2: float = 1.0
-    plan_goal_weights: Optional[list] = None
     plan_obstacles: list = field(default_factory=list)   # flat [cx,cy,q11,q12,q22] each
     plan_max_iter: int = 120
     two_step: bool = False
@@ -160,6 +160,13 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @cached_property
+    def digest(self) -> str:
+        """sha256 of the canonical JSON of every key except ``out_dir``."""
+        d = self.to_dict()
+        del d["out_dir"]
+        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
 
 def benchmark_systems(config: ExperimentConfig) -> tuple[DynamicalSystem, DynamicalSystem]:
     if config.benchmark == "threeD":
@@ -183,8 +190,6 @@ def _default_init_box(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.
 
 
 def _input_center(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndarray:
-    if config.input_knot_center is not None:
-        return np.asarray(config.input_knot_center, dtype=float)
     if config.benchmark == "vtol":
         return np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0)
     return np.zeros(sys_nom.input_dim)
@@ -321,9 +326,33 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     return TrainingDataset(tuple(entries), manifest["split_tag"])
 
 
-def manifest_hash(directory) -> str:
-    with open(Path(directory) / "manifest.json", "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+LEDGER = "provenance.json"
+
+
+def _ledger(out: Path) -> dict:
+    try:
+        return read_json(out / LEDGER)
+    except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
+        return {}
+
+
+def _reuse(config: ExperimentConfig, out: Path, stage: str, *paths: Path) -> bool:
+    """The one reuse rule: True when every artifact of ``stage`` (``paths``;
+    a dataset directory counts by its manifest, which is written last)
+    exists and the ledger records the stage under this config's digest.
+    Otherwise the stage's ledger entry is dropped before it recomputes, so an
+    entry never vouches for files its stage has not finished writing."""
+    ledger = _ledger(out)
+    if ledger.get(stage) == config.digest and all(p.exists() for p in paths):
+        return True
+    if ledger.pop(stage, None) is not None:
+        write_json(out / LEDGER, ledger)
+    return False
+
+
+def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
+    """Vouch for ``stage``'s artifacts, once they are all written."""
+    write_json(out / LEDGER, {**_ledger(out), stage: config.digest})
 
 
 # ---------------------------------------------------------------------------
@@ -333,26 +362,18 @@ def manifest_hash(directory) -> str:
 def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path):
     path = out / "metric.json"
     vpath = out / "metric_verification.json"
-    if path.exists():
-        metric = ContractionMetric.from_json_dict(read_json(path))
-    else:
-        if config.metric_source == "synthesize":
-            grid = _metric_grid(config, sys_nom, config.metric_grid_points)
-            metric = synthesize_constant_metric(
-                sys_nom,
-                grid,
-                (config.lambda_lo, config.lambda_hi),
-                chi_max=config.metric_chi_max,
-                margin_target=config.metric_margin,
-            )
-        else:
-            metric = ContractionMetric.from_json_dict(read_json(config.metric_source))
-        write_json(path, metric.to_json_dict())
-    if not vpath.exists():
-        fine = _metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
-        write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
-    report = read_json(vpath)
-    return metric, report
+    if _reuse(config, out, "metric", path, vpath):
+        return ContractionMetric.from_json_dict(read_json(path)), read_json(vpath)
+    grid = _metric_grid(config, sys_nom, config.metric_grid_points)
+    metric = synthesize_constant_metric(
+        sys_nom, grid, (config.lambda_lo, config.lambda_hi),
+        chi_max=config.metric_chi_max, margin_target=config.metric_margin,
+    )
+    write_json(path, metric.to_json_dict())
+    fine = _metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
+    write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
+    _record(config, out, "metric")
+    return metric, read_json(vpath)
 
 
 def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
@@ -371,70 +392,67 @@ def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
 
 def stage_ref_data(config, sys_nom, out: Path) -> TrainingDataset:
     directory = out / "ref_data"
-    if (directory / "manifest.json").exists():
+    if _reuse(config, out, "ref_data", directory / "manifest.json"):
         return load_dataset(directory)
     n = config.n_train + config.n_cal
     ics = [sample_initial_condition(config, sys_nom, "ref", i) for i in range(n)]
     pols = [sample_reference_policy(config, sys_nom, "ref", i) for i in range(n)]
     ds = generate_reference_dataset(sys_nom, ics, pols, config.horizon_s, config.dt_s)
     save_dataset(ds, directory, config.benchmark)
+    _record(config, out, "ref_data")
     return ds
 
 
 def stage_train_data(config, sys_true, ref_train, out: Path) -> TrainingDataset:
     directory = out / "train_data"
-    if (directory / "manifest.json").exists():
+    if _reuse(config, out, "train_data", directory / "manifest.json"):
         return load_dataset(directory, reference_dir=out / "ref_data")
     ds = generate_perturbed_dataset(sys_true, ref_train, "open_loop_reference", "train")
     save_dataset(ds, directory, config.benchmark)
+    _record(config, out, "train_data")
     return ds
 
 
 def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
     path = out / "predictor.json"
-    if path.exists():
+    if _reuse(config, out, "train", path):
         return UncertaintyPredictor.from_json_dict(read_json(path))
     cfg = TrainConfig(
         seed=config.seed,
         epochs=config.predictor_epochs,
         batch_size=config.predictor_batch,
         learning_rate=config.predictor_lr,
-        temperature=config.predictor_temperature,
         hidden=tuple(config.predictor_hidden),
         degree=config.predictor_degree,
     )
     p = train(train_ds, config.predictor_family, cfg)
     write_json(path, p.to_json_dict())
+    _record(config, out, "train")
     return p
 
 
 def stage_cal_data(config, sys_true, ref_cal, metric, predictor, out: Path) -> TrainingDataset:
     directory = out / "cal_data"
-    if (directory / "manifest.json").exists():
+    if _reuse(config, out, "cal_data", directory / "manifest.json"):
         return load_dataset(directory, reference_dir=out / "ref_data")
     ds = generate_perturbed_dataset(
         sys_true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric, predictor=predictor
     )
     save_dataset(ds, directory, config.benchmark)
+    _record(config, out, "cal_data")
     return ds
 
 
 def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal.CalibrationResult:
     spath = out / "scores.json"
     cpath = out / "calibration.json"
-    if cpath.exists():
+    if _reuse(config, out, "calibrate", spath, cpath):
         return conformal.CalibrationResult.from_json_dict(read_json(cpath))
-    if spath.exists():
-        scores = np.array(read_json(spath)["scores"], dtype=float)
-    else:
-        scores = conformal.score_dataset(cal_ds, predictor, sys_true)
-        write_json(spath, {"scores": list(map(float, scores))})
-    meta = {
-        "predictor": getattr(predictor, "family", None),
-        "manifest_sha256": manifest_hash(out / "cal_data"),
-    }
-    result = conformal.calibrate(scores, config.alpha, meta)
+    scores = conformal.score_dataset(cal_ds, predictor, sys_true)
+    write_json(spath, {"scores": list(map(float, scores))})
+    result = conformal.calibrate(scores, config.alpha, {"predictor": predictor.family})
     write_json(cpath, result.to_json_dict())
+    _record(config, out, "calibrate")
     return result
 
 
@@ -443,33 +461,32 @@ def stage_tube(config, metric, calibration, cal_ds, out: Path) -> dict:
     csv_path = out / "tube_ellipses.csv"
     reference = cal_ds.entries[0].reference or cal_ds.entries[0].record
     t = PRCITube.from_calibration(reference, metric, calibration, source_id="calibration")
-    if not path.exists():
+    # an infinite tube has no projection; none may survive from another config
+    finite = bool(np.isfinite(t.radius))
+    if not _reuse(config, out, "tube", path, *([csv_path] if finite else [])):
         write_json(path, t.to_json_dict())
-    if not csv_path.exists() and np.isfinite(t.radius):
-        proj = project_tube_2d(t, tuple(config.projection_coords))
-        proj.save_csv(csv_path)
+        csv_path.unlink(missing_ok=True)
+        if finite:
+            project_tube_2d(t, tuple(config.projection_coords)).save_csv(csv_path)
+        _record(config, out, "tube")
     return {"radius": t.radius, "alpha": t.alpha}
 
 
 def _parse_obstacles(config) -> tuple:
-    obs = []
-    for flat in config.plan_obstacles:
-        cx, cy, q11, q12, q22 = flat
-        obs.append(
-            ObstacleEllipse(
-                np.array([cx, cy]),
-                np.array([[q11, q12], [q12, q22]]),
-                tuple(config.projection_coords),
-            )
-        )
-    return tuple(obs)
+    coords = tuple(config.projection_coords)
+    return tuple(
+        ObstacleEllipse(np.array([cx, cy]), np.array([[q11, q12], [q12, q22]]), coords)
+        for cx, cy, q11, q12, q22 in config.plan_obstacles
+    )
 
 
 def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) -> dict:
     """Tightened planning with the two-step calibration protocol."""
     plan_dir = out / "plan"
     report_path = plan_dir / "plan_report.json"
-    if report_path.exists():
+    written = ("plan.csv", "plan_manifest.json", "calibration_tube.json",
+               "calibration_tracking.json", "plan_report.json")
+    if _reuse(config, out, "plan", *(plan_dir / name for name in written)):
         return read_json(report_path)
     plan_dir.mkdir(parents=True, exist_ok=True)
 
@@ -494,8 +511,7 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
 
     obstacles = _parse_obstacles(config)
     if obstacles and np.isfinite(radius_a):
-        proj = project_tube_2d(rep_tube, tuple(config.projection_coords))
-        inflate_by = proj.max_extent()
+        inflate_by = project_tube_2d(rep_tube, tuple(config.projection_coords)).max_extent()
         planning_obstacles = tuple(o.inflate(inflate_by) for o in obstacles)
     else:
         planning_obstacles = obstacles
@@ -511,11 +527,10 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         obstacles=planning_obstacles,
         w1=config.plan_w1,
         w2=config.plan_w2,
-        goal_weights=None
-        if config.plan_goal_weights is None
-        else np.asarray(config.plan_goal_weights, dtype=float),
     )
-    init = _plan_warm_start(config, sys_nom)
+    # warm start: the input center held over the horizon
+    n_steps = int(round(config.horizon_s / config.dt_s))
+    init = np.tile(_input_center(config, sys_nom), (n_steps + 1, 1))
     result = solve_plan(problem, init=init, max_iter=config.plan_max_iter)
     result.record.save_csv(plan_dir / "plan.csv")
     write_json(
@@ -583,18 +598,14 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         "end_to_end": {k: v for k, v in run.items() if k != "rollouts"},
     }
     write_json(report_path, report)
+    _record(config, out, "plan")
     return read_json(report_path)
-
-
-def _plan_warm_start(config, sys_nom) -> Optional[np.ndarray]:
-    n_steps = int(round(config.horizon_s / config.dt_s))
-    center = _input_center(config, sys_nom)
-    return np.tile(center, (n_steps + 1, 1))
 
 
 def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out: Path) -> dict:
     rpath = out / "test" / "coverage.json"
-    if rpath.exists():
+    csv_path = out / "test" / "sup_distances.csv"
+    if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
     tubes, rollouts, ids = [], [], []
@@ -621,8 +632,9 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
     lines = ["id,sup_distance,contained"]
     for i, s in zip(ids, result["sup_distances"]):
         lines.append(f"{i},{s:.17g},{int(s <= result['radius'])}")
-    with open(out / "test" / "sup_distances.csv", "w") as fh:
+    with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    _record(config, out, "evaluate")
     return read_json(rpath)
 
 
@@ -633,8 +645,8 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
 def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict:
     """Execute the staged pipeline up to ``stop_after``; returns the report.
 
-    Stage artifacts persist under config.out_dir and are reused when
-    present.  The final report.json is deterministic for a fixed config.
+    Stage artifacts persist under config.out_dir and are reused by the rule
+    of ``_reuse``.  The final report.json is deterministic for a fixed config.
     """
     if stop_after not in PIPELINE_STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
@@ -657,8 +669,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     }
     if not verification["passed"]:
         report["valid"] = False
-        write_json(out / "report.json", report)
-        return read_json(out / "report.json")
+        return _finish(report, out)
     if reached("metric"):
         return _finish(report, out)
 

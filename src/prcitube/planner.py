@@ -360,8 +360,6 @@ def end_to_end_run(
     start_mode: str = "ball",
     start_radius: Optional[float] = None,
     obstacles: Sequence[ObstacleEllipse] = (),
-    state_box: Optional[Array] = None,
-    input_box: Optional[Array] = None,
 ) -> dict:
     """Track the plan with the compensated policy against the true plant.
 
@@ -375,8 +373,6 @@ def end_to_end_run(
     """
     ref = plan_result.record
     tube = PRCITube.from_calibration(ref, metric, calibration, source_id="end-to-end")
-    state_box = sys_true.state_box if state_box is None else np.asarray(state_box, dtype=float)
-    input_box = sys_true.input_box if input_box is None else np.asarray(input_box, dtype=float)
     r0 = tube.radius if start_radius is None else float(start_radius)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
@@ -397,8 +393,8 @@ def end_to_end_run(
             row.update(state_ok=False, input_ok=False, min_clearance=float("-inf"))
         else:
             row.update(
-                state_ok=_in_box(roll.states, state_box),
-                input_ok=_in_box(roll.inputs, input_box),
+                state_ok=_in_box(roll.states, sys_true.state_box),
+                input_ok=_in_box(roll.inputs, sys_true.input_box),
                 min_clearance=float(
                     min((o.clearance(x) for o in obstacles for x in roll.states), default=np.inf)
                 ),

@@ -272,7 +272,8 @@ def integrate(
     ``notify_step(x, t)`` method it is called once at the start of each grid
     step (and at the final grid point) instead of the first-stage call; it
     advances sampled-and-held controller state and returns the input it
-    commits, which is stored and drives the first stage.
+    commits, which is stored and drives the first stage, as does the stored
+    uncertainty of the true plant at that grid point.
 
     Raises NonFiniteState as soon as a committed state goes NaN/inf.
     """
@@ -284,12 +285,6 @@ def integrate(
     x0 = np.asarray(x0, dtype=float)
 
     first_input = getattr(policy, "notify_step", policy)
-
-    def field(x, u):
-        dx = sys.drift(x) + sys.actuation(x) @ u
-        if sys.uncertainty is not None:
-            dx = dx + sys.uncertainty(x, u)
-        return dx
 
     times = np.arange(n_steps + 1) * dt
     states = np.empty((n_steps + 1, sys.state_dim))
@@ -310,7 +305,10 @@ def integrate(
         left_box = left_box or not _in_box(x, sys.state_box)
         if k == n_steps:
             break
-        x, _ = rk4_step(lambda z, c: field(z, policy(z, t + c * dt)), x, dt, field(x, u_k))
+        k1 = sys.drift(x) + sys.actuation(x) @ u_k
+        if zetas is not None:
+            k1 = k1 + zetas[k]
+        x, _ = rk4_step(lambda z, c: sys.dynamics(z, policy(z, t + c * dt)), x, dt, k1)
 
     return TrajectoryRecord(times, states, inputs, zetas, left_state_box=left_box)
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,7 @@ def test_pipeline_smoke_artifacts(smoke_run):
         "tube_ellipses.csv",
         "test/coverage.json",
         "test/sup_distances.csv",
+        "provenance.json",
         "report.json",
     ):
         assert (out / name).exists(), name
@@ -182,6 +185,124 @@ def test_pipeline_resumable(smoke_run):
     assert (out / "report.json").read_bytes() == before
     assert (out / "ref_data" / "manifest.json").read_bytes() == ref_manifest
     assert report2 == report
+
+
+def _normalized_report(out):
+    report = read_json(out / "report.json")
+    report["config"]["out_dir"] = ""
+    return report
+
+
+def _copy_of(smoke_run, tmp_path):
+    """A copy of the smoke run's directory, and its config pointed there."""
+    cfg, out, _ = smoke_run
+    shutil.copytree(out, tmp_path / "run")
+    return dataclasses.replace(cfg, out_dir=str(tmp_path / "run")), tmp_path / "run"
+
+
+def test_changed_seed_in_same_dir_matches_fresh_run(smoke_run, tmp_path):
+    cfg, resumed = _copy_of(smoke_run, tmp_path)
+    seed8 = dataclasses.replace(cfg, seed=cfg.seed + 1)
+    run_pipeline(seed8)
+    run_pipeline(dataclasses.replace(seed8, out_dir=str(tmp_path / "fresh")))
+    assert _normalized_report(resumed) == _normalized_report(tmp_path / "fresh")
+    for name in ("calibration.json", "test/coverage.json", "ref_data/manifest.json"):
+        assert (resumed / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+    assert _normalized_report(resumed) != _normalized_report(smoke_run[1])
+
+
+def test_changed_alpha_recalibrates_under_cli(tmp_path, capsys):
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    cfg = write_smoke(tmp_path, "n_cal = 4\n")
+    assert cli_main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+    before = read_json(out / "calibration.json")
+    cfg = write_smoke(tmp_path, "n_cal = 4\nalpha = 0.2\n")
+    capsys.readouterr()
+    assert cli_main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "alpha=0.2 " in capsys.readouterr().out
+    assert cli_main(["calibrate", "--config", str(cfg), "--out", str(fresh)]) == 0
+    after = read_json(out / "calibration.json")
+    assert after["alpha"] == 0.2 and before["alpha"] == 0.4
+    assert after["quantile_index"] != before["quantile_index"]
+    assert (out / "calibration.json").read_bytes() == (fresh / "calibration.json").read_bytes()
+
+
+def _forbid_recompute(monkeypatch):
+    """Make every stage's computation fail, so only reuse can succeed."""
+    import prcitube.harness as harness
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a stage recomputed")
+
+    for name in ("synthesize_constant_metric", "verify_contraction", "generate_reference_dataset",
+                 "generate_perturbed_dataset", "train", "project_tube_2d", "track"):
+        monkeypatch.setattr(harness, name, boom)
+    monkeypatch.setattr(harness.conformal, "score_dataset", boom)
+
+
+def test_same_config_resume_reuses_every_stage(smoke_run, monkeypatch):
+    cfg, out, _ = smoke_run
+    before = (out / "report.json").read_bytes()
+    ledger = read_json(out / "provenance.json")
+    assert set(ledger) == {"metric", "ref_data", "train_data", "train", "cal_data",
+                           "calibrate", "tube", "evaluate"}
+    assert set(ledger.values()) == {cfg.digest}
+    _forbid_recompute(monkeypatch)
+    run_pipeline(cfg)
+    assert (out / "report.json").read_bytes() == before
+
+
+def test_foreign_ledger_digest_is_recomputed(smoke_run, tmp_path):
+    out = smoke_run[1]
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    ledger = read_json(run_dir / "provenance.json")
+    ledger["calibrate"] = "0" * 64
+    (run_dir / "provenance.json").write_text(json.dumps(ledger))
+    tampered = read_json(run_dir / "calibration.json")
+    tampered["quantile_value"] = 123.0
+    (run_dir / "calibration.json").write_text(json.dumps(tampered))
+    run_pipeline(cfg)
+    assert (run_dir / "calibration.json").read_bytes() == (out / "calibration.json").read_bytes()
+    assert read_json(run_dir / "provenance.json")["calibrate"] == cfg.digest
+
+
+def test_stage_cut_off_by_another_config_is_recomputed(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    out = smoke_run[1]
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+
+    def cut(*args, **kwargs):
+        raise RuntimeError("cut off")
+
+    # another config's calibrate stage dies after writing scores.json
+    with monkeypatch.context() as m:
+        m.setattr(harness.conformal, "calibrate", cut)
+        with pytest.raises(RuntimeError, match="cut off"):
+            run_pipeline(dataclasses.replace(cfg, alpha=0.2))
+    assert "calibrate" not in read_json(run_dir / "provenance.json")
+
+    real_score, scored = harness.conformal.score_dataset, []
+    monkeypatch.setattr(harness.conformal, "score_dataset",
+                        lambda *a: scored.append(1) or real_score(*a))
+    run_pipeline(cfg)
+    assert scored == [1]
+    assert (run_dir / "calibration.json").read_bytes() == (out / "calibration.json").read_bytes()
+
+
+def test_directory_without_ledger_is_recomputed_once(smoke_run, tmp_path, monkeypatch):
+    out = smoke_run[1]
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    (run_dir / "provenance.json").unlink()
+    for name in ("metric.json", "predictor.json", "calibration.json", "test/coverage.json"):
+        (run_dir / name).write_text("{}")     # stale files of unknown origin
+    run_pipeline(cfg)
+    assert _normalized_report(run_dir) == _normalized_report(out)
+    for name in ("metric.json", "predictor.json", "calibration.json", "test/coverage.json"):
+        assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+    _forbid_recompute(monkeypatch)
+    run_pipeline(cfg)
+    assert _normalized_report(run_dir) == _normalized_report(out)
 
 
 def test_pipeline_seed_changes_results(smoke_run, tmp_path):
@@ -320,6 +441,32 @@ def test_pipeline_single_step_tightening(tmp_path):
     p = report["plan"]
     assert p["tube_quantile"] == p["tracking_quantile"]
     assert (tmp_path / "single" / "plan" / "plan.csv").exists()
+
+
+def test_plan_inflates_obstacles_by_projected_tube_extent(tmp_path):
+    from prcitube.conformal import CalibrationResult
+    from prcitube.metric import ContractionMetric
+    from prcitube.planner import ObstacleEllipse
+    from prcitube.tube import PRCITube, project_tube_2d
+
+    # a disc of radius 0.1 well away from the planned path
+    settings = dict(SINGLE_STEP_PLAN, plan_obstacles=[[1.5, -1.5, 100.0, 0.0, 100.0]])
+    cfg = ExperimentConfig.from_dict(dict(settings, out_dir=str(tmp_path / "obst")))
+    run_pipeline(cfg, stop_after="plan")
+    out = tmp_path / "obst"
+    manifest = read_json(out / "plan" / "plan_manifest.json")
+    metric = ContractionMetric.from_json_dict(read_json(out / "metric.json"))
+    cal_tube = CalibrationResult.from_json_dict(read_json(out / "plan" / "calibration_tube.json"))
+    rep_ref = load_dataset(out / "cal_data", reference_dir=out / "ref_data").entries[0].reference
+    tube = PRCITube.from_calibration(rep_ref, metric, cal_tube, "tightening")
+    extent = project_tube_2d(tube, (0, 1)).max_extent()
+    assert extent > 0
+
+    disc = ObstacleEllipse(np.array([1.5, -1.5]), 100.0 * np.eye(2), (0, 1))
+    assert manifest["obstacles"] == [disc.to_json_dict()]
+    assert manifest["planning_obstacles"] == [disc.inflate(extent).to_json_dict()]
+    shape = np.array(manifest["planning_obstacles"][0]["shape"])
+    np.testing.assert_allclose(1.0 / np.sqrt(np.linalg.eigvalsh(shape)), 0.1 + extent, rtol=1e-12)
 
 
 def test_cli_warns_when_planner_does_not_converge(tmp_path, capsys):

@@ -178,6 +178,42 @@ def test_integrate_is_textbook_rk4_bit_for_bit():
         np.testing.assert_array_equal(rec.states[k + 1], x)
 
 
+def test_integrate_evaluates_uncertainty_once_per_grid_point():
+    from dataclasses import replace
+
+    _, true = make_benchmark_3d()
+    calls = []
+
+    def counted(x, u):
+        calls.append(1)
+        return true.uncertainty(x, u)
+
+    pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
+    dt, n_steps = 0.01, 100
+    rec = integrate(replace(true, uncertainty=counted), np.array([0.1, 0.2, -0.1]), pol, 1.0, dt)
+    assert len(calls) == 4 * n_steps + 1
+
+    # textbook RK4 that evaluates the full field, uncertainty included, at every stage
+    def f(x, t):
+        return true.dynamics(x, pol(x, t))
+
+    x = rec.states[0]
+    states, zetas = [x], []
+    for k in range(n_steps + 1):
+        t = rec.times[k]
+        zetas.append(true.uncertainty(x, pol(x, t)))
+        if k == n_steps:
+            break
+        k1 = f(x, t)
+        k2 = f(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f(x + dt * k3, t + dt)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x)
+    assert rec.states.tobytes() == np.array(states).tobytes()
+    assert rec.uncertainties.tobytes() == np.array(zetas).tobytes()
+
+
 def test_integrate_determinism():
     _, true = make_benchmark_3d()
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
