@@ -8,7 +8,7 @@ from .conformal import (
     nonconformity_score,
     two_step_calibrate,
 )
-from .control import ContractingPolicy, min_norm_feedback
+from .control import ContractingPolicy, min_norm_feedback, track
 from .errors import (
     DegenerateConstraint,
     DimensionMismatch,
@@ -30,7 +30,7 @@ from .metric import (
     synthesize_constant_metric,
     verify_contraction,
 )
-from .planner import ObstacleEllipse, PlanProblem, PlanResult, end_to_end_run, plan, track
+from .planner import ObstacleEllipse, PlanProblem, PlanResult, end_to_end_run, plan
 from .predictor import (
     TrainConfig,
     TrainingDataset,

@@ -48,13 +48,6 @@ class CalibrationResult:
     def infinite(self) -> bool:
         return not np.isfinite(self.quantile_value)
 
-    def summary(self) -> str:
-        q = "inf (coverage unattainable at this N2, alpha)" if self.infinite else f"{self.quantile_value:.6g}"
-        return (
-            f"N2={self.n_scores}  alpha={self.alpha:g}  "
-            f"j_alpha={self.quantile_index}  quantile={q}"
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "scores": list(map(float, self.scores)),

@@ -20,8 +20,9 @@ the first).  The tick ladder is driven by the integrator's notify_step
 hook, so u_minus at time t is exactly the input computed at grid time
 floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
 integrator uses that input as the step's first RK4 stage, so the policy
-is evaluated once per grid point plus three times per step.  Closed-loop
-rollouts of the true plant are built in one place, ``planner.track``.
+is evaluated once per grid point plus three times per step.  Every
+compensated closed-loop rollout of the true plant is built in one place,
+``track``.
 
 ``residual_norms`` is the residual trace of a stored rollout: the norm of
 the uncertainty left after compensation at every grid point, whose
@@ -30,15 +31,17 @@ supremum is the conformal score.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import logging
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateConstraint
+from .errors import DegenerateConstraint, NonFiniteState
 from .metric import GEODESIC_SEGMENTS, ContractionMetric, riemannian_distance
-from .systems import DynamicalSystem, TrajectoryRecord
+from .systems import DynamicalSystem, TrajectoryRecord, integrate
 
 Array = np.ndarray
+log = logging.getLogger(__name__)
 
 PINV_RCOND = 1e-10
 DEGENERATE_TOL = 1e-10
@@ -128,10 +131,9 @@ class ContractingPolicy:
 
     Carries the sampled-and-held delayed input, so an instance is confined
     to one rollout at a time; the state resets whenever the integrator
-    notifies a step at t = 0.  ``saturate=False`` leaves the composed input
-    untouched and only records excursions outside the input box (input
-    constraints belong to the planner); ``saturate=True`` clips after the
-    composition and records the event.
+    notifies a step at t = 0.  The composed input is never clipped: input
+    constraints belong to the planner, and excursions outside the input box
+    are only recorded in ``saturation_events``.
     """
 
     def __init__(
@@ -140,14 +142,12 @@ class ContractingPolicy:
         sys_nominal: DynamicalSystem,
         reference: TrajectoryRecord,
         predictor=None,
-        saturate: bool = False,
     ):
         self.metric = metric
         self.sys_nominal = sys_nominal
         self.reference = reference
         self.predictor = predictor
         self.dt = reference.dt
-        self.saturate = saturate
         self.reset()
 
     def reset(self) -> None:
@@ -199,9 +199,30 @@ class ContractingPolicy:
         box = self.sys_nominal.input_box
         if np.any(u < box[:, 0]) or np.any(u > box[:, 1]):
             self.saturation_events.append(float(t))
-            if self.saturate:
-                u = np.clip(u, box[:, 0], box[:, 1])
         return u
+
+
+def track(
+    sys_true: DynamicalSystem,
+    metric: ContractionMetric,
+    predictor,
+    reference: TrajectoryRecord,
+    x0: Array,
+) -> Optional[TrajectoryRecord]:
+    """One compensated closed-loop rollout of the true plant from x0,
+    tracking ``reference`` on its own time grid.
+
+    This is the event the tube's guarantee is about; calibration records,
+    evaluation, the second calibration step and ``end_to_end_run`` all
+    simulate it here.  Returns None (and logs the NonFiniteState) when the
+    rollout diverges.
+    """
+    policy = ContractingPolicy(metric, sys_true.nominal, reference, predictor=predictor)
+    try:
+        return integrate(sys_true, x0, policy, reference.horizon, reference.dt)
+    except NonFiniteState as err:
+        log.warning("closed-loop rollout diverged: %s", err)
+        return None
 
 
 def residual_norms(

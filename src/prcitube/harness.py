@@ -2,10 +2,12 @@
 
 A pipeline run is a sequence of stages, each persisting its artifacts under
 the output directory.  A stage loads its artifacts back instead of
-recomputing only when all of them exist and the ledger ``provenance.json``
+recomputing only when all of them exist (for a dataset directory: its
+manifest and every CSV it lists load) and the ledger ``provenance.json``
 records that stage under the digest of the current config (without
 ``out_dir``); any config change except ``out_dir`` therefore recomputes every
-stage, and deleting one artifact regenerates exactly its stage.
+stage, and deleting one artifact, a trajectory CSV included, regenerates
+exactly its stage.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -31,7 +33,8 @@ import numpy as np
 from . import conformal, tube as tube_mod
 from .errors import InsufficientCalibrationData, NonFiniteState, PrcitubeError
 from .metric import ContractionMetric, box_grid, synthesize_constant_metric, verify_contraction
-from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan, track
+from .control import track
+from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
 from .predictor import (
     PiecewiseLinearInput,
     TrainConfig,
@@ -177,7 +180,7 @@ def benchmark_systems(config: ExperimentConfig) -> tuple[DynamicalSystem, Dynami
     raise ValueError(f"unknown benchmark {config.benchmark!r}")
 
 
-def _default_init_box(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndarray:
+def _default_init_box(config: ExperimentConfig) -> np.ndarray:
     if config.init_box is not None:
         flat = np.asarray(config.init_box, dtype=float)
         return flat.reshape(-1, 2)
@@ -195,8 +198,8 @@ def _input_center(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndar
     return np.zeros(sys_nom.input_dim)
 
 
-def sample_initial_condition(config, sys_nom, tag: str, index: int) -> np.ndarray:
-    box = _default_init_box(config, sys_nom)
+def sample_initial_condition(config, tag: str, index: int) -> np.ndarray:
+    box = _default_init_box(config)
     rng = rng_stream(config.seed, f"{tag}-ic-{index}")
     return rng.uniform(box[:, 0], box[:, 1])
 
@@ -234,7 +237,7 @@ def _waypoint_pd_inputs(config, sys_nom, tag: str, index: int) -> PiecewiseLinea
         else np.array([[-1.0, 1.0], [-0.6, 0.6]])
     )
     target = rng.uniform(wbox[:, 0], wbox[:, 1])
-    x0 = sample_initial_condition(config, sys_nom, tag, index)
+    x0 = sample_initial_condition(config, tag, index)
     m, J, g, arm = VTOL_MASS, VTOL_INERTIA, VTOL_GRAVITY, VTOL_ARM
 
     def pd_policy(x, t):
@@ -337,8 +340,7 @@ def _ledger(out: Path) -> dict:
 
 
 def _reuse(config: ExperimentConfig, out: Path, stage: str, *paths: Path) -> bool:
-    """The one reuse rule: True when every artifact of ``stage`` (``paths``;
-    a dataset directory counts by its manifest, which is written last)
+    """The one reuse rule: True when every artifact of ``stage`` (``paths``)
     exists and the ledger records the stage under this config's digest.
     Otherwise the stage's ledger entry is dropped before it recomputes, so an
     entry never vouches for files its stage has not finished writing."""
@@ -353,6 +355,23 @@ def _reuse(config: ExperimentConfig, out: Path, stage: str, *paths: Path) -> boo
 def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
     """Vouch for ``stage``'s artifacts, once they are all written."""
     write_json(out / LEDGER, {**_ledger(out), stage: config.digest})
+
+
+def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> TrainingDataset:
+    """A dataset stage: the directory ``out / stage`` (its manifest is written
+    last) is reused by ``_reuse`` only when the manifest and every CSV it
+    lists load; otherwise ``generate()`` runs and its dataset is saved.  So a
+    deleted CSV regenerates exactly this stage."""
+    directory = out / stage
+    if _reuse(config, out, stage, directory / "manifest.json"):
+        try:
+            return load_dataset(directory, reference_dir)
+        except (OSError, ValueError):   # unreadable: drop the entry, then recompute
+            write_json(out / LEDGER, {k: v for k, v in _ledger(out).items() if k != stage})
+    ds = generate()
+    save_dataset(ds, directory, config.benchmark)
+    _record(config, out, stage)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +410,20 @@ def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
 
 
 def stage_ref_data(config, sys_nom, out: Path) -> TrainingDataset:
-    directory = out / "ref_data"
-    if _reuse(config, out, "ref_data", directory / "manifest.json"):
-        return load_dataset(directory)
-    n = config.n_train + config.n_cal
-    ics = [sample_initial_condition(config, sys_nom, "ref", i) for i in range(n)]
-    pols = [sample_reference_policy(config, sys_nom, "ref", i) for i in range(n)]
-    ds = generate_reference_dataset(sys_nom, ics, pols, config.horizon_s, config.dt_s)
-    save_dataset(ds, directory, config.benchmark)
-    _record(config, out, "ref_data")
-    return ds
+    def generate():
+        n = config.n_train + config.n_cal
+        ics = [sample_initial_condition(config, "ref", i) for i in range(n)]
+        pols = [sample_reference_policy(config, sys_nom, "ref", i) for i in range(n)]
+        return generate_reference_dataset(sys_nom, ics, pols, config.horizon_s, config.dt_s)
+
+    return _dataset_stage(config, out, "ref_data", None, generate)
 
 
 def stage_train_data(config, sys_true, ref_train, out: Path) -> TrainingDataset:
-    directory = out / "train_data"
-    if _reuse(config, out, "train_data", directory / "manifest.json"):
-        return load_dataset(directory, reference_dir=out / "ref_data")
-    ds = generate_perturbed_dataset(sys_true, ref_train, "open_loop_reference", "train")
-    save_dataset(ds, directory, config.benchmark)
-    _record(config, out, "train_data")
-    return ds
+    return _dataset_stage(
+        config, out, "train_data", out / "ref_data",
+        lambda: generate_perturbed_dataset(sys_true, ref_train, "open_loop_reference", "train"),
+    )
 
 
 def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
@@ -432,15 +445,12 @@ def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
 
 
 def stage_cal_data(config, sys_true, ref_cal, metric, predictor, out: Path) -> TrainingDataset:
-    directory = out / "cal_data"
-    if _reuse(config, out, "cal_data", directory / "manifest.json"):
-        return load_dataset(directory, reference_dir=out / "ref_data")
-    ds = generate_perturbed_dataset(
-        sys_true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric, predictor=predictor
+    return _dataset_stage(
+        config, out, "cal_data", out / "ref_data",
+        lambda: generate_perturbed_dataset(
+            sys_true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric, predictor=predictor
+        ),
     )
-    save_dataset(ds, directory, config.benchmark)
-    _record(config, out, "cal_data")
-    return ds
 
 
 def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal.CalibrationResult:
@@ -582,7 +592,6 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         cal_track,
         n_rollouts=config.n_test,
         seed=config.seed + 1,
-        start_mode="ball",
         start_radius=radius_a,      # same start law as the second-step records
         obstacles=obstacles,
     )
@@ -610,7 +619,7 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
     (out / "test").mkdir(parents=True, exist_ok=True)
     tubes, rollouts, ids = [], [], []
     for i in range(config.n_test):
-        x0 = sample_initial_condition(config, sys_nom, "test", i)
+        x0 = sample_initial_condition(config, "test", i)
         pol = sample_reference_policy(config, sys_nom, "test", i)
         try:
             ref = integrate(sys_nom, x0, pol, config.horizon_s, config.dt_s)

@@ -234,19 +234,14 @@ def _energy_gradient(metric: ContractionMetric, nodes: Array) -> Array:
 
 
 def riemannian_distance(
-    metric: ContractionMetric,
-    x: Array,
-    y: Array,
-    segments: int = GEODESIC_SEGMENTS,
-    tol: float = GEODESIC_TOL,
-    max_iter: int = GEODESIC_MAX_ITER,
+    metric: ContractionMetric, x: Array, y: Array, segments: int = GEODESIC_SEGMENTS
 ) -> tuple[float, Geodesic]:
     """Distance between x and y and the minimizing geodesic.
 
     Constant metrics use the exact straight-line closed form.  Otherwise
     the discrete energy is minimized by gradient descent with backtracking
     line search from the straight-segment initialization; if the relative
-    energy decrease stays above ``tol`` at the iteration cap the best
+    energy decrease stays above GEODESIC_TOL at the iteration cap the best
     iterate is returned with ``converged=False``.
     """
     if segments < 1:
@@ -273,7 +268,7 @@ def riemannian_distance(
     energy = discrete_energy(metric, nodes)
     step = 1.0 / metric.upper_bound
     converged = False
-    for _ in range(max_iter):
+    for _ in range(GEODESIC_MAX_ITER):
         grad = _energy_gradient(metric, nodes)
         if K > 1:
             direction = np.linalg.solve(T_lap, grad) / (2.0 * K)
@@ -296,7 +291,7 @@ def riemannian_distance(
             break
         nodes, e_prev, energy = trial, energy, e_new
         step = min(alpha * 2.0, 4.0 / metric.lower_bound)
-        if (e_prev - energy) <= tol * max(e_prev, 1e-300):
+        if (e_prev - energy) <= GEODESIC_TOL * max(e_prev, 1e-300):
             converged = True
             break
     return np.sqrt(max(energy, 0.0)), Geodesic(nodes, energy, converged=converged)
@@ -307,15 +302,16 @@ def riemannian_distance(
 # ---------------------------------------------------------------------------
 
 FD_STEP = 1e-5
+RANK_REL_TOL = 1e-8             # singular values below this share of the largest are zero
 
 
-def jacobian_fd(func: Callable[[Array], Array], x: Array, step: float = FD_STEP) -> Array:
+def jacobian_fd(func: Callable[[Array], Array], x: Array) -> Array:
     """Central-difference Jacobian, step scaled by coordinate magnitude."""
     x = np.asarray(x, dtype=float)
     f0 = np.asarray(func(x), dtype=float)
     jac = np.empty(f0.shape + (x.size,))
     for k in range(x.size):
-        h = step * max(1.0, abs(x[k]))
+        h = FD_STEP * max(1.0, abs(x[k]))
         xp = x.copy()
         xm = x.copy()
         xp[k] += h
@@ -324,19 +320,19 @@ def jacobian_fd(func: Callable[[Array], Array], x: Array, step: float = FD_STEP)
     return jac
 
 
-def cokernel_basis(B: Array, rel_tol: float = 1e-8) -> Array:
+def cokernel_basis(B: Array) -> Array:
     """Orthonormal basis of coker(B) = null(B^T) as columns, possibly empty."""
     n = B.shape[0]
     u, s, _ = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(s > rel_tol * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
     return u[:, rank:] if rank < n else np.empty((n, 0))
 
 
-def nullspace_basis(A: Array, rel_tol: float = 1e-8) -> Array:
+def nullspace_basis(A: Array) -> Array:
     """Orthonormal basis of null(A) (right null space) as columns."""
     m, n = A.shape
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > rel_tol * (s[0] if s.size else 1.0)))
+    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
     return vt[rank:].T if rank < n else np.empty((n, 0))
 
 
@@ -345,6 +341,7 @@ def nullspace_basis(A: Array, rel_tol: float = 1e-8) -> Array:
 # ---------------------------------------------------------------------------
 
 TOL_KILL = 1e-6
+TOL_BOUNDS = 1e-8               # eigenvalue-bound violation tolerated as roundoff
 
 
 @dataclass(frozen=True)
@@ -408,16 +405,12 @@ def contraction_condition_matrix(
 
 
 def verify_contraction(
-    metric: ContractionMetric,
-    sys: DynamicalSystem,
-    grid: Array,
-    tol_kill: float = TOL_KILL,
-    tol_bounds: float = 1e-8,
+    metric: ContractionMetric, sys: DynamicalSystem, grid: Array
 ) -> VerificationReport:
     """Check the three contraction conditions at each grid point.
 
     Violations are report content, not errors.  Margins are "room to
-    spare": eigenvalue-bound margin, (tol_kill - killing norm), and the
+    spare": eigenvalue-bound margin, (TOL_KILL - killing norm), and the
     negated top eigenvalue of the projected drift condition.  For fully
     actuated systems ker(B^T M) is trivial and the drift condition is
     evaluated unprojected (conservative).
@@ -443,7 +436,7 @@ def verify_contraction(
             dbj = dB[:, j, :]
             C = dbj.T @ M + M @ dbj + metric.directional_partial(x, B[:, j])
             k_val = max(k_val, float(np.max(np.abs(np.linalg.eigvalsh(_sym(C))))))
-        k_margin = tol_kill - k_val
+        k_margin = TOL_KILL - k_val
         if k_margin < worst["killing"][0]:
             worst["killing"] = (k_margin, x)
 
@@ -461,7 +454,7 @@ def verify_contraction(
         return ConditionReport(name, float(margin), tuple(point), bool(margin >= -tol))
 
     return VerificationReport(
-        bounds=report("bounds", tol_bounds),
+        bounds=report("bounds", TOL_BOUNDS),
         killing=report("killing", 0.0),
         contraction=report("contraction", 0.0),
         n_points=grid.shape[0],
@@ -472,6 +465,10 @@ def verify_contraction(
 # ---------------------------------------------------------------------------
 # Constant-metric synthesis: bisection on the rate, subgradient on W
 # ---------------------------------------------------------------------------
+
+BISECTION_STEPS = 12            # rate halvings after the two end points
+SEARCH_ITERS = 400              # subgradient steps per attempted rate
+
 
 def _grid_condition_data(sys: DynamicalSystem, grid: Array):
     """Per grid point: stacked drift Jacobians and cokernel bases of B."""
@@ -505,22 +502,22 @@ def _normalize_w(W: Array, chi_max: float) -> Array:
     return _sym(W / np.min(np.linalg.eigvalsh(W)))
 
 
-def _search_constant_w(jacs, cokers, lam, n, W0=None, chi_max=1e4, iters=400,
-                       shrink_target=None):
+def _search_constant_w(jacs, cokers, lam, n, W0, chi_max, target):
     """Subgradient descent on the Cholesky factor of W against the worst margin.
 
-    Returns (W, margin) for the best iterate found; W is normalized so its
-    smallest eigenvalue is 1.  When a feasible iterate exists and
-    ``shrink_target`` is given, the result is pulled toward the identity as
-    far as the margin stays below the target: anisotropy (chi) costs tube
-    volume downstream, so among feasible metrics flatter is better.
+    Starts from W0 (the identity when None) and returns (W, margin) for the
+    best iterate found; W is normalized so its smallest eigenvalue is 1.
+    When the best iterate is below ``target`` (feasible), it is pulled toward
+    the identity as far as the margin stays below the target: anisotropy
+    (chi) costs tube volume downstream, so among feasible metrics flatter is
+    better.
     """
     W = np.eye(n) if W0 is None else _normalize_w(W0, chi_max)
     L = np.linalg.cholesky(W)
     best_margin, _ = _worst_margin(W, lam, jacs, cokers)
     best_w = W
     step = 0.5
-    for _ in range(iters):
+    for _ in range(SEARCH_ITERS):
         margin, (A, w) = _worst_margin(L @ L.T, lam, jacs, cokers)
         if margin < best_margin:
             best_margin, best_w = margin, _normalize_w(L @ L.T, chi_max)
@@ -535,9 +532,9 @@ def _search_constant_w(jacs, cokers, lam, n, W0=None, chi_max=1e4, iters=400,
         W = _normalize_w(L @ L.T, chi_max)
         L = np.linalg.cholesky(W)
         step *= 0.995
-    if shrink_target is not None and best_margin < shrink_target:
+    if best_margin < target:
         best_w, best_margin = _shrink_toward_identity(
-            best_w, best_margin, lam, jacs, cokers, chi_max, shrink_target
+            best_w, best_margin, lam, jacs, cokers, chi_max, target
         )
     return best_w, best_margin
 
@@ -561,11 +558,8 @@ def synthesize_constant_metric(
     sys: DynamicalSystem,
     grid: Array,
     lambda_range: tuple[float, float],
-    score_hint: float = 1.0,
     chi_max: float = 1e4,
     margin_target: float = 0.0,
-    bisection_steps: int = 12,
-    search_iters: int = 400,
 ) -> ContractionMetric:
     """Largest-rate feasible constant metric on the sampled grid.
 
@@ -573,7 +567,7 @@ def synthesize_constant_metric(
     the drift condition is certified at the grid points with margin below
     ``margin_target`` (callers wanting refinement headroom pass a negative
     target).  Under the smallest-eigenvalue normalization of W the tube
-    objective (score_hint/lambda)^2 * m_upper is minimized by the largest
+    objective (score/lambda)^2 * m_upper is minimized by the largest
     feasible rate, so the bisection returns that rate.
 
     Raises InfeasibleMetric if no rate in ``lambda_range`` admits a
@@ -588,10 +582,7 @@ def synthesize_constant_metric(
     target = margin_target if margin_target < 0 else -1e-9
 
     def attempt(lam, W0):
-        W, margin = _search_constant_w(
-            jacs, cokers, lam, n, W0=W0, chi_max=chi_max, iters=search_iters,
-            shrink_target=target,
-        )
+        W, margin = _search_constant_w(jacs, cokers, lam, n, W0, chi_max, target)
         return (W, margin) if margin < target else (None, margin)
 
     W_hi, _ = attempt(hi, None)
@@ -605,7 +596,7 @@ def synthesize_constant_metric(
             )
         best_lam, best_w = lo, W_lo
         a, b = lo, hi
-        for _ in range(bisection_steps):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (a + b)
             W_mid, _ = attempt(mid, best_w)
             if W_mid is not None:

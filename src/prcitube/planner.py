@@ -13,7 +13,7 @@ log-barriers on obstacle ellipses and on the (tightened) state/input boxes.
 The cost is the forward half of the gradient, which a discrete adjoint
 sweep through the RK4 stages completes (stage Jacobians by central
 differences); descent is plain gradient with backtracking line search.
-``track`` is the one compensated closed-loop rollout of the true plant.
+``end_to_end_run`` tracks a plan on the true plant with ``control.track``.
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import ContractingPolicy
-from .errors import InfeasiblePlan, NonFiniteState
+from .control import track
+from .errors import InfeasiblePlan
 from .metric import ContractionMetric, jacobian_fd
 from .predictor import UncertaintyPredictor
-from .systems import DynamicalSystem, TrajectoryRecord, _in_box, integrate, rk4_step
+from .systems import DynamicalSystem, TrajectoryRecord, _in_box, rk4_step
+from .systems import integrate  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 from .tube import PRCITube, rollout_containment, start_in_ball
 
 Array = np.ndarray
 log = logging.getLogger(__name__)
+
+MU_OBSTACLE = 5.0               # barrier weight of the obstacle ellipses
+MU_BOX = 1e-3                   # barrier weight of the state and input boxes
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,8 +82,6 @@ class PlanProblem:
     w1: float = 1.0
     w2: float = 1.0
     goal_weights: Optional[Array] = None
-    mu_obstacle: float = 5.0
-    mu_box: float = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,9 +172,9 @@ class _Shooting:
         """Barriers at one node plus w1 ||u||^2 (w1 = 0 at the last node,
         whose barrier-only term keeps the final grid point admissible)."""
         p = self.p
-        vb, gb_x = _box_barrier(x, p.state_box, p.mu_box)
-        vo, go_x = _obstacle_barrier(x, p.obstacles, p.mu_obstacle)
-        vu, gb_u = _box_barrier(u, p.input_box, p.mu_box)
+        vb, gb_x = _box_barrier(x, p.state_box, MU_BOX)
+        vo, go_x = _obstacle_barrier(x, p.obstacles, MU_OBSTACLE)
+        vu, gb_u = _box_barrier(u, p.input_box, MU_BOX)
         if not (np.isfinite(vb) and np.isfinite(vo) and np.isfinite(vu)):
             return np.inf, None, None
         val = w1 * float(u @ u) + p.w2 * (vb + vo + vu)
@@ -327,28 +329,6 @@ def plan(
 # Closed-loop evaluation of a plan against the true system
 # ---------------------------------------------------------------------------
 
-def track(
-    sys_true: DynamicalSystem,
-    metric: ContractionMetric,
-    predictor: Optional[UncertaintyPredictor],
-    reference: TrajectoryRecord,
-    x0: Array,
-) -> Optional[TrajectoryRecord]:
-    """One compensated closed-loop rollout of the true plant from x0,
-    tracking ``reference`` on its own time grid.
-
-    This is the event the tube's guarantee is about; evaluation, the
-    second calibration step and ``end_to_end_run`` all simulate it here.
-    Returns None (and logs the NonFiniteState) when the rollout diverges.
-    """
-    policy = ContractingPolicy(metric, sys_true.nominal, reference, predictor=predictor)
-    try:
-        return integrate(sys_true, x0, policy, reference.horizon, reference.dt)
-    except NonFiniteState as err:
-        log.warning("closed-loop rollout diverged: %s", err)
-        return None
-
-
 def end_to_end_run(
     sys_true: DynamicalSystem,
     plan_result: PlanResult,
@@ -357,7 +337,6 @@ def end_to_end_run(
     calibration,
     n_rollouts: int = 10,
     seed: int = 0,
-    start_mode: str = "ball",
     start_radius: Optional[float] = None,
     obstacles: Sequence[ObstacleEllipse] = (),
 ) -> dict:
@@ -366,10 +345,10 @@ def end_to_end_run(
     Reports per-rollout tube containment, original state/input constraint
     satisfaction and obstacle clearance; a diverged rollout fails all of
     them.  Rollout starts are sampled uniformly in the initial
-    cross-section of radius ``start_radius`` (default: the tube radius) in
-    "ball" mode, or placed at the reference start in "center" mode.  Pass
-    the same radius that generated the calibration records so starts stay
-    exchangeable with them.
+    cross-section of radius ``start_radius`` (default: the tube radius;
+    0.0 starts every rollout at the reference start).  Pass the same radius
+    that generated the calibration records so starts stay exchangeable with
+    them.
     """
     ref = plan_result.record
     tube = PRCITube.from_calibration(ref, metric, calibration, source_id="end-to-end")
@@ -378,9 +357,7 @@ def end_to_end_run(
 
     per = []
     for _ in range(n_rollouts):
-        x0 = ref.states[0]
-        if start_mode == "ball":
-            x0 = start_in_ball(metric, x0, r0, rng)
+        x0 = start_in_ball(metric, ref.states[0], r0, rng)
         roll = track(sys_true, metric, predictor, ref, x0)
         c = rollout_containment(tube, roll)
         row = {
@@ -406,7 +383,6 @@ def end_to_end_run(
         "n_rollouts": n,
         "radius": tube.radius,
         "alpha": tube.alpha,
-        "start_mode": start_mode,
         "containment_fraction": sum(r["contained"] for r in per) / n,
         "n_start_eligible": len(eligible),
         "containment_fraction_eligible": (

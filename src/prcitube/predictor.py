@@ -13,15 +13,16 @@ The trained objective is the per-record worst-case error
     mean_k  sup_t || zeta_t - zeta_hat(x_t, u_t) ||
 
 which is non-smooth, so the mlp trains on a softmax-weighted surrogate
-(temperature tau) and the true sup-loss is reported alongside.
+(temperature SURROGATE_TEMPERATURE) and the true sup-loss is reported
+alongside.
 
 Dataset construction follows the tracking protocol: the training split is
 generated by replaying the reference input signals open loop on the
 perturbed plant; the calibration split runs the full compensated
-closed-loop policy.  That asymmetry is deliberate and load-bearing: the
-predictor trains on open-loop data but deploys in closed loop, and the
-induced distribution shift is absorbed by the calibration step, not by
-training.
+closed-loop policy (``control.track``).  That asymmetry is deliberate and
+load-bearing: the predictor trains on open-loop data but deploys in closed
+loop, and the induced distribution shift is absorbed by the calibration
+step, not by training.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import ContractingPolicy
+from .control import track
 from .errors import DimensionMismatch, NonFiniteLoss, NonFiniteState
 from .metric import ContractionMetric
 from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate
 
 Array = np.ndarray
 log = logging.getLogger(__name__)
+
+SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +88,9 @@ def generate_reference_dataset(
     reference_policies: Sequence[PiecewiseLinearInput],
     T: float,
     dt: float,
-    id_prefix: str = "ref",
 ) -> TrainingDataset:
-    """Integrate the nominal plant once per (x0, input signal) pair.
+    """Integrate the nominal plant once per (x0, input signal) pair into
+    records ``ref-0000``, ``ref-0001``, ...
 
     Diverging records are skipped and logged, not fatal.
     """
@@ -95,7 +98,7 @@ def generate_reference_dataset(
         raise ValueError("reference dataset must be generated on the nominal plant")
     entries = []
     for i, (x0, pol) in enumerate(zip(initial_conditions, reference_policies)):
-        eid = f"{id_prefix}-{i:04d}"
+        eid = f"ref-{i:04d}"
         try:
             rec = integrate(sys_nominal, x0, pol, T, dt)
         except NonFiniteState as err:
@@ -129,7 +132,8 @@ def generate_perturbed_dataset(
     policy_mode "open_loop_reference" replays the stored input signal
     (training protocol); "closed_loop_with_predictor" tracks the stored
     reference with the compensated policy (calibration protocol) and
-    requires a metric and a trained predictor.
+    requires a metric and a trained predictor.  A diverging record is
+    skipped and logged, not fatal.
     """
     if sys_true.uncertainty is None:
         raise ValueError("perturbed dataset needs a plant with uncertainty")
@@ -141,17 +145,17 @@ def generate_perturbed_dataset(
     entries = []
     for e in source.entries:
         ref = e.record
-        x0 = ref.states[0]
-        T, dt = ref.horizon, ref.dt
         if closed:
-            policy = ContractingPolicy(metric, sys_true.nominal, ref, predictor=predictor)
+            rec = track(sys_true, metric, predictor, ref, ref.states[0])
+            if rec is None:
+                log.warning("skipping %s", e.entry_id)
+                continue
         else:
-            policy = e.policy
-        try:
-            rec = integrate(sys_true, x0, policy, T, dt)
-        except NonFiniteState as err:
-            log.warning("skipping %s: %s", e.entry_id, err)
-            continue
+            try:
+                rec = integrate(sys_true, ref.states[0], e.policy, ref.horizon, ref.dt)
+            except NonFiniteState as err:
+                log.warning("skipping %s: %s", e.entry_id, err)
+                continue
         entries.append(DatasetEntry(e.entry_id, rec, e.policy, reference=ref))
     return TrainingDataset(tuple(entries), split_tag)
 
@@ -315,7 +319,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 8
     learning_rate: float = 0.3
-    temperature: float = 20.0
     hidden: tuple = (32, 32)
     degree: int = 2
 
@@ -387,7 +390,9 @@ def _train_mlp(data, n, m, cfg: TrainConfig):
         params.append((rng.normal(0.0, np.sqrt(2.0 / in_d), (out_d, in_d)), np.zeros(out_d)))
 
     def surrogate(ps, Zb, tb):
-        return _softmax_surrogate_and_grad(ps, Zb, tb, cfg.temperature, out_shift, out_scale)
+        return _softmax_surrogate_and_grad(
+            ps, Zb, tb, SURROGATE_TEMPERATURE, out_shift, out_scale
+        )
 
     def full_loss(ps):
         return float(np.mean([surrogate(ps, Zb, tb)[0] for Zb, tb in blocks]))

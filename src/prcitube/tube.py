@@ -37,6 +37,11 @@ from .systems import DynamicalSystem, TrajectoryRecord
 
 Array = np.ndarray
 
+ENVELOPE_SLACK = 0.05           # envelope tolerance, a share of the radius c2
+INPUT_INFLATION = 0.10          # sampled feedback reach is inflated by this share
+INPUT_MAX_SECTIONS = 20         # tube cross-sections sampled by input tightening
+SCHUR_REL_TOL = 1e-12           # complementary block counts as singular below this
+
 
 @dataclass(frozen=True)
 class IEBEnvelope:
@@ -131,12 +136,11 @@ class RolloutContainment(NamedTuple):
     sup_distance: float
     start_distance: float       # tracking error at t = 0
     contained: bool             # sup_distance <= radius
-    envelope_excess: float      # worst excess over the envelope + slack*c2
+    envelope_excess: float      # worst excess over the envelope + ENVELOPE_SLACK*c2;
+                                # nonpositive means the envelope holds at every grid time
 
 
-def rollout_containment(
-    tube: PRCITube, rollout: Optional[TrajectoryRecord], slack: float = 0.05
-) -> RolloutContainment:
+def rollout_containment(tube: PRCITube, rollout: Optional[TrajectoryRecord]) -> RolloutContainment:
     """Whether one closed-loop rollout stayed in the tube, and by how much.
 
     A rollout counts as contained only if its tracking error stays at or
@@ -148,16 +152,8 @@ def rollout_containment(
     d = trajectory_distances(tube, rollout)
     sup = float(np.max(d))
     env = envelope_at(tube.envelope(float(d[0])), rollout.times)
-    excess = float(np.max(d - (env + slack * tube.radius)))
+    excess = float(np.max(d - (env + ENVELOPE_SLACK * tube.radius)))
     return RolloutContainment(sup, float(d[0]), bool(sup <= tube.radius), excess)
-
-
-def envelope_violation(tube: PRCITube, rollout: TrajectoryRecord, slack: float = 0.05) -> float:
-    """Worst excess of the tracking error over the envelope + slack*c2.
-
-    Nonpositive means the envelope holds at every grid time.
-    """
-    return rollout_containment(tube, rollout, slack).envelope_excess
 
 
 def containment_experiment(
@@ -259,14 +255,13 @@ def tighten_input_box(
     sys_nominal: DynamicalSystem,
     budget: int = 32,
     seed: int = 0,
-    inflation: float = 0.10,
-    max_sections: int = 20,
 ) -> TightenedBox:
     """Input box minus a sampled estimate of the feedback's reach.
 
     Estimates sup over tube cross-sections of |kappa_j(xi, x_ref)| by
     Monte-Carlo (``budget`` points per section, drawn from a nested stream
-    so the estimate is monotone in the budget), inflated by ``inflation``.
+    so the estimate is monotone in the budget) on INPUT_MAX_SECTIONS evenly
+    strided cross-sections, inflated by INPUT_INFLATION.
     A sampled inner approximation of the exact tightened set.
     """
     input_box = np.asarray(input_box, dtype=float)
@@ -274,7 +269,7 @@ def tighten_input_box(
     if not np.isfinite(tube.radius):
         return TightenedBox(input_box.copy(), np.full(m, np.inf), True)
     ref = tube.reference
-    stride = max(1, len(ref.times) // max_sections)
+    stride = max(1, len(ref.times) // INPUT_MAX_SECTIONS)
     margins = np.zeros(m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for k in range(0, len(ref.times), stride):
@@ -283,7 +278,7 @@ def tighten_input_box(
         for xi in sample_metric_ball(metric, x_ref, tube.radius, budget, rng):
             kappa = min_norm_feedback(metric, sys_nominal, xi, x_ref, u_ref)
             margins = np.maximum(margins, np.abs(kappa))
-    margins = margins * (1.0 + inflation)
+    margins = margins * (1.0 + INPUT_INFLATION)
     return _shrink(input_box, margins)
 
 
@@ -330,7 +325,7 @@ class TubeProjection:
         return float(worst)
 
 
-def schur_projection(M: Array, coords: tuple, rel_tol: float = 1e-12) -> Array:
+def schur_projection(M: Array, coords: tuple) -> Array:
     """Schur complement of the complementary block, restricted to coords."""
     n = M.shape[0]
     i, j = coords
@@ -340,7 +335,7 @@ def schur_projection(M: Array, coords: tuple, rel_tol: float = 1e-12) -> Array:
         return M[np.ix_(keep, keep)]
     Mcc = M[np.ix_(rest, rest)]
     eig = np.linalg.eigvalsh(Mcc)
-    if eig[0] <= rel_tol * max(float(np.max(np.abs(M))), 1e-300):
+    if eig[0] <= SCHUR_REL_TOL * max(float(np.max(np.abs(M))), 1e-300):
         raise SingularBlock("complementary metric block is singular")
     Mpp = M[np.ix_(keep, keep)]
     Mpc = M[np.ix_(keep, rest)]

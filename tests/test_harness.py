@@ -187,6 +187,21 @@ def test_pipeline_resumable(smoke_run):
     assert report2 == report
 
 
+def test_deleted_dataset_csv_regenerates_its_stage(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    out = smoke_run[1]
+    _, run_dir = _copy_of(smoke_run, tmp_path)
+    (run_dir / "ref_data" / "ref-0000.csv").unlink()
+    real_generate = harness.generate_reference_dataset
+    _forbid_recompute(monkeypatch)
+    monkeypatch.setattr(harness, "generate_reference_dataset", real_generate)
+    cfg_file = write_smoke(tmp_path)
+    assert cli_main(["calibrate", "--config", str(cfg_file), "--out", str(run_dir)]) == 0
+    for name in ("ref_data/ref-0000.csv", "ref_data/manifest.json", "calibration.json"):
+        assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def _normalized_report(out):
     report = read_json(out / "report.json")
     report["config"]["out_dir"] = ""

@@ -1,6 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
+import prcitube.predictor as predictor_mod
+from prcitube.control import track
 from prcitube.errors import DimensionMismatch
 from prcitube.predictor import (
     TrainConfig,
@@ -256,6 +260,38 @@ def test_open_vs_closed_loop_differ(datasets, metric3d):
     a = open_ds.entries[0].record.states
     b = closed_ds.entries[0].record.states
     assert np.max(np.abs(a - b)) > 1e-6
+
+
+def test_closed_loop_records_are_track_rollouts(datasets, metric3d):
+    _, true, _, _, ref_cal, train_ds = datasets
+    p = train(train_ds, "linear_features", TrainConfig(degree=2))
+    ds = generate_perturbed_dataset(
+        true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric3d, predictor=p
+    )
+    assert ds.ids() == ref_cal.ids()
+    for e, src in zip(ds.entries, ref_cal.entries):
+        assert e.reference is src.record
+        rec = track(true, metric3d, p, src.record, src.record.states[0])
+        for name in ("times", "states", "inputs", "uncertainties"):
+            assert getattr(e.record, name).tobytes() == getattr(rec, name).tobytes(), name
+
+
+def test_diverged_closed_loop_record_is_skipped_by_id(datasets, metric3d, monkeypatch, caplog):
+    _, true, _, _, ref_cal, _ = datasets
+    first = ref_cal.entries[0].record
+    real_track = predictor_mod.track
+
+    def track_diverging_first(sys_true, metric, predictor, ref, x0):
+        return None if ref is first else real_track(sys_true, metric, predictor, ref, x0)
+
+    monkeypatch.setattr(predictor_mod, "track", track_diverging_first)
+    with caplog.at_level(logging.WARNING, logger="prcitube.predictor"):
+        ds = generate_perturbed_dataset(
+            true, ref_cal, "closed_loop_with_predictor", "cal",
+            metric=metric3d, predictor=make_zero_predictor(3, 2),
+        )
+    assert ds.ids() == ref_cal.ids()[1:]
+    assert f"skipping {ref_cal.ids()[0]}" in caplog.text
 
 
 def test_closed_loop_requires_metric_and_predictor(datasets):

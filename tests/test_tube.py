@@ -10,7 +10,6 @@ from prcitube.tube import (
     PRCITube,
     containment_experiment,
     envelope_at,
-    envelope_violation,
     project_tube_2d,
     rollout_containment,
     sample_metric_ball,
@@ -144,7 +143,6 @@ def test_rollout_containment_decides_once_and_fails_diverged_rollouts():
     c = rollout_containment(tube, inside)
     assert (c.sup_distance, c.start_distance, c.contained) == (0.6, 0.6, True)
     np.testing.assert_allclose(c.envelope_excess, -0.05)
-    assert c.envelope_excess == envelope_violation(tube, inside)
     assert not rollout_containment(tube, outside).contained
     assert rollout_containment(tube, None) == (np.inf, np.inf, False, np.inf)
     result = containment_experiment([tube] * 3, [inside, None, outside])
@@ -162,6 +160,13 @@ def test_start_in_ball_is_the_second_ball_sample(metric3d):
     rng = np.random.default_rng(0)
     assert start_in_ball(metric3d, center, np.inf, rng) is center
     assert rng.uniform() == np.random.default_rng(0).uniform()     # no draw consumed
+
+
+def test_start_in_zero_ball_is_the_center(metric3d):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        center = rng.uniform(-1.0, 1.0, 3)
+        assert start_in_ball(metric3d, center, 0.0, rng).tobytes() == center.tobytes()
 
 
 def test_envelope_at_takes_arrays():
@@ -185,7 +190,7 @@ def test_envelope_violation_nonpositive_for_nominal(metric3d, bench3d):
     tube = PRCITube.from_calibration(ref, metric3d, cal)
     policy = ContractingPolicy(metric3d, nom, ref)
     roll = integrate(nom, ref.states[0], policy, 1.0, 0.01)
-    assert envelope_violation(tube, roll, slack=0.05) <= 0.0
+    assert rollout_containment(tube, roll).envelope_excess <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,7 @@ def linear_scalar_setup(rate=0.5, a_dyn=0.5, m_val=2.0, radius=0.8):
 def test_tighten_input_center_budget_is_identity():
     sys, metric, tube = linear_scalar_setup()
     box = sys.input_box
-    out = tighten_input_box(box, tube, metric, sys, budget=1, seed=0, inflation=0.1)
+    out = tighten_input_box(box, tube, metric, sys, budget=1, seed=0)
     np.testing.assert_array_equal(out.margins, np.zeros(1))
     np.testing.assert_array_equal(out.box, box)
 
@@ -278,7 +283,7 @@ def test_tighten_input_matches_linear_closed_form():
     rate, a_dyn, m_val, radius = 0.5, 0.5, 2.0, 0.8
     sys, metric, tube = linear_scalar_setup(rate, a_dyn, m_val, radius)
     exact = (rate + a_dyn) * radius / np.sqrt(m_val)
-    out = tighten_input_box(sys.input_box, tube, metric, sys, budget=4000, seed=1, inflation=0.1)
+    out = tighten_input_box(sys.input_box, tube, metric, sys, budget=4000, seed=1)
     assert out.margins[0] == pytest.approx(exact, rel=0.15)
     assert not out.empty
 
