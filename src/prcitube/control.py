@@ -22,7 +22,14 @@ floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
 integrator uses that input as the step's first RK4 stage, so the policy
 is evaluated once per grid point plus three times per step.  Every
 compensated closed-loop rollout of the true plant is built in one place,
-``track``.
+``track``, which steps all rollouts of one call as an (N, n) block: each
+policy evaluation makes one ``min_norm_feedback``, one ``predict`` and one
+pseudo-inverse of the actuation matrix for the whole block.
+
+Feedback, policy and residuals take (..., n) rows, and every per-row
+product is a stacked matrix product (``systems.matvec``, ``rowdot``,
+``rownorm``), never a GEMM over the rows, so each row of a block rounds
+exactly as the same row run alone (see ``systems``).
 
 ``residual_norms`` is the residual trace of a stored rollout: the norm of
 the uncertainty left after compensation at every grid point, whose
@@ -31,23 +38,23 @@ supremum is the conformal score.
 
 from __future__ import annotations
 
-import logging
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateConstraint, NonFiniteState
+from .errors import DegenerateConstraint
 from .metric import GEODESIC_SEGMENTS, ContractionMetric, riemannian_distance
-from .systems import DynamicalSystem, TrajectoryRecord, integrate
+from .systems import DynamicalSystem, TrajectoryRecord, integrate, matvec, rowdot, rownorm
 
 Array = np.ndarray
-log = logging.getLogger(__name__)
 
 PINV_RCOND = 1e-10
 DEGENERATE_TOL = 1e-10
 
 
 class FeedbackTerms(NamedTuple):
+    """Per state; for an (N, n) block, a is (N, m) and the rest are (N,)."""
+
     a: Array            # constraint coefficient: a^T kappa >= b
     b: float
     energy: float
@@ -61,7 +68,8 @@ def feedback_terms(
     x_ref: Array,
     u_ref: Array,
 ) -> FeedbackTerms:
-    """Constraint data (a, b) of the min-norm program.
+    """Constraint data (a, b) of the min-norm program, for one state or for
+    every row of an (N, n) block (then b, energy and a_scale are (N,)).
 
     The constraint is a^T kappa >= b, with the geodesic oriented
     gamma(0) = x_ref, gamma(1) = x.  A constant metric's geodesic is the
@@ -69,37 +77,41 @@ def feedback_terms(
     and the tangents are ``Geodesic.endpoint_tangents`` of its discretization
     at the four nodes they read.  They equal d in exact arithmetic only; VTOL
     closed loops amplify that last-bit gap to 3e-4 in a calibration quantile.
+    A state-dependent metric computes one geodesic per row.
     """
     if metric.is_constant:
         d = x - x_ref
         K = GEODESIC_SEGMENTS
-        w = np.array([[1.0], [2.0], [K - 2.0], [K - 1.0]]) / K
-        c1, c2, c_2, c_1 = (1.0 - w) * x_ref + w * x
+        c1, c2, c_2, c_1 = (
+            (1.0 - w) * x_ref + w * x for w in np.array([1.0, 2.0, K - 2.0, K - 1.0]) / K
+        )
         g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
         g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
         M_x = M_r = metric.constant_matrix
-        energy = float(d @ M_x @ d)
+        energy = rowdot(np.matmul(d[..., None, :], M_x)[..., 0, :], d)
     else:
-        _, geo = riemannian_distance(metric, x_ref, x)
-        g0, g1 = geo.endpoint_tangents()
-        M_x = metric.evaluate(x)
-        M_r = metric.evaluate(x_ref)
-        energy = geo.energy
+        n = x.shape[-1]
+        pairs = list(zip(np.reshape(x, (-1, n)), np.reshape(x_ref, (-1, n))))
+        geos = [riemannian_distance(metric, r, xi)[1] for xi, r in pairs]
+        g0, g1 = (np.reshape(g, x.shape) for g in zip(*(geo.endpoint_tangents() for geo in geos)))
+        energy = np.reshape([geo.energy for geo in geos], x.shape[:-1])
+        M_x = np.reshape([metric.evaluate(xi) for xi, _ in pairs], x.shape + (n,))
+        M_r = np.reshape([metric.evaluate(r) for _, r in pairs], x.shape + (n,))
     fx = sys_nominal.drift(x)
     Bx = sys_nominal.actuation(x)
     fr = sys_nominal.drift(x_ref)
     Br = sys_nominal.actuation(x_ref)
-    Mg = M_x @ g1
-    a = -(Bx.T @ Mg)
-    t1 = g1 @ (M_x @ (fx + Bx @ u_ref))
-    t2 = g0 @ (M_r @ (fr + Br @ u_ref))
+    Mg = matvec(M_x, g1)
+    a = -matvec(np.swapaxes(Bx, -1, -2), Mg)
+    t1 = rowdot(g1, matvec(M_x, fx + matvec(Bx, u_ref)))
+    t2 = rowdot(g0, matvec(M_r, fr + matvec(Br, u_ref)))
     b = metric.rate * energy + t1 - t2
     # roundoff floor: at x == x_ref all terms vanish in exact arithmetic
-    scale = metric.rate * energy + abs(t1) + abs(t2)
-    if b <= 1e-12 * scale:
-        b = min(b, 0.0)
-    a_scale = float(np.linalg.norm(Bx) * np.linalg.norm(Mg))
-    return FeedbackTerms(a, float(b), energy, a_scale)
+    scale = metric.rate * energy + np.abs(t1) + np.abs(t2)
+    b = np.where((b <= 1e-12 * scale) & (b > 0.0), 0.0, b)
+    a_scale = rownorm(np.reshape(Bx, Bx.shape[:-2] + (-1,))) * rownorm(Mg)
+    # [()] turns the 0-d results of one state into scalars
+    return FeedbackTerms(a, b[()], np.asarray(energy)[()], np.asarray(a_scale)[()])
 
 
 def min_norm_feedback(
@@ -109,53 +121,73 @@ def min_norm_feedback(
     x_ref: Array,
     u_ref: Array,
 ) -> Array:
-    """Smallest feedback satisfying the geodesic energy-decay inequality.
+    """Smallest feedback satisfying the geodesic energy-decay inequality,
+    for one state or for every row of an (N, n) block.
 
-    Raises DegenerateConstraint when the constraint is violated but its
-    coefficient vanishes relative to its constituents (the tracking
-    direction is uncontrollable at this state).
+    Raises DegenerateConstraint when, in some row, the constraint is violated
+    but its coefficient vanishes relative to its constituents (the tracking
+    direction is uncontrollable at that state).
     """
     terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref)
-    if terms.b <= 0.0:
-        return np.zeros(sys_nominal.input_dim)
-    na = float(np.linalg.norm(terms.a))
-    if na <= DEGENERATE_TOL * max(terms.a_scale, DEGENERATE_TOL):
+    active = terms.b > 0.0
+    na = rownorm(terms.a)
+    degenerate = active & (na <= DEGENERATE_TOL * np.maximum(terms.a_scale, DEGENERATE_TOL))
+    if np.any(degenerate):
+        i = np.flatnonzero(degenerate)[0]
         raise DegenerateConstraint(
-            f"constraint violated (b={terms.b:.3e}) with ||a||={na:.3e}"
+            f"constraint violated (b={np.ravel(terms.b)[i]:.3e}) with ||a||={np.ravel(na)[i]:.3e}"
         )
-    return (terms.b / (na * na)) * terms.a
+    step = np.where(active, terms.b, 0.0) / np.where(active, na * na, 1.0)
+    return np.where(active[..., None], step[..., None] * terms.a, 0.0)
 
 
 class ContractingPolicy:
     """Closed-loop tracking policy with optional uncertainty compensation.
 
-    Carries the sampled-and-held delayed input, so an instance is confined
-    to one rollout at a time; the state resets whenever the integrator
-    notifies a step at t = 0.  The composed input is never clipped: input
-    constraints belong to the planner, and excursions outside the input box
-    are only recorded in ``saturation_events``.
+    ``reference`` is one TrajectoryRecord, tracked from one state ``(n,)``,
+    or a sequence of records on one time grid, tracked row by row from an
+    ``(N, n)`` block; the delayed input and ``saturation_events`` are then
+    kept per row.  Carries the sampled-and-held delayed input, so an
+    instance is confined to one rollout (or block) at a time; the state
+    resets whenever the integrator notifies a step at t = 0.  The composed
+    input is never clipped: input constraints belong to the planner, and
+    excursions outside the input box are only recorded in
+    ``saturation_events`` (a list of times, or one such list per row).
     """
 
     def __init__(
         self,
         metric: ContractionMetric,
         sys_nominal: DynamicalSystem,
-        reference: TrajectoryRecord,
+        reference,
         predictor=None,
     ):
         self.metric = metric
         self.sys_nominal = sys_nominal
         self.reference = reference
         self.predictor = predictor
-        self.dt = reference.dt
+        if isinstance(reference, TrajectoryRecord):
+            self._grid, self._rows = reference, None
+            self._ref_states, self._ref_inputs = reference.states, reference.inputs
+        else:
+            self._grid, self._rows = reference[0], len(reference)
+            # grid-major (T, N, .) tables: one interpolation samples every row
+            self._ref_states = np.stack([r.states for r in reference], axis=1)
+            self._ref_inputs = np.stack([r.inputs for r in reference], axis=1)
+        self.dt = self._grid.dt
         self.reset()
 
     def reset(self) -> None:
-        m = self.sys_nominal.input_dim
         self._step_index = -1
-        self._u_prev = np.zeros(m)
-        self._u_curr = np.zeros(m)
-        self.saturation_events: list[float] = []
+        self._u_prev = self._zero_input()
+        self._u_curr = self._zero_input()
+        self.saturation_events: list = (
+            [] if self._rows is None else [[] for _ in range(self._rows)]
+        )
+
+    def _zero_input(self) -> Array:
+        rows = () if self._rows is None else (self._rows,)
+        return np.zeros(rows + (self.sys_nominal.input_dim,))
 
     # -- delayed-input ladder ------------------------------------------------
 
@@ -163,7 +195,7 @@ class ContractingPolicy:
         """u_minus at time t: the input committed at floor(t/dt)*dt - dt."""
         j = int(np.floor(t / self.dt + 1e-9))
         if j <= 0:
-            return np.zeros(self.sys_nominal.input_dim)
+            return self._zero_input()
         if j >= self._step_index + 1:
             return self._u_curr
         return self._u_prev
@@ -176,7 +208,7 @@ class ContractingPolicy:
             raise ValueError(f"notify_step at off-grid time t={t!r}")
         if k == 0:
             self.reset()
-        u_minus = self._u_curr if k > 0 else np.zeros(self.sys_nominal.input_dim)
+        u_minus = self._u_curr if k > 0 else self._zero_input()
         u = self._compute(x, t, u_minus)
         self._u_prev, self._u_curr = self._u_curr, u
         self._step_index = k
@@ -188,17 +220,19 @@ class ContractingPolicy:
     # -- composition -----------------------------------------------------------
 
     def _compute(self, x: Array, t: float, u_minus: Array) -> Array:
-        x_ref = self.reference.state_at(t)
-        u_ref = self.reference.input_at(t)
+        x_ref = self._grid.interpolate(self._ref_states, t)
+        u_ref = self._grid.interpolate(self._ref_inputs, t)
         kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref)
         u = u_ref + kappa
         if self.predictor is not None:
             zeta_hat = self.predictor.predict(x, u_minus)
             B = self.sys_nominal.actuation(x)
-            u = u - np.linalg.pinv(B, rcond=PINV_RCOND) @ zeta_hat
+            u = u - matvec(np.linalg.pinv(B, rcond=PINV_RCOND), zeta_hat)
         box = self.sys_nominal.input_box
-        if np.any(u < box[:, 0]) or np.any(u > box[:, 1]):
-            self.saturation_events.append(float(t))
+        outside = np.any((u < box[:, 0]) | (u > box[:, 1]), axis=-1)
+        events = [self.saturation_events] if self._rows is None else self.saturation_events
+        for i in np.flatnonzero(outside):
+            events[i].append(float(t))
         return u
 
 
@@ -206,49 +240,41 @@ def track(
     sys_true: DynamicalSystem,
     metric: ContractionMetric,
     predictor,
-    reference: TrajectoryRecord,
-    x0: Array,
-) -> Optional[TrajectoryRecord]:
-    """One compensated closed-loop rollout of the true plant from x0,
-    tracking ``reference`` on its own time grid.
+    references: Sequence[TrajectoryRecord],
+    starts: Sequence[Array],
+) -> list[Optional[TrajectoryRecord]]:
+    """Compensated closed-loop rollouts of the true plant, one from each
+    start, tracking the matching reference; all references share one time
+    grid, and the rollouts are stepped together as one (N, n) block.
 
     This is the event the tube's guarantee is about; calibration records,
     evaluation, the second calibration step and ``end_to_end_run`` all
-    simulate it here.  Returns None (and logs the NonFiniteState) when the
-    rollout diverges.
+    simulate it here.  Returns one record per reference, None (logged by
+    ``integrate``) for a rollout that diverged.
     """
-    policy = ContractingPolicy(metric, sys_true.nominal, reference, predictor=predictor)
-    try:
-        return integrate(sys_true, x0, policy, reference.horizon, reference.dt)
-    except NonFiniteState as err:
-        log.warning("closed-loop rollout diverged: %s", err)
-        return None
+    if not references:
+        return []
+    grid = references[0]
+    if any(not np.array_equal(r.times, grid.times) for r in references):
+        raise ValueError("references of one track call must share a time grid")
+    policy = ContractingPolicy(metric, sys_true.nominal, references, predictor=predictor)
+    x0 = np.reshape(np.asarray(starts, dtype=float), (len(references), sys_true.state_dim))
+    return integrate(sys_true, x0, policy, grid.horizon, grid.dt)
 
 
 def residual_norms(
     sys_true: DynamicalSystem, predictor, trajectory: TrajectoryRecord
 ) -> Array:
-    """||zeta(x_k, u_k) - B B^+ zeta_hat(x_k, u_minus_k)|| on the grid.
+    """||zeta(x_k, u_k) - B B^+ zeta_hat(x_k, u_minus_k)|| on the grid,
+    evaluated over all grid points as one block of rows.
 
     u_minus follows the tick ladder of the stored inputs: zero at k = 0,
     inputs[k-1] after.  ``predictor`` may be None (no compensation).
     """
-    n_pts = len(trajectory.times)
-    out = np.empty(n_pts)
-    m = trajectory.input_dim
-    for k in range(n_pts):
-        x = trajectory.states[k]
-        u = trajectory.inputs[k]
-        zeta = (
-            sys_true.uncertainty(x, u)
-            if sys_true.uncertainty is not None
-            else np.zeros(sys_true.state_dim)
-        )
-        r = zeta
-        if predictor is not None:
-            u_minus = trajectory.inputs[k - 1] if k >= 1 else np.zeros(m)
-            B = sys_true.actuation(x)
-            r = zeta - B @ (np.linalg.pinv(B, rcond=PINV_RCOND) @ predictor.predict(x, u_minus))
-        out[k] = np.linalg.norm(r)
-    return out
-
+    X, U = trajectory.states, trajectory.inputs
+    r = sys_true.uncertainty(X, U) if sys_true.uncertainty is not None else np.zeros_like(X)
+    if predictor is not None:
+        U_minus = np.concatenate([np.zeros_like(U[:1]), U[:-1]])
+        B = sys_true.actuation(X)
+        r = r - matvec(B, matvec(np.linalg.pinv(B, rcond=PINV_RCOND), predictor.predict(X, U_minus)))
+    return rownorm(r)

@@ -567,13 +567,19 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         # regenerated under the tightened plan (ball starts), restoring
         # exchangeability with the evaluation rollouts below.  The first
         # half was scored once, above.  A diverged record is skipped.
-        scores_b = []
-        for i in range(n - n1):
-            rng = rng_stream(config.seed, f"twostep-start-{i}")
-            x0 = tube_mod.start_in_ball(metric, result.record.states[0], radius_a, rng)
-            rec = track(sys_true, metric, predictor, result.record, x0)
-            if rec is not None:
-                scores_b.append(conformal.nonconformity_score(rec, predictor, sys_true))
+        starts = [
+            tube_mod.start_in_ball(
+                metric, result.record.states[0], radius_a,
+                rng_stream(config.seed, f"twostep-start-{i}"),
+            )
+            for i in range(n - n1)
+        ]
+        records = track(sys_true, metric, predictor, [result.record] * len(starts), starts)
+        scores_b = [
+            conformal.nonconformity_score(rec, predictor, sys_true)
+            for rec in records
+            if rec is not None
+        ]
         if not scores_b:
             raise InsufficientCalibrationData(
                 f"two-step split needs both halves non-empty, got {n1}/0"
@@ -617,7 +623,7 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
     if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
-    tubes, rollouts, ids = [], [], []
+    tubes, refs, starts, ids = [], [], [], []
     for i in range(config.n_test):
         x0 = sample_initial_condition(config, "test", i)
         pol = sample_reference_policy(config, sys_nom, "test", i)
@@ -631,10 +637,12 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
         if config.start_mode == "ball":
             rng = rng_stream(config.seed, f"test-start-{i}")
             start = tube_mod.start_in_ball(metric, start, t.radius, rng)
-        # a diverged rollout (None) stays in the count as not contained
         tubes.append(t)
-        rollouts.append(track(sys_true, metric, predictor, ref, start))
+        refs.append(ref)
+        starts.append(start)
         ids.append(f"test-{i:04d}")
+    # a diverged rollout (None) stays in the count as not contained
+    rollouts = track(sys_true, metric, predictor, refs, starts)
     result = tube_mod.containment_experiment(tubes, rollouts)
     result["ids"] = ids
     write_json(rpath, result)

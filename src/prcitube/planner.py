@@ -355,10 +355,9 @@ def end_to_end_run(
     r0 = tube.radius if start_radius is None else float(start_radius)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
+    starts = [start_in_ball(metric, ref.states[0], r0, rng) for _ in range(n_rollouts)]
     per = []
-    for _ in range(n_rollouts):
-        x0 = start_in_ball(metric, ref.states[0], r0, rng)
-        roll = track(sys_true, metric, predictor, ref, x0)
+    for roll in track(sys_true, metric, predictor, [ref] * n_rollouts, starts):
         c = rollout_containment(tube, roll)
         row = {
             "contained": c.contained,

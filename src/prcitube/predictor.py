@@ -6,7 +6,8 @@ Three families: "zero" (no compensation baseline), "linear_features"
 "mlp" (tanh network trained in plain NumPy by mini-batch gradient descent
 with step halving, fully deterministic given the seed).  A single (x, u)
 pair is evaluated as a one-row batch, so each family has one evaluation
-path.
+path; rows are evaluated as stacked one-row products, so a block of rows
+equals the same rows one at a time, bit for bit.
 
 The trained objective is the per-record worst-case error
 
@@ -131,9 +132,9 @@ def generate_perturbed_dataset(
 
     policy_mode "open_loop_reference" replays the stored input signal
     (training protocol); "closed_loop_with_predictor" tracks the stored
-    reference with the compensated policy (calibration protocol) and
-    requires a metric and a trained predictor.  A diverging record is
-    skipped and logged, not fatal.
+    references with the compensated policy (calibration protocol), all in
+    one ``track`` block, and requires a metric and a trained predictor.  A
+    diverging record is skipped and logged, not fatal.
     """
     if sys_true.uncertainty is None:
         raise ValueError("perturbed dataset needs a plant with uncertainty")
@@ -142,20 +143,22 @@ def generate_perturbed_dataset(
     closed = policy_mode == "closed_loop_with_predictor"
     if closed and (metric is None or predictor is None):
         raise ValueError("closed-loop mode requires a metric and a trained predictor")
-    entries = []
-    for e in source.entries:
-        ref = e.record
-        if closed:
-            rec = track(sys_true, metric, predictor, ref, ref.states[0])
-            if rec is None:
-                log.warning("skipping %s", e.entry_id)
-                continue
-        else:
+    refs = [e.record for e in source.entries]
+    if closed:
+        records = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+    else:
+        records = []
+        for e, ref in zip(source.entries, refs):
             try:
-                rec = integrate(sys_true, ref.states[0], e.policy, ref.horizon, ref.dt)
+                records.append(integrate(sys_true, ref.states[0], e.policy, ref.horizon, ref.dt))
             except NonFiniteState as err:
-                log.warning("skipping %s: %s", e.entry_id, err)
-                continue
+                log.warning("%s diverged: %s", e.entry_id, err)
+                records.append(None)
+    entries = []
+    for e, ref, rec in zip(source.entries, refs, records):
+        if rec is None:
+            log.warning("skipping %s", e.entry_id)
+            continue
         entries.append(DatasetEntry(e.entry_id, rec, e.policy, reference=ref))
     return TrainingDataset(tuple(entries), split_tag)
 
@@ -217,11 +220,13 @@ def _unpack_mlp(theta: Array, layers) -> list[tuple[Array, Array]]:
     return params
 
 
-def _mlp_forward_batch(params, Z: Array) -> Array:
+def _mlp_forward_rows(params, Z: Array) -> Array:
+    """Network output of every row of Z, each row a stacked one-row product."""
+    Z = Z[:, None, :]
     for W, b in params[:-1]:
         Z = np.tanh(Z @ W.T + b)
     W, b = params[-1]
-    return Z @ W.T + b
+    return (Z @ W.T + b)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,30 +255,35 @@ class UncertaintyPredictor:
         return _monomial_columns(self.feature_spec["terms"], sum(self.input_dims))
 
     def predict(self, x: Array, u: Array) -> Array:
+        """Prediction for (x, u) rows: (..., n) and (..., m) with the same
+        leading shape; one (n,), (m,) pair is one row."""
         n, m = self.input_dims
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        if x.shape != (n,) or u.shape != (m,):
+        if x.shape[-1:] != (n,) or u.shape[-1:] != (m,) or x.shape[:-1] != u.shape[:-1]:
             raise DimensionMismatch(
-                f"expected x:({n},) u:({m},), got x:{x.shape} u:{u.shape}"
+                f"expected x:(..., {n}) u:(..., {m}), got x:{x.shape} u:{u.shape}"
             )
-        return self._evaluate(np.concatenate([x, u])[None, :])[0]
+        XU = np.concatenate([x, u], axis=-1).reshape(-1, n + m)
+        return self._evaluate(XU).reshape(x.shape[:-1] + (self.output_dim,))
 
     def predict_batch(self, X: Array, U: Array) -> Array:
         return self._evaluate(np.hstack([X, U]))
 
     def _evaluate(self, XU: Array) -> Array:
-        """Family dispatch on stacked (x, u) rows."""
+        """Family dispatch on stacked (x, u) rows.  Every row is computed as
+        a stacked one-row product, so a block of rows equals the same rows
+        evaluated one at a time, bit for bit."""
         if self.family == "zero":
             return np.zeros((XU.shape[0], self.output_dim))
         XU = self._clamp(XU)
         if self.family == "linear_features":
             coef = self.theta.reshape(-1, self.output_dim)
-            return _poly_features(self._feature_columns, XU) @ coef
+            return (_poly_features(self._feature_columns, XU)[:, None, :] @ coef)[:, 0]
         if self.family == "mlp":
             spec = self.feature_spec
             Z = (XU - np.asarray(spec["input_shift"])) / np.asarray(spec["input_scale"])
-            raw = _mlp_forward_batch(_unpack_mlp(self.theta, spec["layers"]), Z)
+            raw = _mlp_forward_rows(_unpack_mlp(self.theta, spec["layers"]), Z)
             return raw * np.asarray(spec["output_scale"]) + np.asarray(spec["output_shift"])
         raise ValueError(f"unknown family {self.family!r}")
 

@@ -9,6 +9,19 @@ optional additive uncertainty zeta.  Two benchmarks are provided: a 3D
 nonlinear system with parametric uncertainty and input-matrix mismatch, and
 a planar VTOL aircraft with a thrust-channel disturbance.
 
+Every plant callable takes ``(..., n)`` state rows (and ``(..., m)``
+input rows), so one state is simply one row and ``integrate`` can step N
+rollouts that share a time grid as one ``(N, n)`` block.  A block row must
+round exactly as the same row stepped alone, so per-row products are
+written as stacked matrix products (``matvec``, ``rowdot``, ``rownorm``):
+NumPy evaluates each slice of a stacked ``matmul`` with the same
+matrix-vector or dot kernel as the one-row product, while a GEMM over the
+rows, ``einsum``, ``sum(-1)`` or ``norm(axis=-1)`` round differently.
+One exception is inherent: a single ``(n,)`` state unpacks into floats,
+whose ``** 2`` is the libm ``pow`` and not the array square, so the 3D
+plant's one-state values may differ from its row values in the last bit
+(in about 0.1% of squares); VTOL rows match one-state calls exactly.
+
 Simulation is classical fixed-step RK4, written once in ``rk4_step`` and
 shared by ``integrate`` and the planner's shooting rollouts.  Feedback
 policies are sampled at every RK4 stage; policies that carry
@@ -21,6 +34,7 @@ point and so also supplies the step's first stage.
 from __future__ import annotations
 
 import io
+import logging
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -29,10 +43,47 @@ import numpy as np
 from .errors import NonFiniteState
 
 Array = np.ndarray
+log = logging.getLogger(__name__)
 
 # Divergence guard: magnitudes beyond this are treated as non-finite even
 # before overflow produces an actual inf.
 _BLOWUP_LIMIT = 1e12
+
+
+def matvec(A: Array, v: Array) -> Array:
+    """``A @ v`` for every row of v (and of A, when A is stacked too)."""
+    if v.ndim == 1 and A.ndim == 2:
+        return A @ v            # the same kernel, without the stacking cost
+    return np.matmul(A, v[..., None])[..., 0]
+
+
+def rowdot(a: Array, b: Array) -> Array:
+    """``a @ b`` for every pair of rows."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def rownorm(a: Array) -> Array:
+    """Euclidean norm of every row, rounded as ``np.linalg.norm`` of the row."""
+    return np.sqrt(rowdot(a, a))
+
+
+def _components(x: Array):
+    """Coordinates of x along its last axis: floats for one state, arrays of
+    the leading shape for rows."""
+    return x.tolist() if x.ndim == 1 else [x[..., i] for i in range(x.shape[-1])]
+
+
+def _compose(parts) -> Array:
+    """Inverse of ``_components``: coordinates back along a last axis
+    (the first part sets the leading shape; later ones may be constants)."""
+    if not isinstance(parts[0], np.ndarray):
+        return np.array(parts)
+    out = np.empty(np.shape(parts[0]) + (len(parts),))
+    for i, part in enumerate(parts):
+        out[..., i] = part
+    return out
 
 
 def _readonly(a) -> Array:
@@ -45,8 +96,11 @@ def _readonly(a) -> Array:
 class DynamicalSystem:
     """Control-affine plant ``xdot = f(x) + B(x) u + zeta(x, u)``.
 
-    ``uncertainty`` is None for nominal plants.  ``state_box`` and
-    ``input_box`` are (n, 2) / (m, 2) arrays of per-coordinate bounds.
+    The callables take ``(..., n)`` state rows and ``(..., m)`` input rows;
+    ``actuation`` returns ``(..., n, m)`` or, for a constant input matrix,
+    one ``(n, m)`` matrix that every row shares.  ``uncertainty`` is None
+    for nominal plants.  ``state_box`` and ``input_box`` are (n, 2) / (m, 2)
+    arrays of per-coordinate bounds.
     """
 
     state_dim: int
@@ -67,7 +121,7 @@ class DynamicalSystem:
             raise ValueError("input_box must be (m, 2)")
 
     def dynamics(self, x: Array, u: Array) -> Array:
-        dx = self.drift(x) + self.actuation(x) @ u
+        dx = self.drift(x) + matvec(self.actuation(x), u)
         if self.uncertainty is not None:
             dx = dx + self.uncertainty(x, u)
         return dx
@@ -128,7 +182,9 @@ class TrajectoryRecord:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def _interp(self, table: Array, t: float) -> Array:
+    def interpolate(self, table: Array, t: float) -> Array:
+        """Row of a grid-major ``table`` (first axis on this record's grid)
+        at time t, linear between grid points."""
         tt = self.times
         if t < tt[0] - 1e-9 or t > tt[-1] + 1e-9:
             raise ValueError(f"t={t:.6g} outside record horizon [0, {tt[-1]:.6g}]")
@@ -142,10 +198,10 @@ class TrajectoryRecord:
 
     def state_at(self, t: float) -> Array:
         """Reference state at time t, linear interpolation between grid points."""
-        return self._interp(self.states, t)
+        return self.interpolate(self.states, t)
 
     def input_at(self, t: float) -> Array:
-        return self._interp(self.inputs, t)
+        return self.interpolate(self.inputs, t)
 
     # -- serialization -----------------------------------------------------
 
@@ -265,7 +321,7 @@ def integrate(
     policy: Callable[[Array, float], Array],
     T: float,
     dt: float,
-) -> TrajectoryRecord:
+) -> TrajectoryRecord | list[Optional[TrajectoryRecord]]:
     """Simulate the closed loop with classical fixed-step RK4.
 
     The policy is evaluated at every RK4 stage.  If the policy object has a
@@ -275,7 +331,12 @@ def integrate(
     commits, which is stored and drives the first stage, as does the stored
     uncertainty of the true plant at that grid point.
 
-    Raises NonFiniteState as soon as a committed state goes NaN/inf.
+    ``x0`` is one state ``(n,)`` or a block of N starts ``(N, n)`` on the
+    same grid, which the plant and the policy then see as ``(N, n)`` rows.
+    One state returns its TrajectoryRecord and raises NonFiniteState as soon
+    as a committed state goes NaN/inf.  A block returns one record per row,
+    None for a row that diverged: that row is logged and frozen at its last
+    finite state, and the other rows go on as if it were not there.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -283,34 +344,63 @@ def integrate(
         raise ValueError("T must be at least dt")
     n_steps = int(round(T / dt))
     x0 = np.asarray(x0, dtype=float)
+    rows = x0.shape[:-1]
 
     first_input = getattr(policy, "notify_step", policy)
 
     times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, sys.state_dim))
-    inputs = np.empty((n_steps + 1, sys.input_dim))
-    zetas = np.empty((n_steps + 1, sys.state_dim)) if sys.uncertainty is not None else None
+    states = np.empty((n_steps + 1,) + x0.shape)
+    inputs = np.empty((n_steps + 1,) + rows + (sys.input_dim,))
+    zetas = np.empty_like(states) if sys.uncertainty is not None else None
 
+    lo, hi = sys.state_box[:, 0], sys.state_box[:, 1]
     x = x0.copy()
-    left_box = not _in_box(x, sys.state_box)
+    held = np.zeros_like(x0)                # where a frozen row stays
+    frozen = np.zeros(rows, dtype=bool)
+    any_frozen = False
+    left_box = np.zeros(rows, dtype=bool)
+
+    def slope(z, c):
+        # a frozen row is only ever evaluated at its last finite state
+        if any_frozen:
+            z = np.where(frozen[..., None], held, z)
+        return sys.dynamics(z, policy(z, t + c * dt))
+
     for k in range(n_steps + 1):
         t = times[k]
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > _BLOWUP_LIMIT:
-            raise NonFiniteState(t, x)
+        bad = ~(np.isfinite(x).all(axis=-1) & (np.abs(x).max(axis=-1) <= _BLOWUP_LIMIT))
+        if (bad & ~frozen).any():
+            if not rows:
+                raise NonFiniteState(t, x)
+            for i in np.flatnonzero(bad & ~frozen):
+                log.warning("rollout %d of %d diverged: %s", i, len(x), NonFiniteState(t, x[i]))
+            frozen |= bad
+            any_frozen = True
+        if any_frozen:
+            x[frozen] = held[frozen]
+        held = x
         u_k = first_input(x, t)
         states[k] = x
         inputs[k] = u_k
         if zetas is not None:
             zetas[k] = sys.uncertainty(x, u_k)
-        left_box = left_box or not _in_box(x, sys.state_box)
+        left_box |= ~((x >= lo) & (x <= hi)).all(axis=-1)
         if k == n_steps:
             break
-        k1 = sys.drift(x) + sys.actuation(x) @ u_k
+        k1 = sys.drift(x) + matvec(sys.actuation(x), u_k)
         if zetas is not None:
             k1 = k1 + zetas[k]
-        x, _ = rk4_step(lambda z, c: sys.dynamics(z, policy(z, t + c * dt)), x, dt, k1)
+        x, _ = rk4_step(slope, x, dt, k1)
 
-    return TrajectoryRecord(times, states, inputs, zetas, left_state_box=left_box)
+    if not rows:
+        return TrajectoryRecord(times, states, inputs, zetas, left_state_box=bool(left_box))
+    return [
+        None if frozen[i] else TrajectoryRecord(
+            times, states[:, i], inputs[:, i], None if zetas is None else zetas[:, i],
+            left_state_box=bool(left_box[i]),
+        )
+        for i in range(len(x0))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +415,14 @@ def _field3(theta1, theta2, theta3, B):
     """xdot = [x3 - th1 x1, x1^2 - x2, tanh x2] + B (u - phi(x)) as (drift, phi)."""
 
     def phi(x):
-        q = theta3 * x[0] ** 2
-        return np.array([theta2 * x[2] + q, theta2 * x[1] + q])
+        x1, x2, x3 = _components(x)
+        q = theta3 * x1 ** 2
+        return _compose([theta2 * x3 + q, theta2 * x2 + q])
 
     def drift(x):
-        base = np.array([x[2] - theta1 * x[0], x[0] ** 2 - x[1], np.tanh(x[1])])
-        return base - B @ phi(x)
+        x1, x2, x3 = _components(x)
+        base = _compose([x3 - theta1 * x1, x1 ** 2 - x2, np.tanh(x2)])
+        return base - matvec(B, phi(x))
 
     return drift, phi
 
@@ -355,8 +447,8 @@ def make_benchmark_3d(
     drift_true, phi_true = _field3(*dth, B_true)
 
     def zeta(x, u):
-        f_true = drift_true(x) + B_true @ u
-        f_nom = drift_nom(x) + _B3_NOMINAL @ u
+        f_true = drift_true(x) + matvec(B_true, u)
+        f_nom = drift_nom(x) + matvec(_B3_NOMINAL, u)
         return f_true - f_nom
 
     state_box = np.array([[-15.0, 15.0]] * 3)
@@ -411,9 +503,9 @@ _B_VTOL = np.array(
 
 def vtol_drift(x: Array) -> Array:
     """State x = [p_x, p_z, phi, v_x, v_z, phidot]; velocities body-fixed."""
-    _, _, phi, vx, vz, phidot = x
+    _, _, phi, vx, vz, phidot = _components(x)
     g = VTOL_GRAVITY
-    return np.array(
+    return _compose(
         [
             vx * np.cos(phi) - vz * np.sin(phi),
             vx * np.sin(phi) + vz * np.cos(phi),
@@ -428,9 +520,10 @@ def vtol_drift(x: Array) -> Array:
 def vtol_thrust_disturbance(x: Array, u: Array) -> Array:
     """Disturbance entering through the two thrust channels,
     [-k_z ||v|| + k_phidot ||u||,  k_phidot ||u||]."""
-    v = np.hypot(x[3], x[4])
-    un = np.linalg.norm(u)
-    return np.array([-VTOL_KZ * v + VTOL_KPHIDOT * un, VTOL_KPHIDOT * un])
+    _, _, _, vx, vz, _ = _components(x)
+    v = np.hypot(vx, vz)
+    un = rownorm(u)
+    return _compose([-VTOL_KZ * v + VTOL_KPHIDOT * un, VTOL_KPHIDOT * un])
 
 
 def make_benchmark_vtol() -> DynamicalSystem:
@@ -438,7 +531,7 @@ def make_benchmark_vtol() -> DynamicalSystem:
     Use ``.nominal`` for the unperturbed twin."""
 
     def zeta(x, u):
-        return _B_VTOL @ vtol_thrust_disturbance(x, u)
+        return matvec(_B_VTOL, vtol_thrust_disturbance(x, u))
 
     # Published benchmark bounds: phi, phidot within +-60 deg(/s),
     # v_x in [-2,2], v_z in [-1,1]; positions are free in the dynamics,

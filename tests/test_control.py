@@ -233,8 +233,8 @@ def test_zero_predictor_equals_no_predictor():
 
 def test_full_compensation_with_square_B():
     # fully actuated plant, predictor equal to the true uncertainty
-    def zeta(x, u):
-        return np.array([0.3 * np.tanh(x[0]), -0.2])
+    def zeta(x, u):   # (..., n) rows, as plant callables take
+        return np.stack([0.3 * np.tanh(x[..., 0]), np.full(x.shape[:-1], -0.2)], axis=-1)
 
     sys_true = DynamicalSystem(
         2,

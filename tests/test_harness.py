@@ -347,14 +347,15 @@ def test_diverged_test_rollout_counts_against_coverage(tmp_path, monkeypatch):
     run_pipeline(cfg, stop_after="tube")
     real_track, calls = harness.track, []
 
-    def track(*args):
-        calls.append(args)
-        return None if len(calls) == 1 else real_track(*args)   # test index 0 diverges
+    def track(sys_true, metric, predictor, references, starts):
+        calls.append(references)
+        rolls = real_track(sys_true, metric, predictor, references, starts)
+        return [None] + rolls[1:]   # test index 0 diverges
 
     monkeypatch.setattr(harness, "track", track)
     report = run_pipeline(cfg)
     coverage = read_json(tmp_path / "run" / "test" / "coverage.json")
-    assert len(calls) == cfg.n_test
+    assert len(calls) == 1 and len(calls[0]) == cfg.n_test
     assert coverage["n_rollouts"] == cfg.n_test == report["coverage"]["n_rollouts"]
     assert coverage["ids"][0] == "test-0000"
     assert coverage["sup_distances"][0] == "inf"

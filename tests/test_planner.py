@@ -386,18 +386,20 @@ def test_end_to_end_nominal_all_margins(bench3d, metric3d):
 
 def test_diverged_track_counts_as_failure(bench3d, metric3d, monkeypatch):
     import prcitube.control as control
-    from prcitube.errors import NonFiniteState
 
     nom, true = bench3d
     knots = PiecewiseLinearInput(np.array([0.0, 0.5]), np.zeros((2, 2)))
     ref = integrate(nom, np.array([0.3, 0.0, 0.0]), knots, 0.5, 0.01)
-    assert track(true, metric3d, None, ref, ref.states[0]).states.shape == ref.states.shape
+    (roll,) = track(true, metric3d, None, [ref], [ref.states[0]])
+    assert roll.states.shape == ref.states.shape
+    # a start beyond the divergence guard diverges at once, without raising
+    assert track(true, metric3d, None, [ref], [np.full(3, np.inf)]) == [None]
 
     def diverge(sys, x0, policy, T, dt):
-        raise NonFiniteState(0.25, np.full(3, np.inf))
+        return [None] * len(x0)
 
     monkeypatch.setattr(control, "integrate", diverge)
-    assert track(true, metric3d, None, ref, ref.states[0]) is None
+    assert track(true, metric3d, None, [ref], [ref.states[0]]) == [None]
     result = PlanResult(ref, 0.0, (0.0,), True, {})
     report = end_to_end_run(
         true, result, metric3d, None, calibrate([0.05, 0.07, 0.06], 0.25), n_rollouts=2

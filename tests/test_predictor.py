@@ -271,7 +271,7 @@ def test_closed_loop_records_are_track_rollouts(datasets, metric3d):
     assert ds.ids() == ref_cal.ids()
     for e, src in zip(ds.entries, ref_cal.entries):
         assert e.reference is src.record
-        rec = track(true, metric3d, p, src.record, src.record.states[0])
+        (rec,) = track(true, metric3d, p, [src.record], [src.record.states[0]])
         for name in ("times", "states", "inputs", "uncertainties"):
             assert getattr(e.record, name).tobytes() == getattr(rec, name).tobytes(), name
 
@@ -281,8 +281,9 @@ def test_diverged_closed_loop_record_is_skipped_by_id(datasets, metric3d, monkey
     first = ref_cal.entries[0].record
     real_track = predictor_mod.track
 
-    def track_diverging_first(sys_true, metric, predictor, ref, x0):
-        return None if ref is first else real_track(sys_true, metric, predictor, ref, x0)
+    def track_diverging_first(sys_true, metric, predictor, refs, starts):
+        rolls = real_track(sys_true, metric, predictor, refs, starts)
+        return [None if ref is first else roll for ref, roll in zip(refs, rolls)]
 
     monkeypatch.setattr(predictor_mod, "track", track_diverging_first)
     with caplog.at_level(logging.WARNING, logger="prcitube.predictor"):
