@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import conformal, tube as tube_mod
-from .errors import InsufficientCalibrationData, NonFiniteState, PrcitubeError
+from .errors import InsufficientCalibrationData, PrcitubeError
 from .metric import ContractionMetric, box_grid, synthesize_constant_metric, verify_contraction
 from .control import track
 from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
@@ -56,6 +56,7 @@ from .systems import (
     integrate,
     make_benchmark_3d,
     make_benchmark_vtol,
+    replay,
 )
 from .tube import PRCITube, project_tube_2d, tighten_input_box, tighten_state_box
 
@@ -204,58 +205,69 @@ def sample_initial_condition(config, tag: str, index: int) -> np.ndarray:
     return rng.uniform(box[:, 0], box[:, 1])
 
 
-def sample_reference_policy(config, sys_nom, tag: str, index: int) -> PiecewiseLinearInput:
+def sample_reference_policies(config, sys_nom, tag: str, n: int) -> list[PiecewiseLinearInput]:
+    """Reference input signals 0..n-1 of ``tag``, signal i drawn from the
+    stream ``{tag}-policy-{i}``; all share one set of knot times."""
     if config.reference_sampler == "waypoint_pd":
-        return _waypoint_pd_inputs(config, sys_nom, tag, index)
-    rng = rng_stream(config.seed, f"{tag}-policy-{index}")
+        return _waypoint_pd_inputs(config, sys_nom, tag, n)
     n_knots = int(np.floor(config.horizon_s / config.knot_spacing_s)) + 1
     knot_times = np.arange(n_knots) * config.knot_spacing_s
     if knot_times[-1] < config.horizon_s:
         knot_times = np.append(knot_times, config.horizon_s)
     center = _input_center(config, sys_nom)
     amp = config.input_knot_amp
-    values = center + rng.uniform(-amp, amp, (len(knot_times), sys_nom.input_dim))
-    if config.input_knot_trim_start:
-        values[0] = center
     box = sys_nom.input_box
-    values = np.clip(values, box[:, 0], box[:, 1])
-    return PiecewiseLinearInput(knot_times, values)
+    signals = []
+    for i in range(n):
+        rng = rng_stream(config.seed, f"{tag}-policy-{i}")
+        values = center + rng.uniform(-amp, amp, (len(knot_times), sys_nom.input_dim))
+        if config.input_knot_trim_start:
+            values[0] = center
+        signals.append(PiecewiseLinearInput(knot_times, np.clip(values, box[:, 0], box[:, 1])))
+    return signals
 
 
-def _waypoint_pd_inputs(config, sys_nom, tag: str, index: int) -> PiecewiseLinearInput:
-    """Reference input signal for attitude-unstable plants (the VTOL).
+def _waypoint_pd_inputs(config, sys_nom, tag: str, n: int) -> list[PiecewiseLinearInput]:
+    """Reference input signals for attitude-unstable plants (the VTOL).
 
     Independent random thrust knots integrate into tumbling through the
     roll channel, so instead a hover PD law flies the nominal plant to a
     random waypoint and its recorded input sequence becomes the open-loop
-    reference signal.
+    reference signal.  All n flights are one block, flight i from initial
+    condition i to the waypoint drawn from the stream ``{tag}-policy-{i}``.
     """
-    rng = rng_stream(config.seed, f"{tag}-policy-{index}")
     wbox = (
         np.asarray(config.waypoint_box, dtype=float).reshape(-1, 2)
         if config.waypoint_box is not None
         else np.array([[-1.0, 1.0], [-0.6, 0.6]])
     )
-    target = rng.uniform(wbox[:, 0], wbox[:, 1])
-    x0 = sample_initial_condition(config, tag, index)
+    target = np.array(
+        [rng_stream(config.seed, f"{tag}-policy-{i}").uniform(wbox[:, 0], wbox[:, 1])
+         for i in range(n)]
+    )
+    x0 = np.array([sample_initial_condition(config, tag, i) for i in range(n)])
     m, J, g, arm = VTOL_MASS, VTOL_INERTIA, VTOL_GRAVITY, VTOL_ARM
+    box = sys_nom.input_box
 
     def pd_policy(x, t):
-        px, pz, phi, vx, vz, phidot = x
+        px, pz, phi, vx, vz, phidot = (x[..., i] for i in range(6))
         # velocity-limited outer loop; accelerating +x needs negative tilt
         # (v_x dot = -g sin(phi) near hover), speeds stay inside the
         # certificate region
-        vx_des = np.clip(0.8 * (target[0] - px), -0.6, 0.6)
+        vx_des = np.clip(0.8 * (target[:, 0] - px), -0.6, 0.6)
         phi_des = np.clip(-0.5 * (vx_des - vx), -0.25, 0.25)
-        thrust = m * (g + 1.2 * (target[1] - pz) - 1.6 * vz) / max(np.cos(phi), 0.5)
+        thrust = m * (g + 1.2 * (target[:, 1] - pz) - 1.6 * vz) / np.maximum(np.cos(phi), 0.5)
         torque = J * (9.0 * (phi_des - phi) - 4.0 * phidot)
         u1 = 0.5 * (thrust + torque / arm)
         u2 = 0.5 * (thrust - torque / arm)
-        box = sys_nom.input_box
-        return np.clip(np.array([u1, u2]), box[:, 0], box[:, 1])
+        return np.clip(np.stack([u1, u2], axis=-1), box[:, 0], box[:, 1])
 
-    rec = integrate(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)
-    return PiecewiseLinearInput(rec.times, rec.inputs)
+    signals = []
+    for i, rec in enumerate(integrate(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)):
+        if rec is None:
+            raise PrcitubeError(f"the PD flight of {tag}-policy-{i} diverged")
+        signals.append(PiecewiseLinearInput(rec.times, rec.inputs))
+    return signals
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +425,7 @@ def stage_ref_data(config, sys_nom, out: Path) -> TrainingDataset:
     def generate():
         n = config.n_train + config.n_cal
         ics = [sample_initial_condition(config, "ref", i) for i in range(n)]
-        pols = [sample_reference_policy(config, sys_nom, "ref", i) for i in range(n)]
+        pols = sample_reference_policies(config, sys_nom, "ref", n)
         return generate_reference_dataset(sys_nom, ics, pols, config.horizon_s, config.dt_s)
 
     return _dataset_stage(config, out, "ref_data", None, generate)
@@ -623,14 +635,18 @@ def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, ou
     if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
+    n = config.n_test
+    references = replay(
+        sys_nom,
+        [sample_initial_condition(config, "test", i) for i in range(n)],
+        sample_reference_policies(config, sys_nom, "test", n),
+        config.horizon_s,
+        config.dt_s,
+    )
     tubes, refs, starts, ids = [], [], [], []
-    for i in range(config.n_test):
-        x0 = sample_initial_condition(config, "test", i)
-        pol = sample_reference_policy(config, sys_nom, "test", i)
-        try:
-            ref = integrate(sys_nom, x0, pol, config.horizon_s, config.dt_s)
-        except NonFiniteState as err:
-            log.warning("test reference %d diverged: %s", i, err)
+    for i, ref in enumerate(references):
+        if ref is None:
+            log.warning("test reference %d diverged", i)
             continue
         t = PRCITube.from_calibration(ref, metric, calibration, source_id="test")
         start = ref.states[0]

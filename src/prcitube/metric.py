@@ -306,18 +306,24 @@ RANK_REL_TOL = 1e-8             # singular values below this share of the larges
 
 
 def jacobian_fd(func: Callable[[Array], Array], x: Array) -> Array:
-    """Central-difference Jacobian, step scaled by coordinate magnitude."""
+    """Central-difference Jacobian at one state ``(n,)`` or at every row of
+    an ``(..., n)`` block, each step scaled by its row's coordinate
+    magnitude: ``func``'s output shape plus a last axis of n.
+
+    ``func`` sees the whole block, 2n times whatever the number of rows,
+    and must map rows to rows; with a row-exact ``func`` each row equals
+    its one-state Jacobian bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float)
-    jac = np.empty(f0.shape + (x.size,))
-    for k in range(x.size):
-        h = FD_STEP * max(1.0, abs(x[k]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += h
-        xm[k] -= h
-        jac[..., k] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
-    return jac
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    up, down = x + h, x - h
+    # coordinate k moved in every row, the others exactly as in x
+    cols = [
+        np.asarray(func(np.where(e, up, x))) - np.asarray(func(np.where(e, down, x)))
+        for e in np.eye(x.shape[-1], dtype=bool)
+    ]
+    jac = np.stack(cols, axis=-1)
+    return jac / np.reshape(2.0 * h, x.shape[:-1] + (1,) * (jac.ndim - x.ndim) + x.shape[-1:])
 
 
 def cokernel_basis(B: Array) -> Array:

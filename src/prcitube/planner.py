@@ -11,8 +11,11 @@ re-integrate to themselves.  The objective is
 with w1_k = w1 before the last node and 0 at it, where P collects bounded
 log-barriers on obstacle ellipses and on the (tightened) state/input boxes.
 The cost is the forward half of the gradient, which a discrete adjoint
-sweep through the RK4 stages completes (stage Jacobians by central
-differences); descent is plain gradient with backtracking line search.
+sweep through the RK4 stages completes.  The sweep's stage Jacobians come
+from one central-difference call (``metric.jacobian_fd``) on the block of
+all 4 * n_steps stage states, which the plant callables take as
+``(N, n)`` rows like every other block caller of ``systems``; descent is
+plain gradient with backtracking line search.
 ``end_to_end_run`` tracks a plan on the true plant with ``control.track``.
 """
 
@@ -28,7 +31,7 @@ from .control import track
 from .errors import InfeasiblePlan
 from .metric import ContractionMetric, jacobian_fd
 from .predictor import UncertaintyPredictor
-from .systems import DynamicalSystem, TrajectoryRecord, _in_box, rk4_step
+from .systems import DynamicalSystem, TrajectoryRecord, _in_box, matvec, rk4_step
 from .systems import integrate  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 from .tube import PRCITube, rollout_containment, start_in_ball
 
@@ -143,7 +146,7 @@ class _Shooting:
         )
 
     def _field(self, x: Array, u: Array) -> Array:
-        return self.p.sys.drift(x) + self.p.sys.actuation(x) @ u
+        return self.p.sys.drift(x) + matvec(self.p.sys.actuation(x), u)
 
     def rollout(self, U: Array) -> Array:
         return self._forward(U)[0]
@@ -214,14 +217,19 @@ class _Shooting:
         if not np.isfinite(total):
             return total, gU
 
+        # Every stage Jacobian of the rollout in one FD call: the four stage
+        # states of each step as rows of one (4 n_steps, n) block, each row
+        # with the input its stage saw.
+        n = self.p.sys.state_dim
+        Z = np.array([s[:4] for s in stages]).reshape(-1, n)
+        V = np.array([(ua, um, um, ub) for *_, ua, um, ub in stages]).reshape(len(Z), -1)
+        jacs = jacobian_fd(lambda z: F(z, V), Z).reshape(self.n_steps, 4, n, n)
+
         # Adjoint sweep: lam = dJ/dx_k, distributed through the RK4 stages.
         lam = run_gx[-1]
         for k in range(self.n_steps - 1, -1, -1):
-            x1, x2, x3, x4, ua, um, ub = stages[k]
-            J1 = jacobian_fd(lambda z: F(z, ua), x1)
-            J2 = jacobian_fd(lambda z: F(z, um), x2)
-            J3 = jacobian_fd(lambda z: F(z, um), x3)
-            J4 = jacobian_fd(lambda z: F(z, ub), x4)
+            x1, x2, x3, x4 = stages[k][:4]
+            J1, J2, J3, J4 = jacs[k]
             kb4 = (dt / 6.0) * lam
             xb4 = J4.T @ kb4
             kb3 = (dt / 3.0) * lam + dt * xb4

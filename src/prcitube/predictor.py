@@ -37,9 +37,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import track
-from .errors import DimensionMismatch, NonFiniteLoss, NonFiniteState
+from .errors import DimensionMismatch, NonFiniteLoss
 from .metric import ContractionMetric
-from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate
+from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, replay
+from .systems import integrate  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 
 Array = np.ndarray
 log = logging.getLogger(__name__)
@@ -90,20 +91,19 @@ def generate_reference_dataset(
     T: float,
     dt: float,
 ) -> TrainingDataset:
-    """Integrate the nominal plant once per (x0, input signal) pair into
-    records ``ref-0000``, ``ref-0001``, ...
+    """Integrate the nominal plant from each x0 under its input signal into
+    records ``ref-0000``, ``ref-0001``, ..., all pairs as one block.
 
     Diverging records are skipped and logged, not fatal.
     """
     if sys_nominal.uncertainty is not None:
         raise ValueError("reference dataset must be generated on the nominal plant")
+    records = replay(sys_nominal, initial_conditions, reference_policies, T, dt)
     entries = []
-    for i, (x0, pol) in enumerate(zip(initial_conditions, reference_policies)):
+    for i, (pol, rec) in enumerate(zip(reference_policies, records)):
         eid = f"ref-{i:04d}"
-        try:
-            rec = integrate(sys_nominal, x0, pol, T, dt)
-        except NonFiniteState as err:
-            log.warning("skipping %s: %s", eid, err)
+        if rec is None:
+            log.warning("skipping %s", eid)
             continue
         entries.append(DatasetEntry(eid, rec, pol))
     return TrainingDataset(tuple(entries), "ref")
@@ -130,11 +130,12 @@ def generate_perturbed_dataset(
 ) -> TrainingDataset:
     """Run the perturbed plant over a reference subset.
 
-    policy_mode "open_loop_reference" replays the stored input signal
+    policy_mode "open_loop_reference" replays the stored input signals
     (training protocol); "closed_loop_with_predictor" tracks the stored
-    references with the compensated policy (calibration protocol), all in
-    one ``track`` block, and requires a metric and a trained predictor.  A
-    diverging record is skipped and logged, not fatal.
+    references with the compensated policy (calibration protocol) and
+    requires a metric and a trained predictor.  Either mode steps all records
+    as one block, so the references must share a time grid.  A diverging
+    record is skipped and logged, not fatal.
     """
     if sys_true.uncertainty is None:
         raise ValueError("perturbed dataset needs a plant with uncertainty")
@@ -146,14 +147,14 @@ def generate_perturbed_dataset(
     refs = [e.record for e in source.entries]
     if closed:
         records = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+    elif refs:
+        grid = refs[0]
+        if any(not np.array_equal(r.times, grid.times) for r in refs):
+            raise ValueError("references of one dataset must share a time grid")
+        records = replay(sys_true, [r.states[0] for r in refs],
+                         [e.policy for e in source.entries], grid.horizon, grid.dt)
     else:
         records = []
-        for e, ref in zip(source.entries, refs):
-            try:
-                records.append(integrate(sys_true, ref.states[0], e.policy, ref.horizon, ref.dt))
-            except NonFiniteState as err:
-                log.warning("%s diverged: %s", e.entry_id, err)
-                records.append(None)
     entries = []
     for e, ref, rec in zip(source.entries, refs, records):
         if rec is None:
@@ -240,19 +241,36 @@ class UncertaintyPredictor:
     output_dim: int
     training_info: dict = field(default_factory=dict)
 
+    # The constants of an evaluation, built on first use rather than on
+    # every policy evaluation.
+
+    @functools.cached_property
+    def _envelope(self) -> Optional[tuple[Array, Array]]:
+        lo = self.feature_spec.get("input_low")
+        return None if lo is None else (np.asarray(lo), np.asarray(self.feature_spec["input_high"]))
+
+    @functools.cached_property
+    def _feature_columns(self) -> Array:
+        return _monomial_columns(self.feature_spec["terms"], sum(self.input_dims))
+
+    @functools.cached_property
+    def _mlp(self):
+        """(layer parameters, input shift, input scale, output scale, output shift)."""
+        spec = self.feature_spec
+        return (
+            _unpack_mlp(self.theta, spec["layers"]),
+            *(np.asarray(spec[k]) for k in
+              ("input_shift", "input_scale", "output_scale", "output_shift")),
+        )
+
     def _clamp(self, xu: Array) -> Array:
         # trained families only evaluate inside the envelope of their
         # training inputs; polynomial features in particular explode when
         # extrapolated (the delayed-input convention feeds u = 0 at the
         # first tick, which hover-scale plants never train near)
-        lo = self.feature_spec.get("input_low")
-        if lo is None:
+        if self._envelope is None:
             return xu
-        return np.clip(xu, np.asarray(lo), np.asarray(self.feature_spec["input_high"]))
-
-    @functools.cached_property
-    def _feature_columns(self) -> Array:
-        return _monomial_columns(self.feature_spec["terms"], sum(self.input_dims))
+        return np.clip(xu, *self._envelope)
 
     def predict(self, x: Array, u: Array) -> Array:
         """Prediction for (x, u) rows: (..., n) and (..., m) with the same
@@ -281,10 +299,9 @@ class UncertaintyPredictor:
             coef = self.theta.reshape(-1, self.output_dim)
             return (_poly_features(self._feature_columns, XU)[:, None, :] @ coef)[:, 0]
         if self.family == "mlp":
-            spec = self.feature_spec
-            Z = (XU - np.asarray(spec["input_shift"])) / np.asarray(spec["input_scale"])
-            raw = _mlp_forward_rows(_unpack_mlp(self.theta, spec["layers"]), Z)
-            return raw * np.asarray(spec["output_scale"]) + np.asarray(spec["output_shift"])
+            params, in_shift, in_scale, out_scale, out_shift = self._mlp
+            raw = _mlp_forward_rows(params, (XU - in_shift) / in_scale)
+            return raw * out_scale + out_shift
         raise ValueError(f"unknown family {self.family!r}")
 
     def to_json_dict(self) -> dict:

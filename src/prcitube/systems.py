@@ -22,6 +22,13 @@ whose ``** 2`` is the libm ``pow`` and not the array square, so the 3D
 plant's one-state values may differ from its row values in the last bit
 (in about 0.1% of squares); VTOL rows match one-state calls exactly.
 
+Block callers: ``control.track`` steps every closed-loop rollout of a
+stage (calibration, evaluation, the planner's second calibration step and
+end-to-end runs); ``replay`` steps the open-loop ones (the reference and
+training datasets, the test references); the harness flies its waypoint PD
+references as one block; and the planner's adjoint takes all its stage
+Jacobians from one FD call on a block of stage states.
+
 Simulation is classical fixed-step RK4, written once in ``rk4_step`` and
 shared by ``integrate`` and the planner's shooting rollouts.  Feedback
 policies are sampled at every RK4 stage; policies that carry
@@ -36,7 +43,7 @@ from __future__ import annotations
 import io
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -263,10 +270,16 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearInput:
-    """Open-loop input signal, linear between knots, held beyond the last."""
+    """Open-loop input signal, linear between knots, held beyond the last.
+
+    Knot values are ``(n_knots, m)`` for one signal, or ``(n_knots, N, m)``
+    for N signals on shared knot times (``stack``), which drive the N rows
+    of a block: interpolation is elementwise, so each row gets exactly the
+    input its own signal gives.
+    """
 
     knot_times: Array
-    knot_values: Array      # (n_knots, m)
+    knot_values: Array      # (n_knots, m) or (n_knots, N, m)
 
     def __post_init__(self):
         object.__setattr__(self, "knot_times", _readonly(self.knot_times))
@@ -281,6 +294,14 @@ class PiecewiseLinearInput:
         i = int(np.searchsorted(tt, t, side="right")) - 1
         w = (t - tt[i]) / (tt[i + 1] - tt[i])
         return (1.0 - w) * self.knot_values[i] + w * self.knot_values[i + 1]
+
+    @staticmethod
+    def stack(signals: Sequence["PiecewiseLinearInput"]) -> "PiecewiseLinearInput":
+        """One input for the rows of a block, signal i driving row i."""
+        times = signals[0].knot_times
+        if any(not np.array_equal(s.knot_times, times) for s in signals):
+            raise ValueError("signals of one block must share knot times")
+        return PiecewiseLinearInput(times, np.stack([s.knot_values for s in signals], axis=1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,6 +422,22 @@ def integrate(
         )
         for i in range(len(x0))
     ]
+
+
+def replay(
+    sys: DynamicalSystem,
+    starts: Sequence[Array],
+    signals: Sequence[PiecewiseLinearInput],
+    T: float,
+    dt: float,
+) -> list[Optional[TrajectoryRecord]]:
+    """Open-loop rollouts, start i driven by input signal i, all stepped as
+    one (N, n) block; one record per start, None for a row that diverged
+    (logged by ``integrate``)."""
+    if not signals:
+        return []
+    x0 = np.reshape(np.asarray(starts, dtype=float), (len(signals), sys.state_dim))
+    return integrate(sys, x0, PiecewiseLinearInput.stack(signals), T, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""The per-rollout closed loop as it was before rollouts were stepped in
-blocks, frozen here as the oracle that the batched path is checked against.
+"""The per-rollout closed loop, the per-step planner adjoint and the
+one-flight waypoint PD law as they were before they were stepped in blocks,
+frozen here as the oracles that the batched paths are checked against.
 
 One state at a time: the plant functions index scalars (``x[0] ** 2`` is a
 NumPy-scalar power), every product is a plain one-row ``@``, the constant
-feedback is the scalar ``feedback_terms`` and the policy keeps one
-delayed-input ladder.  Nothing here imports the code under test except
-plain data (the constant matrices, a metric's matrix and rate, a trained
-predictor's parameters).
+feedback is the scalar ``feedback_terms``, the policy keeps one
+delayed-input ladder and each FD Jacobian is taken at one state.  Nothing
+here imports the code under test except plain data (the constant matrices,
+a metric's matrix and rate, a trained predictor's parameters) and, for the
+adjoint, the forward half of a planner's ``_Shooting``, which is not
+batched.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from prcitube.systems import (
     _B3_TRUE,
     _B_VTOL,
     _BLOWUP_LIMIT,
+    VTOL_ARM,
     VTOL_GRAVITY,
+    VTOL_INERTIA,
     VTOL_KPHIDOT,
     VTOL_KZ,
+    VTOL_MASS,
     TrajectoryRecord,
 )
 
@@ -221,3 +227,75 @@ def residual_norms(plant, predictor, record):
         r = plant.zeta(x, u) - plant.B @ (Bp @ predict(predictor, x, u_minus))
         out[k] = np.linalg.norm(r)
     return out
+
+
+# -- planner adjoint ---------------------------------------------------------------------
+
+FD_STEP = 1e-5
+
+
+def jacobian_fd(func, x):
+    """Central-difference Jacobian at one state (with the f(x) call that only
+    gave the output shape)."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(func(x), dtype=float)
+    jac = np.empty(f0.shape + (x.size,))
+    for k in range(x.size):
+        h = FD_STEP * max(1.0, abs(x[k]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += h
+        xm[k] -= h
+        jac[..., k] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+    return jac
+
+
+def cost_and_grad(shooting, plant, U):
+    """``_Shooting.cost_and_grad`` with four one-state FD Jacobians of the
+    plant's field per step; the forward half is ``shooting._objective``."""
+    dt, B = shooting.p.dt, plant.B
+
+    def F(x, u):
+        return plant.drift(x) + B @ u
+
+    total, stages, run_gx, gU = shooting._objective(U)
+    if not np.isfinite(total):
+        return total, gU
+    lam = run_gx[-1]
+    for k in range(shooting.n_steps - 1, -1, -1):
+        x1, x2, x3, x4, ua, um, ub = stages[k]
+        J1 = jacobian_fd(lambda z: F(z, ua), x1)
+        J2 = jacobian_fd(lambda z: F(z, um), x2)
+        J3 = jacobian_fd(lambda z: F(z, um), x3)
+        J4 = jacobian_fd(lambda z: F(z, ub), x4)
+        kb4 = (dt / 6.0) * lam
+        xb4 = J4.T @ kb4
+        kb3 = (dt / 3.0) * lam + dt * xb4
+        xb3 = J3.T @ kb3
+        kb2 = (dt / 3.0) * lam + 0.5 * dt * xb3
+        xb2 = J2.T @ kb2
+        kb1 = (dt / 6.0) * lam + 0.5 * dt * xb2
+        xb1 = J1.T @ kb1
+        gU[k] += B.T @ kb1 + 0.5 * (B.T @ kb2 + B.T @ kb3)
+        gU[k + 1] += 0.5 * (B.T @ kb2 + B.T @ kb3) + B.T @ kb4
+        lam = lam + xb1 + xb2 + xb3 + xb4 + run_gx[k]
+    return total, gU
+
+
+# -- reference sampler ---------------------------------------------------------------------
+
+def waypoint_pd_policy(target, input_box):
+    """The hover PD law that flies one VTOL reference to its waypoint."""
+    m, J, g, arm = VTOL_MASS, VTOL_INERTIA, VTOL_GRAVITY, VTOL_ARM
+
+    def pd_policy(x, t):
+        px, pz, phi, vx, vz, phidot = x
+        vx_des = np.clip(0.8 * (target[0] - px), -0.6, 0.6)
+        phi_des = np.clip(-0.5 * (vx_des - vx), -0.25, 0.25)
+        thrust = m * (g + 1.2 * (target[1] - pz) - 1.6 * vz) / max(np.cos(phi), 0.5)
+        torque = J * (9.0 * (phi_des - phi) - 4.0 * phidot)
+        u1 = 0.5 * (thrust + torque / arm)
+        u2 = 0.5 * (thrust - torque / arm)
+        return np.clip(np.array([u1, u2]), input_box[:, 0], input_box[:, 1])
+
+    return pd_policy

@@ -1,10 +1,12 @@
-"""Closed-loop rollouts stepped as one (N, n) block.
+"""Rollouts and FD Jacobians taken as one (N, n) block.
 
-The block is checked against the frozen per-rollout path in
+Closed loop: the block is checked against the frozen per-rollout path in
 ``scalar_oracle.py`` (bit for bit on VTOL; to a relative 1e-12 on 3D, whose
 one-state plant squares scalars with libm ``pow`` where rows use the array
 square), against its own one-row calls (bit for bit on both), and layer by
-layer.
+layer.  Open loop: dataset and sampler blocks are checked against
+one-state ``integrate`` runs, and ``jacobian_fd`` rows against one-state
+Jacobians, with the same tolerances.
 """
 
 import logging
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from prcitube import harness
 from prcitube.control import feedback_terms, min_norm_feedback, residual_norms, track
 from prcitube.errors import DegenerateConstraint, DimensionMismatch
-from prcitube.metric import ContractionMetric
+from prcitube.metric import ContractionMetric, jacobian_fd
 from prcitube.predictor import (
     TrainConfig,
     generate_perturbed_dataset,
@@ -30,6 +33,7 @@ from prcitube.systems import (
     DynamicalSystem,
     PiecewiseLinearInput,
     integrate,
+    matvec,
 )
 
 FAMILIES = {"mlp": TrainConfig(epochs=5, hidden=(8, 8)), "linear_features": TrainConfig(degree=2)}
@@ -273,3 +277,115 @@ def test_state_dependent_metric_feedback_takes_one_geodesic_per_row(poly_metric_
         one = feedback_terms(poly_metric_2d, sys, X[i], X_ref[i], U_ref[i])
         assert block.a[i].tobytes() == one.a.tobytes()
         assert (block.b[i], block.energy[i], block.a_scale[i]) == (one.b, one.energy, one.a_scale)
+
+
+# ---------------------------------------------------------------------------
+# Open loop and FD Jacobians
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module", params=["threeD", "vtol"])
+def open_loop(request, bench3d, vtol):
+    """Reference and training datasets, each made by one block call, with
+    the starts and signals they came from."""
+    rng = np.random.default_rng(8)
+    if request.param == "threeD":
+        nom, true = bench3d
+        x_half, u_center, u_half = 0.8, np.zeros(2), 0.4
+    else:
+        nom, true = vtol.nominal, vtol
+        x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
+        u_center, u_half = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05
+    refs = _reference_set(nom, rng, 8, 1.0, x_half, u_center, u_half)
+    train_ds = generate_perturbed_dataset(true, refs, "open_loop_reference", "train")
+    return SimpleNamespace(name=request.param, nom=nom, true=true, refs=refs, train=train_ds)
+
+
+def _assert_rows(got, want, exact):
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    else:   # one-state 3D squares round as libm pow
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_open_loop_block_rows_equal_one_state_integrate(open_loop):
+    exact = open_loop.name == "vtol"
+    assert len(open_loop.refs) == len(open_loop.train) == 8
+    for ref, rec in zip(open_loop.refs.entries, open_loop.train.entries):
+        assert ref.entry_id == rec.entry_id
+        x0, T, dt = ref.record.states[0], ref.record.horizon, ref.record.dt
+        for got, plant in ((ref.record, open_loop.nom), (rec.record, open_loop.true)):
+            want = integrate(plant, x0, ref.policy, T, dt)
+            for name in FIELDS:
+                if getattr(want, name) is not None:
+                    _assert_rows(getattr(got, name), getattr(want, name), exact)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_diverged_open_loop_row_is_skipped_by_id(caplog):
+    def plant(zeta):
+        return DynamicalSystem(
+            1, 1, drift=lambda x: -x, actuation=lambda x: np.ones((1, 1)),
+            state_box=np.array([[-100.0, 100.0]]), input_box=np.array([[-1.0, 1.0]]),
+            uncertainty=zeta,
+        )
+
+    nom = plant(None)
+    true = plant(lambda x, u: x ** 2 + x)          # the true plant is xdot = x^2 + u
+    signal = PiecewiseLinearInput(np.array([0.0, 1.0]), np.zeros((2, 1)))
+    refs = generate_reference_dataset(nom, np.array([[0.1], [2.0], [-0.5]]), [signal] * 3, 2.0, 0.01)
+    assert refs.ids() == ["ref-0000", "ref-0001", "ref-0002"]
+    with caplog.at_level(logging.WARNING, logger="prcitube"):
+        ds = generate_perturbed_dataset(true, refs, "open_loop_reference", "train")
+    assert ds.ids() == ["ref-0000", "ref-0002"]
+    assert "skipping ref-0001" in caplog.text
+    for e in ds.entries:
+        solo = integrate(true, e.reference.states[0], signal, 2.0, 0.01)
+        for name in FIELDS:
+            assert getattr(e.record, name).tobytes() == getattr(solo, name).tobytes(), name
+
+
+def test_stack_refuses_signals_on_different_knots():
+    a = PiecewiseLinearInput(np.array([0.0, 1.0]), np.zeros((2, 2)))
+    b = PiecewiseLinearInput(np.array([0.0, 0.5, 1.0]), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="knot times"):
+        PiecewiseLinearInput.stack([a, b])
+    both = PiecewiseLinearInput.stack([a, PiecewiseLinearInput(a.knot_times, np.ones((2, 2)))])
+    assert both.knot_values.shape == (2, 2, 2)
+    assert both(np.zeros((2, 3)), 0.25).tolist() == [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_waypoint_pd_block_equals_one_state_flights(vtol):
+    config = harness.ExperimentConfig(
+        benchmark="vtol", seed=4, horizon_s=1.0, reference_sampler="waypoint_pd",
+        waypoint_box=[-1.0, 1.0, -0.6, 0.6],
+    )
+    nom = vtol.nominal
+    signals = harness.sample_reference_policies(config, nom, "ref", 5)
+    wbox = np.array([[-1.0, 1.0], [-0.6, 0.6]])
+    for i, signal in enumerate(signals):
+        target = harness.rng_stream(config.seed, f"ref-policy-{i}").uniform(wbox[:, 0], wbox[:, 1])
+        x0 = harness.sample_initial_condition(config, "ref", i)
+        want = integrate(nom, x0, oracle.waypoint_pd_policy(target, nom.input_box), 1.0, config.dt_s)
+        assert signal.knot_times.tobytes() == want.times.tobytes()
+        assert signal.knot_values.tobytes() == want.inputs.tobytes()
+
+
+def test_jacobian_fd_rows_equal_one_state_jacobians(rows):
+    sys, X, U = rows.nom, rows.X[:200], rows.U[:200]
+    n = sys.state_dim
+    drift = jacobian_fd(sys.drift, X)
+    assert drift.shape == (len(X), n, n)
+    assert drift.tobytes() == _one_row_calls(lambda x: jacobian_fd(sys.drift, x), X).tobytes()
+    # the planner's field, one input per row
+    field = jacobian_fd(lambda z: sys.drift(z) + matvec(sys.actuation(z), U), X)
+    for block, one_state in (
+        (drift, [jacobian_fd(sys.drift, x) for x in X]),
+        (field, [jacobian_fd(lambda z: sys.drift(z) + sys.actuation(z) @ u, x)
+                 for x, u in zip(X, U)]),
+    ):
+        one_state = np.array(one_state)
+        if rows.name == "vtol":
+            assert block.tobytes() == one_state.tobytes()
+        else:   # a last-bit gap in the plant, divided by the FD step
+            np.testing.assert_allclose(block, one_state, rtol=0,
+                                       atol=1e-9 * np.max(np.abs(one_state)))

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from prcitube.errors import InfeasibleMetric
 from prcitube.harness import read_json, write_json
+import scalar_oracle as oracle
 from prcitube.metric import (
     ContractionMetric,
     box_grid,
     discrete_energy,
+    jacobian_fd,
     riemannian_distance,
     synthesize_constant_metric,
     verify_contraction,
@@ -27,6 +29,37 @@ def scalar_system():
         state_box=np.array([[-2.0, 2.0]]),
         input_box=np.array([[-1.0, 1.0]]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference Jacobians
+# ---------------------------------------------------------------------------
+
+def test_jacobian_fd_calls_func_2n_times_for_a_state_or_a_block():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.sin(x) * x[..., :1]
+
+    x = np.array([0.3, -1.2, 2.5, 0.0])
+    J = jacobian_fd(f, x)
+    assert calls == [(4,)] * 8
+    assert J.shape == (4, 4)
+    calls.clear()
+    block = jacobian_fd(f, np.stack([x, 2.0 * x, -x]))
+    assert calls == [(3, 4)] * 8
+    assert block[0].tobytes() == J.tobytes()
+
+
+def test_one_state_jacobians_are_the_old_ones_bit_for_bit(bench3d, vtol):
+    """Synthesis, verification and contraction_condition_matrix take one-state
+    Jacobians of the drift and of the actuation: they must not move."""
+    rng = np.random.default_rng(6)
+    for sys in (bench3d[0], vtol.nominal):
+        for x in rng.uniform(sys.state_box[:, 0], sys.state_box[:, 1], (50, sys.state_dim)):
+            for func in (sys.drift, sys.actuation):
+                assert jacobian_fd(func, x).tobytes() == oracle.jacobian_fd(func, x).tobytes()
 
 
 # ---------------------------------------------------------------------------

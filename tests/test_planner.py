@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from prcitube.conformal import calibrate
 from prcitube.control import track
 from prcitube.errors import InfeasiblePlan
@@ -14,6 +17,7 @@ from prcitube.planner import (
 )
 from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate, make_benchmark_vtol
 from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
+from prcitube import metric as metric_mod
 from prcitube.tube import PRCITube, project_tube_2d, tighten_state_box
 
 
@@ -25,7 +29,7 @@ def double_integrator():
     return DynamicalSystem(
         2,
         1,
-        drift=lambda x: np.array([x[1], 0.0]),
+        drift=lambda x: np.stack([x[..., 1], np.zeros_like(x[..., 1])], axis=-1),
         actuation=lambda x: np.array([[0.0], [1.0]]),
         state_box=free_box(2, 50.0),
         input_box=free_box(1, 50.0),
@@ -140,6 +144,65 @@ def test_adjoint_gradient_matches_finite_differences():
             num[k, j] = (sh.cost(up) - sh.cost(dn)) / (2 * h)
     err = np.max(np.abs(grad - num)) / max(np.max(np.abs(num)), 1e-12)
     assert err < 1e-5
+
+
+def _adjoint_case(name, bench3d):
+    """A problem, the oracle's one-state plant, an input sequence, and
+    whether the batched gradient must equal the oracle's bit for bit."""
+    if name == "double_integrator":
+        plant = SimpleNamespace(drift=lambda x: np.array([x[1], 0.0]), B=np.array([[0.0], [1.0]]))
+        problem = PlanProblem(
+            sys=double_integrator(), T=0.3, dt=0.02, x0=np.array([0.2, -0.1]),
+            goal=np.array([1.0, 0.0]), state_box=free_box(2, 5.0), input_box=free_box(1, 5.0),
+            obstacles=(ObstacleEllipse(np.array([0.5, 1.0]), np.diag([4.0, 4.0])),),
+        )
+        U = np.random.default_rng(4).normal(size=(16, 1))
+        return problem, plant, U, True
+    if name == "vtol":
+        hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+        problem = PlanProblem(
+            sys=make_benchmark_vtol().nominal, T=0.2, dt=0.02,
+            x0=np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.02]),
+            goal=np.array([0.5, 0.2, 0.0, 0.0, 0.0, 0.0]),
+            state_box=free_box(6, 20.0), input_box=np.array([[0.0, 4.0 * hover]] * 2),
+            obstacles=(ObstacleEllipse(np.array([2.0, 2.0]), np.diag([1.0, 1.0])),),
+            w1=0.3, w2=1.5,
+        )
+        U = hover + 0.1 * np.random.default_rng(0).normal(size=(11, 2))
+        return problem, oracle.plant_vtol(), U, True
+    nom, _ = bench3d
+    problem = PlanProblem(
+        sys=nom, T=0.2, dt=0.02, x0=np.array([0.6, 0.4, 0.24]),
+        goal=np.array([-0.5, 0.25, -0.2]), state_box=np.array([[-1.0, 1.0]] * 3),
+        input_box=np.array([[-1.2, 1.2]] * 2),
+        obstacles=(ObstacleEllipse(np.array([0.0, -0.5]), np.diag([9.0, 9.0])),),
+        w1=0.1,
+    )
+    U = np.random.default_rng(11).uniform(-1.0, 1.0, (11, 2))
+    return problem, oracle.plant_3d(), U, False
+
+
+@pytest.mark.parametrize("name", ["double_integrator", "vtol", "threeD"])
+def test_batched_adjoint_matches_per_step_oracle(name, bench3d, monkeypatch):
+    problem, plant, U, exact = _adjoint_case(name, bench3d)
+    sh = _Shooting(problem)
+    calls = []
+    real = metric_mod.jacobian_fd
+
+    def counted(func, x):
+        calls.append(np.shape(x))
+        return real(func, x)
+
+    monkeypatch.setattr("prcitube.planner.jacobian_fd", counted)
+    cost, grad = sh.cost_and_grad(U)
+    # one FD call on the block of every step's four stage states
+    assert calls == [(4 * sh.n_steps, problem.sys.state_dim)]
+    want_cost, want = oracle.cost_and_grad(sh, plant, U)
+    assert np.isfinite(cost) and cost == want_cost
+    if exact:
+        assert grad.tobytes() == want.tobytes()
+    else:   # one-state 3D squares round as libm pow
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
 
 
 def test_cost_is_the_forward_half_of_cost_and_grad_bit_for_bit(bench3d):
