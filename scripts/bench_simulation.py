@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Simulation speed: one state (or one rollout) at a time against one (N, n) block.
+"""Simulation and metric-stage speed: one state (or one rollout, one grid
+point) at a time against one (N, n) block.
 
     python3 scripts/bench_simulation.py [--out BENCH_simulation.json]
 
-Three sections, all timed in CPU time with BLAS pinned to one thread, each
+Four sections, all timed in CPU time with BLAS pinned to one thread, each
 figure the median over REPEATS runs:
 
 * closed_loop: for each benchmark workload (desk3d: 3D plant, MLP
@@ -23,6 +24,14 @@ figure the median over REPEATS runs:
   at the planner's warm start: the per-step oracle of
   ``tests/scalar_oracle.py`` (four one-state FD Jacobians per step) against
   the batched gradient (one FD call on all stage states).
+* metric: for each benchmark workload, the seed-0 metric stage.  Every
+  ``_worst_margin`` call of one ``synthesize_constant_metric`` run on the
+  workload's synthesis grid is replayed through the oracle of
+  ``tests/scalar_oracle.py`` (a full ``eigh`` of the grid's stack) and
+  through the screened one (``eigvalsh`` of the stack, ``eigh`` only near
+  the top): microseconds per call.  Then ``verify_contraction`` on the
+  workload's fine grid, the per-point oracle against the batch (one FD call
+  per function): milliseconds per verification.
 
 Each section also counts how many block results equal their one-at-a-time
 counterpart bit for bit.  The horizon of the rollouts is shortened to
@@ -54,6 +63,7 @@ import numpy as np  # noqa: E402
 import scalar_oracle as oracle  # noqa: E402
 
 from prcitube import harness  # noqa: E402
+from prcitube import metric as metric_mod  # noqa: E402
 from prcitube.control import track  # noqa: E402
 from prcitube.metric import ContractionMetric  # noqa: E402
 from prcitube.planner import _Shooting  # noqa: E402
@@ -223,6 +233,75 @@ def adjoint(tmp: Path) -> dict:
     return result
 
 
+def median_ms(run) -> float:
+    """Median CPU milliseconds of run() over REPEATS runs."""
+    samples = []
+    for _ in range(REPEATS):
+        t0 = CLOCK()
+        run()
+        samples.append(1e3 * (CLOCK() - t0))
+    return statistics.median(samples)
+
+
+def worst_margin_bits(func, W, lam, jacs, cokers) -> bytes:
+    worst, (A, w) = func(W, lam, jacs, cokers)
+    return np.float64(worst).tobytes() + A.tobytes() + w.tobytes()
+
+
+def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
+    """The seed-0 metric stage of a workload whose pipeline ran under tmp."""
+    config = workload_config(workload, tmp)
+    sys_nom, _ = harness.benchmark_systems(config)
+    grid = harness._metric_grid(config, sys_nom, config.metric_grid_points)
+    fine = harness._metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
+    screened = metric_mod._worst_margin
+    calls = []
+
+    def spy(W, lam, jacs, cokers):
+        calls.append((W, lam))
+        return screened(W, lam, jacs, cokers)
+
+    metric_mod._worst_margin = spy
+    try:
+        metric = metric_mod.synthesize_constant_metric(
+            sys_nom, grid, (config.lambda_lo, config.lambda_hi),
+            chi_max=config.metric_chi_max, margin_target=config.metric_margin)
+    finally:
+        metric_mod._worst_margin = screened
+    jacs, cokers = metric_mod._grid_condition_data(sys_nom, grid)
+    us = {name: 1e3 * median_ms(lambda: [func(W, lam, jacs, cokers) for W, lam in calls])
+          / len(calls)
+          for name, func in (("oracle", oracle.worst_margin), ("screened", screened))}
+    same_calls = sum(worst_margin_bits(oracle.worst_margin, W, lam, jacs, cokers)
+                     == worst_margin_bits(screened, W, lam, jacs, cokers) for W, lam in calls)
+    ms = {"oracle": median_ms(lambda: oracle.verify_contraction(metric, sys_nom, fine)),
+          "batch": median_ms(lambda: metric_mod.verify_contraction(metric, sys_nom, fine))}
+    got, _ = metric_mod._grid_margins(metric, sys_nom, fine)
+    want, _, report = oracle.verify_contraction(metric, sys_nom, fine)
+    same_points = int(np.sum(np.logical_and.reduce(
+        [got[k].view(np.int64) == want[k].view(np.int64) for k in want])))
+    result = {
+        "grid_points": int(grid.shape[0]),
+        "worst_margin_calls": len(calls),
+        "oracle_us_per_worst_margin": us["oracle"],
+        "screened_us_per_worst_margin": us["screened"],
+        "worst_margin_speedup": us["oracle"] / us["screened"],
+        "bit_identical_worst_margin_calls": same_calls,
+        "fine_grid_points": int(fine.shape[0]),
+        "oracle_ms_per_verification": ms["oracle"],
+        "batch_ms_per_verification": ms["batch"],
+        "verification_speedup": ms["oracle"] / ms["batch"],
+        "bit_identical_fine_grid_points": same_points,
+        "same_verification_report": metric_mod.verify_contraction(
+            metric, sys_nom, fine).to_json_dict() == report,
+    }
+    print(f"metric {bench}: _worst_margin oracle {us['oracle']:.1f} us, screened "
+          f"{us['screened']:.1f} us per call, {same_calls}/{len(calls)} calls bit-identical; "
+          f"verification oracle {ms['oracle']:.1f} ms, batch {ms['batch']:.1f} ms, "
+          f"{same_points}/{fine.shape[0]} points bit-identical", flush=True)
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_simulation.json"))
@@ -242,6 +321,7 @@ def main(argv=None) -> int:
                 "steps": len(refs[0].times) - 1,
                 "closed_loop": closed_loop(sys_true, metric, predictor, refs, make_plant(), bench),
                 "open_loop": open_loop(sys_true, refs, signals, bench),
+                "metric": metric_stage(workload, Path(tmp), bench),
             }
         result["adjoint"] = adjoint(Path(tmp))
     with open(args.out, "w") as fh:

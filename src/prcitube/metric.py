@@ -37,7 +37,7 @@ GEODESIC_MAX_ITER = 500
 
 
 def _sym(a: Array) -> Array:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,7 +312,8 @@ def jacobian_fd(func: Callable[[Array], Array], x: Array) -> Array:
 
     ``func`` sees the whole block, 2n times whatever the number of rows,
     and must map rows to rows; with a row-exact ``func`` each row equals
-    its one-state Jacobian bit for bit.
+    its one-state Jacobian bit for bit.  An actuation that returns one
+    constant ``(n, m)`` matrix must be broadcast to ``(..., n, m)`` first.
     """
     x = np.asarray(x, dtype=float)
     h = FD_STEP * np.maximum(1.0, np.abs(x))
@@ -400,14 +401,69 @@ def box_grid(box: Array, points_per_dim) -> Array:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _actuation_rows(sys: DynamicalSystem) -> Callable[[Array], Array]:
+    """``sys.actuation`` as a map of rows to rows: a constant input matrix is
+    broadcast to ``(..., n, m)``, as ``jacobian_fd`` needs."""
+    shape = (sys.state_dim, sys.input_dim)
+    return lambda x: np.broadcast_to(sys.actuation(x), np.shape(x)[:-1] + shape)
+
+
+def _eigvalsh(C: Array) -> Array:
+    """Ascending eigenvalues of each matrix of a ``(P, k, k)`` stack; a matrix
+    with a non-finite entry gets NaNs instead of failing the whole stack."""
+    finite = np.isfinite(C).all(axis=(-2, -1))
+    vals = np.full(C.shape[:-1], np.nan)
+    vals[finite] = np.linalg.eigvalsh(C[finite])
+    return vals
+
+
 def contraction_condition_matrix(
-    metric: ContractionMetric, sys: DynamicalSystem, x: Array
+    metric: ContractionMetric, sys: DynamicalSystem, grid: Array
 ) -> Array:
-    """df^T M + M df + d_f M + 2 lambda M at x (the time-varying term is zero)."""
-    M = metric.evaluate(x)
-    A = jacobian_fd(sys.drift, x)
-    G = A.T @ M + M @ A + metric.directional_partial(x, sys.drift(x)) + 2.0 * metric.rate * M
-    return _sym(G)
+    """df^T M + M df + d_f M + 2 lambda M at each grid row, ``(P, n, n)``
+    (the time-varying term is zero)."""
+    Ms = np.stack([metric.evaluate(x) for x in grid])
+    A = jacobian_fd(sys.drift, grid)
+    dM = np.stack([metric.directional_partial(x, f) for x, f in zip(grid, sys.drift(grid))])
+    return _sym(np.swapaxes(A, 1, 2) @ Ms + Ms @ A + dM + 2.0 * metric.rate * Ms)
+
+
+def _grid_margins(metric: ContractionMetric, sys: DynamicalSystem, grid: Array):
+    """Room to spare in each condition at every grid row, ``{name: (P,)}``,
+    and whether B^T M has a trivial null space at some row.
+
+    The FD Jacobians are one call on the whole grid for the drift and one
+    for the actuation.  M(x), its directional derivatives and the null-space
+    projection (whose rank may change between rows) are taken row by row.
+    """
+    n = sys.state_dim
+    Ms = np.stack([metric.evaluate(x) for x in grid])
+    eig = _eigvalsh(Ms)
+    bounds = np.minimum(eig[:, 0] - metric.lower_bound, metric.upper_bound - eig[:, -1])
+
+    actuation = _actuation_rows(sys)
+    B = actuation(grid)
+    dB = jacobian_fd(actuation, grid)              # (P, n, m, n)
+    k_val = np.zeros(grid.shape[0])
+    for j in range(sys.input_dim):
+        dbj = dB[:, :, j, :]
+        dM = np.stack([metric.directional_partial(x, b) for x, b in zip(grid, B[:, :, j])])
+        C = _sym(np.swapaxes(dbj, 1, 2) @ Ms + Ms @ dbj + dM)
+        k_val = np.maximum(k_val, np.max(np.abs(_eigvalsh(C)), axis=-1))
+
+    G = contraction_condition_matrix(metric, sys, grid)
+    Qs = [nullspace_basis(b.T @ m) for b, m in zip(B, Ms)]
+    fully_actuated = any(Q.shape[1] == 0 for Q in Qs)
+    Qs = [Q if Q.shape[1] else np.eye(n) for Q in Qs]
+    contraction = np.empty(grid.shape[0])
+    for rank in {Q.shape[1] for Q in Qs}:
+        rows = [i for i, Q in enumerate(Qs) if Q.shape[1] == rank]
+        Q = np.stack([Qs[i] for i in rows])
+        H = _sym(np.swapaxes(Q, 1, 2) @ G[rows] @ Q)
+        contraction[rows] = -np.max(_eigvalsh(H), axis=-1)
+
+    margins = {"bounds": bounds, "killing": TOL_KILL - k_val, "contraction": contraction}
+    return margins, fully_actuated
 
 
 def verify_contraction(
@@ -419,45 +475,18 @@ def verify_contraction(
     spare": eigenvalue-bound margin, (TOL_KILL - killing norm), and the
     negated top eigenvalue of the projected drift condition.  For fully
     actuated systems ker(B^T M) is trivial and the drift condition is
-    evaluated unprojected (conservative).
+    evaluated unprojected (conservative).  Each condition reports its first
+    smallest margin, or its first non-finite one, which fails it.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    worst = {
-        "bounds": (np.inf, grid[0]),
-        "killing": (np.inf, grid[0]),
-        "contraction": (np.inf, grid[0]),
-    }
-    fully_actuated = False
-    for x in grid:
-        M = metric.evaluate(x)
-        eig = np.linalg.eigvalsh(M)
-        b_margin = min(eig[0] - metric.lower_bound, metric.upper_bound - eig[-1])
-        if b_margin < worst["bounds"][0]:
-            worst["bounds"] = (b_margin, x)
-
-        B = sys.actuation(x)
-        dB = jacobian_fd(sys.actuation, x)           # (n, m, n)
-        k_val = 0.0
-        for j in range(sys.input_dim):
-            dbj = dB[:, j, :]
-            C = dbj.T @ M + M @ dbj + metric.directional_partial(x, B[:, j])
-            k_val = max(k_val, float(np.max(np.abs(np.linalg.eigvalsh(_sym(C))))))
-        k_margin = TOL_KILL - k_val
-        if k_margin < worst["killing"][0]:
-            worst["killing"] = (k_margin, x)
-
-        G = contraction_condition_matrix(metric, sys, x)
-        Q = nullspace_basis(B.T @ M)
-        if Q.shape[1] == 0:
-            fully_actuated = True
-            Q = np.eye(sys.state_dim)
-        c_margin = -float(np.max(np.linalg.eigvalsh(_sym(Q.T @ G @ Q))))
-        if c_margin < worst["contraction"][0]:
-            worst["contraction"] = (c_margin, x)
+    margins, fully_actuated = _grid_margins(metric, sys, grid)
 
     def report(name, tol):
-        margin, point = worst[name]
-        return ConditionReport(name, float(margin), tuple(point), bool(margin >= -tol))
+        m = margins[name]
+        bad = ~np.isfinite(m)
+        i = int(np.argmax(bad)) if bad.any() else int(np.argmin(m))
+        passed = not bad.any() and m[i] >= -tol
+        return ConditionReport(name, float(m[i]), tuple(grid[i]), bool(passed))
 
     return VerificationReport(
         bounds=report("bounds", TOL_BOUNDS),
@@ -477,28 +506,36 @@ SEARCH_ITERS = 400              # subgradient steps per attempted rate
 
 
 def _grid_condition_data(sys: DynamicalSystem, grid: Array):
-    """Per grid point: stacked drift Jacobians and cokernel bases of B."""
-    jacs, cokers = [], []
-    for x in grid:
-        jacs.append(jacobian_fd(sys.drift, x))
-        P = cokernel_basis(sys.actuation(x))
-        if P.shape[1] == 0:
-            P = np.eye(sys.state_dim)   # fully actuated: unprojected condition
-        cokers.append(P)
+    """Stacked drift Jacobians (one FD call on the grid) and cokernel bases
+    of B at the grid rows."""
+    cokers = [cokernel_basis(B) for B in _actuation_rows(sys)(grid)]
+    # fully actuated: unprojected condition
+    cokers = [P if P.shape[1] else np.eye(sys.state_dim) for P in cokers]
     if len({P.shape for P in cokers}) != 1:
         raise ValueError("actuation rank changes over the grid; refine the box")
-    return np.stack(jacs), np.stack(cokers)
+    return jacobian_fd(sys.drift, grid), np.stack(cokers)
 
 
 def _worst_margin(W: Array, lam: float, jacs: Array, cokers: Array):
-    """max over grid of lambda_max(P^T (A W + W A^T + 2 lam W) P), with argmax."""
+    """max over grid of lambda_max(P^T (A W + W A^T + 2 lam W) P), with argmax.
+
+    ``eigvalsh`` gives every point's top eigenvalue; ``eigh`` runs only on
+    the points within ``tol = 1e-9 * max|C|`` of the largest, and the first
+    of them with the largest ``eigh`` value wins, as ``np.argmax`` over a
+    full ``eigh`` would pick it.  This is safe because the two LAPACK
+    drivers differ by O(eps * ||C||), some 10^7 below ``tol``, so no
+    screened-out point can hold the largest ``eigh`` value.  A NaN keeps
+    the whole stack.
+    """
     S = jacs @ W + W @ jacs.transpose(0, 2, 1) + 2.0 * lam * W
-    C = cokers.transpose(0, 2, 1) @ S @ cokers
-    C = 0.5 * (C + C.transpose(0, 2, 1))
-    vals, vecs = np.linalg.eigh(C)
-    g = int(np.argmax(vals[:, -1]))
-    worst = float(vals[g, -1])
-    return worst, (jacs[g], cokers[g] @ vecs[g, :, -1])
+    C = _sym(cokers.transpose(0, 2, 1) @ S @ cokers)
+    top = np.linalg.eigvalsh(C)[:, -1]
+    tol = 1e-9 * np.max(np.abs(C))
+    near = np.flatnonzero(~(top < top.max() - tol))
+    vals, vecs = np.linalg.eigh(C[near])
+    k = int(np.argmax(vals[:, -1]))
+    g = near[k]
+    return float(vals[k, -1]), (jacs[g], cokers[g] @ vecs[k, :, -1])
 
 
 def _normalize_w(W: Array, chi_max: float) -> Array:

@@ -1,14 +1,16 @@
-"""The per-rollout closed loop, the per-step planner adjoint and the
-one-flight waypoint PD law as they were before they were stepped in blocks,
-frozen here as the oracles that the batched paths are checked against.
+"""The per-rollout closed loop, the per-step planner adjoint, the one-flight
+waypoint PD law and the per-point metric stage as they were before they
+were stepped in blocks, frozen here as the oracles that the batched paths
+are checked against.
 
 One state at a time: the plant functions index scalars (``x[0] ** 2`` is a
 NumPy-scalar power), every product is a plain one-row ``@``, the constant
 feedback is the scalar ``feedback_terms``, the policy keeps one
 delayed-input ladder and each FD Jacobian is taken at one state.  Nothing
 here imports the code under test except plain data (the constant matrices,
-a metric's matrix and rate, a trained predictor's parameters) and, for the
-adjoint, the forward half of a planner's ``_Shooting``, which is not
+a metric's matrix and rate, a trained predictor's parameters), for the
+adjoint the forward half of a planner's ``_Shooting``, and for the metric
+stage a metric's ``evaluate`` and ``directional_partial``, none of which is
 batched.
 """
 
@@ -280,6 +282,107 @@ def cost_and_grad(shooting, plant, U):
         gU[k + 1] += 0.5 * (B.T @ kb2 + B.T @ kb3) + B.T @ kb4
         lam = lam + xb1 + xb2 + xb3 + xb4 + run_gx[k]
     return total, gU
+
+
+# -- metric stage ---------------------------------------------------------------------
+
+RANK_REL_TOL = 1e-8
+TOL_KILL = 1e-6
+TOL_BOUNDS = 1e-8
+
+
+def _sym(a):
+    return 0.5 * (a + a.T)
+
+
+def cokernel_basis(B):
+    n = B.shape[0]
+    u, s, _ = np.linalg.svd(B, full_matrices=True)
+    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
+    return u[:, rank:] if rank < n else np.empty((n, 0))
+
+
+def nullspace_basis(A):
+    m, n = A.shape
+    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
+    return vt[rank:].T if rank < n else np.empty((n, 0))
+
+
+def grid_condition_data(sys, grid):
+    """Per grid point: stacked drift Jacobians and cokernel bases of B."""
+    jacs, cokers = [], []
+    for x in grid:
+        jacs.append(jacobian_fd(sys.drift, x))
+        P = cokernel_basis(sys.actuation(x))
+        if P.shape[1] == 0:
+            P = np.eye(sys.state_dim)
+        cokers.append(P)
+    if len({P.shape for P in cokers}) != 1:
+        raise ValueError("actuation rank changes over the grid; refine the box")
+    return np.stack(jacs), np.stack(cokers)
+
+
+def worst_margin(W, lam, jacs, cokers):
+    """max over grid of lambda_max(P^T (A W + W A^T + 2 lam W) P), with argmax,
+    from a full ``eigh`` of the stack."""
+    S = jacs @ W + W @ jacs.transpose(0, 2, 1) + 2.0 * lam * W
+    C = cokers.transpose(0, 2, 1) @ S @ cokers
+    C = 0.5 * (C + C.transpose(0, 2, 1))
+    vals, vecs = np.linalg.eigh(C)
+    g = int(np.argmax(vals[:, -1]))
+    worst = float(vals[g, -1])
+    return worst, (jacs[g], cokers[g] @ vecs[g, :, -1])
+
+
+def contraction_condition_matrix(metric, sys, x):
+    """df^T M + M df + d_f M + 2 lambda M at one state."""
+    M = metric.evaluate(x)
+    A = jacobian_fd(sys.drift, x)
+    G = A.T @ M + M @ A + metric.directional_partial(x, sys.drift(x)) + 2.0 * metric.rate * M
+    return _sym(G)
+
+
+def verify_contraction(metric, sys, grid):
+    """The three margins at each grid point, one point at a time, as
+    ``({name: (P,) array}, fully_actuated, report)``; ``report`` is the
+    ``VerificationReport.to_json_dict()`` of the per-point loop, which keeps a
+    point only if its margin is below the worst so far."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    margins = {"bounds": [], "killing": [], "contraction": []}
+    fully_actuated = False
+    for x in grid:
+        M = metric.evaluate(x)
+        eig = np.linalg.eigvalsh(M)
+        margins["bounds"].append(min(eig[0] - metric.lower_bound, metric.upper_bound - eig[-1]))
+
+        B = sys.actuation(x)
+        dB = jacobian_fd(sys.actuation, x)           # (n, m, n)
+        k_val = 0.0
+        for j in range(sys.input_dim):
+            dbj = dB[:, j, :]
+            C = dbj.T @ M + M @ dbj + metric.directional_partial(x, B[:, j])
+            k_val = max(k_val, float(np.max(np.abs(np.linalg.eigvalsh(_sym(C))))))
+        margins["killing"].append(TOL_KILL - k_val)
+
+        G = contraction_condition_matrix(metric, sys, x)
+        Q = nullspace_basis(B.T @ M)
+        if Q.shape[1] == 0:
+            fully_actuated = True
+            Q = np.eye(sys.state_dim)
+        margins["contraction"].append(-float(np.max(np.linalg.eigvalsh(_sym(Q.T @ G @ Q)))))
+
+    conditions = []
+    for name, tol in (("bounds", TOL_BOUNDS), ("killing", 0.0), ("contraction", 0.0)):
+        worst, point = np.inf, grid[0]
+        for margin, x in zip(margins[name], grid):
+            if margin < worst:
+                worst, point = margin, x
+        conditions.append({"name": name, "worst_margin": float(worst),
+                           "worst_point": list(point), "passed": bool(worst >= -tol)})
+    report = {"passed": all(c["passed"] for c in conditions), "n_points": grid.shape[0],
+              "fully_actuated": fully_actuated, "conditions": conditions}
+    return {k: np.array(v, dtype=float) for k, v in margins.items()}, fully_actuated, report
 
 
 # -- reference sampler ---------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import heapq
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prcitube import metric as metric_mod
 from prcitube.errors import InfeasibleMetric
 from prcitube.harness import read_json, write_json
 import scalar_oracle as oracle
@@ -53,8 +55,8 @@ def test_jacobian_fd_calls_func_2n_times_for_a_state_or_a_block():
 
 
 def test_one_state_jacobians_are_the_old_ones_bit_for_bit(bench3d, vtol):
-    """Synthesis, verification and contraction_condition_matrix take one-state
-    Jacobians of the drift and of the actuation: they must not move."""
+    """A one-state Jacobian of the drift or of the actuation, as the per-point
+    metric-stage oracles take them, must not move."""
     rng = np.random.default_rng(6)
     for sys in (bench3d[0], vtol.nominal):
         for x in rng.uniform(sys.state_box[:, 0], sys.state_box[:, 1], (50, sys.state_dim)):
@@ -247,6 +249,29 @@ def test_verify_scalar_fails_above_true_rate():
     assert report.contraction.worst_margin == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_a_nan_condition_fails_verification():
+    """A point whose drift is NaN has a NaN margin: it fails the contraction
+    condition and is reported as its worst point, ahead of finite margins."""
+    sys = DynamicalSystem(
+        1,
+        1,
+        drift=lambda x: np.where(x > 0.9, np.nan, -x),
+        actuation=lambda x: np.eye(1),
+        state_box=np.array([[-2.0, 2.0]]),
+        input_box=np.array([[-1.0, 1.0]]),
+    )
+    metric = ContractionMetric.constant(np.eye(1), rate=0.5)
+    report = verify_contraction(metric, sys, [[1.0]])
+    assert not report.passed
+    assert not report.contraction.passed
+    assert math.isnan(report.contraction.worst_margin)
+    assert report.contraction.worst_point == (1.0,)
+    assert report.bounds.passed and report.killing.passed
+    report = verify_contraction(metric, sys, [[0.0], [1.0], [0.5]])
+    assert not report.contraction.passed
+    assert report.contraction.worst_point == (1.0,)
+
+
 def independent_condition_margin(metric, sys, x):
     """Re-derivation of the projected drift condition with its own FD code."""
     n = sys.state_dim
@@ -295,7 +320,7 @@ def linear_system(A, B):
     return DynamicalSystem(
         A.shape[0],
         B.shape[1],
-        drift=lambda x: A @ x,
+        drift=lambda x: x @ A.T,
         actuation=lambda x: B,
         state_box=np.array([[-1.0, 1.0]] * A.shape[0]),
         input_box=np.array([[-1.0, 1.0]] * B.shape[1]),
@@ -348,3 +373,156 @@ def test_verification_report_json(tmp_path, bench3d, metric3d):
     assert len(data["conditions"]) == 3
     names = [c["name"] for c in data["conditions"]]
     assert names == ["bounds", "killing", "contraction"]
+
+
+# ---------------------------------------------------------------------------
+# The metric stage against its per-point oracle (tests/scalar_oracle.py)
+# ---------------------------------------------------------------------------
+
+def workload_grids(bench3d, vtol, points):
+    """(plant, grid) of the desk3d and vtol6d metric stages: ``points`` per
+    axis on the 3D state box and on the near-hover VTOL box."""
+    r = np.deg2rad(30.0)
+    vbox = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
+    nom = bench3d[0]
+    return {
+        "desk3d": (nom, box_grid(nom.state_box, points)),
+        "vtol6d": (vtol.nominal, box_grid(vbox, [1, 1] + [points] * 4)),
+    }
+
+
+def outcome(func, *args):
+    """func(*args) as bytes, or the type of what it raised."""
+    try:
+        worst, (A, w) = func(*args)
+    except np.linalg.LinAlgError as err:
+        return type(err)
+    return np.float64(worst).tobytes() + A.tobytes() + w.tobytes()
+
+
+def test_grid_condition_data_is_the_per_point_oracle_bit_for_bit(bench3d, vtol):
+    for sys, grid in workload_grids(bench3d, vtol, 3).values():
+        jacs, cokers = metric_mod._grid_condition_data(sys, grid)
+        want_j, want_c = oracle.grid_condition_data(sys, grid)
+        assert jacs.tobytes() == want_j.tobytes()
+        assert cokers.tobytes() == want_c.tobytes()
+
+
+@pytest.mark.parametrize("workload, points, lam, chi_max", [
+    ("vtol6d", 3, 0.6, 300.0),
+    ("desk3d", 5, 1.0, 100.0),
+])
+def test_every_worst_margin_call_of_an_attempt_is_the_oracle(
+    bench3d, vtol, monkeypatch, workload, points, lam, chi_max
+):
+    """One full 400-step attempt at the top of the workload's rate range:
+    each screened call returns what the full ``eigh`` of the oracle returns."""
+    sys, grid = workload_grids(bench3d, vtol, points)[workload]
+    jacs, cokers = oracle.grid_condition_data(sys, grid)
+    screened = metric_mod._worst_margin
+    calls = []
+
+    def both(W, lam_, jacs_, cokers_):
+        got = outcome(screened, W, lam_, jacs_, cokers_)
+        calls.append(got == outcome(oracle.worst_margin, W, lam_, jacs_, cokers_))
+        return screened(W, lam_, jacs_, cokers_)
+
+    monkeypatch.setattr(metric_mod, "_worst_margin", both)
+    metric_mod._search_constant_w(jacs, cokers, lam, sys.state_dim, None, chi_max, -1e-9)
+    assert len(calls) > metric_mod.SEARCH_ITERS
+    assert all(calls)
+
+
+def test_worst_margin_on_ties_and_nans_is_the_oracle():
+    rng = np.random.default_rng(10)
+    for trial in range(40):
+        P, n, r = 30, 4, int(rng.integers(1, 4))
+        jacs = rng.normal(size=(P, n, n))
+        cokers = np.linalg.qr(rng.normal(size=(P, n, r)))[0]
+        W = np.eye(n) + 0.1 * np.diag(rng.uniform(size=n))
+        lam = float(rng.uniform(0.1, 1.0))
+        _, (A, _) = oracle.worst_margin(W, lam, jacs, cokers)
+        g = int(np.flatnonzero((jacs == A).all(axis=(1, 2)))[0])
+        # exact ties at the worst point, some of them before it; a flipped
+        # cokernel basis gives the same condition but a flipped direction w,
+        # so the returned bits show which of the tied points won
+        for k, i in enumerate(rng.choice(P, 4, replace=False)):
+            jacs[i], cokers[i] = jacs[g], (-1.0) ** k * cokers[g]
+        # near ties: one ulp off the worst point's drift Jacobian
+        for i in rng.choice(P, 3, replace=False):
+            jacs[i] = np.nextafter(jacs[g], np.inf if trial % 2 else -np.inf)
+            cokers[i] = cokers[g]
+        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers) == outcome(
+            oracle.worst_margin, W, lam, jacs, cokers)
+        jacs[int(rng.integers(P)), 0, 0] = np.nan
+        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers) == outcome(
+            oracle.worst_margin, W, lam, jacs, cokers)
+    # one-dimensional conditions: a NaN is a value, not a LAPACK failure
+    jacs = rng.normal(size=(6, 2, 2))
+    jacs[3, 1, 1] = np.nan
+    cokers = np.tile(np.array([[[0.0], [1.0]]]), (6, 1, 1))
+    got = outcome(metric_mod._worst_margin, np.eye(2), 0.5, jacs, cokers)
+    assert got == outcome(oracle.worst_margin, np.eye(2), 0.5, jacs, cokers)
+    assert math.isnan(metric_mod._worst_margin(np.eye(2), 0.5, jacs, cokers)[0])
+
+
+def assert_verification_is_the_oracle(metric, sys, grid):
+    margins, fully_actuated = metric_mod._grid_margins(metric, sys, grid)
+    want, want_fully, report = oracle.verify_contraction(metric, sys, grid)
+    for name in ("bounds", "killing", "contraction"):
+        assert margins[name].tobytes() == want[name].tobytes(), name
+    assert fully_actuated == want_fully
+    assert verify_contraction(metric, sys, grid).to_json_dict() == report
+    G = metric_mod.contraction_condition_matrix(metric, sys, grid)
+    want_G = np.stack([oracle.contraction_condition_matrix(metric, sys, x) for x in grid])
+    assert G.tobytes() == want_G.tobytes()
+
+
+def test_verification_is_the_per_point_oracle_on_both_fine_grids(
+    bench3d, vtol, metric3d, metric_vtol
+):
+    """Bit for bit on both benchmarks: the 3D drift's squares give the same
+    bits on rows as on one state here, so no gap needs quoting."""
+    for workload, points, metric in (("desk3d", 9, metric3d), ("vtol6d", 5, metric_vtol)):
+        sys, grid = workload_grids(bench3d, vtol, points)[workload]
+        assert_verification_is_the_oracle(metric, sys, grid)
+
+
+def test_verification_is_the_per_point_oracle_on_small_plants(poly_metric_2d):
+    """The scalar plant, and a polynomial metric on an underactuated 2D plant
+    whose actuation moves with the state (nonzero Killing term)."""
+    assert_verification_is_the_oracle(
+        ContractionMetric.constant(np.eye(1), rate=0.5), scalar_system(),
+        np.linspace(-1, 1, 7)[:, None],
+    )
+    plant = DynamicalSystem(
+        2,
+        1,
+        drift=lambda x: np.stack([x[..., 1], -x[..., 0] - x[..., 1] + 0.3 * x[..., 0] ** 3],
+                                 axis=-1),
+        actuation=lambda x: np.stack([0.2 * np.sin(x[..., :1]), 1.0 + 0.1 * x[..., :1] ** 2],
+                                     axis=-2),
+        state_box=np.array([[-1.0, 1.0]] * 2),
+        input_box=np.array([[-1.0, 1.0]]),
+    )
+    assert plant.actuation(np.zeros(2)).shape == (2, 1)
+    assert_verification_is_the_oracle(poly_metric_2d, plant, box_grid(plant.state_box, 7))
+
+
+def test_synthesis_with_the_oracle_patched_in_is_byte_identical(
+    bench3d, vtol, metric3d, monkeypatch
+):
+    vsys, vgrid = workload_grids(bench3d, vtol, 3)["vtol6d"]
+    vtol_args = (vsys, vgrid, (0.1, 0.6))
+    vtol_kw = dict(chi_max=300.0, margin_target=-0.02)
+    got = {"vtol6d": synthesize_constant_metric(*vtol_args, **vtol_kw), "desk3d": metric3d}
+    monkeypatch.setattr(metric_mod, "_worst_margin", oracle.worst_margin)
+    monkeypatch.setattr(metric_mod, "_grid_condition_data", oracle.grid_condition_data)
+    want = {
+        "vtol6d": synthesize_constant_metric(*vtol_args, **vtol_kw),
+        "desk3d": synthesize_constant_metric(  # the metric3d fixture's arguments
+            bench3d[0], box_grid(bench3d[0].state_box, 5), (0.3, 1.0), chi_max=100.0,
+            margin_target=-0.05),
+    }
+    for name in got:
+        assert json.dumps(got[name].to_json_dict()) == json.dumps(want[name].to_json_dict())
