@@ -4,8 +4,10 @@ point) at a time against one (N, n) block.
 
     python3 scripts/bench_simulation.py [--out BENCH_simulation.json]
 
-Four sections, all timed in CPU time with BLAS pinned to one thread, each
-figure the median over REPEATS runs:
+Five sections, all timed in CPU time with BLAS pinned to one thread, each
+figure the median over REPEATS runs.  The two sides of a comparison run
+alternately, and its speedup is the median of the per-pair ratios, so that
+a drift in machine speed during the run hits both sides:
 
 * closed_loop: for each benchmark workload (desk3d: 3D plant, MLP
   predictor; vtol6d: VTOL, linear-features predictor) the seed-0 metric and
@@ -24,6 +26,11 @@ figure the median over REPEATS runs:
   at the planner's warm start: the per-step oracle of
   ``tests/scalar_oracle.py`` (four one-state FD Jacobians per step) against
   the batched gradient (one FD call on all stage states).
+* plan: milliseconds per ``planner.plan`` on the same problem, warm start
+  and iteration cap: the frozen loop of ``tests/scalar_oracle.py`` (a
+  forward pass per cost, per gradient and for the final rollout) against
+  ``plan``, which keeps each accepted trial's forward half; the forward
+  passes each makes, and whether the plans are bit-identical.
 * metric: for each benchmark workload, the seed-0 metric stage.  Every
   ``_worst_margin`` call of one ``synthesize_constant_metric`` run on the
   workload's synthesis grid is replayed through the oracle of
@@ -66,7 +73,7 @@ from prcitube import harness  # noqa: E402
 from prcitube import metric as metric_mod  # noqa: E402
 from prcitube.control import track  # noqa: E402
 from prcitube.metric import ContractionMetric  # noqa: E402
-from prcitube.planner import _Shooting  # noqa: E402
+from prcitube.planner import _Shooting, plan  # noqa: E402
 from prcitube.predictor import UncertaintyPredictor  # noqa: E402
 from prcitube.systems import integrate, replay  # noqa: E402
 
@@ -120,13 +127,13 @@ def setup(workload: str, tmp: Path):
 
 
 def plan3d_problem(tmp: Path):
-    """The planning problem and warm start that the plan3d workload's
-    pipeline hands to ``planner.plan`` at seed 0."""
+    """The planning problem, warm start and iteration cap that the plan3d
+    workload's pipeline hands to ``planner.plan`` at seed 0."""
     captured = []
     solve = harness.solve_plan
 
     def capture(problem, init=None, max_iter=120):
-        captured.append((problem, init))
+        captured.append((problem, init, max_iter))
         return solve(problem, init=init, max_iter=max_iter)
 
     harness.solve_plan = capture
@@ -137,15 +144,19 @@ def plan3d_problem(tmp: Path):
     return captured[0]
 
 
-def us_per_rollout_step(run, n_rollouts: int, n_steps: int):
-    """Median CPU microseconds per rollout-step over REPEATS runs, and the
-    last run's result."""
-    samples = []
-    for _ in range(REPEATS):
-        t0 = CLOCK()
-        result = run()
-        samples.append(1e6 * (CLOCK() - t0) / (n_rollouts * n_steps))
-    return statistics.median(samples), result
+def paired(run_a, run_b):
+    """run_a and run_b alternated REPEATS times, the first of each pair
+    alternating too, so that a drift in machine speed hits both: the median
+    CPU seconds of each, the median of the per-pair ratios a / b, and each
+    one's last result."""
+    seconds, results = ([], []), [None, None]
+    for i in range(REPEATS):
+        for j in ((0, 1) if i % 2 == 0 else (1, 0)):
+            t0 = CLOCK()
+            results[j] = (run_a, run_b)[j]()
+            seconds[j].append(CLOCK() - t0)
+    ratio = statistics.median(a / b for a, b in zip(*seconds))
+    return statistics.median(seconds[0]), statistics.median(seconds[1]), ratio, *results
 
 
 def same_bits(a, b) -> bool:
@@ -161,19 +172,19 @@ def closed_loop(sys_true, metric, predictor, refs, plant, bench: str) -> dict:
     for n in ROWS:
         sub = refs[:n]
         starts = [r.states[0] for r in sub]
-        oracle_us, want = us_per_rollout_step(
+        oracle_s, block_s, speedup, want, got = paired(
             lambda: [oracle.track(plant, metric, predictor, r, x0)
-                     for r, x0 in zip(sub, starts)], n, n_steps)
-        block_us, got = us_per_rollout_step(
-            lambda: track(sys_true, metric, predictor, sub, starts), n, n_steps)
+                     for r, x0 in zip(sub, starts)],
+            lambda: track(sys_true, metric, predictor, sub, starts))
+        oracle_us, block_us = (1e6 * t / (n * n_steps) for t in (oracle_s, block_s))
         per_n[str(n)] = {
             "oracle_us_per_rollout_step": oracle_us,
             "block_us_per_rollout_step": block_us,
-            "speedup": oracle_us / block_us,
+            "speedup": speedup,
             "bit_identical_rows": sum(same_bits(a, b) for a, b in zip(got, want)),
         }
         print(f"closed loop {bench} N={n}: oracle {oracle_us:.1f} us, block {block_us:.1f} us "
-              f"per rollout-step, {oracle_us / block_us:.1f}x, "
+              f"per rollout-step, {speedup:.1f}x, "
               f"{per_n[str(n)]['bit_identical_rows']}/{n} rows bit-identical", flush=True)
     return per_n
 
@@ -185,44 +196,35 @@ def open_loop(sys_true, refs, signals, bench: str) -> dict:
     for n in OPEN_ROWS:
         starts = [r.states[0] for r in refs[:n]]
         sigs = signals[:n]
-        loop_us, want = us_per_rollout_step(
+        loop_s, block_s, speedup, want, got = paired(
             lambda: [integrate(sys_true, x0, s, T, dt) for x0, s in zip(starts, sigs)],
-            n, n_steps)
-        block_us, got = us_per_rollout_step(lambda: replay(sys_true, starts, sigs, T, dt),
-                                            n, n_steps)
+            lambda: replay(sys_true, starts, sigs, T, dt))
+        loop_us, block_us = (1e6 * t / (n * n_steps) for t in (loop_s, block_s))
         per_n[str(n)] = {
             "one_state_us_per_rollout_step": loop_us,
             "block_us_per_rollout_step": block_us,
-            "speedup": loop_us / block_us,
+            "speedup": speedup,
             "bit_identical_rows": sum(same_bits(a, b) for a, b in zip(got, want)),
         }
         print(f"open loop {bench} N={n}: one-state {loop_us:.1f} us, block {block_us:.1f} us "
-              f"per rollout-step, {loop_us / block_us:.1f}x, "
+              f"per rollout-step, {speedup:.1f}x, "
               f"{per_n[str(n)]['bit_identical_rows']}/{n} rows bit-identical", flush=True)
     return per_n
 
 
-def adjoint(tmp: Path) -> dict:
-    problem, init = plan3d_problem(tmp)
+def adjoint(problem, init) -> dict:
     sh = _Shooting(problem)
     plant = oracle.plant_3d()
-    ms = {}
-    grads = {}
-    for name, run in (("oracle", lambda: oracle.cost_and_grad(sh, plant, init)),
-                      ("batched", lambda: sh.cost_and_grad(init))):
-        samples = []
-        for _ in range(REPEATS):
-            t0 = CLOCK()
-            grads[name] = run()[1]
-            samples.append(1e3 * (CLOCK() - t0))
-        ms[name] = statistics.median(samples)
-    want, got = grads["oracle"], grads["batched"]
+    frozen = oracle.Shooting(problem)
+    oracle_s, batched_s, speedup, (_, want), (_, got) = paired(
+        lambda: oracle.cost_and_grad(frozen, plant, init), lambda: sh.cost_and_grad(init))
+    ms = {"oracle": 1e3 * oracle_s, "batched": 1e3 * batched_s}
     result = {
         "workload": "plan3d",
         "steps": sh.n_steps,
         "oracle_ms_per_gradient": ms["oracle"],
         "batched_ms_per_gradient": ms["batched"],
-        "speedup": ms["oracle"] / ms["batched"],
+        "speedup": speedup,
         "max_relative_gradient_difference": float(np.max(np.abs(got - want)) / np.max(np.abs(want))),
         "bit_identical_entries": int(np.sum(got == want)),
         "entries": int(want.size),
@@ -231,6 +233,45 @@ def adjoint(tmp: Path) -> dict:
           f"gradient, {result['speedup']:.1f}x, max relative difference "
           f"{result['max_relative_gradient_difference']:.2e}", flush=True)
     return result
+
+
+def plan_section(problem, init, max_iter) -> dict:
+    passes = []
+    forward = _Shooting._forward
+
+    def counted(self, U):
+        passes.append(None)
+        return forward(self, U)
+
+    oracle_s, new_s, speedup, want, _ = paired(
+        lambda: oracle.plan(problem, init=init, max_iter=max_iter),
+        lambda: plan(problem, init=init, max_iter=max_iter))
+    ms = {"oracle": 1e3 * oracle_s, "new": 1e3 * new_s}
+    _Shooting._forward = counted
+    try:
+        result = plan(problem, init=init, max_iter=max_iter)
+    finally:
+        _Shooting._forward = forward
+    U, history, converged, violations, X, sh = want
+    same = (result.record.inputs.tobytes() == U.tobytes()
+            and result.record.states.tobytes() == X.tobytes()
+            and np.array(result.cost_history).tobytes() == np.array(history).tobytes()
+            and result.converged == converged and result.violations == violations)
+    out = {
+        "workload": "plan3d",
+        "steps": sh.n_steps,
+        "iterations": len(history) - 1,
+        "oracle_ms_per_plan": ms["oracle"],
+        "new_ms_per_plan": ms["new"],
+        "speedup": speedup,
+        "oracle_forward_passes": sh.forward_passes,
+        "new_forward_passes": len(passes),
+        "bit_identical": bool(same),
+    }
+    print(f"plan plan3d: oracle {ms['oracle']:.1f} ms, new {ms['new']:.1f} ms per plan, "
+          f"{out['speedup']:.2f}x, forward passes {sh.forward_passes} -> {len(passes)}, "
+          f"bit-identical {same}", flush=True)
+    return out
 
 
 def median_ms(run) -> float:
@@ -323,7 +364,9 @@ def main(argv=None) -> int:
                 "open_loop": open_loop(sys_true, refs, signals, bench),
                 "metric": metric_stage(workload, Path(tmp), bench),
             }
-        result["adjoint"] = adjoint(Path(tmp))
+        problem, init, max_iter = plan3d_problem(Path(tmp))
+        result["adjoint"] = adjoint(problem, init)
+        result["plan"] = plan_section(problem, init, max_iter)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

@@ -24,7 +24,11 @@ is evaluated once per grid point plus three times per step.  Every
 compensated closed-loop rollout of the true plant is built in one place,
 ``track``, which steps all rollouts of one call as an (N, n) block: each
 policy evaluation makes one ``min_norm_feedback``, one ``predict`` and one
-pseudo-inverse of the actuation matrix for the whole block.
+pseudo-inverse of the actuation matrix for the whole block.  The reference
+side of the constraint, v_r = M(x_ref) (f(x_ref) + B(x_ref) u_ref), does
+not depend on the tracked state; the policy tabulates it with x_ref and
+u_ref at the stage times of many steps at once (``reference_side``), so a
+policy evaluation calls the plant only at the tracked states.
 
 Feedback, policy and residuals take (..., n) rows, and every per-row
 product is a stacked matrix product (``systems.matvec``, ``rowdot``,
@@ -50,6 +54,8 @@ Array = np.ndarray
 
 PINV_RCOND = 1e-10
 DEGENERATE_TOL = 1e-10
+STAGE_OFFSETS = np.array([0.0, 0.5, 1.0])      # RK4 stage times of a grid step, in steps
+TABLE_STEPS = 50        # grid steps per table of the reference side
 
 
 class FeedbackTerms(NamedTuple):
@@ -67,15 +73,18 @@ def feedback_terms(
     x: Array,
     x_ref: Array,
     u_ref: Array,
+    v_ref: Optional[Array] = None,
 ) -> FeedbackTerms:
     """Constraint data (a, b) of the min-norm program, for one state or for
     every row of an (N, n) block (then b, energy and a_scale are (N,)).
 
     The constraint is a^T kappa >= b, with the geodesic oriented
-    gamma(0) = x_ref, gamma(1) = x.  A constant metric's geodesic is the
-    straight segment and is not built: the energy is d^T M d, d = x - x_ref,
-    and the tangents are ``Geodesic.endpoint_tangents`` of its discretization
-    at the four nodes they read.  They equal d in exact arithmetic only; VTOL
+    gamma(0) = x_ref, gamma(1) = x.  ``v_ref`` is the reference side
+    ``reference_velocity(metric, sys_nominal, x_ref, u_ref)``, computed here
+    when not given.  A constant metric's geodesic is the straight segment
+    and is not built: the energy is d^T M d, d = x - x_ref, and the tangents
+    are ``Geodesic.endpoint_tangents`` of its discretization at the four
+    nodes they read.  They equal d in exact arithmetic only; VTOL
     closed loops amplify that last-bit gap to 3e-4 in a calibration quantile.
     A state-dependent metric computes one geodesic per row.
     """
@@ -87,7 +96,7 @@ def feedback_terms(
         )
         g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
         g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
-        M_x = M_r = metric.constant_matrix
+        M_x = metric.constant_matrix
         energy = rowdot(np.matmul(d[..., None, :], M_x)[..., 0, :], d)
     else:
         n = x.shape[-1]
@@ -96,15 +105,14 @@ def feedback_terms(
         g0, g1 = (np.reshape(g, x.shape) for g in zip(*(geo.endpoint_tangents() for geo in geos)))
         energy = np.reshape([geo.energy for geo in geos], x.shape[:-1])
         M_x = np.reshape([metric.evaluate(xi) for xi, _ in pairs], x.shape + (n,))
-        M_r = np.reshape([metric.evaluate(r) for _, r in pairs], x.shape + (n,))
+    if v_ref is None:
+        v_ref = reference_velocity(metric, sys_nominal, x_ref, u_ref)
     fx = sys_nominal.drift(x)
     Bx = sys_nominal.actuation(x)
-    fr = sys_nominal.drift(x_ref)
-    Br = sys_nominal.actuation(x_ref)
     Mg = matvec(M_x, g1)
     a = -matvec(np.swapaxes(Bx, -1, -2), Mg)
     t1 = rowdot(g1, matvec(M_x, fx + matvec(Bx, u_ref)))
-    t2 = rowdot(g0, matvec(M_r, fr + matvec(Br, u_ref)))
+    t2 = rowdot(g0, v_ref)
     b = metric.rate * energy + t1 - t2
     # roundoff floor: at x == x_ref all terms vanish in exact arithmetic
     scale = metric.rate * energy + np.abs(t1) + np.abs(t2)
@@ -114,21 +122,39 @@ def feedback_terms(
     return FeedbackTerms(a, b[()], np.asarray(energy)[()], np.asarray(a_scale)[()])
 
 
+def reference_velocity(
+    metric: ContractionMetric, sys_nominal: DynamicalSystem, x_ref: Array, u_ref: Array
+) -> Array:
+    """v_r = M(x_ref) (f(x_ref) + B(x_ref) u_ref), the reference side of the
+    feedback constraint (t2 = g0^T v_r), for one reference state or every
+    row of a block of them; it does not depend on the tracked state."""
+    if metric.is_constant:
+        M_r = metric.constant_matrix
+    else:
+        n = x_ref.shape[-1]
+        rows = np.reshape(x_ref, (-1, n))
+        M_r = np.reshape([metric.evaluate(r) for r in rows], x_ref.shape + (n,))
+    Br = sys_nominal.actuation(x_ref)
+    return matvec(M_r, sys_nominal.drift(x_ref) + matvec(Br, u_ref))
+
+
 def min_norm_feedback(
     metric: ContractionMetric,
     sys_nominal: DynamicalSystem,
     x: Array,
     x_ref: Array,
     u_ref: Array,
+    v_ref: Optional[Array] = None,
 ) -> Array:
     """Smallest feedback satisfying the geodesic energy-decay inequality,
-    for one state or for every row of an (N, n) block.
+    for one state or for every row of an (N, n) block; ``v_ref`` as in
+    ``feedback_terms``.
 
     Raises DegenerateConstraint when, in some row, the constraint is violated
     but its coefficient vanishes relative to its constituents (the tracking
     direction is uncontrollable at that state).
     """
-    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref)
+    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref, v_ref)
     active = terms.b > 0.0
     na = rownorm(terms.a)
     degenerate = active & (na <= DEGENERATE_TOL * np.maximum(terms.a_scale, DEGENERATE_TOL))
@@ -153,6 +179,13 @@ class ContractingPolicy:
     input is never clipped: input constraints belong to the planner, and
     excursions outside the input box are only recorded in
     ``saturation_events`` (a list of times, or one such list per row).
+
+    The reference side of an evaluation (x_ref, u_ref and v_r, see
+    ``reference_side``) does not depend on the tracked state.  It is
+    tabulated as one block at the stage times t_k, t_k + 0.5 dt and
+    t_k + 1.0 dt of TABLE_STEPS grid steps at a time, the floats that
+    ``integrate`` evaluates the policy at; an evaluation at any other time
+    computes it for that one time.
     """
 
     def __init__(
@@ -175,6 +208,9 @@ class ContractingPolicy:
             self._ref_states = np.stack([r.states for r in reference], axis=1)
             self._ref_inputs = np.stack([r.inputs for r in reference], axis=1)
         self.dt = self._grid.dt
+        self._table_steps = range(0)       # grid steps that self._table covers
+        self._table = None
+        self._slots: dict = {}             # stage time -> row of self._table
         self.reset()
 
     def reset(self) -> None:
@@ -208,6 +244,14 @@ class ContractingPolicy:
             raise ValueError(f"notify_step at off-grid time t={t!r}")
         if k == 0:
             self.reset()
+        grid = self._grid.times
+        if k not in self._table_steps and k < len(grid) and grid[k] == t:
+            # integrate's stage times t_k + c * dt on the next TABLE_STEPS steps
+            self._table_steps = range(k, k + TABLE_STEPS)
+            times = (grid[k : k + TABLE_STEPS, None] + STAGE_OFFSETS * self.dt).ravel()
+            times = times[times <= grid[-1] + 1e-9]
+            self._table = self.reference_side(times)
+            self._slots = {s: j for j, s in enumerate(times.tolist())}
         u_minus = self._u_curr if k > 0 else self._zero_input()
         u = self._compute(x, t, u_minus)
         self._u_prev, self._u_curr = self._u_curr, u
@@ -219,10 +263,21 @@ class ContractingPolicy:
 
     # -- composition -----------------------------------------------------------
 
+    def reference_side(self, times: Array) -> tuple[Array, Array, Array]:
+        """x_ref, u_ref and v_r = M_r (f(x_ref) + B(x_ref) u_ref) at each of
+        ``times``, each with a leading axis over the times."""
+        x_ref = self._grid.interpolate(self._ref_states, times)
+        u_ref = self._grid.interpolate(self._ref_inputs, times)
+        return x_ref, u_ref, reference_velocity(self.metric, self.sys_nominal, x_ref, u_ref)
+
     def _compute(self, x: Array, t: float, u_minus: Array) -> Array:
-        x_ref = self._grid.interpolate(self._ref_states, t)
-        u_ref = self._grid.interpolate(self._ref_inputs, t)
-        kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref)
+        j = self._slots.get(t)
+        if j is None:
+            j, table = 0, self.reference_side(np.array([t]))
+        else:
+            table = self._table
+        x_ref, u_ref, v_ref = table[0][j], table[1][j], table[2][j]
+        kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref, v_ref)
         u = u_ref + kappa
         if self.predictor is not None:
             zeta_hat = self.predictor.predict(x, u_minus)
@@ -248,9 +303,9 @@ def track(
     grid, and the rollouts are stepped together as one (N, n) block.
 
     This is the event the tube's guarantee is about; calibration records,
-    evaluation, the second calibration step and ``end_to_end_run`` all
-    simulate it here.  Returns one record per reference, None (logged by
-    ``integrate``) for a rollout that diverged.
+    evaluation, and the plan stage's second calibration step and end-to-end
+    rollouts (one block) all simulate it here.  Returns one record per
+    reference, None (logged by ``integrate``) for a rollout that diverged.
     """
     if not references:
         return []

@@ -571,22 +571,28 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         },
     )
 
+    # One block tracks the plan from every start: the second calibration
+    # step's records (same count as the held-out half, ball starts under the
+    # tightened plan, restoring exchangeability with the evaluation rollouts;
+    # none on the single-step path), then the end-to-end rollouts, drawn
+    # with the same start law.
+    x0 = result.record.states[0]
+    starts = [
+        tube_mod.start_in_ball(
+            metric, x0, radius_a, rng_stream(config.seed, f"twostep-start-{i}")
+        )
+        for i in range(n - n1)
+    ]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed + 1)))
+    starts += [tube_mod.start_in_ball(metric, x0, radius_a, rng) for _ in range(config.n_test)]
+    rollouts = track(sys_true, metric, predictor, [result.record] * len(starts), starts)
+    records, test_rollouts = rollouts[: n - n1], rollouts[n - n1 :]
+
     # Single-step fallback: the tightening quantile doubles as the tracking
     # quantile (the Remark-1 exchangeability caveat applies).
     cal_tube = cal_track = cal_a
     if config.two_step:
-        # Second calibration step: same count as the held-out half,
-        # regenerated under the tightened plan (ball starts), restoring
-        # exchangeability with the evaluation rollouts below.  The first
-        # half was scored once, above.  A diverged record is skipped.
-        starts = [
-            tube_mod.start_in_ball(
-                metric, result.record.states[0], radius_a,
-                rng_stream(config.seed, f"twostep-start-{i}"),
-            )
-            for i in range(n - n1)
-        ]
-        records = track(sys_true, metric, predictor, [result.record] * len(starts), starts)
+        # The first half was scored once, above.  A diverged record is skipped.
         scores_b = [
             conformal.nonconformity_score(rec, predictor, sys_true)
             for rec in records
@@ -602,17 +608,7 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
     write_json(plan_dir / "calibration_tube.json", cal_tube.to_json_dict())
     write_json(plan_dir / "calibration_tracking.json", cal_track.to_json_dict())
 
-    run = end_to_end_run(
-        sys_true,
-        result,
-        metric,
-        predictor,
-        cal_track,
-        n_rollouts=config.n_test,
-        seed=config.seed + 1,
-        start_radius=radius_a,      # same start law as the second-step records
-        obstacles=obstacles,
-    )
+    run = end_to_end_run(sys_true, result, metric, cal_track, test_rollouts, obstacles=obstacles)
     report = {
         "plan_cost": result.cost,
         "plan_converged": result.converged,

@@ -16,24 +16,23 @@ from one central-difference call (``metric.jacobian_fd``) on the block of
 all 4 * n_steps stage states, which the plant callables take as
 ``(N, n)`` rows like every other block caller of ``systems``; descent is
 plain gradient with backtracking line search.
-``end_to_end_run`` tracks a plan on the true plant with ``control.track``.
+``end_to_end_run`` judges the closed-loop rollouts of a plan on the true
+plant, which the caller tracks with ``control.track``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .control import track
 from .errors import InfeasiblePlan
 from .metric import ContractionMetric, jacobian_fd
-from .predictor import UncertaintyPredictor
-from .systems import DynamicalSystem, TrajectoryRecord, _in_box, matvec, rk4_step
+from .systems import DynamicalSystem, TrajectoryRecord, _in_box, matvec, rk4_step, rowdot
 from .systems import integrate  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
-from .tube import PRCITube, rollout_containment, start_in_ball
+from .tube import PRCITube, rollout_containment
 
 Array = np.ndarray
 log = logging.getLogger(__name__)
@@ -96,41 +95,70 @@ class PlanResult:
     violations: dict
 
 
-def _box_barrier(v: Array, box: Array, mu: float):
-    """Bounded log barrier on a box; (value, gradient). inf outside."""
+def _box_barrier(V: Array, box: Array, mu: float):
+    """Bounded log barrier on a box at every node (row) of V: per node the
+    value and its gradient.  A node's coordinates are summed in order,
+    unbounded ones skipped.  When some node leaves the box, those nodes
+    read inf and no value is computed (zeros elsewhere)."""
     lo, hi = box[:, 0], box[:, 1]
-    g = np.zeros_like(v)
-    val = 0.0
-    for k in range(v.size):
-        if not np.isfinite(lo[k]) and not np.isfinite(hi[k]):
-            continue
+    val = np.zeros(len(V))
+    g = np.zeros_like(V)
+    bounded = [k for k in range(V.shape[1]) if np.isfinite(lo[k]) or np.isfinite(hi[k])]
+    A, B = V - lo, hi - V
+    outside = np.any((A[:, bounded] <= 0.0) | (B[:, bounded] <= 0.0), axis=1)
+    if np.any(outside):
+        val[outside] = np.inf
+        return val, g
+    for k in bounded:
         width = hi[k] - lo[k]
-        a, b = v[k] - lo[k], hi[k] - v[k]
-        if a <= 0.0 or b <= 0.0:
-            return np.inf, g
+        a, b = A[:, k], B[:, k]
         val -= mu * (np.log(2.0 * a / width) + np.log(2.0 * b / width))
-        g[k] = mu * (1.0 / b - 1.0 / a)
+        g[:, k] = mu * (1.0 / b - 1.0 / a)
     return val, g
 
 
-def _obstacle_barrier(x: Array, obstacles, mu: float):
-    """Bounded barrier mu*log(1 + 1/g) per obstacle; (value, gradient)."""
-    val = 0.0
-    grad = np.zeros_like(x)
+def _obstacle_barrier(X: Array, obstacles, mu: float):
+    """Bounded barrier mu*log(1 + 1/g) per obstacle at every node (row) of
+    X: per node the value and its gradient, summed over the obstacles in
+    order.  When some node is inside an obstacle, those nodes read inf and
+    no value is computed (zeros elsewhere)."""
+    val = np.zeros(len(X))
+    grad = np.zeros_like(X)
+    parts = []
     for o in obstacles:
+        Y = X[:, list(o.coords)] - o.center
+        # g = y^T Q y - 1, rounded as y @ Q @ y
+        parts.append((o, Y, rowdot(np.matmul(Y[:, None, :], o.shape)[:, 0, :], Y) - 1.0))
+    inside = np.zeros(len(X), dtype=bool)
+    for _, _, g in parts:
+        inside |= g <= 0.0
+    if np.any(inside):
+        val[inside] = np.inf
+        return val, grad
+    for o, Y, g in parts:
         i, j = o.coords
-        y = x[[i, j]] - o.center
-        q = float(y @ o.shape @ y)
-        g = q - 1.0
-        if g <= 0.0:
-            return np.inf, grad
         val += mu * np.log1p(1.0 / g)
         # d/dg log(1 + 1/g) = -1 / (g (g+1)); dg/dy = 2 Q y
         coef = -mu / (g * (g + 1.0)) * 2.0
-        gy = coef * (o.shape @ y)
-        grad[i] += gy[0]
-        grad[j] += gy[1]
+        gy = coef[:, None] * matvec(o.shape, Y)
+        grad[:, i] += gy[:, 0]
+        grad[:, j] += gy[:, 1]
     return val, grad
+
+
+class _Objective(NamedTuple):
+    """The forward half at one input sequence U: the cost (inf when the
+    rollout diverges or leaves a barrier's domain), the grid states X, the
+    RK4 stage states S (n_steps, 4, n) and stage inputs V (n_steps, 3, m)
+    (u_k, the midpoint input, u_{k+1}), and the explicit gradients of the
+    cost in each node's state and input."""
+
+    cost: float
+    X: Array
+    S: Array
+    V: Array
+    run_gx: Array
+    gU: Array
 
 
 class _Shooting:
@@ -151,84 +179,73 @@ class _Shooting:
     def rollout(self, U: Array) -> Array:
         return self._forward(U)[0]
 
-    def _forward(self, U: Array) -> tuple[Array, list]:
+    def _forward(self, U: Array) -> tuple[Array, Array, Array]:
         """States on the grid under the input nodes U, and per step the RK4
-        stage states and inputs the adjoint needs.  A diverging trial is
-        NaN from the first bad step on."""
+        stage states (n_steps, 4, n) and stage inputs (n_steps, 3, m) the
+        adjoint needs.  A diverging trial is NaN from the first bad step
+        on, and its later stages are left unset."""
         p, F = self.p, self._field
-        X = np.empty((self.n_steps + 1, p.sys.state_dim))
+        n, m = p.sys.state_dim, p.sys.input_dim
+        X = np.empty((self.n_steps + 1, n))
+        S = np.empty((self.n_steps, 4, n))
+        V = np.empty((self.n_steps, 3, m))
         X[0] = p.x0
         x = p.x0.astype(float)
-        stages = []
         for k in range(self.n_steps):
             ua, ub = U[k], U[k + 1]
             um = 0.5 * (ua + ub)
-            x, xs = rk4_step(lambda z, c: F(z, um if c == 0.5 else ub), x, p.dt, F(x, ua))
-            stages.append(xs + (ua, um, ub))
+            x, S[k] = rk4_step(lambda z, c: F(z, um if c == 0.5 else ub), x, p.dt, F(x, ua))
+            V[k] = ua, um, ub
             if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e8:
-                X[k + 1 :] = np.nan     # divergent trial; cost() maps it to inf
+                X[k + 1 :] = np.nan     # divergent trial; the objective maps it to inf
                 break
             X[k + 1] = x
-        return X, stages
+        return X, S, V
 
-    def _stage_cost(self, x, u, w1):
-        """Barriers at one node plus w1 ||u||^2 (w1 = 0 at the last node,
-        whose barrier-only term keeps the final grid point admissible)."""
-        p = self.p
-        vb, gb_x = _box_barrier(x, p.state_box, MU_BOX)
-        vo, go_x = _obstacle_barrier(x, p.obstacles, MU_OBSTACLE)
-        vu, gb_u = _box_barrier(u, p.input_box, MU_BOX)
-        if not (np.isfinite(vb) and np.isfinite(vo) and np.isfinite(vu)):
-            return np.inf, None, None
-        val = w1 * float(u @ u) + p.w2 * (vb + vo + vu)
-        gx = p.w2 * (gb_x + go_x)
-        gu = 2.0 * w1 * u + p.w2 * gb_u
-        return val, gx, gu
-
-    def _objective(self, U: Array):
-        """Forward half: the cost, the RK4 stages of the rollout, and the
-        explicit gradients in each node's state and input.  The cost is inf
-        when the rollout diverges or leaves a barrier's domain."""
+    def objective(self, U: Array) -> _Objective:
+        """Forward half: the rollout under U and the cost with its explicit
+        gradients.  Each node adds barriers plus w1 ||u||^2 (w1 = 0 at the
+        last node, whose barrier-only term keeps the final grid point
+        admissible); the nodes' terms are added in grid order."""
         p, dt = self.p, self.p.dt
-        X, stages = self._forward(U)
+        X, S, V = self._forward(U)
         run_gx = np.zeros_like(X)
         gU = np.zeros_like(U)
         if not np.all(np.isfinite(X)):
-            return np.inf, stages, run_gx, gU
-        total = 0.0
-        for k in range(self.n_steps + 1):
-            w1 = p.w1 if k < self.n_steps else 0.0
-            v, gx, gu = self._stage_cost(X[k], U[k], w1)
-            if not np.isfinite(v):
-                return np.inf, stages, run_gx, gU
-            total += dt * v
-            run_gx[k] = dt * gx
-            gU[k] += dt * gu
+            return _Objective(np.inf, X, S, V, run_gx, gU)
+        vb, gb_x = _box_barrier(X, p.state_box, MU_BOX)
+        vo, go_x = _obstacle_barrier(X, p.obstacles, MU_OBSTACLE)
+        vu, gb_u = _box_barrier(U, p.input_box, MU_BOX)
+        barriers = vb + vo + vu
+        if not np.all(np.isfinite(barriers)):
+            return _Objective(np.inf, X, S, V, run_gx, gU)
+        w1 = np.full(self.n_steps + 1, p.w1)
+        w1[-1] = 0.0
+        v = w1 * rowdot(U, U) + p.w2 * barriers
+        total = np.cumsum(dt * v)[-1]       # left to right as a running sum; np.sum adds in pairs
+        run_gx[:] = dt * (p.w2 * (gb_x + go_x))
+        gU += dt * ((2.0 * w1)[:, None] * U + p.w2 * gb_u)
         e = self.gw * (X[-1] - p.goal)
         run_gx[-1] += 2.0 * p.w2 * self.gw * e
-        return total + p.w2 * float(e @ e), stages, run_gx, gU
+        return _Objective(total + p.w2 * float(e @ e), X, S, V, run_gx, gU)
 
-    def cost(self, U: Array) -> float:
-        return self._objective(U)[0]
-
-    def cost_and_grad(self, U: Array):
+    def gradient(self, obj: _Objective) -> Array:
+        """Backward half: the gradient in U of a finite objective, from a
+        discrete adjoint sweep through its RK4 stages."""
         dt, B, F = self.p.dt, self.p.sys.actuation, self._field
-        total, stages, run_gx, gU = self._objective(U)
-        if not np.isfinite(total):
-            return total, gU
-
+        gU = obj.gU.copy()
         # Every stage Jacobian of the rollout in one FD call: the four stage
         # states of each step as rows of one (4 n_steps, n) block, each row
         # with the input its stage saw.
-        n = self.p.sys.state_dim
-        Z = np.array([s[:4] for s in stages]).reshape(-1, n)
-        V = np.array([(ua, um, um, ub) for *_, ua, um, ub in stages]).reshape(len(Z), -1)
+        n, m = self.p.sys.state_dim, self.p.sys.input_dim
+        Z = obj.S.reshape(-1, n)
+        V = obj.V[:, [0, 1, 1, 2]].reshape(-1, m)
         jacs = jacobian_fd(lambda z: F(z, V), Z).reshape(self.n_steps, 4, n, n)
 
         # Adjoint sweep: lam = dJ/dx_k, distributed through the RK4 stages.
-        lam = run_gx[-1]
+        lam = obj.run_gx[-1]
         for k in range(self.n_steps - 1, -1, -1):
-            x1, x2, x3, x4 = stages[k][:4]
+            x1, x2, x3, x4 = obj.S[k]
             J1, J2, J3, J4 = jacs[k]
             kb4 = (dt / 6.0) * lam
             xb4 = J4.T @ kb4
@@ -240,8 +257,17 @@ class _Shooting:
             xb1 = J1.T @ kb1
             gU[k] += B(x1).T @ kb1 + 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3)
             gU[k + 1] += 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3) + B(x4).T @ kb4
-            lam = lam + xb1 + xb2 + xb3 + xb4 + run_gx[k]
-        return total, gU
+            lam = lam + xb1 + xb2 + xb3 + xb4 + obj.run_gx[k]
+        return gU
+
+    def cost(self, U: Array) -> float:
+        return self.objective(U).cost
+
+    def cost_and_grad(self, U: Array):
+        obj = self.objective(U)
+        if not np.isfinite(obj.cost):
+            return obj.cost, obj.gU
+        return obj.cost, self.gradient(obj)
 
 
 def plan(
@@ -251,7 +277,11 @@ def plan(
     tol_rel: float = 1e-8,
 ) -> PlanResult:
     """Locally optimal plan by shooting; raises InfeasiblePlan when the
-    barrier cannot be initialized, flags non-convergence otherwise."""
+    barrier cannot be initialized, flags non-convergence otherwise.
+
+    Each iterate's forward half is computed once: the objective of the
+    accepted line-search trial gives the next gradient, and that of the
+    final iterate gives the returned rollout."""
     p = problem
     for tag, box, v in (("start", p.state_box, p.x0), ("goal", p.state_box, p.goal)):
         if np.any(v < box[:, 0]) or np.any(v > box[:, 1]):
@@ -261,7 +291,8 @@ def plan(
     if U.shape != (sh.n_steps + 1, p.sys.input_dim):
         raise ValueError("warm start has the wrong shape")
 
-    cost = sh.cost(U)
+    obj = sh.objective(U)
+    cost = obj.cost
     if not np.isfinite(cost):
         raise InfeasiblePlan("initial rollout leaves the feasible region; provide a warm start")
     history = [cost]
@@ -270,7 +301,7 @@ def plan(
     prev_U = prev_g = None
     stall = 0
     for _ in range(max_iter):
-        _, gU = sh.cost_and_grad(U)
+        gU = sh.gradient(obj)
         gn2 = float(np.sum(gU * gU))
         if gn2 == 0.0:
             converged = True
@@ -286,13 +317,14 @@ def plan(
         prev_U, prev_g = U, gU
         while alpha > 1e-16:
             trial = U - alpha * gU
-            c_new = sh.cost(trial)
+            trial_obj = sh.objective(trial)
+            c_new = trial_obj.cost
             if c_new <= cost - 1e-4 * alpha * gn2:
                 break
             alpha *= 0.5
         else:
             break       # the line search ran out: a stall, not convergence
-        U, prev, cost = trial, cost, c_new
+        U, prev, cost, obj = trial, cost, c_new, trial_obj
         step = alpha * 2.0
         history.append(cost)
         # BB steps make per-iteration decreases uneven; require a sustained stall
@@ -303,7 +335,7 @@ def plan(
     if not converged:
         log.warning("plan: not converged (cap reached or line search stalled), best iterate kept")
 
-    X = sh.rollout(U)
+    X = obj.X
     times = np.arange(sh.n_steps + 1) * p.dt
     record = TrajectoryRecord(times, X, U)
     violations = {
@@ -341,31 +373,23 @@ def end_to_end_run(
     sys_true: DynamicalSystem,
     plan_result: PlanResult,
     metric: ContractionMetric,
-    predictor: Optional[UncertaintyPredictor],
     calibration,
-    n_rollouts: int = 10,
-    seed: int = 0,
-    start_radius: Optional[float] = None,
+    rollouts: Sequence[Optional[TrajectoryRecord]],
     obstacles: Sequence[ObstacleEllipse] = (),
 ) -> dict:
-    """Track the plan with the compensated policy against the true plant.
+    """Judge closed-loop rollouts of the plan on the true plant, as
+    ``control.track`` returns them (None for one that diverged).
 
     Reports per-rollout tube containment, original state/input constraint
     satisfaction and obstacle clearance; a diverged rollout fails all of
-    them.  Rollout starts are sampled uniformly in the initial
-    cross-section of radius ``start_radius`` (default: the tube radius;
-    0.0 starts every rollout at the reference start).  Pass the same radius
-    that generated the calibration records so starts stay exchangeable with
-    them.
+    them.  A start counts as eligible when it lies in the tube's initial
+    cross-section.
     """
-    ref = plan_result.record
-    tube = PRCITube.from_calibration(ref, metric, calibration, source_id="end-to-end")
-    r0 = tube.radius if start_radius is None else float(start_radius)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    starts = [start_in_ball(metric, ref.states[0], r0, rng) for _ in range(n_rollouts)]
+    tube = PRCITube.from_calibration(
+        plan_result.record, metric, calibration, source_id="end-to-end"
+    )
     per = []
-    for roll in track(sys_true, metric, predictor, [ref] * n_rollouts, starts):
+    for roll in rollouts:
         c = rollout_containment(tube, roll)
         row = {
             "contained": c.contained,

@@ -23,11 +23,11 @@ plant's one-state values may differ from its row values in the last bit
 (in about 0.1% of squares); VTOL rows match one-state calls exactly.
 
 Block callers: ``control.track`` steps every closed-loop rollout of a
-stage (calibration, evaluation, the planner's second calibration step and
-end-to-end runs); ``replay`` steps the open-loop ones (the reference and
-training datasets, the test references); the harness flies its waypoint PD
-references as one block; and the planner's adjoint takes all its stage
-Jacobians from one FD call on a block of stage states.
+stage (calibration, evaluation, and the plan stage's second calibration
+step with its end-to-end rollouts); ``replay`` steps the open-loop ones
+(the reference and training datasets, the test references); the harness
+flies its waypoint PD references as one block; and the planner's adjoint
+takes all its stage Jacobians from one FD call on a block of stage states.
 
 Simulation is classical fixed-step RK4, written once in ``rk4_step`` and
 shared by ``integrate`` and the planner's shooting rollouts.  Feedback
@@ -189,25 +189,30 @@ class TrajectoryRecord:
     def input_dim(self) -> int:
         return self.inputs.shape[1]
 
-    def interpolate(self, table: Array, t: float) -> Array:
+    def interpolate(self, table: Array, t) -> Array:
         """Row of a grid-major ``table`` (first axis on this record's grid)
-        at time t, linear between grid points."""
+        at time t, linear between grid points; for an array of times, one
+        such row per time (the formula is elementwise, so each equals its
+        one-time call bit for bit)."""
         tt = self.times
-        if t < tt[0] - 1e-9 or t > tt[-1] + 1e-9:
-            raise ValueError(f"t={t:.6g} outside record horizon [0, {tt[-1]:.6g}]")
-        t = min(max(t, tt[0]), tt[-1])
-        pos = (t - tt[0]) / self.dt
-        i = min(int(pos), len(tt) - 2) if len(tt) > 1 else 0
+        t = np.asarray(t, dtype=float)
+        outside = (t < tt[0] - 1e-9) | (t > tt[-1] + 1e-9)
+        if np.any(outside):
+            bad = float(t.flat[np.flatnonzero(outside)[0]])
+            raise ValueError(f"t={bad:.6g} outside record horizon [0, {tt[-1]:.6g}]")
         if len(tt) == 1:
-            return table[0]
-        w = pos - i
+            return table[np.zeros(t.shape, dtype=int)]
+        pos = (np.clip(t, tt[0], tt[-1]) - tt[0]) / self.dt
+        i = np.minimum(pos.astype(int), len(tt) - 2)
+        w = np.reshape(pos - i, t.shape + (1,) * (table.ndim - 1))
         return (1.0 - w) * table[i] + w * table[i + 1]
 
-    def state_at(self, t: float) -> Array:
-        """Reference state at time t, linear interpolation between grid points."""
+    def state_at(self, t) -> Array:
+        """Reference state at time t (or at each of an array of times),
+        linear interpolation between grid points."""
         return self.interpolate(self.states, t)
 
-    def input_at(self, t: float) -> Array:
+    def input_at(self, t) -> Array:
         return self.interpolate(self.inputs, t)
 
     # -- serialization -----------------------------------------------------

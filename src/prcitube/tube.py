@@ -117,9 +117,7 @@ def trajectory_distances(tube: PRCITube, rollout: TrajectoryRecord) -> Array:
     same_grid = len(rollout.times) == len(ref.times) and np.allclose(
         rollout.times, ref.times, rtol=0, atol=1e-12
     )
-    ref_states = (
-        ref.states if same_grid else np.array([ref.state_at(t) for t in rollout.times])
-    )
+    ref_states = ref.states if same_grid else ref.state_at(rollout.times)
     if tube.metric.is_constant:
         D = rollout.states - ref_states
         M = tube.metric.constant_matrix

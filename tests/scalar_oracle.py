@@ -1,6 +1,7 @@
-"""The per-rollout closed loop, the per-step planner adjoint, the one-flight
-waypoint PD law and the per-point metric stage as they were before they
-were stepped in blocks, frozen here as the oracles that the batched paths
+"""The per-rollout closed loop, the per-step planner adjoint, the planner
+loop, the one-flight waypoint PD law and the per-point metric stage as they
+were before they were stepped in blocks (or, for the planner loop, before
+it kept its forward passes), frozen here as the oracles that the new paths
 are checked against.
 
 One state at a time: the plant functions index scalars (``x[0] ** 2`` is a
@@ -8,10 +9,9 @@ NumPy-scalar power), every product is a plain one-row ``@``, the constant
 feedback is the scalar ``feedback_terms``, the policy keeps one
 delayed-input ladder and each FD Jacobian is taken at one state.  Nothing
 here imports the code under test except plain data (the constant matrices,
-a metric's matrix and rate, a trained predictor's parameters), for the
-adjoint the forward half of a planner's ``_Shooting``, and for the metric
-stage a metric's ``evaluate`` and ``directional_partial``, none of which is
-batched.
+a metric's matrix and rate, a trained predictor's parameters, a planning
+problem's plant and obstacles), and for the metric stage a metric's
+``evaluate`` and ``directional_partial``, none of which is batched.
 """
 
 from __future__ import annotations
@@ -253,8 +253,9 @@ def jacobian_fd(func, x):
 
 
 def cost_and_grad(shooting, plant, U):
-    """``_Shooting.cost_and_grad`` with four one-state FD Jacobians of the
-    plant's field per step; the forward half is ``shooting._objective``."""
+    """``Shooting.cost_and_grad`` with four one-state FD Jacobians of the
+    plant's field per step; the forward half is ``shooting._objective`` of
+    a ``Shooting`` below."""
     dt, B = shooting.p.dt, plant.B
 
     def F(x, u):
@@ -282,6 +283,234 @@ def cost_and_grad(shooting, plant, U):
         gU[k + 1] += 0.5 * (B.T @ kb2 + B.T @ kb3) + B.T @ kb4
         lam = lam + xb1 + xb2 + xb3 + xb4 + run_gx[k]
     return total, gU
+
+
+# -- planner -----------------------------------------------------------------------------
+#
+# The shooting planner as it was before its forward half was kept between
+# line search and gradient: one forward pass per ``cost`` and per
+# ``cost_and_grad`` call, a list of per-step stage tuples, and barriers and
+# node costs one node and one coordinate at a time.  The plant callables
+# are the problem's own, and the adjoint's Jacobians are one rows FD call,
+# so a plan equals this one bit for bit.
+
+MU_OBSTACLE = 5.0
+MU_BOX = 1e-3
+
+
+def _matvec(A, v):
+    return A @ v if v.ndim == 1 and A.ndim == 2 else np.matmul(A, v[..., None])[..., 0]
+
+
+def jacobian_fd_rows(func, x):
+    """The rows-general central-difference Jacobian (2n calls of func on
+    the whole block)."""
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    up, down = x + h, x - h
+    cols = [
+        np.asarray(func(np.where(e, up, x))) - np.asarray(func(np.where(e, down, x)))
+        for e in np.eye(x.shape[-1], dtype=bool)
+    ]
+    jac = np.stack(cols, axis=-1)
+    return jac / np.reshape(2.0 * h, x.shape[:-1] + (1,) * (jac.ndim - x.ndim) + x.shape[-1:])
+
+
+def box_barrier(v, box, mu):
+    lo, hi = box[:, 0], box[:, 1]
+    g = np.zeros_like(v)
+    val = 0.0
+    for k in range(v.size):
+        if not np.isfinite(lo[k]) and not np.isfinite(hi[k]):
+            continue
+        width = hi[k] - lo[k]
+        a, b = v[k] - lo[k], hi[k] - v[k]
+        if a <= 0.0 or b <= 0.0:
+            return np.inf, g
+        val -= mu * (np.log(2.0 * a / width) + np.log(2.0 * b / width))
+        g[k] = mu * (1.0 / b - 1.0 / a)
+    return val, g
+
+
+def obstacle_barrier(x, obstacles, mu):
+    val = 0.0
+    grad = np.zeros_like(x)
+    for o in obstacles:
+        i, j = o.coords
+        y = x[[i, j]] - o.center
+        q = float(y @ o.shape @ y)
+        g = q - 1.0
+        if g <= 0.0:
+            return np.inf, grad
+        val += mu * np.log1p(1.0 / g)
+        coef = -mu / (g * (g + 1.0)) * 2.0
+        gy = coef * (o.shape @ y)
+        grad[i] += gy[0]
+        grad[j] += gy[1]
+    return val, grad
+
+
+class Shooting:
+    """Rollout, cost and adjoint gradient for a fixed planning problem."""
+
+    def __init__(self, problem):
+        self.p = problem
+        self.n_steps = int(round(problem.T / problem.dt))
+        self.gw = (
+            np.ones(problem.sys.state_dim)
+            if problem.goal_weights is None
+            else np.asarray(problem.goal_weights, dtype=float)
+        )
+        self.forward_passes = 0
+        self.gradients = 0
+
+    def _field(self, x, u):
+        return self.p.sys.drift(x) + _matvec(self.p.sys.actuation(x), u)
+
+    def _forward(self, U):
+        self.forward_passes += 1
+        p, F, dt = self.p, self._field, self.p.dt
+        X = np.empty((self.n_steps + 1, p.sys.state_dim))
+        X[0] = p.x0
+        x = p.x0.astype(float)
+        stages = []
+        for k in range(self.n_steps):
+            ua, ub = U[k], U[k + 1]
+            um = 0.5 * (ua + ub)
+            k1 = F(x, ua)
+            x2 = x + 0.5 * dt * k1
+            k2 = F(x2, um)
+            x3 = x + 0.5 * dt * k2
+            k3 = F(x3, um)
+            x4 = x + dt * k3
+            k4 = F(x4, ub)
+            stages.append((x, x2, x3, x4, ua, um, ub))
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > 1e8:
+                X[k + 1 :] = np.nan
+                break
+            X[k + 1] = x
+        return X, stages
+
+    def _stage_cost(self, x, u, w1):
+        p = self.p
+        vb, gb_x = box_barrier(x, p.state_box, MU_BOX)
+        vo, go_x = obstacle_barrier(x, p.obstacles, MU_OBSTACLE)
+        vu, gb_u = box_barrier(u, p.input_box, MU_BOX)
+        if not (np.isfinite(vb) and np.isfinite(vo) and np.isfinite(vu)):
+            return np.inf, None, None
+        val = w1 * float(u @ u) + p.w2 * (vb + vo + vu)
+        gx = p.w2 * (gb_x + go_x)
+        gu = 2.0 * w1 * u + p.w2 * gb_u
+        return val, gx, gu
+
+    def _objective(self, U):
+        p, dt = self.p, self.p.dt
+        X, stages = self._forward(U)
+        run_gx = np.zeros_like(X)
+        gU = np.zeros_like(U)
+        if not np.all(np.isfinite(X)):
+            return np.inf, stages, run_gx, gU
+        total = 0.0
+        for k in range(self.n_steps + 1):
+            w1 = p.w1 if k < self.n_steps else 0.0
+            v, gx, gu = self._stage_cost(X[k], U[k], w1)
+            if not np.isfinite(v):
+                return np.inf, stages, run_gx, gU
+            total += dt * v
+            run_gx[k] = dt * gx
+            gU[k] += dt * gu
+        e = self.gw * (X[-1] - p.goal)
+        run_gx[-1] += 2.0 * p.w2 * self.gw * e
+        return total + p.w2 * float(e @ e), stages, run_gx, gU
+
+    def rollout(self, U):
+        return self._forward(U)[0]
+
+    def cost(self, U):
+        return self._objective(U)[0]
+
+    def cost_and_grad(self, U):
+        self.gradients += 1
+        dt, B, F = self.p.dt, self.p.sys.actuation, self._field
+        total, stages, run_gx, gU = self._objective(U)
+        if not np.isfinite(total):
+            return total, gU
+        n = self.p.sys.state_dim
+        Z = np.array([s[:4] for s in stages]).reshape(-1, n)
+        V = np.array([(ua, um, um, ub) for *_, ua, um, ub in stages]).reshape(len(Z), -1)
+        jacs = jacobian_fd_rows(lambda z: F(z, V), Z).reshape(self.n_steps, 4, n, n)
+        lam = run_gx[-1]
+        for k in range(self.n_steps - 1, -1, -1):
+            x1, x2, x3, x4 = stages[k][:4]
+            J1, J2, J3, J4 = jacs[k]
+            kb4 = (dt / 6.0) * lam
+            xb4 = J4.T @ kb4
+            kb3 = (dt / 3.0) * lam + dt * xb4
+            xb3 = J3.T @ kb3
+            kb2 = (dt / 3.0) * lam + 0.5 * dt * xb3
+            xb2 = J2.T @ kb2
+            kb1 = (dt / 6.0) * lam + 0.5 * dt * xb2
+            xb1 = J1.T @ kb1
+            gU[k] += B(x1).T @ kb1 + 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3)
+            gU[k + 1] += 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3) + B(x4).T @ kb4
+            lam = lam + xb1 + xb2 + xb3 + xb4 + run_gx[k]
+        return total, gU
+
+
+def plan(problem, init=None, max_iter=120, tol_rel=1e-8):
+    """The planner loop: (U, cost history, converged, violations, shooting),
+    the last with its count of forward passes."""
+    p = problem
+    sh = Shooting(p)
+    U = np.zeros((sh.n_steps + 1, p.sys.input_dim)) if init is None else np.array(init, dtype=float)
+    cost = sh.cost(U)
+    history = [cost]
+    step = 1.0
+    converged = False
+    prev_U = prev_g = None
+    stall = 0
+    for _ in range(max_iter):
+        _, gU = sh.cost_and_grad(U)
+        gn2 = float(np.sum(gU * gU))
+        if gn2 == 0.0:
+            converged = True
+            break
+        if prev_g is not None:
+            dU = U - prev_U
+            dg = gU - prev_g
+            denom = float(np.sum(dU * dg))
+            if denom > 0:
+                step = float(np.sum(dU * dU)) / denom
+        alpha = min(max(step, 1e-12), 1e6)
+        prev_U, prev_g = U, gU
+        while alpha > 1e-16:
+            trial = U - alpha * gU
+            c_new = sh.cost(trial)
+            if c_new <= cost - 1e-4 * alpha * gn2:
+                break
+            alpha *= 0.5
+        else:
+            break
+        U, prev, cost = trial, cost, c_new
+        step = alpha * 2.0
+        history.append(cost)
+        stall = stall + 1 if (prev - cost) <= tol_rel * max(abs(prev), 1e-300) else 0
+        if stall >= 3:
+            converged = True
+            break
+    X = sh.rollout(U)
+    violations = {
+        "state_box_excess": float(np.max(np.maximum(
+            np.max(p.state_box[:, 0] - X, axis=0), np.max(X - p.state_box[:, 1], axis=0)))),
+        "input_box_excess": float(np.max(np.maximum(
+            np.max(p.input_box[:, 0] - U, axis=0), np.max(U - p.input_box[:, 1], axis=0)))),
+        "min_obstacle_clearance": (
+            min(min(o.clearance(x) for x in X) for o in p.obstacles)
+            if p.obstacles else float("inf")
+        ),
+        "goal_distance": float(np.linalg.norm(sh.gw * (X[-1] - p.goal))),
+    }
+    return U, tuple(history), converged, violations, X, sh
 
 
 # -- metric stage ---------------------------------------------------------------------

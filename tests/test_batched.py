@@ -107,6 +107,63 @@ def test_block_rows_equal_one_row_calls(case):
             assert getattr(rec, name).tobytes() == getattr(solo, name).tobytes(), name
 
 
+def test_tabulated_reference_side_equals_the_interpolating_path(case, monkeypatch):
+    """At every stage time a block rollout asks for, the policy's tabulated
+    x_ref, u_ref and feedback equal the interpolation at that time and the
+    feedback that computes its own reference side, bit for bit; every
+    evaluation finds its time in a table."""
+    import prcitube.control as control
+
+    seen, tables = [], []
+    policy_cls = control.ContractingPolicy
+    real_compute, real_side = policy_cls._compute, policy_cls.reference_side
+    real_feedback = control.min_norm_feedback
+
+    def compute(self, x, t, u_minus):
+        seen.append([self, t])
+        return real_compute(self, x, t, u_minus)
+
+    def side(self, times):
+        tables.append(len(times))
+        return real_side(self, times)
+
+    def feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref=None):
+        kappa = real_feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref)
+        seen[-1] += [x, x_ref, u_ref, kappa]
+        return kappa
+
+    monkeypatch.setattr(policy_cls, "_compute", compute)
+    monkeypatch.setattr(policy_cls, "reference_side", side)
+    monkeypatch.setattr(control, "min_norm_feedback", feedback)
+    track(case.true, case.metric, case.predictors["mlp"], case.refs, case.starts)
+    n_steps = len(case.refs[0].times) - 1
+    assert len(seen) == 4 * n_steps + 1
+    assert tables == [min(3 * control.TABLE_STEPS, 3 * (n_steps - k) + 1)
+                      for k in range(0, n_steps + 1, control.TABLE_STEPS)]
+    for policy, t, x, x_ref, u_ref, kappa in seen:
+        want_x = policy._grid.interpolate(policy._ref_states, t)
+        want_u = policy._grid.interpolate(policy._ref_inputs, t)
+        assert x_ref.tobytes() == want_x.tobytes() and u_ref.tobytes() == want_u.tobytes()
+        want = real_feedback(case.metric, case.nom, x, want_x, want_u)
+        assert kappa.tobytes() == want.tobytes()
+
+
+def test_merged_block_equals_separate_track_calls(case):
+    """Tracking one reference from two sets of starts as one block gives
+    the rows that two separate calls give."""
+    p = case.predictors["linear_features"]
+    ref = case.refs[0]
+    rng = np.random.default_rng(3)
+    first = [ref.states[0] + rng.uniform(-0.01, 0.01, ref.state_dim) for _ in range(3)]
+    second = [ref.states[0] + rng.uniform(-0.01, 0.01, ref.state_dim) for _ in range(2)]
+    merged = track(case.true, case.metric, p, [ref] * 5, first + second)
+    apart = (track(case.true, case.metric, p, [ref] * 3, first)
+             + track(case.true, case.metric, p, [ref] * 2, second))
+    for a, b in zip(merged, apart):
+        for name in FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class _PoisonRow:
     """The real predictor, except that one row's prediction turns infinite
     after a number of calls, so that row diverges mid-rollout."""

@@ -459,6 +459,48 @@ def test_pipeline_single_step_tightening(tmp_path):
     assert (tmp_path / "single" / "plan" / "plan.csv").exists()
 
 
+def test_plan_stage_tracks_second_step_and_end_to_end_as_one_block(tmp_path, monkeypatch):
+    """The second calibration step's records and the end-to-end rollouts
+    come from one track call on the plan, in today's draw order, and equal
+    the two calls that each set of starts would make alone."""
+    import prcitube.harness as harness
+    from prcitube.tube import start_in_ball
+
+    real_track, calls = harness.track, []
+
+    def track(sys_true, metric, predictor, references, starts):
+        rolls = real_track(sys_true, metric, predictor, references, starts)
+        calls.append((sys_true, metric, predictor, references, starts, rolls))
+        return rolls
+
+    monkeypatch.setattr(harness, "track", track)
+    cfg = ExperimentConfig.from_dict(
+        dict(SINGLE_STEP_PLAN, two_step=True, out_dir=str(tmp_path / "two"))
+    )
+    report = run_pipeline(cfg, stop_after="plan")
+    (sys_true, metric, predictor, references, starts, rolls), = calls
+    n2 = cfg.n_cal - int(round(cfg.two_step_fraction * cfg.n_cal))
+    assert len(starts) == n2 + cfg.n_test == 5
+    assert report["plan"]["end_to_end"]["n_rollouts"] == cfg.n_test
+
+    plan = references[0]
+    assert all(r is plan for r in references)
+    radius = report["plan"]["tightening_radius"]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed + 1)))
+    want = [
+        start_in_ball(metric, plan.states[0], radius, rng_stream(cfg.seed, f"twostep-start-{i}"))
+        for i in range(n2)
+    ]
+    want += [start_in_ball(metric, plan.states[0], radius, rng) for _ in range(cfg.n_test)]
+    assert np.array(starts).tobytes() == np.array(want).tobytes()
+
+    apart = (real_track(sys_true, metric, predictor, references[:n2], starts[:n2])
+             + real_track(sys_true, metric, predictor, references[n2:], starts[n2:]))
+    for a, b in zip(rolls, apart):
+        for name in ("states", "inputs", "uncertainties"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 def test_plan_inflates_obstacles_by_projected_tube_extent(tmp_path):
     from prcitube.conformal import CalibrationResult
     from prcitube.metric import ContractionMetric

@@ -18,6 +18,7 @@ from prcitube.planner import (
 from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate, make_benchmark_vtol
 from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
 from prcitube import metric as metric_mod
+from prcitube import planner as planner_mod
 from prcitube.tube import PRCITube, project_tube_2d, tighten_state_box
 
 
@@ -65,15 +66,16 @@ def test_stalled_line_search_is_not_convergence(monkeypatch):
         state_box=free_box(2),
         input_box=free_box(1),
     )
-    real_cost = _Shooting.cost
+    real_objective = _Shooting.objective
     calls = []
 
     def no_descent(self, U):
         # the initial cost is real; every trial step is rejected
         calls.append(None)
-        return real_cost(self, U) if len(calls) == 1 else np.inf
+        obj = real_objective(self, U)
+        return obj if len(calls) == 1 else obj._replace(cost=np.inf)
 
-    monkeypatch.setattr(_Shooting, "cost", no_descent)
+    monkeypatch.setattr(_Shooting, "objective", no_descent)
     result = plan(problem, max_iter=50)
     assert not result.converged
     assert len(result.cost_history) == 1
@@ -93,7 +95,8 @@ def test_rollout_is_textbook_rk4_bit_for_bit():
     sh = _Shooting(problem)
     rng = np.random.default_rng(2)
     U = VTOL_MASS * VTOL_GRAVITY / 2.0 + 0.1 * rng.normal(size=(sh.n_steps + 1, 2))
-    X, stages = sh._forward(U)
+    X, S, V = sh._forward(U)
+    assert S.shape == (sh.n_steps, 4, 6) and V.shape == (sh.n_steps, 3, 2)
 
     def F(x, u):
         return vt.drift(x) + vt.actuation(x) @ u
@@ -108,7 +111,7 @@ def test_rollout_is_textbook_rk4_bit_for_bit():
         k3 = F(x3, um)
         x4 = x + dt * k3
         k4 = F(x4, U[k + 1])
-        for got, want in zip(stages[k], (x, x2, x3, x4, U[k], um, U[k + 1])):
+        for got, want in zip(list(S[k]) + list(V[k]), (x, x2, x3, x4, U[k], um, U[k + 1])):
             np.testing.assert_array_equal(got, want)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         np.testing.assert_array_equal(X[k + 1], x)
@@ -197,12 +200,69 @@ def test_batched_adjoint_matches_per_step_oracle(name, bench3d, monkeypatch):
     cost, grad = sh.cost_and_grad(U)
     # one FD call on the block of every step's four stage states
     assert calls == [(4 * sh.n_steps, problem.sys.state_dim)]
-    want_cost, want = oracle.cost_and_grad(sh, plant, U)
+    want_cost, want = oracle.cost_and_grad(oracle.Shooting(problem), plant, U)
     assert np.isfinite(cost) and cost == want_cost
     if exact:
         assert grad.tobytes() == want.tobytes()
     else:   # one-state 3D squares round as libm pow
         np.testing.assert_allclose(grad, want, rtol=0, atol=1e-9 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["double_integrator", "vtol", "threeD"])
+def test_plan_matches_frozen_planner_loop_bit_for_bit(name, bench3d, monkeypatch):
+    """plan() keeps each accepted trial's forward half for the next gradient
+    and for the returned rollout: the same plan as the loop that recomputed
+    them, with one forward pass per cost, where that loop also ran one per
+    gradient and one for the final rollout."""
+    problem, _, U, _ = _adjoint_case(name, bench3d)
+    passes = []
+    real_forward = _Shooting._forward
+
+    def counted(self, U):
+        passes.append(None)
+        return real_forward(self, U)
+
+    monkeypatch.setattr(_Shooting, "_forward", counted)
+    result = plan(problem, init=U, max_iter=12)
+    want_U, history, converged, violations, want_X, sh = oracle.plan(problem, init=U, max_iter=12)
+    assert len(history) > 3
+    assert result.record.inputs.tobytes() == want_U.tobytes()
+    assert result.record.states.tobytes() == want_X.tobytes()
+    assert np.array(result.cost_history).tobytes() == np.array(history).tobytes()
+    assert result.cost == history[-1]
+    assert result.converged == converged
+    assert result.violations == violations
+    # the oracle: an initial cost, a forward pass per gradient and per
+    # line-search trial, and a final rollout; plan(): the first and the trials
+    assert len(passes) == sh.forward_passes - sh.gradients - 1
+
+
+def test_barriers_on_all_nodes_equal_the_node_loop():
+    rng = np.random.default_rng(8)
+    box = np.array([[-1.0, 1.0], [-np.inf, np.inf], [-0.5, 2.0], [0.0, 3.0]])
+    V = rng.uniform(-1.2, 2.2, (400, 4))
+    vals, _ = planner_mod._box_barrier(V, box, 1e-3)
+    inside = np.isfinite(vals)
+    assert 0 < inside.sum() < len(V)
+    for v, val in zip(V, vals):
+        assert np.isinf(val) == np.isinf(oracle.box_barrier(v, box, 1e-3)[0])
+    feasible = V[inside]
+    vals, grads = planner_mod._box_barrier(feasible, box, 1e-3)
+    for v, val, g in zip(feasible, vals, grads):
+        want, want_g = oracle.box_barrier(v, box, 1e-3)
+        assert val.tobytes() == np.float64(want).tobytes() and g.tobytes() == want_g.tobytes()
+
+    obstacles = (ObstacleEllipse(np.array([0.5, 1.0]), np.array([[4.0, 0.7], [0.7, 3.0]])),
+                 ObstacleEllipse(np.array([-1.0, 0.0]), np.diag([2.0, 9.0]), coords=(1, 2)))
+    X = rng.uniform(-3.0, 3.0, (400, 3))
+    vals, _ = planner_mod._obstacle_barrier(X, obstacles, 5.0)
+    for x, val in zip(X, vals):
+        assert np.isinf(val) == np.isinf(oracle.obstacle_barrier(x, obstacles, 5.0)[0])
+    clear = X[np.isfinite(vals)]
+    vals, grads = planner_mod._obstacle_barrier(clear, obstacles, 5.0)
+    for x, val, g in zip(clear, vals, grads):
+        want, want_g = oracle.obstacle_barrier(x, obstacles, 5.0)
+        assert val.tobytes() == np.float64(want).tobytes() and g.tobytes() == want_g.tobytes()
 
 
 def test_cost_is_the_forward_half_of_cost_and_grad_bit_for_bit(bench3d):
@@ -432,16 +492,11 @@ def test_end_to_end_nominal_all_margins(bench3d, metric3d):
     )
     result = plan(problem, max_iter=30)
     cal = calibrate([0.05, 0.07, 0.06, 0.09], 0.25)
-    report = end_to_end_run(
-        nom,                       # "true" plant without uncertainty
-        result,
-        metric3d,
-        None,
-        cal,
-        n_rollouts=3,
-        seed=0,
-        start_radius=0.0,          # every rollout starts at the reference start
-    )
+    ref = result.record
+    # "true" plant without uncertainty; every rollout starts at the reference start
+    rollouts = track(nom, metric3d, None, [ref] * 3, [ref.states[0]] * 3)
+    report = end_to_end_run(nom, result, metric3d, cal, rollouts)
+    assert report["n_rollouts"] == 3 and report["n_start_eligible"] == 3
     assert report["containment_fraction"] == 1.0
     assert report["original_violation_fraction"] == 0.0
     assert report["obstacle_violation_fraction"] == 0.0
@@ -464,9 +519,8 @@ def test_diverged_track_counts_as_failure(bench3d, metric3d, monkeypatch):
     monkeypatch.setattr(control, "integrate", diverge)
     assert track(true, metric3d, None, [ref], [ref.states[0]]) == [None]
     result = PlanResult(ref, 0.0, (0.0,), True, {})
-    report = end_to_end_run(
-        true, result, metric3d, None, calibrate([0.05, 0.07, 0.06], 0.25), n_rollouts=2
-    )
+    rollouts = track(true, metric3d, None, [ref] * 2, [ref.states[0]] * 2)
+    report = end_to_end_run(true, result, metric3d, calibrate([0.05, 0.07, 0.06], 0.25), rollouts)
     assert report["n_rollouts"] == 2
     assert report["containment_fraction"] == 0.0
     assert report["original_violation_fraction"] == 1.0
