@@ -4,7 +4,7 @@ point) at a time against one (N, n) block.
 
     python3 scripts/bench_simulation.py [--out BENCH_simulation.json]
 
-Five sections, all timed in CPU time with BLAS pinned to one thread, each
+Six sections, all timed in CPU time with BLAS pinned to one thread, each
 figure the median over REPEATS runs.  The two sides of a comparison run
 alternately, and its speedup is the median of the per-pair ratios, so that
 a drift in machine speed during the run hits both sides:
@@ -39,11 +39,17 @@ a drift in machine speed during the run hits both sides:
   the top): microseconds per call.  Then ``verify_contraction`` on the
   workload's fine grid, the per-point oracle against the batch (one FD call
   per function): milliseconds per verification.
+* blocks: for each perfbench workload, the closed-loop tracking of a cold
+  pipeline on its seed-0 calibration references (the calibration split of
+  ``ref_data``) and test references, over the full horizon: a calibration
+  block and then a test block, against the one merged block that the
+  cal_data stage now tracks.  CPU seconds of each side, the median per-pair
+  ratio of the two, and the merged rows equal to their separate runs.
 
 Each section also counts how many block results equal their one-at-a-time
 counterpart bit for bit.  The horizon of the rollouts is shortened to
-HORIZON_S so that the slow oracle fits the budget; the per-step cost does
-not depend on it.
+HORIZON_S so that the slow oracle fits the budget (except in blocks, which
+has no oracle); the per-step cost does not depend on it.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ OPEN_ROWS = (1, 4, 8, 20)
 REPEATS = 5
 HORIZON_S = 0.5
 WORKLOADS = {"threeD": ("desk3d", oracle.plant_3d), "vtol": ("vtol6d", oracle.plant_vtol)}
+BLOCK_WORKLOADS = ("desk3d", "plan3d", "vtol6d")
 CLOCK = time.process_time
 
 
@@ -110,15 +117,22 @@ def workload_config(workload: str, tmp: Path) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_file(cfg_path)
 
 
-def setup(workload: str, tmp: Path):
-    """Seed-0 workload config, both plants, metric, predictor, and the
-    largest set of references with their input signals."""
+def trained(workload: str, tmp: Path):
+    """Seed-0 workload config run up to its predictor: the config, both
+    plants, the metric and the predictor."""
     config = workload_config(workload, tmp)
     harness.run_pipeline(config, stop_after="train")
     out = Path(config.out_dir)
     sys_nom, sys_true = harness.benchmark_systems(config)
     metric = ContractionMetric.from_json_dict(harness.read_json(out / "metric.json"))
     predictor = UncertaintyPredictor.from_json_dict(harness.read_json(out / "predictor.json"))
+    return config, sys_nom, sys_true, metric, predictor
+
+
+def setup(workload: str, tmp: Path):
+    """Seed-0 workload config, both plants, metric, predictor, and the
+    largest set of references with their input signals."""
+    config, sys_nom, sys_true, metric, predictor = trained(workload, tmp)
     n = max(ROWS)
     signals = harness.sample_reference_policies(config, sys_nom, "bench", n)
     starts = [harness.sample_initial_condition(config, "bench", i) for i in range(n)]
@@ -343,6 +357,34 @@ def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
     return result
 
 
+def blocks(workload: str, tmp: Path) -> dict:
+    """A workload's calibration and test tracking, two blocks against one."""
+    config, sys_nom, sys_true, metric, predictor = trained(workload, tmp)
+    ref = harness.load_dataset(Path(config.out_dir) / "ref_data")
+    cal_refs = [e.record for e in ref.entries[config.n_train : config.n_train + config.n_cal]]
+    _, test_refs = harness._test_references(config, sys_nom)
+
+    def run(refs):
+        return track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+
+    apart_s, merged_s, speedup, want, got = paired(
+        lambda: run(cal_refs) + run(test_refs), lambda: run(cal_refs + test_refs))
+    rows = len(cal_refs) + len(test_refs)
+    result = {
+        "calibration_rows": len(cal_refs),
+        "test_rows": len(test_refs),
+        "steps": len(cal_refs[0].times) - 1,
+        "two_blocks_s": apart_s,
+        "merged_block_s": merged_s,
+        "speedup": speedup,
+        "bit_identical_rows": sum(same_bits(a, b) for a, b in zip(got, want)),
+    }
+    print(f"blocks {workload}: {len(cal_refs)} + {len(test_refs)} rows, two blocks "
+          f"{apart_s:.3f} s, one block {merged_s:.3f} s, {speedup:.2f}x, "
+          f"{result['bit_identical_rows']}/{rows} rows bit-identical", flush=True)
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_simulation.json"))
@@ -367,6 +409,7 @@ def main(argv=None) -> int:
         problem, init, max_iter = plan3d_problem(Path(tmp))
         result["adjoint"] = adjoint(problem, init)
         result["plan"] = plan_section(problem, init, max_iter)
+        result["blocks"] = {w: blocks(w, Path(tmp)) for w in BLOCK_WORKLOADS}
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")

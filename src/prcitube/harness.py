@@ -8,6 +8,13 @@ records that stage under the digest of the current config (without
 ``out_dir``); any config change except ``out_dir`` therefore recomputes every
 stage, and deleting one artifact, a trajectory CSV included, regenerates
 exactly its stage.
+
+The calibration records and the test rollouts are exchangeable runs of the
+same compensated closed loop, so when a run goes on to ``evaluate``, the
+cal_data stage tracks both as one block and hands the test rollouts to
+``stage_evaluate``, which only builds their tubes and judges them.  When
+cal_data is reused, or the run stops earlier, evaluate tracks its own test
+set alone; a resumed run reuses both stages and simulates nothing.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -43,6 +50,7 @@ from .predictor import (
     UncertaintyPredictor,
     generate_perturbed_dataset,
     generate_reference_dataset,
+    perturbed_dataset,
     split_reference,
     train,
 )
@@ -133,7 +141,7 @@ class ExperimentConfig:
     metric_box: Optional[list] = None       # certificate region, flat [lo,hi,...]
     # tube / projection
     projection_coords: list = field(default_factory=lambda: [0, 1])
-    start_mode: str = "center"              # test-rollout starts: center | ball
+    start_mode: str = "center"              # test rollouts start on their reference; the only mode
     # planner scenario (optional)
     plan_enabled: bool = False
     plan_start: Optional[list] = None
@@ -147,6 +155,13 @@ class ExperimentConfig:
     tighten_budget: int = 32
     # misc
     out_dir: str = "runs/experiment"
+
+    def __post_init__(self):
+        # Kept so that configs and reports keep the key.  A start in the
+        # tube ball would need the calibrated radius, which does not exist
+        # yet when the calibration block tracks the test rollouts.
+        if self.start_mode != "center":
+            raise ValueError(f"start_mode must be 'center', got {self.start_mode!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -456,13 +471,61 @@ def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
     return p
 
 
-def stage_cal_data(config, sys_true, ref_cal, metric, predictor, out: Path) -> TrainingDataset:
-    return _dataset_stage(
-        config, out, "cal_data", out / "ref_data",
-        lambda: generate_perturbed_dataset(
-            sys_true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric, predictor=predictor
-        ),
+def _test_references(config, sys_nom) -> tuple[list[str], list[TrajectoryRecord]]:
+    """The evaluation references ``test-0000``, ``test-0001``, ... and
+    their ids, replayed on the nominal plant as one block from the ``test``
+    streams; a diverged one is logged and left out."""
+    n = config.n_test
+    references = replay(
+        sys_nom,
+        [sample_initial_condition(config, "test", i) for i in range(n)],
+        sample_reference_policies(config, sys_nom, "test", n),
+        config.horizon_s,
+        config.dt_s,
     )
+    ids, refs = [], []
+    for i, ref in enumerate(references):
+        if ref is None:
+            log.warning("test reference %d diverged", i)
+            continue
+        ids.append(f"test-{i:04d}")
+        refs.append(ref)
+    return ids, refs
+
+
+def _track_block(config, sys_nom, sys_true, metric, predictor, cal_refs, with_test: bool):
+    """One closed-loop block: each calibration reference tracked from its
+    first state, then (``with_test``) each test reference from its own.
+
+    Returns the calibration rollouts and the test set ``(ids, references,
+    rollouts)``, or None for it without ``with_test``; a diverged rollout is
+    None.  A block row rounds as the row alone, so merging the two sets
+    changes no bit of either.
+    """
+    ids, test_refs = _test_references(config, sys_nom) if with_test else ([], [])
+    refs = list(cal_refs) + test_refs
+    rollouts = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+    n = len(cal_refs)
+    return rollouts[:n], (ids, test_refs, rollouts[n:]) if with_test else None
+
+
+def stage_cal_data(
+    config, sys_nom, sys_true, ref_cal, metric, predictor, out: Path, with_test: bool = False
+):
+    """The calibration records, and (``with_test``, when the records are
+    generated) the test rollouts tracked in the same block, for
+    ``stage_evaluate``.  Returns ``(dataset, test set or None)``."""
+    test = None
+
+    def generate():
+        nonlocal test
+        records, test = _track_block(
+            config, sys_nom, sys_true, metric, predictor,
+            [e.record for e in ref_cal.entries], with_test,
+        )
+        return perturbed_dataset(ref_cal, records, "cal")
+
+    return _dataset_stage(config, out, "cal_data", out / "ref_data", generate), test
 
 
 def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal.CalibrationResult:
@@ -625,36 +688,22 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
     return read_json(report_path)
 
 
-def stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out: Path) -> dict:
+def stage_evaluate(
+    config, sys_nom, sys_true, metric, predictor, calibration, out: Path, test=None
+) -> dict:
+    """Judge the test rollouts against their tubes.  ``test`` is the set
+    that ``stage_cal_data`` tracked in its block; without it (cal_data was
+    reused) the test set is drawn and tracked here, alone."""
     rpath = out / "test" / "coverage.json"
     csv_path = out / "test" / "sup_distances.csv"
     if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
-    n = config.n_test
-    references = replay(
-        sys_nom,
-        [sample_initial_condition(config, "test", i) for i in range(n)],
-        sample_reference_policies(config, sys_nom, "test", n),
-        config.horizon_s,
-        config.dt_s,
-    )
-    tubes, refs, starts, ids = [], [], [], []
-    for i, ref in enumerate(references):
-        if ref is None:
-            log.warning("test reference %d diverged", i)
-            continue
-        t = PRCITube.from_calibration(ref, metric, calibration, source_id="test")
-        start = ref.states[0]
-        if config.start_mode == "ball":
-            rng = rng_stream(config.seed, f"test-start-{i}")
-            start = tube_mod.start_in_ball(metric, start, t.radius, rng)
-        tubes.append(t)
-        refs.append(ref)
-        starts.append(start)
-        ids.append(f"test-{i:04d}")
+    if test is None:
+        _, test = _track_block(config, sys_nom, sys_true, metric, predictor, [], True)
+    ids, refs, rollouts = test
+    tubes = [PRCITube.from_calibration(ref, metric, calibration, source_id="test") for ref in refs]
     # a diverged rollout (None) stays in the count as not contained
-    rollouts = track(sys_true, metric, predictor, refs, starts)
     result = tube_mod.containment_experiment(tubes, rollouts)
     result["ids"] = ids
     write_json(rpath, result)
@@ -723,7 +772,10 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("train"):
         return _finish(report, out)
 
-    cal_ds = stage_cal_data(config, sys_true, ref_cal, metric, predictor, out)
+    cal_ds, test = stage_cal_data(
+        config, sys_nom, sys_true, ref_cal, metric, predictor, out,
+        with_test=stop_after == "evaluate",
+    )
     calibration = stage_calibrate(config, cal_ds, predictor, sys_true, out)
     report["calibration"] = {
         "n_cal": calibration.n_scores,
@@ -744,7 +796,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("plan"):
         return _finish(report, out)
 
-    coverage = stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out)
+    coverage = stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out, test)
     report["coverage"] = {
         k: coverage[k]
         for k in (

@@ -155,12 +155,21 @@ def generate_perturbed_dataset(
                          [e.policy for e in source.entries], grid.horizon, grid.dt)
     else:
         records = []
+    return perturbed_dataset(source, records, split_tag)
+
+
+def perturbed_dataset(
+    source: TrainingDataset, records: Sequence[Optional[TrajectoryRecord]], split_tag: str
+) -> TrainingDataset:
+    """The dataset of ``records``, record i run over reference entry i of
+    ``source`` and stored under that entry's id and policy, with its record
+    as the reference.  A diverged record (None) is skipped and logged."""
     entries = []
-    for e, ref, rec in zip(source.entries, refs, records):
+    for e, rec in zip(source.entries, records):
         if rec is None:
             log.warning("skipping %s", e.entry_id)
             continue
-        entries.append(DatasetEntry(e.entry_id, rec, e.policy, reference=ref))
+        entries.append(DatasetEntry(e.entry_id, rec, e.policy, reference=e.record))
     return TrainingDataset(tuple(entries), split_tag)
 
 
@@ -367,8 +376,8 @@ def _record_arrays(dataset: TrainingDataset):
     ]
 
 
-def _softmax_surrogate_and_grad(params, Z, target, tau, out_shift, out_scale):
-    """Per-record surrogate loss and parameter gradients.
+def _surrogate_forward(params, Z, target, tau, out_shift, out_scale):
+    """Per-record surrogate loss, and the forward values its gradient reuses.
 
     Z is the normalized (T, F) input block; predictions are de-normalized
     with (out_shift, out_scale) before the error, so the surrogate is the
@@ -385,6 +394,12 @@ def _softmax_surrogate_and_grad(params, Z, target, tau, out_shift, out_scale):
     w = np.exp(shifted)
     w /= np.sum(w)
     s = float(w @ e)
+    return s, (acts, r, e, w)
+
+
+def _surrogate_backward(params, s, forward, tau, out_scale):
+    """Parameter gradients of the surrogate ``s`` from its forward values."""
+    acts, r, e, w = forward
     ds_de = w * (1.0 + tau * (e - s))
     safe = np.where(e > 1e-12, e, 1.0)
     G = (ds_de / safe)[:, None] * r * out_scale
@@ -398,7 +413,7 @@ def _softmax_surrogate_and_grad(params, Z, target, tau, out_shift, out_scale):
         if i > 0:
             delta = (delta @ params[i][0]) * (1.0 - acts[i] ** 2)
     grads.reverse()
-    return s, grads
+    return grads
 
 
 def _train_mlp(data, n, m, cfg: TrainConfig):
@@ -416,13 +431,15 @@ def _train_mlp(data, n, m, cfg: TrainConfig):
     for out_d, in_d in _mlp_shapes(layers):
         params.append((rng.normal(0.0, np.sqrt(2.0 / in_d), (out_d, in_d)), np.zeros(out_d)))
 
+    def forward(ps, Zb, tb):
+        return _surrogate_forward(ps, Zb, tb, SURROGATE_TEMPERATURE, out_shift, out_scale)
+
     def surrogate(ps, Zb, tb):
-        return _softmax_surrogate_and_grad(
-            ps, Zb, tb, SURROGATE_TEMPERATURE, out_shift, out_scale
-        )
+        s, values = forward(ps, Zb, tb)
+        return s, _surrogate_backward(ps, s, values, SURROGATE_TEMPERATURE, out_scale)
 
     def full_loss(ps):
-        return float(np.mean([surrogate(ps, Zb, tb)[0] for Zb, tb in blocks]))
+        return float(np.mean([forward(ps, Zb, tb)[0] for Zb, tb in blocks]))
 
     lr = cfg.learning_rate
     loss = full_loss(params)

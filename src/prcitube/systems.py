@@ -22,9 +22,11 @@ whose ``** 2`` is the libm ``pow`` and not the array square, so the 3D
 plant's one-state values may differ from its row values in the last bit
 (in about 0.1% of squares); VTOL rows match one-state calls exactly.
 
-Block callers: ``control.track`` steps every closed-loop rollout of a
-stage (calibration, evaluation, and the plan stage's second calibration
-step with its end-to-end rollouts); ``replay`` steps the open-loop ones
+Block callers: ``control.track`` steps the closed-loop rollouts, in one
+block per stage that simulates any (the calibration records with the test
+rollouts, or the test rollouts alone when evaluation runs without fresh
+calibration data; the plan stage's second calibration step with its
+end-to-end rollouts); ``replay`` steps the open-loop ones
 (the reference and training datasets, the test references); the harness
 flies its waypoint PD references as one block; and the planner's adjoint
 takes all its stage Jacobians from one FD call on a block of stage states.

@@ -364,6 +364,131 @@ def test_diverged_test_rollout_counts_against_coverage(tmp_path, monkeypatch):
     assert rows[1] == "test-0000,inf,0"
 
 
+def _spy_track(monkeypatch, alter=lambda rolls: rolls):
+    """Record every ``harness.track`` call with its rollouts; ``alter``
+    rewrites the rollouts the pipeline gets back."""
+    import prcitube.harness as harness
+
+    real_track, calls = harness.track, []
+
+    def track(sys_true, metric, predictor, references, starts):
+        rolls = real_track(sys_true, metric, predictor, references, starts)
+        calls.append((sys_true, metric, predictor, references, starts, rolls))
+        return alter(rolls)
+
+    monkeypatch.setattr(harness, "track", track)
+    return real_track, calls
+
+
+def _smoke_config(out, **changes):
+    return ExperimentConfig.from_dict(dict(parse_flat_config(SMOKE), out_dir=str(out), **changes))
+
+
+def test_cold_run_tracks_calibration_and_test_rows_as_one_block(tmp_path, monkeypatch):
+    """A cold run makes one closed-loop block before evaluate: the n_cal
+    calibration references, then the n_test test references, each from its
+    first state.  Its calibration rows are the cal_data records, and its test
+    rows equal a track call of their own, byte for byte."""
+    import prcitube.harness as harness
+
+    real_track, calls = _spy_track(monkeypatch)
+    real_evaluate, seen = harness.stage_evaluate, []
+
+    def evaluate(*args, **kwargs):
+        seen.append(len(calls))
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "stage_evaluate", evaluate)
+    cfg = _smoke_config(tmp_path / "run")
+    run_pipeline(cfg)
+    assert seen == [1] and len(calls) == 1
+    (sys_true, metric, predictor, references, starts, rolls), = calls
+    assert len(references) == cfg.n_cal + cfg.n_test
+    assert all(x0.tobytes() == r.states[0].tobytes() for r, x0 in zip(references, starts))
+
+    out = tmp_path / "run"
+    cal = load_dataset(out / "cal_data", reference_dir=out / "ref_data")
+    assert len(cal) == cfg.n_cal
+    for e, ref, roll in zip(cal.entries, references, rolls):
+        assert ref.to_csv() == e.reference.to_csv()
+        assert roll.to_csv() == (out / "cal_data" / f"{e.entry_id}.csv").read_text()
+
+    ids, test_refs = harness._test_references(cfg, benchmark_systems(cfg)[0])
+    assert ids == read_json(out / "test" / "coverage.json")["ids"]
+    assert [r.to_csv() for r in references[cfg.n_cal:]] == [r.to_csv() for r in test_refs]
+    alone = real_track(sys_true, metric, predictor, test_refs, [r.states[0] for r in test_refs])
+    for a, b in zip(rolls[cfg.n_cal:], alone):
+        for name in ("states", "inputs", "uncertainties"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_stop_before_evaluate_tracks_only_calibration_rows(tmp_path, monkeypatch):
+    _, calls = _spy_track(monkeypatch)
+    cfg = _smoke_config(tmp_path / "run")
+    run_pipeline(cfg, stop_after="tube")
+    (_, _, _, references, _, _), = calls
+    assert len(references) == cfg.n_cal
+    assert not (tmp_path / "run" / "test").exists()
+
+
+def test_evaluate_recomputed_alone_matches_merged_cold_run(smoke_run, tmp_path, monkeypatch):
+    """evaluate tracks its own test set when cal_data is reused (after a
+    stop before evaluate, or a deleted coverage.json), and writes the same
+    bytes as the cold run that tracked it in the calibration block."""
+    cfg, merged, _ = smoke_run
+    written = ("test/coverage.json", "test/sup_distances.csv")
+    staged = dataclasses.replace(cfg, out_dir=str(tmp_path / "staged"))
+    run_pipeline(staged, stop_after="tube")
+    resumed_cfg, resumed = _copy_of(smoke_run, tmp_path)
+    (resumed / "test" / "coverage.json").unlink()
+
+    _, calls = _spy_track(monkeypatch)
+    run_pipeline(staged)
+    run_pipeline(resumed_cfg)
+    assert [len(c[3]) for c in calls] == [cfg.n_test, cfg.n_test]
+    for name in written:
+        assert (tmp_path / "staged" / name).read_bytes() == (merged / name).read_bytes(), name
+        assert (resumed / name).read_bytes() == (merged / name).read_bytes(), name
+
+
+def test_diverged_test_row_of_the_block_drops_no_calibration_record(tmp_path, monkeypatch):
+    cfg = _smoke_config(tmp_path / "run", n_cal=4)
+    _spy_track(monkeypatch, lambda rolls: rolls[: cfg.n_cal] + [None] + rolls[cfg.n_cal + 1 :])
+    report = run_pipeline(cfg)
+    out = tmp_path / "run"
+    assert len(load_dataset(out / "cal_data")) == report["calibration"]["n_cal"] == cfg.n_cal
+    coverage = read_json(out / "test" / "coverage.json")
+    assert coverage["n_rollouts"] == cfg.n_test
+    assert coverage["sup_distances"][0] == "inf"
+    assert (out / "test" / "sup_distances.csv").read_text().splitlines()[1] == "test-0000,inf,0"
+
+
+def test_diverged_calibration_row_of_the_block_leaves_test_rows_alone(tmp_path, monkeypatch):
+    fine = run_pipeline(_smoke_config(tmp_path / "fine", n_cal=4))
+    cfg = _smoke_config(tmp_path / "run", n_cal=4)
+    _spy_track(monkeypatch, lambda rolls: [None] + rolls[1:])
+    report = run_pipeline(cfg)
+    out = tmp_path / "run"
+    assert load_dataset(out / "cal_data").ids() == ["ref-0003", "ref-0004", "ref-0005"]
+    assert report["calibration"]["n_cal"] == cfg.n_cal - 1
+    got = read_json(out / "test" / "coverage.json")
+    want = read_json(tmp_path / "fine" / "test" / "coverage.json")
+    assert got["n_rollouts"] == fine["coverage"]["n_rollouts"] == cfg.n_test
+    assert got["ids"] == want["ids"] and got["sup_distances"] == want["sup_distances"]
+
+
+def test_start_mode_other_than_center_is_refused(tmp_path, capsys):
+    ExperimentConfig.from_dict({"start_mode": "center"})
+    with pytest.raises(ValueError, match="start_mode"):
+        ExperimentConfig.from_dict({"start_mode": "ball"})
+    with pytest.raises(ValueError, match="start_mode"):
+        dataclasses.replace(ExperimentConfig(), start_mode="ball")
+    cfg = write_smoke(tmp_path, 'start_mode = "ball"\n')
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "start_mode" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     """Every function the benchmark tracer wraps still exists under its
     traced name, and the tracer leaves nothing patched behind."""
@@ -478,7 +603,9 @@ def test_plan_stage_tracks_second_step_and_end_to_end_as_one_block(tmp_path, mon
         dict(SINGLE_STEP_PLAN, two_step=True, out_dir=str(tmp_path / "two"))
     )
     report = run_pipeline(cfg, stop_after="plan")
-    (sys_true, metric, predictor, references, starts, rolls), = calls
+    # the calibration records' block comes first, then the plan stage's
+    cal_call, (sys_true, metric, predictor, references, starts, rolls) = calls
+    assert len(cal_call[3]) == cfg.n_cal
     n2 = cfg.n_cal - int(round(cfg.two_step_fraction * cfg.n_cal))
     assert len(starts) == n2 + cfg.n_test == 5
     assert report["plan"]["end_to_end"]["n_rollouts"] == cfg.n_test
