@@ -3,18 +3,21 @@
 A pipeline run is a sequence of stages, each persisting its artifacts under
 the output directory.  A stage loads its artifacts back instead of
 recomputing only when all of them exist (for a dataset directory: its
-manifest and every CSV it lists load) and the ledger ``provenance.json``
-records that stage under the digest of the current config (without
-``out_dir``); any config change except ``out_dir`` therefore recomputes every
-stage, and deleting one artifact, a trajectory CSV included, regenerates
-exactly its stage.
+manifest reads, every CSV it lists exists, references included, and a
+train or cal record's CSV header has its ``zeta_*`` columns) and the ledger
+``provenance.json`` records that stage under the digest of the current
+config (without ``out_dir``); any config change except ``out_dir``
+therefore recomputes every stage, and deleting one artifact, a trajectory
+CSV included, regenerates exactly its stage.  A reused dataset parses a
+CSV body only when a recomputed stage reads that record.
 
 The calibration records and the test rollouts are exchangeable runs of the
 same compensated closed loop, so when a run goes on to ``evaluate``, the
 cal_data stage tracks both as one block and hands the test rollouts to
 ``stage_evaluate``, which only builds their tubes and judges them.  When
 cal_data is reused, or the run stops earlier, evaluate tracks its own test
-set alone; a resumed run reuses both stages and simulates nothing.
+set alone.  A resumed run reuses every stage: it simulates nothing and
+parses no dataset CSV.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -343,16 +346,28 @@ def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
 
 
 def load_dataset(directory, reference_dir=None) -> TrainingDataset:
+    """The dataset saved in ``directory``, its references from
+    ``reference_dir``.  Reads the manifest and checks that every CSV it
+    lists exists (and, for the train and cal splits, that each record's
+    header carries the ``zeta_*`` columns); each CSV body is parsed on first
+    access to its entry's ``record`` or ``reference``."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
+
+    def stored(path: Path) -> Path:
+        if not path.is_file():
+            raise FileNotFoundError(f"{path}: listed in {directory / 'manifest.json'}, missing")
+        return path
+
     entries = []
     for item in manifest["entries"]:
-        record = TrajectoryRecord.load_csv(directory / item["csv"])
-        policy = PiecewiseLinearInput.from_json_dict(item["policy"])
         reference = None
         if item.get("reference_id") and reference_dir is not None:
-            reference = TrajectoryRecord.load_csv(Path(reference_dir) / f"{item['reference_id']}.csv")
-        entries.append(DatasetEntry(item["id"], record, policy, reference))
+            reference = stored(Path(reference_dir) / f"{item['reference_id']}.csv")
+        entries.append(DatasetEntry(
+            item["id"], stored(directory / item["csv"]),
+            PiecewiseLinearInput.from_json_dict(item["policy"]), reference,
+        ))
     return TrainingDataset(tuple(entries), manifest["split_tag"])
 
 
@@ -386,9 +401,14 @@ def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
 
 def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> TrainingDataset:
     """A dataset stage: the directory ``out / stage`` (its manifest is written
-    last) is reused by ``_reuse`` only when the manifest and every CSV it
-    lists load; otherwise ``generate()`` runs and its dataset is saved.  So a
-    deleted CSV regenerates exactly this stage."""
+    last) is reused by ``_reuse`` only when ``load_dataset`` accepts it: the
+    manifest reads, every CSV it lists (references included) exists, and a
+    train or cal record's header has its ``zeta_*`` columns.  Otherwise
+    ``generate()`` runs and its dataset is saved, so a deleted CSV
+    regenerates exactly this stage.  A reused dataset parses no CSV body
+    until a recomputed stage reads the record; a body that does not parse
+    then raises ``ValueError`` naming the file (the ledger vouched for it,
+    so it was edited after its stage finished)."""
     directory = out / stage
     if _reuse(config, out, stage, directory / "manifest.json"):
         try:
@@ -542,19 +562,23 @@ def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal
 
 
 def stage_tube(config, metric, calibration, cal_ds, out: Path) -> dict:
+    """The tube around the first calibration reference.  Its radius comes
+    from the metric and the calibration alone, so the reference record is
+    read only when ``tube.json`` is written."""
     path = out / "tube.json"
     csv_path = out / "tube_ellipses.csv"
-    reference = cal_ds.entries[0].reference or cal_ds.entries[0].record
-    t = PRCITube.from_calibration(reference, metric, calibration, source_id="calibration")
+    radius = tube_mod.tube_radius(metric, calibration)
     # an infinite tube has no projection; none may survive from another config
-    finite = bool(np.isfinite(t.radius))
+    finite = bool(np.isfinite(radius))
     if not _reuse(config, out, "tube", path, *([csv_path] if finite else [])):
+        reference = cal_ds.entries[0].reference or cal_ds.entries[0].record
+        t = PRCITube.from_calibration(reference, metric, calibration, source_id="calibration")
         write_json(path, t.to_json_dict())
         csv_path.unlink(missing_ok=True)
         if finite:
             project_tube_2d(t, tuple(config.projection_coords)).save_csv(csv_path)
         _record(config, out, "tube")
-    return {"radius": t.radius, "alpha": t.alpha}
+    return {"radius": radius, "alpha": calibration.alpha}
 
 
 def _parse_obstacles(config) -> tuple:

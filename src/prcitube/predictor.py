@@ -32,13 +32,12 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .control import track
 from .errors import DimensionMismatch, NonFiniteLoss
-from .metric import ContractionMetric
 from .systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, replay
 from .systems import integrate  # noqa: F401  (perfbench/test_perfbench.py looks it up here)
 
@@ -52,12 +51,58 @@ SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surr
 # Datasets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+StoredRecord = Union[TrajectoryRecord, Path]
+
+
+def _parsed(record: Optional[StoredRecord]) -> Optional[TrajectoryRecord]:
+    if record is None or isinstance(record, TrajectoryRecord):
+        return record
+    try:
+        return TrajectoryRecord.load_csv(record)
+    except (ValueError, IndexError) as err:
+        raise ValueError(f"{record}: unreadable trajectory CSV ({err})") from err
+
+
 class DatasetEntry:
-    entry_id: str
-    record: TrajectoryRecord
-    policy: PiecewiseLinearInput
-    reference: Optional[TrajectoryRecord] = None
+    """One record of a dataset, with the input signal it ran under and, in
+    the perturbed splits, the reference it ran over.
+
+    ``record`` and ``reference`` are given as records, or as the paths of
+    stored CSVs (``harness.load_dataset``).  A stored CSV is parsed on first
+    access, once, and its record kept; a body that does not parse raises
+    ``ValueError`` naming the file.
+    """
+
+    def __init__(
+        self,
+        entry_id: str,
+        record: StoredRecord,
+        policy: PiecewiseLinearInput,
+        reference: Optional[StoredRecord] = None,
+    ):
+        self.entry_id = entry_id
+        self.policy = policy
+        self._record = record
+        self._reference = reference
+
+    @property
+    def record(self) -> TrajectoryRecord:
+        self._record = _parsed(self._record)
+        return self._record
+
+    @property
+    def reference(self) -> Optional[TrajectoryRecord]:
+        self._reference = _parsed(self._reference)
+        return self._reference
+
+    @functools.cached_property
+    def has_uncertainties(self) -> bool:
+        """Whether the record carries its realized uncertainty; a stored
+        record answers from the ``zeta_*`` columns of its CSV header alone."""
+        if isinstance(self._record, TrajectoryRecord):
+            return self._record.uncertainties is not None
+        with open(self._record) as fh:
+            return any(c.startswith("zeta_") for c in fh.readline().strip().split(","))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +119,7 @@ class TrainingDataset:
     def __post_init__(self):
         if self.split_tag in ("train", "cal"):
             for e in self.entries:
-                if e.record.uncertainties is None:
+                if not e.has_uncertainties:
                     raise ValueError(f"{e.entry_id}: uncertainties missing in {self.split_tag} split")
 
     def __len__(self):
@@ -125,36 +170,27 @@ def generate_perturbed_dataset(
     source: TrainingDataset,
     policy_mode: str,
     split_tag: str,
-    metric: Optional[ContractionMetric] = None,
-    predictor: Optional["UncertaintyPredictor"] = None,
 ) -> TrainingDataset:
-    """Run the perturbed plant over a reference subset.
-
-    policy_mode "open_loop_reference" replays the stored input signals
-    (training protocol); "closed_loop_with_predictor" tracks the stored
-    references with the compensated policy (calibration protocol) and
-    requires a metric and a trained predictor.  Either mode steps all records
-    as one block, so the references must share a time grid.  A diverging
-    record is skipped and logged, not fatal.
+    """Replay the stored input signals of a reference subset open loop on
+    the perturbed plant (the training protocol), all records as one block,
+    so the references must share a time grid.  ``policy_mode`` must be
+    ``"open_loop_reference"``; the calibration protocol tracks its
+    references with ``control.track`` and stores the rollouts with
+    ``perturbed_dataset``.  A diverging record is skipped and logged, not
+    fatal.
     """
     if sys_true.uncertainty is None:
         raise ValueError("perturbed dataset needs a plant with uncertainty")
-    if policy_mode not in ("open_loop_reference", "closed_loop_with_predictor"):
+    if policy_mode != "open_loop_reference":
         raise ValueError(f"unknown policy_mode {policy_mode!r}")
-    closed = policy_mode == "closed_loop_with_predictor"
-    if closed and (metric is None or predictor is None):
-        raise ValueError("closed-loop mode requires a metric and a trained predictor")
     refs = [e.record for e in source.entries]
-    if closed:
-        records = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
-    elif refs:
+    records = []
+    if refs:
         grid = refs[0]
         if any(not np.array_equal(r.times, grid.times) for r in refs):
             raise ValueError("references of one dataset must share a time grid")
         records = replay(sys_true, [r.states[0] for r in refs],
                          [e.policy for e in source.entries], grid.horizon, grid.dt)
-    else:
-        records = []
     return perturbed_dataset(source, records, split_tag)
 
 

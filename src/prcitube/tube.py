@@ -64,6 +64,12 @@ def envelope_at(e: IEBEnvelope, t):
     return (e.d0 - e.asymptote) * np.exp(-e.rate * t) + e.asymptote
 
 
+def tube_radius(metric: ContractionMetric, calibration: CalibrationResult) -> float:
+    """sqrt(m_upper) * quantile / rate: the radius of every tube of this
+    metric and calibration, whatever its reference."""
+    return float(np.sqrt(metric.upper_bound) * calibration.quantile_value / metric.rate)
+
+
 @dataclass(frozen=True, eq=False)
 class PRCITube:
     """Fixed-radius Riemannian neighborhood of a reference trajectory."""
@@ -81,8 +87,9 @@ class PRCITube:
         calibration: CalibrationResult,
         source_id: str = "",
     ) -> "PRCITube":
-        radius = np.sqrt(metric.upper_bound) * calibration.quantile_value / metric.rate
-        return PRCITube(reference, metric, float(radius), calibration.alpha, source_id)
+        return PRCITube(
+            reference, metric, tube_radius(metric, calibration), calibration.alpha, source_id
+        )
 
     def envelope(self, d0: float) -> IEBEnvelope:
         return IEBEnvelope(float(d0), self.metric.rate, self.radius)

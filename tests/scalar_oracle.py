@@ -1,8 +1,9 @@
 """The per-rollout closed loop, the per-step planner adjoint, the planner
 loop, the one-flight waypoint PD law and the per-point metric stage as they
 were before they were stepped in blocks (or, for the planner loop, before
-it kept its forward passes), frozen here as the oracles that the new paths
-are checked against.
+it kept its forward passes, and for the dataset loader, before it parsed
+records on first use), frozen here as the oracles that the new paths are
+checked against.
 
 One state at a time: the plant functions index scalars (``x[0] ** 2`` is a
 NumPy-scalar power), every product is a plain one-row ``@``, the constant
@@ -10,19 +11,23 @@ feedback is the scalar ``feedback_terms``, the policy keeps one
 delayed-input ladder and each FD Jacobian is taken at one state.  Nothing
 here imports the code under test except plain data (the constant matrices,
 a metric's matrix and rate, a trained predictor's parameters, a planning
-problem's plant and obstacles), and for the metric stage a metric's
-``evaluate`` and ``directional_partial``, none of which is batched.
+problem's plant and obstacles), for the metric stage a metric's
+``evaluate`` and ``directional_partial``, none of which is batched, and for
+the dataset loader the record's CSV parser and the dataset containers, which
+it fills with parsed records.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from prcitube.errors import DegenerateConstraint, NonFiniteState
 from prcitube.metric import GEODESIC_SEGMENTS
-from prcitube.predictor import _poly_features, _unpack_mlp
+from prcitube.predictor import DatasetEntry, TrainingDataset, _poly_features, _unpack_mlp
 from prcitube.systems import (
     _B3_NOMINAL,
     _B3_TRUE,
@@ -34,6 +39,7 @@ from prcitube.systems import (
     VTOL_KPHIDOT,
     VTOL_KZ,
     VTOL_MASS,
+    PiecewiseLinearInput,
     TrajectoryRecord,
 )
 
@@ -631,3 +637,23 @@ def waypoint_pd_policy(target, input_box):
         return np.clip(np.array([u1, u2]), input_box[:, 0], input_box[:, 1])
 
     return pd_policy
+
+
+# -- dataset loader ------------------------------------------------------------------------
+
+def load_dataset(directory, reference_dir=None):
+    """The eager loader: every record CSV of the manifest, and each
+    reference CSV from ``reference_dir``, parsed at load into in-memory
+    entries."""
+    directory = Path(directory)
+    with open(directory / "manifest.json") as fh:
+        manifest = json.load(fh)
+    entries = []
+    for item in manifest["entries"]:
+        record = TrajectoryRecord.load_csv(directory / item["csv"])
+        policy = PiecewiseLinearInput.from_json_dict(item["policy"])
+        reference = None
+        if item.get("reference_id") and reference_dir is not None:
+            reference = TrajectoryRecord.load_csv(Path(reference_dir) / f"{item['reference_id']}.csv")
+        entries.append(DatasetEntry(item["id"], record, policy, reference))
+    return TrainingDataset(tuple(entries), manifest["split_tag"])

@@ -24,7 +24,7 @@ from prcitube.predictor import (
     split_reference,
     train,
 )
-from tests.test_predictor import small_ref_dataset
+from tests.test_predictor import closed_loop_dataset, small_ref_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +137,7 @@ def cal_setup(bench3d, metric3d):
     ref_train, ref_cal = split_reference(ref, 4, 4)
     train_ds = generate_perturbed_dataset(true, ref_train, "open_loop_reference", "train")
     predictor = train(train_ds, "linear_features", TrainConfig(degree=2))
-    cal_ds = generate_perturbed_dataset(
-        true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric3d, predictor=predictor
-    )
+    cal_ds = closed_loop_dataset(true, ref_cal, metric3d, predictor)
     return nom, true, metric3d, predictor, cal_ds
 
 
@@ -224,10 +222,7 @@ def test_pipeline_is_family_agnostic(bench3d, metric3d, family):
     ref_train, ref_cal = split_reference(ref, 3, 3)
     train_ds = generate_perturbed_dataset(true, ref_train, "open_loop_reference", "train")
     predictor = train(train_ds, family, TrainConfig(seed=0, epochs=5, degree=2))
-    cal_ds = generate_perturbed_dataset(
-        true, ref_cal, "closed_loop_with_predictor", "cal",
-        metric=metric3d, predictor=predictor,
-    )
+    cal_ds = closed_loop_dataset(true, ref_cal, metric3d, predictor)
     scores = score_dataset(cal_ds, predictor, true)
     result = calibrate(scores, alpha=0.3)
     assert result.n_scores == 3

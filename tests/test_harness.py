@@ -18,7 +18,9 @@ from prcitube.harness import (
     save_dataset,
 )
 from prcitube.predictor import generate_reference_dataset
-from prcitube.systems import PiecewiseLinearInput
+from prcitube.systems import PiecewiseLinearInput, TrajectoryRecord
+
+import scalar_oracle as oracle
 
 
 SMOKE = """
@@ -202,6 +204,108 @@ def test_deleted_dataset_csv_regenerates_its_stage(smoke_run, tmp_path, monkeypa
         assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def _count_parses(monkeypatch) -> list:
+    """The text of every ``TrajectoryRecord.from_csv`` call from now on."""
+    real, parsed = TrajectoryRecord.from_csv, []
+
+    def from_csv(text):
+        parsed.append(text)
+        return real(text)
+
+    monkeypatch.setattr(TrajectoryRecord, "from_csv", staticmethod(from_csv))
+    return parsed
+
+
+def test_stored_datasets_match_the_eager_oracle_loader(smoke_run):
+    """Every entry of the smoke run's three datasets equals the frozen eager
+    loader's, array for array, references included."""
+    _, out, _ = smoke_run
+    for name, refs in (("ref_data", None), ("train_data", out / "ref_data"),
+                       ("cal_data", out / "ref_data")):
+        got = load_dataset(out / name, reference_dir=refs)
+        want = oracle.load_dataset(out / name, reference_dir=refs)
+        assert got.split_tag == want.split_tag and got.ids() == want.ids() and len(got) > 0
+        for a, b in zip(got.entries, want.entries):
+            for field in ("knot_times", "knot_values"):
+                assert getattr(a.policy, field).tobytes() == getattr(b.policy, field).tobytes()
+            assert (a.reference is None) == (b.reference is None) == (refs is None)
+            pairs = [(a.record, b.record)] + ([(a.reference, b.reference)] if refs else [])
+            for x, y in pairs:
+                for field in ("times", "states", "inputs", "uncertainties"):
+                    u, v = getattr(x, field), getattr(y, field)
+                    assert (u is None) == (v is None), (name, a.entry_id, field)
+                    assert u is None or (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+
+
+def test_recalibration_parses_each_calibration_csv_once(smoke_run, monkeypatch):
+    cfg, out, _ = smoke_run
+    before = {n: (out / n).read_bytes() for n in ("report.json", "calibration.json", "scores.json")}
+    (out / "calibration.json").unlink()
+    parsed = _count_parses(monkeypatch)
+    run_pipeline(cfg)
+    cal_csvs = sorted((out / "cal_data").glob("*.csv"))
+    assert len(cal_csvs) == cfg.n_cal
+    assert sorted(parsed) == sorted(p.read_text() for p in cal_csvs)
+    for name, data in before.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_deleted_calibration_csv_regenerates_its_stage(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    out = smoke_run[1]
+    _, run_dir = _copy_of(smoke_run, tmp_path)
+    (run_dir / "cal_data" / "ref-0003.csv").unlink()
+    real_track = harness.track
+    _forbid_recompute(monkeypatch)
+    monkeypatch.setattr(harness, "track", real_track)
+    _, calls = _spy_track(monkeypatch)
+    cfg_file = write_smoke(tmp_path)
+    assert cli_main(["calibrate", "--config", str(cfg_file), "--out", str(run_dir)]) == 0
+    assert len(calls) == 1 and len(calls[0][3]) == smoke_run[0].n_cal
+    for name in ("cal_data/ref-0002.csv", "cal_data/ref-0003.csv", "cal_data/manifest.json",
+                 "calibration.json"):
+        assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage, entry, generator, command", [
+    ("train_data", "ref-0000", "generate_perturbed_dataset", "gen-data"),
+    ("cal_data", "ref-0002", "track", "calibrate"),
+])
+def test_record_csv_without_uncertainty_columns_is_refused_and_regenerated(
+    smoke_run, tmp_path, monkeypatch, stage, entry, generator, command
+):
+    import prcitube.harness as harness
+
+    out = smoke_run[1]
+    _, run_dir = _copy_of(smoke_run, tmp_path)
+    # the reference's CSV, which has no zeta_* columns, in place of the record's
+    shutil.copy(run_dir / "ref_data" / f"{entry}.csv", run_dir / stage / f"{entry}.csv")
+    with pytest.raises(ValueError, match="uncertainties missing"):
+        load_dataset(run_dir / stage, reference_dir=run_dir / "ref_data")
+    real_generate = getattr(harness, generator)
+    _forbid_recompute(monkeypatch)
+    monkeypatch.setattr(harness, generator, real_generate)
+    cfg_file = write_smoke(tmp_path)
+    assert cli_main([command, "--config", str(cfg_file), "--out", str(run_dir)]) == 0
+    for name in (f"{stage}/{entry}.csv", f"{stage}/manifest.json"):
+        assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_garbled_csv_body_raises_naming_the_file_when_read(smoke_run, tmp_path):
+    """A stored body is parsed only when a recomputed stage reads it: a full
+    resume still succeeds, and recalibrating names the edited file."""
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    path = run_dir / "cal_data" / "ref-0002.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["0.02,not-a-number"] + lines[3:]) + "\n")
+    run_pipeline(cfg)
+    assert _normalized_report(run_dir) == _normalized_report(smoke_run[1])
+    (run_dir / "calibration.json").unlink()
+    with pytest.raises(ValueError, match="ref-0002.csv"):
+        run_pipeline(cfg)
+
+
 def _normalized_report(out):
     report = read_json(out / "report.json")
     report["config"]["out_dir"] = ""
@@ -263,8 +367,10 @@ def test_same_config_resume_reuses_every_stage(smoke_run, monkeypatch):
                            "calibrate", "tube", "evaluate"}
     assert set(ledger.values()) == {cfg.digest}
     _forbid_recompute(monkeypatch)
+    parsed = _count_parses(monkeypatch)
     run_pipeline(cfg)
     assert (out / "report.json").read_bytes() == before
+    assert parsed == []     # no stage reads a record
 
 
 def test_foreign_ledger_digest_is_recomputed(smoke_run, tmp_path):

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-import prcitube.predictor as predictor_mod
 from prcitube.control import track
 from prcitube.errors import DimensionMismatch
 from prcitube.predictor import (
@@ -15,6 +14,7 @@ from prcitube.predictor import (
     generate_perturbed_dataset,
     generate_reference_dataset,
     make_zero_predictor,
+    perturbed_dataset,
     polynomial_terms,
     split_reference,
     sup_loss,
@@ -36,6 +36,14 @@ def small_ref_dataset(nom, n=6, T=1.5, dt=0.01, tag="ref"):
         knots = rng.uniform(-0.4, 0.4, (3, 2))
         pols.append(PiecewiseLinearInput(np.array([0.0, T / 2, T]), knots))
     return generate_reference_dataset(nom, ics, pols, T, dt)
+
+
+def closed_loop_dataset(sys_true, source, metric, predictor):
+    """The calibration protocol: each reference of ``source`` tracked from
+    its first state with the compensated policy, as one block."""
+    refs = [e.record for e in source.entries]
+    rollouts = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+    return perturbed_dataset(source, rollouts, "cal")
 
 
 @pytest.fixture(scope="module")
@@ -254,9 +262,7 @@ def test_open_vs_closed_loop_differ(datasets, metric3d):
     nom, true, _, _, ref_cal, train_ds = datasets
     p = train(train_ds, "linear_features", TrainConfig(degree=2))
     open_ds = generate_perturbed_dataset(true, ref_cal, "open_loop_reference", "train")
-    closed_ds = generate_perturbed_dataset(
-        true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric3d, predictor=p
-    )
+    closed_ds = closed_loop_dataset(true, ref_cal, metric3d, p)
     a = open_ds.entries[0].record.states
     b = closed_ds.entries[0].record.states
     assert np.max(np.abs(a - b)) > 1e-6
@@ -265,9 +271,7 @@ def test_open_vs_closed_loop_differ(datasets, metric3d):
 def test_closed_loop_records_are_track_rollouts(datasets, metric3d):
     _, true, _, _, ref_cal, train_ds = datasets
     p = train(train_ds, "linear_features", TrainConfig(degree=2))
-    ds = generate_perturbed_dataset(
-        true, ref_cal, "closed_loop_with_predictor", "cal", metric=metric3d, predictor=p
-    )
+    ds = closed_loop_dataset(true, ref_cal, metric3d, p)
     assert ds.ids() == ref_cal.ids()
     for e, src in zip(ds.entries, ref_cal.entries):
         assert e.reference is src.record
@@ -276,28 +280,19 @@ def test_closed_loop_records_are_track_rollouts(datasets, metric3d):
             assert getattr(e.record, name).tobytes() == getattr(rec, name).tobytes(), name
 
 
-def test_diverged_closed_loop_record_is_skipped_by_id(datasets, metric3d, monkeypatch, caplog):
+def test_diverged_closed_loop_record_is_skipped_by_id(datasets, metric3d, caplog):
     _, true, _, _, ref_cal, _ = datasets
-    first = ref_cal.entries[0].record
-    real_track = predictor_mod.track
-
-    def track_diverging_first(sys_true, metric, predictor, refs, starts):
-        rolls = real_track(sys_true, metric, predictor, refs, starts)
-        return [None if ref is first else roll for ref, roll in zip(refs, rolls)]
-
-    monkeypatch.setattr(predictor_mod, "track", track_diverging_first)
+    refs = [e.record for e in ref_cal.entries]
+    rolls = track(true, metric3d, make_zero_predictor(3, 2), refs, [r.states[0] for r in refs])
     with caplog.at_level(logging.WARNING, logger="prcitube.predictor"):
-        ds = generate_perturbed_dataset(
-            true, ref_cal, "closed_loop_with_predictor", "cal",
-            metric=metric3d, predictor=make_zero_predictor(3, 2),
-        )
+        ds = perturbed_dataset(ref_cal, [None] + rolls[1:], "cal")
     assert ds.ids() == ref_cal.ids()[1:]
     assert f"skipping {ref_cal.ids()[0]}" in caplog.text
 
 
-def test_closed_loop_requires_metric_and_predictor(datasets):
+def test_closed_loop_policy_mode_is_refused(datasets):
     _, true, _, _, ref_cal, _ = datasets
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="policy_mode"):
         generate_perturbed_dataset(true, ref_cal, "closed_loop_with_predictor", "cal")
 
 
