@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Resume speed: the eager dataset loader against the one that parses a CSV
-body only when a stage reads its record.
+body, or builds an input signal, only when a stage reads it.
 
     python3 scripts/bench_resume.py [--resumes K] [--full] [--out BENCH_resume.json]
 

@@ -44,7 +44,10 @@ a drift in machine speed during the run hits both sides:
   ``ref_data``) and test references, over the full horizon: a calibration
   block and then a test block, against the one merged block that the
   cal_data stage now tracks.  CPU seconds of each side, the median per-pair
-  ratio of the two, and the merged rows equal to their separate runs.
+  ratio of the two, and the merged rows equal to their separate runs.  The
+  same for the nominal replays before it (input sampling included): the
+  reference dataset and then the test references, against the one block
+  that the ref_data stage now replays.
 
 Each section also counts how many block results equal their one-at-a-time
 counterpart bit for bit.  The horizon of the rollouts is shortened to
@@ -382,6 +385,30 @@ def blocks(workload: str, tmp: Path) -> dict:
     print(f"blocks {workload}: {len(cal_refs)} + {len(test_refs)} rows, two blocks "
           f"{apart_s:.3f} s, one block {merged_s:.3f} s, {speedup:.2f}x, "
           f"{result['bit_identical_rows']}/{rows} rows bit-identical", flush=True)
+
+    counts = {"ref": config.n_train + config.n_cal, "test": config.n_test}
+
+    def replays(*groups):
+        entries = {}
+        for group in groups:
+            entries.update(harness._replay_references(config, sys_nom, group))
+        return [e.record for tag in counts for e in entries[tag]]
+
+    apart_s, merged_s, speedup, want, got = paired(
+        lambda: replays({"ref": counts["ref"]}, {"test": counts["test"]}),
+        lambda: replays(counts))
+    result["replay"] = {
+        "two_blocks_s": apart_s,
+        "merged_block_s": merged_s,
+        "speedup": speedup,
+        "bit_identical_rows": sum(
+            all(getattr(a, k).tobytes() == getattr(b, k).tobytes()
+                for k in ("times", "states", "inputs"))
+            for a, b in zip(got, want)),
+    }
+    print(f"replays {workload}: {counts['ref']} + {counts['test']} rows, two blocks "
+          f"{apart_s:.3f} s, one block {merged_s:.3f} s, {speedup:.2f}x, "
+          f"{result['replay']['bit_identical_rows']}/{len(want)} rows bit-identical", flush=True)
     return result
 
 

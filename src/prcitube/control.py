@@ -20,7 +20,13 @@ the first).  The tick ladder is driven by the integrator's notify_step
 hook, so u_minus at time t is exactly the input computed at grid time
 floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
 integrator uses that input as the step's first RK4 stage, so the policy
-is evaluated once per grid point plus three times per step.  Every
+is evaluated once per grid point plus three times per step.  Each of
+those evaluations reads the nominal drift at the tracked state, which the
+plant field and the 3D uncertainty need at the same state too; the
+integrator marks the state read-only and the benchmark plants remember
+its drift (``systems.memo_readonly``), so a closed-loop stage makes one
+nominal drift evaluation for all three (and, on the 3D plant, one true
+one).  Every
 compensated closed-loop rollout of the true plant is built in one place,
 ``track``, which steps all rollouts of one call as an (N, n) block: each
 policy evaluation makes one ``min_norm_feedback``, one ``predict`` and one
@@ -48,7 +54,15 @@ import numpy as np
 
 from .errors import DegenerateConstraint
 from .metric import GEODESIC_SEGMENTS, ContractionMetric, riemannian_distance
-from .systems import DynamicalSystem, TrajectoryRecord, integrate, matvec, rowdot, rownorm
+from .systems import (
+    DynamicalSystem,
+    TrajectoryRecord,
+    integrate,
+    matvec,
+    memo_readonly,
+    rowdot,
+    rownorm,
+)
 
 Array = np.ndarray
 
@@ -56,6 +70,14 @@ PINV_RCOND = 1e-10
 DEGENERATE_TOL = 1e-10
 STAGE_OFFSETS = np.array([0.0, 0.5, 1.0])      # RK4 stage times of a grid step, in steps
 TABLE_STEPS = 50        # grid steps per table of the reference side
+# the four discretized-geodesic nodes that the endpoint tangents read
+_NODE_WEIGHTS = (
+    np.array([1.0, 2.0, GEODESIC_SEGMENTS - 2.0, GEODESIC_SEGMENTS - 1.0]) / GEODESIC_SEGMENTS
+)
+
+# Frobenius norm of an actuation matrix, each row's for a stacked one; a
+# constant (read-only) matrix keeps its norm across calls
+_actuation_norm = memo_readonly(lambda B: rownorm(np.reshape(B, B.shape[:-2] + (-1,))))
 
 
 class FeedbackTerms(NamedTuple):
@@ -91,9 +113,8 @@ def feedback_terms(
     if metric.is_constant:
         d = x - x_ref
         K = GEODESIC_SEGMENTS
-        c1, c2, c_2, c_1 = (
-            (1.0 - w) * x_ref + w * x for w in np.array([1.0, 2.0, K - 2.0, K - 1.0]) / K
-        )
+        w = np.reshape(_NODE_WEIGHTS, (4,) + (1,) * d.ndim)
+        c1, c2, c_2, c_1 = (1.0 - w) * x_ref + w * x
         g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
         g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
         M_x = metric.constant_matrix
@@ -113,11 +134,12 @@ def feedback_terms(
     a = -matvec(np.swapaxes(Bx, -1, -2), Mg)
     t1 = rowdot(g1, matvec(M_x, fx + matvec(Bx, u_ref)))
     t2 = rowdot(g0, v_ref)
-    b = metric.rate * energy + t1 - t2
+    decay = metric.rate * energy
+    b = decay + t1 - t2
     # roundoff floor: at x == x_ref all terms vanish in exact arithmetic
-    scale = metric.rate * energy + np.abs(t1) + np.abs(t2)
+    scale = decay + np.abs(t1) + np.abs(t2)
     b = np.where((b <= 1e-12 * scale) & (b > 0.0), 0.0, b)
-    a_scale = rownorm(np.reshape(Bx, Bx.shape[:-2] + (-1,))) * rownorm(Mg)
+    a_scale = _actuation_norm(Bx) * rownorm(Mg)
     # [()] turns the 0-d results of one state into scalars
     return FeedbackTerms(a, b[()], np.asarray(energy)[()], np.asarray(a_scale)[()])
 

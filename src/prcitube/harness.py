@@ -16,8 +16,11 @@ same compensated closed loop, so when a run goes on to ``evaluate``, the
 cal_data stage tracks both as one block and hands the test rollouts to
 ``stage_evaluate``, which only builds their tubes and judges them.  When
 cal_data is reused, or the run stops earlier, evaluate tracks its own test
-set alone.  A resumed run reuses every stage: it simulates nothing and
-parses no dataset CSV.
+set alone.  In the same way the ref_data stage replays the test
+references with the reference dataset, as one nominal block, and hands
+them on to that closed-loop block; when ref_data is reused they are
+replayed alone.  A resumed run reuses every stage: it simulates nothing
+and parses no dataset CSV.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import zlib
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -67,11 +69,8 @@ from .systems import (
     integrate,
     make_benchmark_3d,
     make_benchmark_vtol,
-    replay,
 )
 from .tube import PRCITube, project_tube_2d, tighten_input_box, tighten_state_box
-
-log = logging.getLogger(__name__)
 
 PIPELINE_STAGES = ("metric", "gen-data", "train", "calibrate", "tube", "plan", "evaluate")
 
@@ -350,7 +349,8 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     ``reference_dir``.  Reads the manifest and checks that every CSV it
     lists exists (and, for the train and cal splits, that each record's
     header carries the ``zeta_*`` columns); each CSV body is parsed on first
-    access to its entry's ``record`` or ``reference``."""
+    access to its entry's ``record`` or ``reference``, and each input signal
+    is built from its manifest JSON on first access to ``policy``."""
     directory = Path(directory)
     manifest = read_json(directory / "manifest.json")
 
@@ -364,10 +364,9 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
         reference = None
         if item.get("reference_id") and reference_dir is not None:
             reference = stored(Path(reference_dir) / f"{item['reference_id']}.csv")
-        entries.append(DatasetEntry(
-            item["id"], stored(directory / item["csv"]),
-            PiecewiseLinearInput.from_json_dict(item["policy"]), reference,
-        ))
+        entries.append(
+            DatasetEntry(item["id"], stored(directory / item["csv"]), item["policy"], reference)
+        )
     return TrainingDataset(tuple(entries), manifest["split_tag"])
 
 
@@ -456,14 +455,43 @@ def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
     return box_grid(box, per_dim)
 
 
-def stage_ref_data(config, sys_nom, out: Path) -> TrainingDataset:
-    def generate():
-        n = config.n_train + config.n_cal
-        ics = [sample_initial_condition(config, "ref", i) for i in range(n)]
-        pols = sample_reference_policies(config, sys_nom, "ref", n)
-        return generate_reference_dataset(sys_nom, ics, pols, config.horizon_s, config.dt_s)
+def _replay_references(config, sys_nom, counts: dict) -> dict:
+    """References 0..n-1 of each tag in ``counts`` (``ref-0000``, ...,
+    ``test-0000``, ...), drawn from the tag's streams and replayed on the
+    nominal plant as one block; their dataset entries by tag, a diverged
+    one logged and left out."""
+    ids, starts, signals = [], [], []
+    for tag, n in counts.items():
+        ids += [f"{tag}-{i:04d}" for i in range(n)]
+        starts += [sample_initial_condition(config, tag, i) for i in range(n)]
+        signals += sample_reference_policies(config, sys_nom, tag, n)
+    ds = generate_reference_dataset(sys_nom, starts, signals, config.horizon_s, config.dt_s, ids)
+    return {tag: [e for e in ds.entries if e.entry_id.startswith(f"{tag}-")] for tag in counts}
 
-    return _dataset_stage(config, out, "ref_data", None, generate)
+
+def _test_set(entries) -> tuple[list[str], list[TrajectoryRecord]]:
+    return [e.entry_id for e in entries], [e.record for e in entries]
+
+
+def stage_ref_data(config, sys_nom, out: Path, with_test: bool = False):
+    """The reference dataset, and (``with_test``, when the dataset is
+    generated) the test references replayed after it in the same nominal
+    block, for the closed-loop block of ``_track_block``; only the
+    reference records are saved.  Returns ``(dataset, test references as
+    from _test_references, or None)``."""
+    test_refs = None
+
+    def generate():
+        nonlocal test_refs
+        counts = {"ref": config.n_train + config.n_cal}
+        if with_test:
+            counts["test"] = config.n_test
+        entries = _replay_references(config, sys_nom, counts)
+        if with_test:
+            test_refs = _test_set(entries["test"])
+        return TrainingDataset(tuple(entries["ref"]), "ref")
+
+    return _dataset_stage(config, out, "ref_data", None, generate), test_refs
 
 
 def stage_train_data(config, sys_true, ref_train, out: Path) -> TrainingDataset:
@@ -493,36 +521,27 @@ def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
 
 def _test_references(config, sys_nom) -> tuple[list[str], list[TrajectoryRecord]]:
     """The evaluation references ``test-0000``, ``test-0001``, ... and
-    their ids, replayed on the nominal plant as one block from the ``test``
-    streams; a diverged one is logged and left out."""
-    n = config.n_test
-    references = replay(
-        sys_nom,
-        [sample_initial_condition(config, "test", i) for i in range(n)],
-        sample_reference_policies(config, sys_nom, "test", n),
-        config.horizon_s,
-        config.dt_s,
-    )
-    ids, refs = [], []
-    for i, ref in enumerate(references):
-        if ref is None:
-            log.warning("test reference %d diverged", i)
-            continue
-        ids.append(f"test-{i:04d}")
-        refs.append(ref)
-    return ids, refs
+    their ids, replayed alone on the nominal plant as one block from the
+    ``test`` streams; a diverged one is logged and left out."""
+    return _test_set(_replay_references(config, sys_nom, {"test": config.n_test})["test"])
 
 
-def _track_block(config, sys_nom, sys_true, metric, predictor, cal_refs, with_test: bool):
+def _track_block(
+    config, sys_nom, sys_true, metric, predictor, cal_refs, with_test: bool, test_refs=None
+):
     """One closed-loop block: each calibration reference tracked from its
     first state, then (``with_test``) each test reference from its own.
+    ``test_refs`` is the test set ``(ids, references)`` that
+    ``stage_ref_data`` replayed; without it ``_test_references`` replays it.
 
     Returns the calibration rollouts and the test set ``(ids, references,
     rollouts)``, or None for it without ``with_test``; a diverged rollout is
     None.  A block row rounds as the row alone, so merging the two sets
     changes no bit of either.
     """
-    ids, test_refs = _test_references(config, sys_nom) if with_test else ([], [])
+    if with_test and test_refs is None:
+        test_refs = _test_references(config, sys_nom)
+    ids, test_refs = test_refs if with_test else ([], [])
     refs = list(cal_refs) + test_refs
     rollouts = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
     n = len(cal_refs)
@@ -530,18 +549,20 @@ def _track_block(config, sys_nom, sys_true, metric, predictor, cal_refs, with_te
 
 
 def stage_cal_data(
-    config, sys_nom, sys_true, ref_cal, metric, predictor, out: Path, with_test: bool = False
+    config, sys_nom, sys_true, ref_cal, metric, predictor, out: Path, with_test: bool = False,
+    test_refs=None,
 ):
     """The calibration records, and (``with_test``, when the records are
     generated) the test rollouts tracked in the same block, for
-    ``stage_evaluate``.  Returns ``(dataset, test set or None)``."""
+    ``stage_evaluate``; ``test_refs`` as in ``_track_block``.  Returns
+    ``(dataset, test set or None)``."""
     test = None
 
     def generate():
         nonlocal test
         records, test = _track_block(
             config, sys_nom, sys_true, metric, predictor,
-            [e.record for e in ref_cal.entries], with_test,
+            [e.record for e in ref_cal.entries], with_test, test_refs,
         )
         return perturbed_dataset(ref_cal, records, "cal")
 
@@ -713,18 +734,20 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
 
 
 def stage_evaluate(
-    config, sys_nom, sys_true, metric, predictor, calibration, out: Path, test=None
+    config, sys_nom, sys_true, metric, predictor, calibration, out: Path, test=None,
+    test_refs=None,
 ) -> dict:
     """Judge the test rollouts against their tubes.  ``test`` is the set
     that ``stage_cal_data`` tracked in its block; without it (cal_data was
-    reused) the test set is drawn and tracked here, alone."""
+    reused) the test set is tracked here, alone, from ``test_refs`` as in
+    ``_track_block``."""
     rpath = out / "test" / "coverage.json"
     csv_path = out / "test" / "sup_distances.csv"
     if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
     if test is None:
-        _, test = _track_block(config, sys_nom, sys_true, metric, predictor, [], True)
+        _, test = _track_block(config, sys_nom, sys_true, metric, predictor, [], True, test_refs)
     ids, refs, rollouts = test
     tubes = [PRCITube.from_calibration(ref, metric, calibration, source_id="test") for ref in refs]
     # a diverged rollout (None) stays in the count as not contained
@@ -775,7 +798,8 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("metric"):
         return _finish(report, out)
 
-    ref = stage_ref_data(config, sys_nom, out)
+    with_test = stop_after == "evaluate"
+    ref, test_refs = stage_ref_data(config, sys_nom, out, with_test)
     ref_train, ref_cal = split_reference(ref, min(config.n_train, len(ref)), min(config.n_cal, max(len(ref) - config.n_train, 0)))
     train_ds = stage_train_data(config, sys_true, ref_train, out)
     report["data"] = {
@@ -797,8 +821,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         return _finish(report, out)
 
     cal_ds, test = stage_cal_data(
-        config, sys_nom, sys_true, ref_cal, metric, predictor, out,
-        with_test=stop_after == "evaluate",
+        config, sys_nom, sys_true, ref_cal, metric, predictor, out, with_test, test_refs
     )
     calibration = stage_calibrate(config, cal_ds, predictor, sys_true, out)
     report["calibration"] = {
@@ -820,7 +843,9 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("plan"):
         return _finish(report, out)
 
-    coverage = stage_evaluate(config, sys_nom, sys_true, metric, predictor, calibration, out, test)
+    coverage = stage_evaluate(
+        config, sys_nom, sys_true, metric, predictor, calibration, out, test, test_refs
+    )
     report["coverage"] = {
         k: coverage[k]
         for k in (

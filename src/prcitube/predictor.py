@@ -52,6 +52,7 @@ SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surr
 # ---------------------------------------------------------------------------
 
 StoredRecord = Union[TrajectoryRecord, Path]
+StoredPolicy = Union[PiecewiseLinearInput, dict]    # a signal or its ``to_json_dict``
 
 
 def _parsed(record: Optional[StoredRecord]) -> Optional[TrajectoryRecord]:
@@ -70,20 +71,27 @@ class DatasetEntry:
     ``record`` and ``reference`` are given as records, or as the paths of
     stored CSVs (``harness.load_dataset``).  A stored CSV is parsed on first
     access, once, and its record kept; a body that does not parse raises
-    ``ValueError`` naming the file.
+    ``ValueError`` naming the file.  ``policy`` is given as a signal or as
+    its JSON dict from a manifest, built into the signal on first access.
     """
 
     def __init__(
         self,
         entry_id: str,
         record: StoredRecord,
-        policy: PiecewiseLinearInput,
+        policy: StoredPolicy,
         reference: Optional[StoredRecord] = None,
     ):
         self.entry_id = entry_id
-        self.policy = policy
+        self._policy = policy
         self._record = record
         self._reference = reference
+
+    @property
+    def policy(self) -> PiecewiseLinearInput:
+        if isinstance(self._policy, dict):
+            self._policy = PiecewiseLinearInput.from_json_dict(self._policy)
+        return self._policy
 
     @property
     def record(self) -> TrajectoryRecord:
@@ -135,18 +143,21 @@ def generate_reference_dataset(
     reference_policies: Sequence[PiecewiseLinearInput],
     T: float,
     dt: float,
+    ids: Optional[Sequence[str]] = None,
 ) -> TrainingDataset:
     """Integrate the nominal plant from each x0 under its input signal into
-    records ``ref-0000``, ``ref-0001``, ..., all pairs as one block.
+    records ``ref-0000``, ``ref-0001``, ... (or ``ids``), all pairs as one
+    block.
 
     Diverging records are skipped and logged, not fatal.
     """
     if sys_nominal.uncertainty is not None:
         raise ValueError("reference dataset must be generated on the nominal plant")
     records = replay(sys_nominal, initial_conditions, reference_policies, T, dt)
+    if ids is None:
+        ids = [f"ref-{i:04d}" for i in range(len(records))]
     entries = []
-    for i, (pol, rec) in enumerate(zip(reference_policies, records)):
-        eid = f"ref-{i:04d}"
+    for eid, pol, rec in zip(ids, reference_policies, records):
         if rec is None:
             log.warning("skipping %s", eid)
             continue

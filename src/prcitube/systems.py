@@ -38,6 +38,15 @@ sampled-and-held internal state (the delayed input of the compensated
 controller) are notified once per grid step through the optional
 ``notify_step`` hook, which returns the input committed at that grid
 point and so also supplies the step's first stage.
+
+Each state that ``integrate`` evaluates (a grid point or an RK4 stage
+state) has its nominal drift computed once.  ``integrate`` marks the state
+read-only, and the benchmark plants' nominal drifts keep their last value
+for such an array (``memo_readonly``), so the feedback constraint, the
+plant field and the 3D uncertainty, which all need f_nom at that state,
+share one evaluation.  Per evaluated state the 3D true plant makes one
+nominal and one true drift evaluation, open or closed loop, and the VTOL
+one drift evaluation.
 """
 
 from __future__ import annotations
@@ -99,6 +108,32 @@ def _readonly(a) -> Array:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def memo_readonly(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
+    """``f`` with a one-entry cache on the identity of its argument.
+
+    Only an array that cannot be written is remembered: one that is
+    read-only and owns its data, as ``integrate`` marks the states it
+    evaluates, so a remembered value never goes stale.  The value is
+    returned read-only, since every caller shares it.  Equal values are
+    never enough: -0.0 == 0.0, but tanh(-0.0) and tanh(0.0) differ in sign.
+    """
+    last = None     # (argument, value); holding the argument keeps its id unique
+
+    def memo(x):
+        nonlocal last
+        hit = last
+        if hit is not None and hit[0] is x and not x.flags.writeable:
+            return hit[1]
+        fx = f(x)
+        if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
+            if isinstance(fx, np.ndarray):
+                fx.flags.writeable = False
+            last = (x, fx)
+        return fx
+
+    return memo
 
 
 @dataclass(frozen=True, eq=False)
@@ -357,7 +392,9 @@ def integrate(
     step (and at the final grid point) instead of the first-stage call; it
     advances sampled-and-held controller state and returns the input it
     commits, which is stored and drives the first stage, as does the stored
-    uncertainty of the true plant at that grid point.
+    uncertainty of the true plant at that grid point.  Every state handed
+    to the plant and the policy is read-only, so that a ``memo_readonly``
+    drift may share its value between them.
 
     ``x0`` is one state ``(n,)`` or a block of N starts ``(N, n)`` on the
     same grid, which the plant and the policy then see as ``(N, n)`` rows.
@@ -392,6 +429,7 @@ def integrate(
         # a frozen row is only ever evaluated at its last finite state
         if any_frozen:
             z = np.where(frozen[..., None], held, z)
+        z.flags.writeable = False       # the policy and the plant share its drift
         return sys.dynamics(z, policy(z, t + c * dt))
 
     for k in range(n_steps + 1):
@@ -405,7 +443,8 @@ def integrate(
             frozen |= bad
             any_frozen = True
         if any_frozen:
-            x[frozen] = held[frozen]
+            x = np.where(frozen[..., None], held, x)
+        x.flags.writeable = False
         held = x
         u_k = first_input(x, t)
         states[k] = x
@@ -451,24 +490,22 @@ def replay(
 # 3D benchmark: parametric uncertainty plus input-matrix mismatch
 # ---------------------------------------------------------------------------
 
-_B3_NOMINAL = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-_B3_TRUE = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.5]])
+_B3_NOMINAL = _readonly([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+_B3_TRUE = _readonly([[0.0, 0.0], [0.5, 0.0], [1.0, 0.5]])
 
 
 def _field3(theta1, theta2, theta3, B):
-    """xdot = [x3 - th1 x1, x1^2 - x2, tanh x2] + B (u - phi(x)) as (drift, phi)."""
-
-    def phi(x):
-        x1, x2, x3 = _components(x)
-        q = theta3 * x1 ** 2
-        return _compose([theta2 * x3 + q, theta2 * x2 + q])
+    """The drift of xdot = [x3 - th1 x1, x1^2 - x2, tanh x2] + B (u - phi(x)),
+    phi(x) = [th2 x3 + th3 x1^2, th2 x2 + th3 x1^2]."""
 
     def drift(x):
         x1, x2, x3 = _components(x)
-        base = _compose([x3 - theta1 * x1, x1 ** 2 - x2, np.tanh(x2)])
-        return base - matvec(B, phi(x))
+        sq = x1 ** 2
+        q = theta3 * sq
+        base = _compose([x3 - theta1 * x1, sq - x2, np.tanh(x2)])
+        return base - matvec(B, _compose([theta2 * x3 + q, theta2 * x2 + q]))
 
-    return drift, phi
+    return drift
 
 
 def make_benchmark_3d(
@@ -481,14 +518,16 @@ def make_benchmark_3d(
     The true plant carries the perturbed parameters theta + delta and a
     mismatched input matrix (pass ``true_actuation=_B3_NOMINAL`` for the
     matched case); it is returned in the additive nominal form,
-    zeta(x, u) = f_true(x, u) - f_nom(x, u).
+    zeta(x, u) = f_true(x, u) - f_nom(x, u).  Both plants share one
+    ``memo_readonly`` nominal drift, so zeta reuses the f_nom(x) that the
+    plant field (and the feedback) computed at the same state.
     """
     th = np.asarray(theta, dtype=float)
     dth = th + np.asarray(delta, dtype=float)
     B_true = _B3_TRUE if true_actuation is None else np.asarray(true_actuation, dtype=float)
 
-    drift_nom, _ = _field3(*th, _B3_NOMINAL)
-    drift_true, phi_true = _field3(*dth, B_true)
+    drift_nom = memo_readonly(_field3(*th, _B3_NOMINAL))
+    drift_true = _field3(*dth, B_true)
 
     def zeta(x, u):
         f_true = drift_true(x) + matvec(B_true, u)
@@ -514,7 +553,7 @@ def make_benchmark_3d_direct(
     """The true 3D plant in its own control-affine coordinates (not the
     additive nominal form); used to cross-check the additive rewrite."""
     dth = np.asarray(theta, dtype=float) + np.asarray(delta, dtype=float)
-    drift_true, _ = _field3(*dth, _B3_TRUE)
+    drift_true = _field3(*dth, _B3_TRUE)
     state_box = np.array([[-15.0, 15.0]] * 3)
     input_box = np.array([[-1.5, 1.5]] * 2)
     return DynamicalSystem(
@@ -533,7 +572,7 @@ VTOL_ARM = 0.25         # m
 VTOL_KZ = 0.04
 VTOL_KPHIDOT = 0.05
 
-_B_VTOL = np.array(
+_B_VTOL = _readonly(
     [
         [0.0, 0.0],
         [0.0, 0.0],
@@ -594,6 +633,6 @@ def make_benchmark_vtol() -> DynamicalSystem:
     hover = VTOL_MASS * VTOL_GRAVITY / 2.0
     input_box = np.array([[0.0, 4.0 * hover], [0.0, 4.0 * hover]])
     return DynamicalSystem(
-        6, 2, vtol_drift, lambda x: _B_VTOL, state_box, input_box,
+        6, 2, memo_readonly(vtol_drift), lambda x: _B_VTOL, state_box, input_box,
         uncertainty=zeta, name="vtol",
     )

@@ -373,6 +373,27 @@ def test_same_config_resume_reuses_every_stage(smoke_run, monkeypatch):
     assert parsed == []     # no stage reads a record
 
 
+def test_loaded_entry_builds_its_input_signal_on_first_access(smoke_run, tmp_path, monkeypatch):
+    """A full resume builds no input signal from the manifests; a loaded
+    entry builds its own once, on first access to ``policy``."""
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)       # whatever earlier tests removed from the shared run is back
+    real, built = PiecewiseLinearInput.from_json_dict, []
+
+    def from_json_dict(d):
+        built.append(d)
+        return real(d)
+
+    monkeypatch.setattr(PiecewiseLinearInput, "from_json_dict", staticmethod(from_json_dict))
+    run_pipeline(cfg)
+    assert built == []
+    entry = load_dataset(run_dir / "ref_data").entries[0]
+    assert built == []
+    assert entry.policy is entry.policy and len(built) == 1
+    want = read_json(run_dir / "ref_data" / "manifest.json")["entries"][0]["policy"]
+    assert entry.policy.to_json_dict() == want
+
+
 def test_foreign_ledger_digest_is_recomputed(smoke_run, tmp_path):
     out = smoke_run[1]
     cfg, run_dir = _copy_of(smoke_run, tmp_path)
@@ -554,6 +575,75 @@ def test_evaluate_recomputed_alone_matches_merged_cold_run(smoke_run, tmp_path, 
     assert [len(c[3]) for c in calls] == [cfg.n_test, cfg.n_test]
     for name in written:
         assert (tmp_path / "staged" / name).read_bytes() == (merged / name).read_bytes(), name
+        assert (resumed / name).read_bytes() == (merged / name).read_bytes(), name
+
+
+def _spy_reference_replays(monkeypatch) -> list:
+    """The ids of every ``harness.generate_reference_dataset`` call."""
+    import prcitube.harness as harness
+
+    real, calls = harness.generate_reference_dataset, []
+
+    def generate(sys_nom, starts, signals, T, dt, ids=None):
+        calls.append(list(ids))
+        return real(sys_nom, starts, signals, T, dt, ids)
+
+    monkeypatch.setattr(harness, "generate_reference_dataset", generate)
+    return calls
+
+
+def _same_records(a, b) -> bool:
+    return all(getattr(x, f).tobytes() == getattr(y, f).tobytes()
+               for x, y in zip(a, b, strict=True) for f in ("times", "states", "inputs"))
+
+
+def test_reference_stage_replays_the_test_references_in_its_block(tmp_path, monkeypatch):
+    """A run that goes on to evaluate replays the reference dataset and the
+    test references as one nominal block.  The test references equal
+    ``_test_references`` run alone, bit for bit, and reach the closed-loop
+    block; ``ref_data/`` holds only the reference records, byte-identical to
+    a run that stops before evaluate."""
+    import prcitube.harness as harness
+
+    cfg = _smoke_config(tmp_path / "run")
+    n_ref = cfg.n_train + cfg.n_cal
+    ref_ids = [f"ref-{i:04d}" for i in range(n_ref)]
+    test_ids = [f"test-{i:04d}" for i in range(cfg.n_test)]
+    replays = _spy_reference_replays(monkeypatch)
+    _, calls = _spy_track(monkeypatch)
+    run_pipeline(cfg)
+    assert replays == [ref_ids + test_ids]
+
+    sys_nom = benchmark_systems(cfg)[0]
+    ids, alone = harness._test_references(cfg, sys_nom)
+    assert ids == test_ids == read_json(tmp_path / "run" / "test" / "coverage.json")["ids"]
+    (_, _, _, references, _, _), = calls
+    assert _same_records(references[cfg.n_cal:], alone)
+
+    staged = _smoke_config(tmp_path / "staged")
+    run_pipeline(staged, stop_after="gen-data")
+    assert replays == [ref_ids + test_ids, test_ids, ref_ids]
+    assert load_dataset(tmp_path / "run" / "ref_data").ids() == ref_ids
+    for path in sorted((tmp_path / "staged" / "ref_data").iterdir()):
+        assert (tmp_path / "run" / "ref_data" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_recomputed_calibration_over_reused_references_matches_cold_run(
+    smoke_run, tmp_path, monkeypatch
+):
+    """With ref_data reused and cal_data recomputed, the test references are
+    replayed alone, tracked in the calibration block, and evaluate writes the
+    cold run's bytes."""
+    cfg, merged, _ = smoke_run
+    resumed_cfg, resumed = _copy_of(smoke_run, tmp_path)
+    (resumed / "cal_data" / "manifest.json").unlink()
+    (resumed / "test" / "coverage.json").unlink()
+    replays = _spy_reference_replays(monkeypatch)
+    _, calls = _spy_track(monkeypatch)
+    run_pipeline(resumed_cfg)
+    assert replays == [[f"test-{i:04d}" for i in range(cfg.n_test)]]
+    assert [len(c[3]) for c in calls] == [cfg.n_cal + cfg.n_test]
+    for name in ("cal_data/manifest.json", "test/coverage.json", "test/sup_distances.csv"):
         assert (resumed / name).read_bytes() == (merged / name).read_bytes(), name
 
 

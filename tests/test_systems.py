@@ -214,6 +214,96 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
     assert rec.uncertainties.tobytes() == np.array(zetas).tobytes()
 
 
+def _count_drifts(monkeypatch) -> dict:
+    """Count the benchmark plants' drift evaluations at (N, n) state blocks
+    (the reference tables that a policy builds are (S, N, n)), by plant."""
+    import prcitube.systems as systems
+
+    counts = {"nominal": 0, "true": 0, "vtol": 0}
+
+    def counted(name, drift):
+        def f(x):
+            counts[name] += np.ndim(x) == 2
+            return drift(x)
+        return f
+
+    real_field3, real_vtol = systems._field3, systems.vtol_drift
+    monkeypatch.setattr(systems, "_field3", lambda *a: counted(
+        "nominal" if a[-1] is systems._B3_NOMINAL else "true", real_field3(*a)))
+    monkeypatch.setattr(systems, "vtol_drift", counted("vtol", real_vtol))
+    return counts
+
+
+@pytest.mark.parametrize("bench", ["threeD", "vtol"])
+def test_one_drift_evaluation_per_plant_and_rk4_stage(bench, monkeypatch, metric3d, metric_vtol):
+    """A track block evaluates the nominal drift once per RK4 stage state
+    (the feedback, the plant field and the 3D uncertainty share it), and the
+    3D true drift once; so does an open-loop block of the 3D true plant."""
+    from prcitube.control import track
+    from prcitube.predictor import make_zero_predictor
+    from prcitube.systems import replay
+
+    counts = _count_drifts(monkeypatch)
+    if bench == "threeD":
+        nom, true = make_benchmark_3d()
+        metric, u0, names = metric3d, np.zeros(2), ("nominal", "true")
+    else:
+        true = make_benchmark_vtol()
+        nom, metric, names = true.nominal, metric_vtol, ("vtol",)
+        u0 = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2)
+    rng = np.random.default_rng(5)
+    T, dt, n_steps = 0.3, 0.01, 30
+    signals = [PiecewiseLinearInput(np.array([0.0, T]), u0 + rng.uniform(-0.1, 0.1, (2, 2)))
+               for _ in range(3)]
+    starts = rng.uniform(-0.05, 0.05, (3, nom.state_dim))
+    refs = replay(nom, starts, signals, T, dt)
+    each_stage = {name: 4 * n_steps + 1 for name in names}
+
+    counts.update(dict.fromkeys(counts, 0))
+    track(true, metric, make_zero_predictor(nom.state_dim, 2), refs, starts + 0.01)
+    assert {name: counts[name] for name in names} == each_stage
+
+    # open loop, the last grid point needs the drift only for the 3D uncertainty
+    counts.update(dict.fromkeys(counts, 0))
+    replay(true, starts, signals, T, dt)
+    last = bench == "threeD"
+    assert {name: counts[name] for name in names} == {name: 4 * n_steps + last for name in names}
+
+
+@pytest.mark.parametrize("bench", ["threeD", "vtol"])
+def test_drift_memo_never_serves_a_stale_value(bench):
+    """The plants' nominal drift remembers its value only for an array that
+    cannot be written, by identity: a writeable array mutated in place, or a
+    read-only view of one, gets a fresh drift, and rows that differ only in
+    the sign of a zero keep their own bits."""
+    import prcitube.systems as systems
+
+    if bench == "threeD":
+        plant, raw = make_benchmark_3d()[0], systems._field3(0.4, 0.2, 0.1, _B3_NOMINAL)
+    else:
+        plant, raw = make_benchmark_vtol(), systems.vtol_drift
+    drift, n = plant.drift, plant.state_dim
+
+    x = np.full((2, n), 0.3)
+    before = drift(x).tobytes()
+    x[1] = -0.7
+    assert drift(x).tobytes() == raw(x.copy()).tobytes() != before
+
+    base = np.full((2, n), 0.3)
+    view = base[:1]
+    view.flags.writeable = False
+    assert drift(view).tobytes() == raw(base[:1].copy()).tobytes()
+    base[0] = -0.7
+    assert drift(view).tobytes() == raw(base[:1].copy()).tobytes()
+
+    pos, neg = np.zeros((1, n)), np.full((1, n), -0.0)
+    pos.flags.writeable = neg.flags.writeable = False
+    assert drift(pos) is drift(pos)             # remembered, by identity
+    for z in (pos, neg, pos, neg):
+        assert drift(z).tobytes() == raw(z.copy()).tobytes()
+    assert drift(pos).tobytes() != drift(neg).tobytes()
+
+
 def test_integrate_determinism():
     _, true = make_benchmark_3d()
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
