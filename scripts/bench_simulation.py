@@ -45,9 +45,10 @@ a drift in machine speed during the run hits both sides:
   block and then a test block, against the one merged block that the
   cal_data stage now tracks.  CPU seconds of each side, the median per-pair
   ratio of the two, and the merged rows equal to their separate runs.  The
-  same for the nominal replays before it (input sampling included): the
-  reference dataset and then the test references, against the one block
-  that the ref_data stage now replays.
+  same for the nominal replays before it (input sampling included, and on
+  vtol6d the waypoint-PD flights that draw the inputs, one block per
+  replay): the reference dataset and then the test references, against the
+  one block that the ref_data stage now replays.
 
 Each section also counts how many block results equal their one-at-a-time
 counterpart bit for bit.  The horizon of the rollouts is shortened to

@@ -324,10 +324,11 @@ def track(
     start, tracking the matching reference; all references share one time
     grid, and the rollouts are stepped together as one (N, n) block.
 
-    This is the event the tube's guarantee is about; the calibration records
-    with the test rollouts (one block, or the test rollouts alone when
-    calibration data is reused), and the plan stage's second calibration
-    step with its end-to-end rollouts (one block), all simulate it here.
+    This is the event the tube's guarantee is about.  The harness's
+    per-run ``_Simulations`` tracks the calibration records with the test
+    rollouts here as one block (the test rollouts alone when calibration
+    data is reused), and the plan stage its second calibration step with
+    its end-to-end rollouts as one block.
     Returns one record per reference, None (logged by ``integrate``) for a
     rollout that diverged.
     """

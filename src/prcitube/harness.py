@@ -11,16 +11,18 @@ therefore recomputes every stage, and deleting one artifact, a trajectory
 CSV included, regenerates exactly its stage.  A reused dataset parses a
 CSV body only when a recomputed stage reads that record.
 
-The calibration records and the test rollouts are exchangeable runs of the
-same compensated closed loop, so when a run goes on to ``evaluate``, the
-cal_data stage tracks both as one block and hands the test rollouts to
-``stage_evaluate``, which only builds their tubes and judges them.  When
-cal_data is reused, or the run stops earlier, evaluate tracks its own test
-set alone.  In the same way the ref_data stage replays the test
-references with the reference dataset, as one nominal block, and hands
-them on to that closed-loop block; when ref_data is reused they are
-replayed alone.  A resumed run reuses every stage: it simulates nothing
-and parses no dataset CSV.
+One ``_Simulations`` object per run owns the simulations that the
+ref_data, cal_data and evaluate stages ask for, and runs each block at most
+once, on the first request.  The calibration records and the test
+rollouts are exchangeable runs of the same compensated closed loop, so
+when a run goes on to ``evaluate``, its nominal block replays the test
+references after the reference dataset (the waypoint-PD flights of every
+tag as one block before it), and its closed-loop block tracks the test
+rollouts after the calibration records; evaluate then only builds their
+tubes and judges them.  A reused stage asks for nothing, so a later stage
+that still needs the test set has it replayed or tracked alone.  A
+resumed run reuses every stage: it simulates nothing and parses no
+dataset CSV.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -225,8 +227,14 @@ def sample_initial_condition(config, tag: str, index: int) -> np.ndarray:
 def sample_reference_policies(config, sys_nom, tag: str, n: int) -> list[PiecewiseLinearInput]:
     """Reference input signals 0..n-1 of ``tag``, signal i drawn from the
     stream ``{tag}-policy-{i}``; all share one set of knot times."""
+    return _reference_signals(config, sys_nom, {tag: n})
+
+
+def _reference_signals(config, sys_nom, counts: dict) -> list[PiecewiseLinearInput]:
+    """Signals 0..n-1 of each tag in ``counts``, tag after tag, each drawn
+    as ``sample_reference_policies`` draws it."""
     if config.reference_sampler == "waypoint_pd":
-        return _waypoint_pd_inputs(config, sys_nom, tag, n)
+        return _waypoint_pd_inputs(config, sys_nom, counts)
     n_knots = int(np.floor(config.horizon_s / config.knot_spacing_s)) + 1
     knot_times = np.arange(n_knots) * config.knot_spacing_s
     if knot_times[-1] < config.horizon_s:
@@ -235,34 +243,37 @@ def sample_reference_policies(config, sys_nom, tag: str, n: int) -> list[Piecewi
     amp = config.input_knot_amp
     box = sys_nom.input_box
     signals = []
-    for i in range(n):
-        rng = rng_stream(config.seed, f"{tag}-policy-{i}")
-        values = center + rng.uniform(-amp, amp, (len(knot_times), sys_nom.input_dim))
-        if config.input_knot_trim_start:
-            values[0] = center
-        signals.append(PiecewiseLinearInput(knot_times, np.clip(values, box[:, 0], box[:, 1])))
+    for tag, n in counts.items():
+        for i in range(n):
+            rng = rng_stream(config.seed, f"{tag}-policy-{i}")
+            values = center + rng.uniform(-amp, amp, (len(knot_times), sys_nom.input_dim))
+            if config.input_knot_trim_start:
+                values[0] = center
+            signals.append(PiecewiseLinearInput(knot_times, np.clip(values, box[:, 0], box[:, 1])))
     return signals
 
 
-def _waypoint_pd_inputs(config, sys_nom, tag: str, n: int) -> list[PiecewiseLinearInput]:
+def _waypoint_pd_inputs(config, sys_nom, counts: dict) -> list[PiecewiseLinearInput]:
     """Reference input signals for attitude-unstable plants (the VTOL).
 
     Independent random thrust knots integrate into tumbling through the
     roll channel, so instead a hover PD law flies the nominal plant to a
     random waypoint and its recorded input sequence becomes the open-loop
-    reference signal.  All n flights are one block, flight i from initial
-    condition i to the waypoint drawn from the stream ``{tag}-policy-{i}``.
+    reference signal.  The flights of every tag in ``counts`` are one
+    block, flight i of a tag from its initial condition i to the waypoint
+    drawn from the stream ``{tag}-policy-{i}``.
     """
     wbox = (
         np.asarray(config.waypoint_box, dtype=float).reshape(-1, 2)
         if config.waypoint_box is not None
         else np.array([[-1.0, 1.0], [-0.6, 0.6]])
     )
+    flights = [(tag, i) for tag, n in counts.items() for i in range(n)]
     target = np.array(
         [rng_stream(config.seed, f"{tag}-policy-{i}").uniform(wbox[:, 0], wbox[:, 1])
-         for i in range(n)]
+         for tag, i in flights]
     )
-    x0 = np.array([sample_initial_condition(config, tag, i) for i in range(n)])
+    x0 = np.array([sample_initial_condition(config, tag, i) for tag, i in flights])
     m, J, g, arm = VTOL_MASS, VTOL_INERTIA, VTOL_GRAVITY, VTOL_ARM
     box = sys_nom.input_box
 
@@ -279,8 +290,9 @@ def _waypoint_pd_inputs(config, sys_nom, tag: str, n: int) -> list[PiecewiseLine
         u2 = 0.5 * (thrust - torque / arm)
         return np.clip(np.stack([u1, u2], axis=-1), box[:, 0], box[:, 1])
 
+    records = integrate(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)
     signals = []
-    for i, rec in enumerate(integrate(sys_nom, x0, pd_policy, config.horizon_s, config.dt_s)):
+    for (tag, i), rec in zip(flights, records):
         if rec is None:
             raise PrcitubeError(f"the PD flight of {tag}-policy-{i} diverged")
         signals.append(PiecewiseLinearInput(rec.times, rec.inputs))
@@ -400,14 +412,10 @@ def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
 
 def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> TrainingDataset:
     """A dataset stage: the directory ``out / stage`` (its manifest is written
-    last) is reused by ``_reuse`` only when ``load_dataset`` accepts it: the
-    manifest reads, every CSV it lists (references included) exists, and a
-    train or cal record's header has its ``zeta_*`` columns.  Otherwise
-    ``generate()`` runs and its dataset is saved, so a deleted CSV
-    regenerates exactly this stage.  A reused dataset parses no CSV body
-    until a recomputed stage reads the record; a body that does not parse
-    then raises ``ValueError`` naming the file (the ledger vouched for it,
-    so it was edited after its stage finished)."""
+    last) is reused when ``_reuse`` and ``load_dataset`` accept it, else
+    ``generate()`` runs and its dataset is saved.  A reused CSV body that
+    does not parse raises ``ValueError`` naming the file when a recomputed
+    stage reads it (the ledger vouched for it, so it was edited since)."""
     directory = out / stage
     if _reuse(config, out, stage, directory / "manifest.json"):
         try:
@@ -460,11 +468,10 @@ def _replay_references(config, sys_nom, counts: dict) -> dict:
     ``test-0000``, ...), drawn from the tag's streams and replayed on the
     nominal plant as one block; their dataset entries by tag, a diverged
     one logged and left out."""
-    ids, starts, signals = [], [], []
-    for tag, n in counts.items():
-        ids += [f"{tag}-{i:04d}" for i in range(n)]
-        starts += [sample_initial_condition(config, tag, i) for i in range(n)]
-        signals += sample_reference_policies(config, sys_nom, tag, n)
+    rows = [(tag, i) for tag, n in counts.items() for i in range(n)]
+    ids = [f"{tag}-{i:04d}" for tag, i in rows]
+    starts = [sample_initial_condition(config, tag, i) for tag, i in rows]
+    signals = _reference_signals(config, sys_nom, counts)
     ds = generate_reference_dataset(sys_nom, starts, signals, config.horizon_s, config.dt_s, ids)
     return {tag: [e for e in ds.entries if e.entry_id.startswith(f"{tag}-")] for tag in counts}
 
@@ -473,25 +480,67 @@ def _test_set(entries) -> tuple[list[str], list[TrajectoryRecord]]:
     return [e.entry_id for e in entries], [e.record for e in entries]
 
 
-def stage_ref_data(config, sys_nom, out: Path, with_test: bool = False):
-    """The reference dataset, and (``with_test``, when the dataset is
-    generated) the test references replayed after it in the same nominal
-    block, for the closed-loop block of ``_track_block``; only the
-    reference records are saved.  Returns ``(dataset, test references as
-    from _test_references, or None)``."""
-    test_refs = None
+def _test_references(config, sys_nom) -> tuple[list[str], list[TrajectoryRecord]]:
+    """The evaluation references ``test-0000``, ``test-0001``, ... and
+    their ids, replayed alone on the nominal plant as one block from the
+    ``test`` streams; a diverged one is logged and left out."""
+    return _test_set(_replay_references(config, sys_nom, {"test": config.n_test})["test"])
 
-    def generate():
-        nonlocal test_refs
-        counts = {"ref": config.n_train + config.n_cal}
-        if with_test:
-            counts["test"] = config.n_test
-        entries = _replay_references(config, sys_nom, counts)
-        if with_test:
-            test_refs = _test_set(entries["test"])
+
+class _Simulations:
+    """The simulations of one run, each block run at most once, on the first
+    request.  When the run goes on to ``evaluate``, the nominal and the
+    closed-loop block carry the test set after their own rows; a block row
+    rounds as the row alone, so this changes no bit of either set."""
+
+    def __init__(self, config, sys_nom, sys_true, stop_after: str):
+        self.config, self.sys_nom, self.sys_true = config, sys_nom, sys_true
+        self.evaluates = stop_after == "evaluate"
+        self._nominal_test = self._tracked_test = None
+
+    def references(self) -> TrainingDataset:
+        """The reference dataset: n_train + n_cal records ``ref-0000``, ..."""
+        counts = {"ref": self.config.n_train + self.config.n_cal}
+        if self.evaluates:
+            counts["test"] = self.config.n_test
+        entries = _replay_references(self.config, self.sys_nom, counts)
+        if self.evaluates:
+            self._nominal_test = _test_set(entries["test"])
         return TrainingDataset(tuple(entries["ref"]), "ref")
 
-    return _dataset_stage(config, out, "ref_data", None, generate), test_refs
+    def calibration_data(self, ref_cal: TrainingDataset, metric, predictor) -> TrainingDataset:
+        """The calibration records, each reference of ``ref_cal`` tracked
+        from its first state."""
+        cal_refs = [e.record for e in ref_cal.entries]
+        if self.evaluates:
+            ids, refs = self._replayed_tests()
+            rollouts = self._track(metric, predictor, cal_refs + refs)
+            self._tracked_test = (ids, refs, rollouts[len(cal_refs) :])
+        else:
+            rollouts = self._track(metric, predictor, cal_refs)
+        return perturbed_dataset(ref_cal, rollouts[: len(cal_refs)], "cal")
+
+    def test_set(self, metric, predictor) -> tuple:
+        """``(ids, references, rollouts)`` of the evaluation rollouts."""
+        if self._tracked_test is None:
+            ids, refs = self._replayed_tests()
+            self._tracked_test = (ids, refs, self._track(metric, predictor, refs))
+        return self._tracked_test
+
+    def _replayed_tests(self):
+        if self._nominal_test is None:
+            self._nominal_test = _test_references(self.config, self.sys_nom)
+        return self._nominal_test
+
+    def _track(self, metric, predictor, refs) -> list:
+        """Each reference tracked from its first state; a diverged rollout is None."""
+        return track(self.sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+
+
+def stage_ref_data(config, sims: _Simulations, out: Path) -> TrainingDataset:
+    """The reference dataset; the test references replayed with it stay in
+    ``sims``, unsaved."""
+    return _dataset_stage(config, out, "ref_data", None, sims.references)
 
 
 def stage_train_data(config, sys_true, ref_train, out: Path) -> TrainingDataset:
@@ -519,54 +568,11 @@ def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
     return p
 
 
-def _test_references(config, sys_nom) -> tuple[list[str], list[TrajectoryRecord]]:
-    """The evaluation references ``test-0000``, ``test-0001``, ... and
-    their ids, replayed alone on the nominal plant as one block from the
-    ``test`` streams; a diverged one is logged and left out."""
-    return _test_set(_replay_references(config, sys_nom, {"test": config.n_test})["test"])
-
-
-def _track_block(
-    config, sys_nom, sys_true, metric, predictor, cal_refs, with_test: bool, test_refs=None
-):
-    """One closed-loop block: each calibration reference tracked from its
-    first state, then (``with_test``) each test reference from its own.
-    ``test_refs`` is the test set ``(ids, references)`` that
-    ``stage_ref_data`` replayed; without it ``_test_references`` replays it.
-
-    Returns the calibration rollouts and the test set ``(ids, references,
-    rollouts)``, or None for it without ``with_test``; a diverged rollout is
-    None.  A block row rounds as the row alone, so merging the two sets
-    changes no bit of either.
-    """
-    if with_test and test_refs is None:
-        test_refs = _test_references(config, sys_nom)
-    ids, test_refs = test_refs if with_test else ([], [])
-    refs = list(cal_refs) + test_refs
-    rollouts = track(sys_true, metric, predictor, refs, [r.states[0] for r in refs])
-    n = len(cal_refs)
-    return rollouts[:n], (ids, test_refs, rollouts[n:]) if with_test else None
-
-
-def stage_cal_data(
-    config, sys_nom, sys_true, ref_cal, metric, predictor, out: Path, with_test: bool = False,
-    test_refs=None,
-):
-    """The calibration records, and (``with_test``, when the records are
-    generated) the test rollouts tracked in the same block, for
-    ``stage_evaluate``; ``test_refs`` as in ``_track_block``.  Returns
-    ``(dataset, test set or None)``."""
-    test = None
-
-    def generate():
-        nonlocal test
-        records, test = _track_block(
-            config, sys_nom, sys_true, metric, predictor,
-            [e.record for e in ref_cal.entries], with_test, test_refs,
-        )
-        return perturbed_dataset(ref_cal, records, "cal")
-
-    return _dataset_stage(config, out, "cal_data", out / "ref_data", generate), test
+def stage_cal_data(config, sims: _Simulations, ref_cal, metric, predictor, out: Path):
+    return _dataset_stage(
+        config, out, "cal_data", out / "ref_data",
+        lambda: sims.calibration_data(ref_cal, metric, predictor),
+    )
 
 
 def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal.CalibrationResult:
@@ -733,22 +739,14 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
     return read_json(report_path)
 
 
-def stage_evaluate(
-    config, sys_nom, sys_true, metric, predictor, calibration, out: Path, test=None,
-    test_refs=None,
-) -> dict:
-    """Judge the test rollouts against their tubes.  ``test`` is the set
-    that ``stage_cal_data`` tracked in its block; without it (cal_data was
-    reused) the test set is tracked here, alone, from ``test_refs`` as in
-    ``_track_block``."""
+def stage_evaluate(config, sims: _Simulations, metric, predictor, calibration, out: Path) -> dict:
+    """Judge the test rollouts against their tubes."""
     rpath = out / "test" / "coverage.json"
     csv_path = out / "test" / "sup_distances.csv"
     if _reuse(config, out, "evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
-    if test is None:
-        _, test = _track_block(config, sys_nom, sys_true, metric, predictor, [], True, test_refs)
-    ids, refs, rollouts = test
+    ids, refs, rollouts = sims.test_set(metric, predictor)
     tubes = [PRCITube.from_calibration(ref, metric, calibration, source_id="test") for ref in refs]
     # a diverged rollout (None) stays in the count as not contained
     result = tube_mod.containment_experiment(tubes, rollouts)
@@ -798,8 +796,8 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("metric"):
         return _finish(report, out)
 
-    with_test = stop_after == "evaluate"
-    ref, test_refs = stage_ref_data(config, sys_nom, out, with_test)
+    sims = _Simulations(config, sys_nom, sys_true, stop_after)
+    ref = stage_ref_data(config, sims, out)
     ref_train, ref_cal = split_reference(ref, min(config.n_train, len(ref)), min(config.n_cal, max(len(ref) - config.n_train, 0)))
     train_ds = stage_train_data(config, sys_true, ref_train, out)
     report["data"] = {
@@ -820,9 +818,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("train"):
         return _finish(report, out)
 
-    cal_ds, test = stage_cal_data(
-        config, sys_nom, sys_true, ref_cal, metric, predictor, out, with_test, test_refs
-    )
+    cal_ds = stage_cal_data(config, sims, ref_cal, metric, predictor, out)
     calibration = stage_calibrate(config, cal_ds, predictor, sys_true, out)
     report["calibration"] = {
         "n_cal": calibration.n_scores,
@@ -843,9 +839,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("plan"):
         return _finish(report, out)
 
-    coverage = stage_evaluate(
-        config, sys_nom, sys_true, metric, predictor, calibration, out, test, test_refs
-    )
+    coverage = stage_evaluate(config, sims, metric, predictor, calibration, out)
     report["coverage"] = {
         k: coverage[k]
         for k in (

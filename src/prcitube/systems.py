@@ -22,14 +22,16 @@ whose ``** 2`` is the libm ``pow`` and not the array square, so the 3D
 plant's one-state values may differ from its row values in the last bit
 (in about 0.1% of squares); VTOL rows match one-state calls exactly.
 
-Block callers: ``control.track`` steps the closed-loop rollouts, in one
-block per stage that simulates any (the calibration records with the test
-rollouts, or the test rollouts alone when evaluation runs without fresh
-calibration data; the plan stage's second calibration step with its
-end-to-end rollouts); ``replay`` steps the open-loop ones
-(the reference and training datasets, the test references); the harness
-flies its waypoint PD references as one block; and the planner's adjoint
-takes all its stage Jacobians from one FD call on a block of stage states.
+Block callers: ``control.track`` steps the closed-loop rollouts and
+``replay`` the open-loop ones.  The harness's per-run ``_Simulations``
+owns the blocks that the dataset and evaluate stages ask for: one nominal
+``replay`` of the reference dataset with the test references, after one
+flight of every tag's waypoint PD references (VTOL), and one ``track`` of
+the calibration records with the test rollouts (the test set alone when a
+stage before it is reused).  The train_data stage replays the training
+records as one block, the plan stage tracks its second calibration step
+with its end-to-end rollouts as one block, and the planner's adjoint takes
+all its stage Jacobians from one FD call on a block of stage states.
 
 Simulation is classical fixed-step RK4, written once in ``rk4_step`` and
 shared by ``integrate`` and the planner's shooting rollouts.  Feedback
@@ -248,9 +250,6 @@ class TrajectoryRecord:
         """Reference state at time t (or at each of an array of times),
         linear interpolation between grid points."""
         return self.interpolate(self.states, t)
-
-    def input_at(self, t) -> Array:
-        return self.interpolate(self.inputs, t)
 
     # -- serialization -----------------------------------------------------
 
@@ -545,20 +544,6 @@ def make_benchmark_3d(
         uncertainty=zeta, name="threeD-true",
     )
     return nominal, true
-
-
-def make_benchmark_3d_direct(
-    theta=(0.4, 0.2, 0.1), delta=(0.0, 0.02, -0.01)
-) -> DynamicalSystem:
-    """The true 3D plant in its own control-affine coordinates (not the
-    additive nominal form); used to cross-check the additive rewrite."""
-    dth = np.asarray(theta, dtype=float) + np.asarray(delta, dtype=float)
-    drift_true = _field3(*dth, _B3_TRUE)
-    state_box = np.array([[-15.0, 15.0]] * 3)
-    input_box = np.array([[-1.5, 1.5]] * 2)
-    return DynamicalSystem(
-        3, 2, drift_true, lambda x: _B3_TRUE, state_box, input_box, name="threeD-direct"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ class Policy:
 
     def _compute(self, x, t, u_minus):
         x_ref = self.reference.state_at(t)
-        u_ref = self.reference.input_at(t)
+        u_ref = self.reference.interpolate(self.reference.inputs, t)
         u = u_ref + min_norm_feedback(self.M, self.rate, self.plant, x, x_ref, u_ref)
         if self.predictor is not None:
             zeta_hat = predict(self.predictor, x, u_minus)

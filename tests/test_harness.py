@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import shutil
@@ -702,6 +703,30 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     assert tracer.patched_sites() == []
 
 
+def _harness_names(tree) -> set:
+    """Every ``harness.<name>`` in a parsed script, and in the code it
+    passes to a subprocess as a string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "harness":
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and "import harness" in str(node.value):
+            names |= _harness_names(ast.parse(node.value))
+    return names
+
+
+@pytest.mark.parametrize("script", ["bench_simulation.py", "bench_resume.py", "check_identical.py"])
+def test_script_harness_names_resolve(script):
+    """Every harness name that a script reads still exists; the scripts are
+    parsed, never run."""
+    import prcitube.harness as harness
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    names = _harness_names(ast.parse(path.read_text()))
+    assert "run_pipeline" in names
+    assert sorted(n for n in names if not hasattr(harness, n)) == []
+
+
 def test_tube_ellipse_csv_header(smoke_run):
     _, out, _ = smoke_run
     header = (out / "tube_ellipses.csv").read_text().splitlines()[0]
@@ -863,28 +888,28 @@ def test_cli_warns_when_planner_does_not_converge(tmp_path, capsys):
     assert json.loads((out / "report.json").read_text())["plan"]["plan_converged"] is False
 
 
+VTOL_MICRO = {
+    "benchmark": "vtol",
+    "seed": 1,
+    "n_train": 2,
+    "n_cal": 2,
+    "n_test": 2,
+    "horizon_s": 0.5,
+    "dt_s": 0.01,
+    "alpha": 0.4,
+    # two records are far below what a trained family needs
+    "predictor_family": "zero",
+    "metric_grid_points": 3,
+    "lambda_lo": 0.1,
+    "lambda_hi": 0.4,
+    "metric_chi_max": 300.0,
+    "metric_margin": -0.02,
+    "input_knot_amp": 0.2,
+}
+
+
 def test_pipeline_vtol_micro(tmp_path):
-    cfg = ExperimentConfig.from_dict(
-        {
-            "benchmark": "vtol",
-            "seed": 1,
-            "n_train": 2,
-            "n_cal": 2,
-            "n_test": 2,
-            "horizon_s": 0.5,
-            "dt_s": 0.01,
-            "alpha": 0.4,
-            # two records are far below what a trained family needs
-            "predictor_family": "zero",
-            "metric_grid_points": 3,
-            "lambda_lo": 0.1,
-            "lambda_hi": 0.4,
-            "metric_chi_max": 300.0,
-            "metric_margin": -0.02,
-            "input_knot_amp": 0.2,
-            "out_dir": str(tmp_path / "vtol"),
-        }
-    )
+    cfg = ExperimentConfig.from_dict(dict(VTOL_MICRO, out_dir=str(tmp_path / "vtol")))
     report = run_pipeline(cfg)
     assert report["valid"] is True
     assert report["metric"]["verification_passed"] is True
@@ -892,3 +917,60 @@ def test_pipeline_vtol_micro(tmp_path):
     assert (tmp_path / "vtol" / "tube_ellipses.csv").exists()
     header = (tmp_path / "vtol" / "tube_ellipses.csv").read_text().splitlines()[0]
     assert header == "t,center_1,center_2,a11,a12,a22,radius"
+
+
+def _spy_pd_flights(monkeypatch) -> list:
+    """The start block of every ``harness.integrate`` call; the harness
+    integrates only its waypoint-PD flights itself."""
+    import prcitube.harness as harness
+
+    real, starts = harness.integrate, []
+
+    def integrate(sys, x0, policy, T, dt):
+        starts.append(np.array(x0))
+        return real(sys, x0, policy, T, dt)
+
+    monkeypatch.setattr(harness, "integrate", integrate)
+    return starts
+
+
+def _tree_bytes(top: Path) -> dict:
+    return {p.relative_to(top).as_posix(): p.read_bytes() for p in sorted(top.rglob("*"))
+            if p.is_file()}
+
+
+def test_vtol_waypoint_flights_run_as_one_block_and_resume_alone(tmp_path, monkeypatch):
+    """A cold waypoint-PD run flies the reference and test signals as one
+    block.  With ref_data reused and cal_data and evaluate recomputed, the
+    test flights run alone, and every output file matches the cold run."""
+    from prcitube.harness import sample_initial_condition
+
+    out = tmp_path / "vtol"
+    cfg = ExperimentConfig.from_dict(
+        dict(VTOL_MICRO, reference_sampler="waypoint_pd", out_dir=str(out))
+    )
+    flights = [("ref", i) for i in range(cfg.n_train + cfg.n_cal)]
+    flights += [("test", i) for i in range(cfg.n_test)]
+    test_ids = [f"test-{i:04d}" for i in range(cfg.n_test)]
+
+    with monkeypatch.context() as m:
+        starts = _spy_pd_flights(m)
+        replays = _spy_reference_replays(m)
+        run_pipeline(cfg)
+    (block,) = starts
+    want = np.array([sample_initial_condition(cfg, tag, i) for tag, i in flights])
+    assert block.tobytes() == want.tobytes()
+    assert replays == [[f"{tag}-{i:04d}" for tag, i in flights]]
+    cold = _tree_bytes(out)
+
+    (out / "cal_data" / "manifest.json").unlink()
+    (out / "test" / "coverage.json").unlink()
+    starts = _spy_pd_flights(monkeypatch)
+    replays = _spy_reference_replays(monkeypatch)
+    _, calls = _spy_track(monkeypatch)
+    run_pipeline(cfg)
+    (block,) = starts
+    assert block.tobytes() == want[cfg.n_train + cfg.n_cal :].tobytes()
+    assert replays == [test_ids]
+    assert [len(c[3]) for c in calls] == [cfg.n_cal + cfg.n_test]
+    assert _tree_bytes(out) == cold

@@ -9,7 +9,6 @@ from prcitube.systems import (
     TrajectoryRecord,
     integrate,
     make_benchmark_3d,
-    make_benchmark_3d_direct,
     make_benchmark_vtol,
     vtol_thrust_disturbance,
     VTOL_ARM,
@@ -17,6 +16,8 @@ from prcitube.systems import (
     VTOL_INERTIA,
     VTOL_MASS,
     _B3_NOMINAL,
+    _B3_TRUE,
+    _field3,
 )
 
 
@@ -82,6 +83,16 @@ def test_3d_zero_perturbation_zero_uncertainty():
         x = rng.uniform(-5, 5, 3)
         u = rng.uniform(-1.5, 1.5, 2)
         np.testing.assert_allclose(true.uncertainty(x, u), np.zeros(3), atol=1e-14)
+
+
+def make_benchmark_3d_direct(theta=(0.4, 0.2, 0.1), delta=(0.0, 0.02, -0.01)) -> DynamicalSystem:
+    """The true 3D plant in its own control-affine coordinates (not the
+    additive nominal form); used to cross-check the additive rewrite."""
+    dth = np.asarray(theta, dtype=float) + np.asarray(delta, dtype=float)
+    return DynamicalSystem(
+        3, 2, _field3(*dth, _B3_TRUE), lambda x: _B3_TRUE,
+        np.array([[-15.0, 15.0]] * 3), np.array([[-1.5, 1.5]] * 2), name="threeD-direct",
+    )
 
 
 def test_3d_additive_form_equals_direct_integration():
