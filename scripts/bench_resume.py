@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Resume speed: the eager dataset loader against the one that parses a CSV
-body, or builds an input signal, only when a stage reads it.
+body, or reads an input signal, only when a stage reads it.
 
     python3 scripts/bench_resume.py [--resumes K] [--full] [--out BENCH_resume.json]
 
@@ -11,16 +11,18 @@ frozen eager loader of ``tests/scalar_oracle.py`` patched in for
 ``harness.load_dataset`` alternate with K resumes of the tree as it is, the
 first of each pair alternating too.  Each side reports the median and
 quartiles of its CPU seconds per resume (``time.process_time``, BLAS pinned
-to one thread), the ``TrajectoryRecord.from_csv`` calls one resume makes
-(counted in one more resume per side, outside the timing), and whether
-every resume rewrote ``report.json`` byte for byte.  ``--full`` adds the
-same row for the full-size ``configs/threeD_desk.toml`` (about 10 s of CPU
-cold).
+to one thread), and what one resume reads (counted in one more resume per
+side, outside the timing): its ``TrajectoryRecord.from_csv`` calls, the
+bytes of JSON text it decodes and the ``*.signal.json`` files it opens.
+Each row also says whether every resume rewrote ``report.json`` byte for
+byte.  ``--full`` adds the same row for the full-size
+``configs/threeD_desk.toml`` (about 10 s of CPU cold).
 """
 
 from __future__ import annotations
 
 import argparse
+import builtins
 import dataclasses
 import json
 import statistics
@@ -39,20 +41,34 @@ RESUMES = 30
 FULL_RESUMES = 5
 
 
-def parses_per_resume(config) -> int:
-    """``TrajectoryRecord.from_csv`` calls made by one resume."""
-    original, calls = TrajectoryRecord.__dict__["from_csv"], []
+def reads_per_resume(config) -> dict:
+    """What one resume of ``config`` reads: ``TrajectoryRecord.from_csv``
+    calls, bytes of JSON text decoded (``json.load`` decodes through
+    ``json.loads``) and signal files opened."""
+    counts = {"csv_parses_per_resume": 0, "json_bytes_per_resume": 0,
+              "signal_files_per_resume": 0}
+    from_csv, loads, open_ = TrajectoryRecord.__dict__["from_csv"], json.loads, builtins.open
 
-    def from_csv(text):
-        calls.append(1)
-        return original.__func__(text)
+    def counted_from_csv(text):
+        counts["csv_parses_per_resume"] += 1
+        return from_csv.__func__(text)
 
-    TrajectoryRecord.from_csv = staticmethod(from_csv)
+    def counted_loads(text, *args, **kwargs):
+        counts["json_bytes_per_resume"] += len(text.encode() if isinstance(text, str) else text)
+        return loads(text, *args, **kwargs)
+
+    def counted_open(file, *args, **kwargs):
+        counts["signal_files_per_resume"] += str(file).endswith(".signal.json")
+        return open_(file, *args, **kwargs)
+
+    TrajectoryRecord.from_csv = staticmethod(counted_from_csv)
+    json.loads, builtins.open = counted_loads, counted_open
     try:
         harness.run_pipeline(config)
     finally:
-        TrajectoryRecord.from_csv = original
-    return len(calls)
+        TrajectoryRecord.from_csv = from_csv
+        json.loads, builtins.open = loads, open_
+    return counts
 
 
 def resume_row(config, k: int) -> dict:
@@ -67,10 +83,10 @@ def resume_row(config, k: int) -> dict:
     seconds = {name: [] for name in sides}
     identical = True
     try:
-        parses = {}
+        reads = {}
         for name, loader in sides.items():
             harness.load_dataset = loader
-            parses[name] = parses_per_resume(config)
+            reads[name] = reads_per_resume(config)
         for i in range(k):
             for name in (("eager", "lazy") if i % 2 == 0 else ("lazy", "eager")):
                 harness.load_dataset = sides[name]
@@ -83,18 +99,19 @@ def resume_row(config, k: int) -> dict:
     row = {"cold_s": cold_s, "report_identical": identical}
     for name, s in seconds.items():
         q1, _, q3 = statistics.quantiles(s, n=4) if len(s) > 1 else (s[0],) * 3
-        row[name] = {"median_s": statistics.median(s), "q1_s": q1, "q3_s": q3,
-                     "csv_parses_per_resume": parses[name]}
+        row[name] = {"median_s": statistics.median(s), "q1_s": q1, "q3_s": q3, **reads[name]}
     row["ratio"] = row["lazy"]["median_s"] / row["eager"]["median_s"]
     row["pairs_lazy_faster"] = sum(a < b for a, b in zip(seconds["lazy"], seconds["eager"]))
     return row
 
 
 def report(name: str, row: dict) -> None:
-    e, z = row["eager"], row["lazy"]
-    print(f"{name}: eager {1e3 * e['median_s']:.1f} ms, {e['csv_parses_per_resume']} parses; "
-          f"lazy {1e3 * z['median_s']:.1f} ms, {z['csv_parses_per_resume']} parses; "
-          f"ratio {row['ratio']:.3f}, report identical: {row['report_identical']}", flush=True)
+    sides = "; ".join(
+        f"{side} {1e3 * r['median_s']:.1f} ms, {r['csv_parses_per_resume']} parses, "
+        f"{r['json_bytes_per_resume']} JSON bytes, {r['signal_files_per_resume']} signal files"
+        for side, r in (("eager", row["eager"]), ("lazy", row["lazy"])))
+    print(f"{name}: {sides}; ratio {row['ratio']:.3f}, "
+          f"report identical: {row['report_identical']}", flush=True)
 
 
 def main(argv=None) -> int:

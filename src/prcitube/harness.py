@@ -3,13 +3,23 @@
 A pipeline run is a sequence of stages, each persisting its artifacts under
 the output directory.  A stage loads its artifacts back instead of
 recomputing only when all of them exist (for a dataset directory: its
-manifest reads, every CSV it lists exists, references included, and a
-train or cal record's CSV header has its ``zeta_*`` columns) and the ledger
-``provenance.json`` records that stage under the digest of the current
-config (without ``out_dir``); any config change except ``out_dir``
-therefore recomputes every stage, and deleting one artifact, a trajectory
-CSV included, regenerates exactly its stage.  A reused dataset parses a
-CSV body only when a recomputed stage reads that record.
+manifest reads, every CSV and signal file it lists exists, references
+included, and a train or cal record's CSV header has its ``zeta_*``
+columns) and the ledger ``provenance.json`` records that stage under the
+digest of the current config (without ``out_dir``); any config change
+except ``out_dir`` therefore recomputes every stage, and deleting one
+artifact, a trajectory CSV or a signal file included, regenerates exactly
+its stage.
+
+A dataset directory holds ``<id>.csv`` per record and ``manifest.json``,
+which lists each entry's id, CSV, reference id and envelope.  Each
+reference's input signal is stored once, as ``ref_data/<id>.signal.json``;
+a train or cal record ran under its reference's signal, so its directory
+stores none and ``load_dataset`` points it at the reference's file.  A
+reused dataset parses a CSV body or a signal file only when a recomputed
+stage reads that record or signal.  A manifest that carries its signals
+inline, as directories written before signal files did, is refused, so
+its stage is regenerated.
 
 One ``_Simulations`` object per run owns the simulations that the
 ref_data, cal_data and evaluate stages ask for, and runs each block at most
@@ -22,7 +32,7 @@ rollouts after the calibration records; evaluate then only builds their
 tubes and judges them.  A reused stage asks for nothing, so a later stage
 that still needs the test set has it replayed or tracked alone.  A
 resumed run reuses every stage: it simulates nothing and parses no
-dataset CSV.
+dataset CSV and no input signal.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
 without changing results, and identical configs produce byte-identical
@@ -269,6 +279,8 @@ def _waypoint_pd_inputs(config, sys_nom, counts: dict) -> list[PiecewiseLinearIn
         else np.array([[-1.0, 1.0], [-0.6, 0.6]])
     )
     flights = [(tag, i) for tag, n in counts.items() for i in range(n)]
+    if not flights:
+        return []
     target = np.array(
         [rng_stream(config.seed, f"{tag}-policy-{i}").uniform(wbox[:, 0], wbox[:, 1])
          for tag, i in flights]
@@ -334,19 +346,29 @@ def read_json(path):
         return json.load(fh)
 
 
+def _signal_name(entry_id: str) -> str:
+    return f"{entry_id}.signal.json"
+
+
 def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
+    """Each record as ``<id>.csv``; the input signal of an entry without a
+    reference (the ref split) as ``<id>.signal.json`` beside it, while a
+    perturbed entry's signal is its reference's and is stored there; then
+    ``manifest.json``, which lists the entries and carries no knots."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for e in ds.entries:
         csv_name = f"{e.entry_id}.csv"
         e.record.save_csv(directory / csv_name)
+        reference_id = e.entry_id if e.reference is not None else None
+        if reference_id is None:
+            e.policy.save_json(directory / _signal_name(e.entry_id))
         entries.append(
             {
                 "id": e.entry_id,
                 "csv": csv_name,
-                "policy": e.policy.to_json_dict(),
-                "reference_id": e.entry_id if e.reference is not None else None,
+                "reference_id": reference_id,
                 "envelope": e.record.envelope(benchmark),
             }
         )
@@ -358,27 +380,36 @@ def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
 
 def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     """The dataset saved in ``directory``, its references from
-    ``reference_dir``.  Reads the manifest and checks that every CSV it
-    lists exists (and, for the train and cal splits, that each record's
-    header carries the ``zeta_*`` columns); each CSV body is parsed on first
-    access to its entry's ``record`` or ``reference``, and each input signal
-    is built from its manifest JSON on first access to ``policy``."""
+    ``reference_dir``.  Reads the manifest and checks that every file it
+    lists exists: each record's CSV (and, for the train and cal splits, that
+    its header carries the ``zeta_*`` columns) and signal, a perturbed
+    entry's reference CSV and signal in ``reference_dir``.  Each CSV body is
+    parsed on first access to its entry's ``record`` or ``reference``, and
+    each signal file on first access to ``policy``.  A manifest that carries
+    its signals inline (the layout before signal files) raises
+    ``ValueError``; a perturbed entry loaded without ``reference_dir`` has
+    neither reference nor policy."""
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json")
+    references = None if reference_dir is None else Path(reference_dir)
+    path = directory / "manifest.json"
+    manifest = read_json(path)
 
-    def stored(path: Path) -> Path:
-        if not path.is_file():
-            raise FileNotFoundError(f"{path}: listed in {directory / 'manifest.json'}, missing")
-        return path
+    def stored(file: Path) -> Path:
+        if not file.is_file():
+            raise FileNotFoundError(f"{file}: listed in {path}, missing")
+        return file
 
     entries = []
     for item in manifest["entries"]:
-        reference = None
-        if item.get("reference_id") and reference_dir is not None:
-            reference = stored(Path(reference_dir) / f"{item['reference_id']}.csv")
-        entries.append(
-            DatasetEntry(item["id"], stored(directory / item["csv"]), item["policy"], reference)
-        )
+        if "policy" in item:
+            raise ValueError(f"{path}: input signals inline, not in signal files")
+        reference_id, policy, reference = item["reference_id"], None, None
+        if reference_id is None:
+            policy = stored(directory / _signal_name(item["id"]))
+        elif references is not None:
+            policy = stored(references / _signal_name(reference_id))
+            reference = stored(references / f"{reference_id}.csv")
+        entries.append(DatasetEntry(item["id"], stored(directory / item["csv"]), policy, reference))
     return TrainingDataset(tuple(entries), manifest["split_tag"])
 
 
@@ -413,9 +444,10 @@ def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
 def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> TrainingDataset:
     """A dataset stage: the directory ``out / stage`` (its manifest is written
     last) is reused when ``_reuse`` and ``load_dataset`` accept it, else
-    ``generate()`` runs and its dataset is saved.  A reused CSV body that
-    does not parse raises ``ValueError`` naming the file when a recomputed
-    stage reads it (the ledger vouched for it, so it was edited since)."""
+    ``generate()`` runs and its dataset is saved.  A reused CSV body or
+    signal file that does not parse raises ``ValueError`` naming the file
+    when a recomputed stage reads it (the ledger vouched for it, so it was
+    edited since)."""
     directory = out / stage
     if _reuse(config, out, stage, directory / "manifest.json"):
         try:

@@ -52,7 +52,7 @@ SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surr
 # ---------------------------------------------------------------------------
 
 StoredRecord = Union[TrajectoryRecord, Path]
-StoredPolicy = Union[PiecewiseLinearInput, dict]    # a signal or its ``to_json_dict``
+StoredPolicy = Union[PiecewiseLinearInput, Path]
 
 
 def _parsed(record: Optional[StoredRecord]) -> Optional[TrajectoryRecord]:
@@ -69,17 +69,18 @@ class DatasetEntry:
     the perturbed splits, the reference it ran over.
 
     ``record`` and ``reference`` are given as records, or as the paths of
-    stored CSVs (``harness.load_dataset``).  A stored CSV is parsed on first
-    access, once, and its record kept; a body that does not parse raises
-    ``ValueError`` naming the file.  ``policy`` is given as a signal or as
-    its JSON dict from a manifest, built into the signal on first access.
+    stored CSVs; ``policy`` as a signal, or as the path of its stored
+    signal file (``harness.load_dataset``: a reference's own, which its
+    perturbed records share).  A stored file is parsed on first access,
+    once, and its value kept; one that does not parse raises ``ValueError``
+    naming the file.
     """
 
     def __init__(
         self,
         entry_id: str,
         record: StoredRecord,
-        policy: StoredPolicy,
+        policy: Optional[StoredPolicy],
         reference: Optional[StoredRecord] = None,
     ):
         self.entry_id = entry_id
@@ -88,9 +89,12 @@ class DatasetEntry:
         self._reference = reference
 
     @property
-    def policy(self) -> PiecewiseLinearInput:
-        if isinstance(self._policy, dict):
-            self._policy = PiecewiseLinearInput.from_json_dict(self._policy)
+    def policy(self) -> Optional[PiecewiseLinearInput]:
+        if isinstance(self._policy, Path):
+            try:
+                self._policy = PiecewiseLinearInput.load_json(self._policy)
+            except (ValueError, KeyError) as err:
+                raise ValueError(f"{self._policy}: unreadable input signal ({err})") from err
         return self._policy
 
     @property

@@ -23,7 +23,6 @@ coordinates with the Schur complement.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -33,7 +32,7 @@ from .conformal import CalibrationResult
 from .control import min_norm_feedback
 from .errors import SingularBlock
 from .metric import ContractionMetric, riemannian_distance
-from .systems import DynamicalSystem, TrajectoryRecord
+from .systems import DynamicalSystem, TrajectoryRecord, csv_rows
 
 Array = np.ndarray
 
@@ -303,8 +302,6 @@ class TubeProjection:
 
     def to_csv(self) -> str:
         i, j = self.coords
-        buf = io.StringIO()
-        buf.write(f"t,center_{i + 1},center_{j + 1},a11,a12,a22,radius\n")
         rows = np.column_stack(
             [
                 self.times,
@@ -315,8 +312,7 @@ class TubeProjection:
                 np.full(len(self.times), self.radius),
             ]
         )
-        np.savetxt(buf, rows, fmt="%.17g", delimiter=",")
-        return buf.getvalue()
+        return f"t,center_{i + 1},center_{j + 1},a11,a12,a22,radius\n" + csv_rows(rows)
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:

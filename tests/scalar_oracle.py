@@ -644,16 +644,20 @@ def waypoint_pd_policy(target, input_box):
 def load_dataset(directory, reference_dir=None):
     """The eager loader: every record CSV of the manifest, and each
     reference CSV from ``reference_dir``, parsed at load into in-memory
-    entries."""
+    entries, each with its input signal: a reference's own signal file, a
+    perturbed entry's reference's one in ``reference_dir``."""
     directory = Path(directory)
     with open(directory / "manifest.json") as fh:
         manifest = json.load(fh)
     entries = []
     for item in manifest["entries"]:
         record = TrajectoryRecord.load_csv(directory / item["csv"])
-        policy = PiecewiseLinearInput.from_json_dict(item["policy"])
-        reference = None
-        if item.get("reference_id") and reference_dir is not None:
+        policy = reference = None
+        if not item.get("reference_id"):
+            policy = PiecewiseLinearInput.load_json(directory / f"{item['id']}.signal.json")
+        elif reference_dir is not None:
+            policy = PiecewiseLinearInput.load_json(
+                Path(reference_dir) / f"{item['reference_id']}.signal.json")
             reference = TrajectoryRecord.load_csv(Path(reference_dir) / f"{item['reference_id']}.csv")
         entries.append(DatasetEntry(item["id"], record, policy, reference))
     return TrainingDataset(tuple(entries), manifest["split_tag"])

@@ -375,8 +375,8 @@ def test_same_config_resume_reuses_every_stage(smoke_run, monkeypatch):
 
 
 def test_loaded_entry_builds_its_input_signal_on_first_access(smoke_run, tmp_path, monkeypatch):
-    """A full resume builds no input signal from the manifests; a loaded
-    entry builds its own once, on first access to ``policy``."""
+    """A full resume builds no input signal; a loaded entry builds its own
+    once, from its signal file, on first access to ``policy``."""
     cfg, run_dir = _copy_of(smoke_run, tmp_path)
     run_pipeline(cfg)       # whatever earlier tests removed from the shared run is back
     real, built = PiecewiseLinearInput.from_json_dict, []
@@ -391,8 +391,135 @@ def test_loaded_entry_builds_its_input_signal_on_first_access(smoke_run, tmp_pat
     entry = load_dataset(run_dir / "ref_data").entries[0]
     assert built == []
     assert entry.policy is entry.policy and len(built) == 1
-    want = read_json(run_dir / "ref_data" / "manifest.json")["entries"][0]["policy"]
+    want = read_json(run_dir / "ref_data" / f"{entry.entry_id}.signal.json")
     assert entry.policy.to_json_dict() == want
+
+
+def _opened_signal_files(monkeypatch) -> list:
+    """The path of every ``*.signal.json`` file opened from now on."""
+    import builtins
+
+    real, opened = builtins.open, []
+
+    def spy(file, *args, **kwargs):
+        if str(file).endswith(".signal.json"):
+            opened.append(Path(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
+def test_full_resume_opens_no_signal_file_and_parses_no_csv(smoke_run, tmp_path, monkeypatch):
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)       # whatever earlier tests removed from the shared run is back
+    before = _tree_bytes(run_dir)
+    _forbid_recompute(monkeypatch)
+    parsed = _count_parses(monkeypatch)
+    opened = _opened_signal_files(monkeypatch)
+    run_pipeline(cfg)
+    assert parsed == [] and opened == []
+    assert _tree_bytes(run_dir) == before
+
+
+def test_each_reference_signal_is_stored_once_in_ref_data(smoke_run):
+    """ref_data holds one signal file per record; train_data and cal_data,
+    whose records ran under their references' signals, hold none, and no
+    manifest carries knots."""
+    _, out, _ = smoke_run
+    ref_ids = load_dataset(out / "ref_data").ids()
+    assert sorted(p.name for p in out.rglob("*.signal.json")) == [f"{i}.signal.json" for i in ref_ids]
+    for name in ("ref_data", "train_data", "cal_data"):
+        for item in read_json(out / name / "manifest.json")["entries"]:
+            assert set(item) == {"id", "csv", "reference_id", "envelope"}
+
+
+def test_regenerated_training_data_reads_each_training_signal_once(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)
+    before = _tree_bytes(run_dir / "train_data")
+    (run_dir / "train_data" / "manifest.json").unlink()
+    real_generate = harness.generate_perturbed_dataset
+    _forbid_recompute(monkeypatch)
+    monkeypatch.setattr(harness, "generate_perturbed_dataset", real_generate)
+    opened = _opened_signal_files(monkeypatch)
+    run_pipeline(cfg)
+    assert opened == [run_dir / "ref_data" / f"ref-{i:04d}.signal.json" for i in range(cfg.n_train)]
+    assert _tree_bytes(run_dir / "train_data") == before
+
+
+def test_deleted_signal_file_regenerates_only_its_stage(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)
+    before = _tree_bytes(run_dir)
+    (run_dir / "ref_data" / "ref-0001.signal.json").unlink()
+    for name, refs in (("ref_data", None), ("train_data", run_dir / "ref_data")):
+        with pytest.raises(FileNotFoundError, match="ref-0001.signal.json"):
+            load_dataset(run_dir / name, reference_dir=refs)
+    real_generate = harness.generate_reference_dataset
+    _forbid_recompute(monkeypatch)     # train_data and cal_data must be reused
+    monkeypatch.setattr(harness, "generate_reference_dataset", real_generate)
+    replays = _spy_reference_replays(monkeypatch)
+    run_pipeline(cfg)
+    assert len(replays) == 1
+    assert _tree_bytes(run_dir) == before
+
+
+def test_manifest_with_inline_signals_is_refused_and_regenerated(smoke_run, tmp_path, monkeypatch):
+    """Dataset directories in the layout before signal files (each manifest
+    entry carrying its signal as ``policy``, no signal file) are refused and
+    regenerated, and the run's files come back byte-identical."""
+    import prcitube.harness as harness
+
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)
+    before = _tree_bytes(run_dir)
+    for name in ("ref_data", "train_data", "cal_data"):
+        manifest = read_json(run_dir / name / "manifest.json")
+        for item in manifest["entries"]:
+            signal = run_dir / "ref_data" / f"{item['id']}.signal.json"
+            item["policy"] = read_json(signal)
+        harness.write_json(run_dir / name / "manifest.json", manifest)
+    for signal in (run_dir / "ref_data").glob("*.signal.json"):
+        signal.unlink()
+    for name in ("train_data", "cal_data"):
+        with pytest.raises(ValueError, match="inline"):
+            load_dataset(run_dir / name, reference_dir=run_dir / "ref_data")
+    real = {n: getattr(harness, n) for n in
+            ("generate_reference_dataset", "generate_perturbed_dataset", "track")}
+    _forbid_recompute(monkeypatch)      # every later stage must be reused
+    for n, f in real.items():
+        monkeypatch.setattr(harness, n, f)
+    run_pipeline(cfg)
+    assert _tree_bytes(run_dir) == before
+
+
+@pytest.mark.parametrize("sampler", ["spline", "waypoint_pd"])
+def test_loaded_signals_equal_the_generated_ones(tmp_path, sampler):
+    """A stored signal loads back bit for bit, a reference's from its own
+    file and a training record's from its reference's."""
+    import prcitube.harness as harness
+
+    settings = (dict(parse_flat_config(SMOKE)) if sampler == "spline"
+                else dict(VTOL_MICRO, reference_sampler="waypoint_pd"))
+    cfg = ExperimentConfig.from_dict(dict(settings, out_dir=str(tmp_path / "run")))
+    sys_nom, sys_true = benchmark_systems(cfg)
+    ref = harness._Simulations(cfg, sys_nom, sys_true, "gen-data").references()
+    train = harness.generate_perturbed_dataset(sys_true, ref, "open_loop_reference", "train")
+    save_dataset(ref, tmp_path / "ref", cfg.benchmark)
+    save_dataset(train, tmp_path / "train", cfg.benchmark)
+    loaded = (load_dataset(tmp_path / "ref"),
+              load_dataset(tmp_path / "train", reference_dir=tmp_path / "ref"))
+    for got, want in zip(loaded, (ref, train)):
+        assert got.ids() == want.ids() and len(got) > 0
+        for a, b in zip(got.entries, want.entries):
+            for field in ("knot_times", "knot_values"):
+                u, v = getattr(a.policy, field), getattr(b.policy, field)
+                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
 
 
 def test_foreign_ledger_digest_is_recomputed(smoke_run, tmp_path):
@@ -937,6 +1064,13 @@ def _spy_pd_flights(monkeypatch) -> list:
 def _tree_bytes(top: Path) -> dict:
     return {p.relative_to(top).as_posix(): p.read_bytes() for p in sorted(top.rglob("*"))
             if p.is_file()}
+
+
+def test_waypoint_test_references_for_no_flights_are_empty():
+    import prcitube.harness as harness
+
+    cfg = ExperimentConfig.from_dict(dict(VTOL_MICRO, reference_sampler="waypoint_pd", n_test=0))
+    assert harness._test_references(cfg, benchmark_systems(cfg)[0]) == ([], [])
 
 
 def test_vtol_waypoint_flights_run_as_one_block_and_resume_alone(tmp_path, monkeypatch):

@@ -291,6 +291,21 @@ def test_cost_is_the_forward_half_of_cost_and_grad_bit_for_bit(bench3d):
     assert sh.cost_and_grad(U)[0] == np.inf
 
 
+def test_forward_pass_stops_at_a_nan_state(bench3d):
+    nom, _ = bench3d
+    problem = PlanProblem(
+        sys=nom, T=0.1, dt=0.02, x0=np.array([0.6, 0.4, 0.24]), goal=np.zeros(3),
+        state_box=np.array([[-1.0, 1.0]] * 3), input_box=np.array([[-1.2, 1.2]] * 2),
+        obstacles=(), w1=0.1, w2=1.0,
+    )
+    sh = _Shooting(problem)
+    U = np.zeros((sh.n_steps + 1, 2))
+    U[2, 0] = np.nan        # the second step's last stage, so its end state is NaN
+    X, _, _ = sh._forward(U)
+    assert np.isfinite(X[:2]).all() and np.isnan(X[2:]).all()
+    assert sh.cost(U) == np.inf
+
+
 def test_double_integrator_matches_dense_quadratic_oracle():
     sys = double_integrator()
     w1, w2 = 0.5, 4.0

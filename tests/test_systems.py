@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from prcitube.systems import (
     _B3_NOMINAL,
     _B3_TRUE,
     _field3,
+    csv_rows,
 )
 
 
@@ -377,6 +380,34 @@ def test_record_validation():
         TrajectoryRecord(t, np.zeros((2, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError):
         TrajectoryRecord(np.array([0.0, 0.1, 0.35]), np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+def _savetxt(table) -> str:
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
+
+
+EDGE_ROWS = np.array([
+    [0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+    [1.0, -3.0, 2.0 ** 60, 1e-300, 0.1],
+    [np.pi, 1.0 / 3.0, -2.5e-8, 123456789.0, 7.0],
+])
+
+
+@pytest.mark.parametrize("table", [EDGE_ROWS, EDGE_ROWS[:1], EDGE_ROWS[:, :1]],
+                         ids=["rows", "one_row", "one_column"])
+def test_csv_rows_is_the_savetxt_text(table):
+    assert csv_rows(table) == _savetxt(table)
+
+
+def test_record_csv_is_the_savetxt_text():
+    times = np.array([0.0, 0.5, 1.0])
+    rec = TrajectoryRecord(times, EDGE_ROWS[:, :3], EDGE_ROWS[:, 3:], EDGE_ROWS[:, 2:])
+    table = np.hstack([times[:, None], rec.states, rec.inputs, rec.uncertainties])
+    assert rec.to_csv() == rec.csv_header() + "\n" + _savetxt(table)
+    one = TrajectoryRecord(times[:1], EDGE_ROWS[:1, :3], EDGE_ROWS[:1, 3:])
+    assert one.to_csv() == one.csv_header() + "\n" + _savetxt(np.hstack([[[0.0]], one.states, one.inputs]))
 
 
 def test_record_csv_roundtrip(tmp_path):

@@ -19,6 +19,7 @@ from prcitube.tube import (
     tighten_state_box,
     trajectory_distances,
     tube_contains,
+    TubeProjection,
 )
 
 
@@ -357,6 +358,20 @@ def test_projection_csv_format(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,center_1,center_3,a11,a12,a22,radius"
     assert len(lines) == 1 + len(tube.reference.times)
+
+
+def test_projection_csv_is_the_savetxt_text():
+    import io
+
+    times = np.array([0.0, 1.0])
+    centers = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 2.0]])
+    shapes = np.array([[[4.0, 0.1], [0.1, 3.0]], [[1.0, -0.0], [-0.0, 1.0 / 3.0]]])
+    proj = TubeProjection((0, 2), times, centers, shapes, 0.25)
+    rows = np.column_stack([times, centers, shapes[:, 0, 0], shapes[:, 0, 1], shapes[:, 1, 1],
+                            np.full(2, 0.25)])
+    buf = io.StringIO()
+    np.savetxt(buf, rows, fmt="%.17g", delimiter=",")
+    assert proj.to_csv() == "t,center_1,center_3,a11,a12,a22,radius\n" + buf.getvalue()
 
 
 def test_trajectory_distances_interpolates_mismatched_grid(metric3d):
