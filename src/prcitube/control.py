@@ -21,20 +21,20 @@ hook, so u_minus at time t is exactly the input computed at grid time
 floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
 integrator uses that input as the step's first RK4 stage, so the policy
 is evaluated once per grid point plus three times per step.  Each of
-those evaluations reads the nominal drift at the tracked state, which the
-plant field and the 3D uncertainty need at the same state too; the
-integrator marks the state read-only and the benchmark plants remember
-its drift (``systems.memo_readonly``), so a closed-loop stage makes one
-nominal drift evaluation for all three (and, on the 3D plant, one true
-one).  Every
-compensated closed-loop rollout of the true plant is built in one place,
-``track``, which steps all rollouts of one call as an (N, n) block: each
-policy evaluation makes one ``min_norm_feedback``, one ``predict`` and one
-pseudo-inverse of the actuation matrix for the whole block.  The reference
-side of the constraint, v_r = M(x_ref) (f(x_ref) + B(x_ref) u_ref), does
-not depend on the tracked state; the policy tabulates it with x_ref and
-u_ref at the stage times of many steps at once (``reference_side``), so a
-policy evaluation calls the plant only at the tracked states.
+those evaluations reads the nominal drift f(x) at the tracked state, which
+the plant field and the 3D uncertainty need at the same state too; the
+integrator computes it once and passes it to all three (the policy takes
+it as ``policy(x, t, fx)`` and hands it to ``min_norm_feedback``), so a
+closed-loop stage makes one nominal drift evaluation (and, on the 3D
+plant, one true one).  Every compensated closed-loop rollout of the true
+plant is built in one place, ``track``, which steps all rollouts of one
+call as an (N, n) block: each policy evaluation makes one
+``min_norm_feedback``, one ``predict`` and one pseudo-inverse of the
+actuation matrix for the whole block.  The reference side of the
+constraint, v_r = M(x_ref) (f(x_ref) + B(x_ref) u_ref), does not depend
+on the tracked state; the policy tabulates it with x_ref and u_ref at
+the stage times of many steps at once (``reference_side``), so a policy
+evaluation calls the plant only at the tracked states.
 
 Feedback, policy and residuals take (..., n) rows, and every per-row
 product is a stacked matrix product (``systems.matvec``, ``rowdot``,
@@ -59,7 +59,6 @@ from .systems import (
     TrajectoryRecord,
     integrate,
     matvec,
-    memo_readonly,
     rowdot,
     rownorm,
 )
@@ -74,10 +73,6 @@ TABLE_STEPS = 50        # grid steps per table of the reference side
 _NODE_WEIGHTS = (
     np.array([1.0, 2.0, GEODESIC_SEGMENTS - 2.0, GEODESIC_SEGMENTS - 1.0]) / GEODESIC_SEGMENTS
 )
-
-# Frobenius norm of an actuation matrix, each row's for a stacked one; a
-# constant (read-only) matrix keeps its norm across calls
-_actuation_norm = memo_readonly(lambda B: rownorm(np.reshape(B, B.shape[:-2] + (-1,))))
 
 
 class FeedbackTerms(NamedTuple):
@@ -96,14 +91,16 @@ def feedback_terms(
     x_ref: Array,
     u_ref: Array,
     v_ref: Optional[Array] = None,
+    fx: Optional[Array] = None,
 ) -> FeedbackTerms:
     """Constraint data (a, b) of the min-norm program, for one state or for
     every row of an (N, n) block (then b, energy and a_scale are (N,)).
 
     The constraint is a^T kappa >= b, with the geodesic oriented
     gamma(0) = x_ref, gamma(1) = x.  ``v_ref`` is the reference side
-    ``reference_velocity(metric, sys_nominal, x_ref, u_ref)``, computed here
-    when not given.  A constant metric's geodesic is the straight segment
+    ``reference_velocity(metric, sys_nominal, x_ref, u_ref)`` and ``fx`` the
+    nominal drift ``sys_nominal.drift(x)``, each computed here when not
+    given.  A constant metric's geodesic is the straight segment
     and is not built: the energy is d^T M d, d = x - x_ref, and the tangents
     are ``Geodesic.endpoint_tangents`` of its discretization at the four
     nodes they read.  They equal d in exact arithmetic only; VTOL
@@ -128,7 +125,8 @@ def feedback_terms(
         M_x = np.reshape([metric.evaluate(xi) for xi, _ in pairs], x.shape + (n,))
     if v_ref is None:
         v_ref = reference_velocity(metric, sys_nominal, x_ref, u_ref)
-    fx = sys_nominal.drift(x)
+    if fx is None:
+        fx = sys_nominal.drift(x)
     Bx = sys_nominal.actuation(x)
     Mg = matvec(M_x, g1)
     a = -matvec(np.swapaxes(Bx, -1, -2), Mg)
@@ -139,7 +137,7 @@ def feedback_terms(
     # roundoff floor: at x == x_ref all terms vanish in exact arithmetic
     scale = decay + np.abs(t1) + np.abs(t2)
     b = np.where((b <= 1e-12 * scale) & (b > 0.0), 0.0, b)
-    a_scale = _actuation_norm(Bx) * rownorm(Mg)
+    a_scale = rownorm(np.reshape(Bx, Bx.shape[:-2] + (-1,))) * rownorm(Mg)
     # [()] turns the 0-d results of one state into scalars
     return FeedbackTerms(a, b[()], np.asarray(energy)[()], np.asarray(a_scale)[()])
 
@@ -167,16 +165,17 @@ def min_norm_feedback(
     x_ref: Array,
     u_ref: Array,
     v_ref: Optional[Array] = None,
+    fx: Optional[Array] = None,
 ) -> Array:
     """Smallest feedback satisfying the geodesic energy-decay inequality,
-    for one state or for every row of an (N, n) block; ``v_ref`` as in
-    ``feedback_terms``.
+    for one state or for every row of an (N, n) block; ``v_ref`` and ``fx``
+    as in ``feedback_terms``.
 
     Raises DegenerateConstraint when, in some row, the constraint is violated
     but its coefficient vanishes relative to its constituents (the tracking
     direction is uncontrollable at that state).
     """
-    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref, v_ref)
+    terms = feedback_terms(metric, sys_nominal, x, x_ref, u_ref, v_ref, fx)
     active = terms.b > 0.0
     na = rownorm(terms.a)
     degenerate = active & (na <= DEGENERATE_TOL * np.maximum(terms.a_scale, DEGENERATE_TOL))
@@ -208,6 +207,12 @@ class ContractingPolicy:
     t_k + 1.0 dt of TABLE_STEPS grid steps at a time, the floats that
     ``integrate`` evaluates the policy at; an evaluation at any other time
     computes it for that one time.
+
+    An evaluation ``policy(x, t, fx)`` takes the drift fx at x of the plant
+    that ``integrate`` steps, and the feedback reads it as
+    ``sys_nominal.drift(x)``: the policy must be integrated on a plant whose
+    ``drift`` is its nominal plant's drift, as ``track`` does with
+    ``sys_true`` and ``sys_true.nominal``.
     """
 
     def __init__(
@@ -258,7 +263,7 @@ class ContractingPolicy:
             return self._u_curr
         return self._u_prev
 
-    def notify_step(self, x: Array, t: float) -> Array:
+    def notify_step(self, x: Array, t: float, fx: Array) -> Array:
         """Commit the input of the grid step starting at (x, t) and return
         it; the integrator uses it as that step's first RK4 stage."""
         k = int(round(t / self.dt))
@@ -275,13 +280,13 @@ class ContractingPolicy:
             self._table = self.reference_side(times)
             self._slots = {s: j for j, s in enumerate(times.tolist())}
         u_minus = self._u_curr if k > 0 else self._zero_input()
-        u = self._compute(x, t, u_minus)
+        u = self._compute(x, t, u_minus, fx)
         self._u_prev, self._u_curr = self._u_curr, u
         self._step_index = k
         return u
 
-    def __call__(self, x: Array, t: float) -> Array:
-        return self._compute(x, t, self.delayed_input(t))
+    def __call__(self, x: Array, t: float, fx: Array) -> Array:
+        return self._compute(x, t, self.delayed_input(t), fx)
 
     # -- composition -----------------------------------------------------------
 
@@ -292,14 +297,14 @@ class ContractingPolicy:
         u_ref = self._grid.interpolate(self._ref_inputs, times)
         return x_ref, u_ref, reference_velocity(self.metric, self.sys_nominal, x_ref, u_ref)
 
-    def _compute(self, x: Array, t: float, u_minus: Array) -> Array:
+    def _compute(self, x: Array, t: float, u_minus: Array, fx: Array) -> Array:
         j = self._slots.get(t)
         if j is None:
             j, table = 0, self.reference_side(np.array([t]))
         else:
             table = self._table
         x_ref, u_ref, v_ref = table[0][j], table[1][j], table[2][j]
-        kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref, v_ref)
+        kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref, v_ref, fx)
         u = u_ref + kappa
         if self.predictor is not None:
             zeta_hat = self.predictor.predict(x, u_minus)
@@ -352,7 +357,10 @@ def residual_norms(
     inputs[k-1] after.  ``predictor`` may be None (no compensation).
     """
     X, U = trajectory.states, trajectory.inputs
-    r = sys_true.uncertainty(X, U) if sys_true.uncertainty is not None else np.zeros_like(X)
+    if sys_true.uncertainty is None:
+        r = np.zeros_like(X)
+    else:
+        r = sys_true.uncertainty(X, U, sys_true.drift(X))
     if predictor is not None:
         U_minus = np.concatenate([np.zeros_like(U[:1]), U[:-1]])
         B = sys_true.actuation(X)

@@ -289,7 +289,7 @@ def _waypoint_pd_inputs(config, sys_nom, counts: dict) -> list[PiecewiseLinearIn
     m, J, g, arm = VTOL_MASS, VTOL_INERTIA, VTOL_GRAVITY, VTOL_ARM
     box = sys_nom.input_box
 
-    def pd_policy(x, t):
+    def pd_policy(x, t, fx):
         px, pz, phi, vx, vz, phidot = (x[..., i] for i in range(6))
         # velocity-limited outer loop; accelerating +x needs negative tilt
         # (v_x dot = -g sin(phi) near hover), speeds stay inside the
@@ -807,9 +807,9 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         raise ValueError(f"unknown stage {stop_after!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", config.to_dict())
-    sys_nom, sys_true = benchmark_systems(config)
     report: dict = {"config": config.to_dict(), "stages": []}
+    write_json(out / "config.json", report["config"])
+    sys_nom, sys_true = benchmark_systems(config)
 
     def reached(stage):
         report["stages"].append(stage)

@@ -42,13 +42,12 @@ controller) are notified once per grid step through the optional
 point and so also supplies the step's first stage.
 
 Each state that ``integrate`` evaluates (a grid point or an RK4 stage
-state) has its nominal drift computed once.  ``integrate`` marks the state
-read-only, and the benchmark plants' nominal drifts keep their last value
-for such an array (``memo_readonly``), so the feedback constraint, the
-plant field and the 3D uncertainty, which all need f_nom at that state,
-share one evaluation.  Per evaluated state the 3D true plant makes one
-nominal and one true drift evaluation, open or closed loop, and the VTOL
-one drift evaluation.
+state) has its drift fx = f(x) computed once and passed on as an argument:
+to the policy, ``policy(x, t, fx)``, whose feedback constraint reads it;
+to the plant field; and to the uncertainty, ``uncertainty(x, u, fx)``,
+which on the 3D plant reads the nominal drift from it.  Per evaluated
+state the 3D true plant makes one nominal and one true drift evaluation,
+open or closed loop, and the VTOL one drift evaluation.
 """
 
 from __future__ import annotations
@@ -121,40 +120,15 @@ def _readonly(a) -> Array:
     return out
 
 
-def memo_readonly(f: Callable[[Array], Array]) -> Callable[[Array], Array]:
-    """``f`` with a one-entry cache on the identity of its argument.
-
-    Only an array that cannot be written is remembered: one that is
-    read-only and owns its data, as ``integrate`` marks the states it
-    evaluates, so a remembered value never goes stale.  The value is
-    returned read-only, since every caller shares it.  Equal values are
-    never enough: -0.0 == 0.0, but tanh(-0.0) and tanh(0.0) differ in sign.
-    """
-    last = None     # (argument, value); holding the argument keeps its id unique
-
-    def memo(x):
-        nonlocal last
-        hit = last
-        if hit is not None and hit[0] is x and not x.flags.writeable:
-            return hit[1]
-        fx = f(x)
-        if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
-            if isinstance(fx, np.ndarray):
-                fx.flags.writeable = False
-            last = (x, fx)
-        return fx
-
-    return memo
-
-
 @dataclass(frozen=True, eq=False)
 class DynamicalSystem:
     """Control-affine plant ``xdot = f(x) + B(x) u + zeta(x, u)``.
 
     The callables take ``(..., n)`` state rows and ``(..., m)`` input rows;
     ``actuation`` returns ``(..., n, m)`` or, for a constant input matrix,
-    one ``(n, m)`` matrix that every row shares.  ``uncertainty`` is None
-    for nominal plants.  ``state_box`` and ``input_box`` are (n, 2) / (m, 2)
+    one ``(n, m)`` matrix that every row shares.  ``uncertainty(x, u, fx)``
+    is also handed the drift fx = f(x) at x, and is None for nominal
+    plants.  ``state_box`` and ``input_box`` are (n, 2) / (m, 2)
     arrays of per-coordinate bounds.
     """
 
@@ -164,7 +138,7 @@ class DynamicalSystem:
     actuation: Callable[[Array], Array]
     state_box: Array
     input_box: Array
-    uncertainty: Optional[Callable[[Array, Array], Array]] = None
+    uncertainty: Optional[Callable[[Array, Array, Array], Array]] = None
     name: str = ""
 
     def __post_init__(self):
@@ -176,9 +150,10 @@ class DynamicalSystem:
             raise ValueError("input_box must be (m, 2)")
 
     def dynamics(self, x: Array, u: Array) -> Array:
-        dx = self.drift(x) + matvec(self.actuation(x), u)
+        fx = self.drift(x)
+        dx = fx + matvec(self.actuation(x), u)
         if self.uncertainty is not None:
-            dx = dx + self.uncertainty(x, u)
+            dx = dx + self.uncertainty(x, u, fx)
         return dx
 
     @property
@@ -331,7 +306,8 @@ class PiecewiseLinearInput:
         object.__setattr__(self, "knot_times", _readonly(self.knot_times))
         object.__setattr__(self, "knot_values", _readonly(np.atleast_2d(self.knot_values)))
 
-    def __call__(self, x: Array, t: float) -> Array:
+    def __call__(self, x: Array, t: float, fx: Optional[Array] = None) -> Array:
+        """The input at time t; the state x and its drift fx are not read."""
         tt = self.knot_times
         if t <= tt[0]:
             return self.knot_values[0]
@@ -398,20 +374,22 @@ def rk4_step(
 def integrate(
     sys: DynamicalSystem,
     x0: Array,
-    policy: Callable[[Array, float], Array],
+    policy: Callable[[Array, float, Array], Array],
     T: float,
     dt: float,
 ) -> TrajectoryRecord | list[Optional[TrajectoryRecord]]:
     """Simulate the closed loop with classical fixed-step RK4.
 
-    The policy is evaluated at every RK4 stage.  If the policy object has a
-    ``notify_step(x, t)`` method it is called once at the start of each grid
-    step (and at the final grid point) instead of the first-stage call; it
-    advances sampled-and-held controller state and returns the input it
-    commits, which is stored and drives the first stage, as does the stored
-    uncertainty of the true plant at that grid point.  Every state handed
-    to the plant and the policy is read-only, so that a ``memo_readonly``
-    drift may share its value between them.
+    Each evaluated state x (a grid point or an RK4 stage state) has its
+    drift fx = ``sys.drift(x)`` computed once, and the policy
+    ``policy(x, t, fx)``, the plant field fx + B(x) u + zeta and the
+    uncertainty ``sys.uncertainty(x, u, fx)`` all read it.  The policy is
+    evaluated at every RK4 stage.  If the policy object has a
+    ``notify_step(x, t, fx)`` method it is called once at the start of each
+    grid step (and at the final grid point) instead of the first-stage
+    call; it advances sampled-and-held controller state and returns the
+    input it commits, which is stored and drives the first stage, as does
+    the stored uncertainty of the true plant at that grid point.
 
     ``x0`` is one state ``(n,)`` or a block of N starts ``(N, n)`` on the
     same grid, which the plant and the policy then see as ``(N, n)`` rows.
@@ -442,12 +420,21 @@ def integrate(
     any_frozen = False
     left_box = np.zeros(rows, dtype=bool)
 
+    def evaluate(z, t_z, law):
+        """Input of ``law``, uncertainty and field at z, all reading one drift."""
+        fz = sys.drift(z)
+        u = law(z, t_z, fz)
+        dz = fz + matvec(sys.actuation(z), u)
+        if sys.uncertainty is None:
+            return u, None, dz
+        zeta = sys.uncertainty(z, u, fz)
+        return u, zeta, dz + zeta
+
     def slope(z, c):
         # a frozen row is only ever evaluated at its last finite state
         if any_frozen:
             z = np.where(frozen[..., None], held, z)
-        z.flags.writeable = False       # the policy and the plant share its drift
-        return sys.dynamics(z, policy(z, t + c * dt))
+        return evaluate(z, t + c * dt, policy)[2]
 
     for k in range(n_steps + 1):
         t = times[k]
@@ -461,19 +448,15 @@ def integrate(
             any_frozen = True
         if any_frozen:
             x = np.where(frozen[..., None], held, x)
-        x.flags.writeable = False
         held = x
-        u_k = first_input(x, t)
+        u_k, zeta_k, k1 = evaluate(x, t, first_input)
         states[k] = x
         inputs[k] = u_k
         if zetas is not None:
-            zetas[k] = sys.uncertainty(x, u_k)
+            zetas[k] = zeta_k
         left_box |= ~((x >= lo) & (x <= hi)).all(axis=-1)
         if k == n_steps:
             break
-        k1 = sys.drift(x) + matvec(sys.actuation(x), u_k)
-        if zetas is not None:
-            k1 = k1 + zetas[k]
         x, _ = rk4_step(slope, x, dt, k1)
 
     if not rows:
@@ -535,20 +518,20 @@ def make_benchmark_3d(
     The true plant carries the perturbed parameters theta + delta and a
     mismatched input matrix (pass ``true_actuation=_B3_NOMINAL`` for the
     matched case); it is returned in the additive nominal form,
-    zeta(x, u) = f_true(x, u) - f_nom(x, u).  Both plants share one
-    ``memo_readonly`` nominal drift, so zeta reuses the f_nom(x) that the
-    plant field (and the feedback) computed at the same state.
+    zeta(x, u) = f_true(x, u) - f_nom(x, u).  Both plants' drift is the
+    nominal one, and zeta reads f_nom(x) from the drift ``fx`` it is
+    handed, so it evaluates only the true drift itself.
     """
     th = np.asarray(theta, dtype=float)
     dth = th + np.asarray(delta, dtype=float)
     B_true = _B3_TRUE if true_actuation is None else np.asarray(true_actuation, dtype=float)
 
-    drift_nom = memo_readonly(_field3(*th, _B3_NOMINAL))
+    drift_nom = _field3(*th, _B3_NOMINAL)
     drift_true = _field3(*dth, B_true)
 
-    def zeta(x, u):
+    def zeta(x, u, fx):
         f_true = drift_true(x) + matvec(B_true, u)
-        f_nom = drift_nom(x) + matvec(_B3_NOMINAL, u)
+        f_nom = fx + matvec(_B3_NOMINAL, u)
         return f_true - f_nom
 
     state_box = np.array([[-15.0, 15.0]] * 3)
@@ -616,7 +599,7 @@ def make_benchmark_vtol() -> DynamicalSystem:
     """Planar VTOL with the thrust-channel disturbance (the true plant).
     Use ``.nominal`` for the unperturbed twin."""
 
-    def zeta(x, u):
+    def zeta(x, u, fx):
         return matvec(_B_VTOL, vtol_thrust_disturbance(x, u))
 
     # Published benchmark bounds: phi, phidot within +-60 deg(/s),
@@ -636,6 +619,6 @@ def make_benchmark_vtol() -> DynamicalSystem:
     hover = VTOL_MASS * VTOL_GRAVITY / 2.0
     input_box = np.array([[0.0, 4.0 * hover], [0.0, 4.0 * hover]])
     return DynamicalSystem(
-        6, 2, memo_readonly(vtol_drift), lambda x: _B_VTOL, state_box, input_box,
+        6, 2, vtol_drift, lambda x: _B_VTOL, state_box, input_box,
         uncertainty=zeta, name="vtol",
     )

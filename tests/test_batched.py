@@ -119,16 +119,16 @@ def test_tabulated_reference_side_equals_the_interpolating_path(case, monkeypatc
     real_compute, real_side = policy_cls._compute, policy_cls.reference_side
     real_feedback = control.min_norm_feedback
 
-    def compute(self, x, t, u_minus):
+    def compute(self, x, t, u_minus, fx):
         seen.append([self, t])
-        return real_compute(self, x, t, u_minus)
+        return real_compute(self, x, t, u_minus, fx)
 
     def side(self, times):
         tables.append(len(times))
         return real_side(self, times)
 
-    def feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref=None):
-        kappa = real_feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref)
+    def feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref=None, fx=None):
+        kappa = real_feedback(metric, sys_nominal, x, x_ref, u_ref, v_ref, fx)
         seen[-1] += [x, x_ref, u_ref, kappa]
         return kappa
 
@@ -201,7 +201,7 @@ def test_nonfinite_start_row_is_none(case):
 
 
 def test_track_rejects_references_on_different_grids(case):
-    short = integrate(case.nom, case.refs[0].states[0], lambda x, t: case.refs[0].inputs[0],
+    short = integrate(case.nom, case.refs[0].states[0], lambda x, t, fx: case.refs[0].inputs[0],
                       0.5, 0.01)
     with pytest.raises(ValueError, match="time grid"):
         track(case.true, case.metric, None, [case.refs[0], short], case.starts[:2])
@@ -269,7 +269,7 @@ def test_plant_rows_equal_one_row_calls(rows):
     sys, X, U = rows.true, rows.X, rows.U
     for fn, args in (
         (sys.drift, (X,)),
-        (sys.uncertainty, (X, U)),
+        (sys.uncertainty, (X, U, sys.drift(X))),
         (sys.dynamics, (X, U)),
         (lambda x: np.broadcast_to(sys.actuation(x), x.shape[:-1] + (sys.state_dim, 2)), (X,)),
     ):
@@ -292,6 +292,11 @@ def test_min_norm_feedback_rows_equal_one_row_calls(rows):
     terms = feedback_terms(rows.metric, rows.nom, *args)
     assert np.all(terms.b[::10] <= 0.0) and np.all(kappa[::10] == 0.0)
     assert np.any(terms.b > 0.0)
+    # the drift that integrate passes in gives the bits the feedback computes itself
+    fx = rows.nom.drift(rows.X)
+    assert min_norm_feedback(rows.metric, rows.nom, *args, fx=fx).tobytes() == kappa.tobytes()
+    given = feedback_terms(rows.metric, rows.nom, *args, fx=fx)
+    assert [np.asarray(v).tobytes() for v in given] == [np.asarray(v).tobytes() for v in terms]
     if rows.name == "vtol":
         one_state = np.array([
             min_norm_feedback(rows.metric, rows.nom, *(a[i] for a in args)) for i in range(1000)
@@ -387,7 +392,7 @@ def test_diverged_open_loop_row_is_skipped_by_id(caplog):
         )
 
     nom = plant(None)
-    true = plant(lambda x, u: x ** 2 + x)          # the true plant is xdot = x^2 + u
+    true = plant(lambda x, u, fx: x ** 2 + x)      # the true plant is xdot = x^2 + u
     signal = PiecewiseLinearInput(np.array([0.0, 1.0]), np.zeros((2, 1)))
     refs = generate_reference_dataset(nom, np.array([[0.1], [2.0], [-0.5]]), [signal] * 3, 2.0, 0.01)
     assert refs.ids() == ["ref-0000", "ref-0001", "ref-0002"]
@@ -422,7 +427,8 @@ def test_waypoint_pd_block_equals_one_state_flights(vtol):
     for i, signal in enumerate(signals):
         target = harness.rng_stream(config.seed, f"ref-policy-{i}").uniform(wbox[:, 0], wbox[:, 1])
         x0 = harness.sample_initial_condition(config, "ref", i)
-        want = integrate(nom, x0, oracle.waypoint_pd_policy(target, nom.input_box), 1.0, config.dt_s)
+        pd_policy = oracle.waypoint_pd_policy(target, nom.input_box)
+        want = integrate(nom, x0, lambda x, t, fx: pd_policy(x, t), 1.0, config.dt_s)
         assert signal.knot_times.tobytes() == want.times.tobytes()
         assert signal.knot_values.tobytes() == want.inputs.tobytes()
 

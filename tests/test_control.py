@@ -228,7 +228,8 @@ def test_zero_predictor_equals_no_predictor():
     x = np.array([0.4])
     plain = ContractingPolicy(metric, sys, ref)
     zeroed = ContractingPolicy(metric, sys, ref, predictor=make_zero_predictor(1, 1))
-    np.testing.assert_array_equal(plain(x, 0.25), zeroed(x, 0.25))
+    fx = sys.drift(x)
+    np.testing.assert_array_equal(plain(x, 0.25, fx), zeroed(x, 0.25, fx))
 
 
 def test_full_compensation_with_square_B():
@@ -243,7 +244,7 @@ def test_full_compensation_with_square_B():
         actuation=lambda x: np.eye(2),
         state_box=np.array([[-5.0, 5.0]] * 2),
         input_box=np.array([[-10.0, 10.0]] * 2),
-        uncertainty=zeta,
+        uncertainty=lambda x, u, fx: zeta(x, u),
     )
 
     class Perfect:
@@ -276,7 +277,7 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
         family = "half"
 
         def predict(self, x, u):
-            return 0.5 * vtol.uncertainty(x, u)
+            return 0.5 * vtol.uncertainty(x, u, vtol.drift(x))
 
     policy = ContractingPolicy(metric_vtol, nom, ref, predictor=Half())
     roll = integrate(vtol, np.zeros(6), policy, 1.0, 0.01)
@@ -285,8 +286,9 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
     Bp = np.linalg.pinv(B, rcond=1e-10)
     for k in (0, 7, 50, 100):
         u_minus = roll.inputs[k - 1] if k else np.zeros(2)
-        r = vtol.uncertainty(roll.states[k], roll.inputs[k]) - B @ (
-            Bp @ (0.5 * vtol.uncertainty(roll.states[k], u_minus))
+        x, fx = roll.states[k], vtol.drift(roll.states[k])
+        r = vtol.uncertainty(x, roll.inputs[k], fx) - B @ (
+            Bp @ (0.5 * vtol.uncertainty(x, u_minus, fx))
         )
         assert norms[k] == pytest.approx(np.linalg.norm(r), abs=1e-12)
 
@@ -297,12 +299,12 @@ def test_delayed_input_ladder():
     policy = ContractingPolicy(metric, sys, ref)
     dt = 0.01
     x = np.array([0.5])
-    u0 = policy.notify_step(x, 0.0)
+    u0 = policy.notify_step(x, 0.0, sys.drift(x))
     np.testing.assert_array_equal(policy.delayed_input(0.0), np.zeros(1))
     np.testing.assert_array_equal(policy.delayed_input(0.5 * dt), np.zeros(1))
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
     x1 = np.array([0.45])
-    u1 = policy.notify_step(x1, dt)
+    u1 = policy.notify_step(x1, dt, sys.drift(x1))
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
     np.testing.assert_array_equal(policy.delayed_input(1.5 * dt), u0)
     np.testing.assert_array_equal(policy.delayed_input(2 * dt), u1)
@@ -316,14 +318,14 @@ class CountingPolicy(ContractingPolicy):
         self.committed = []
         self.stage_calls = 0
 
-    def notify_step(self, x, t):
-        u = super().notify_step(x, t)
+    def notify_step(self, x, t, fx):
+        u = super().notify_step(x, t, fx)
         self.committed.append(u)
         return u
 
-    def __call__(self, x, t):
+    def __call__(self, x, t, fx):
         self.stage_calls += 1
-        return super().__call__(x, t)
+        return super().__call__(x, t, fx)
 
 
 def test_boundary_inputs_match_stored_record():
@@ -384,7 +386,8 @@ def test_saturation_logged_not_applied_by_default():
     )
     ref = make_reference(tight, np.array([1.0]))
     policy = ContractingPolicy(metric, tight, ref)
-    u = policy(np.array([3.0]), 0.0)
+    x = np.array([3.0])
+    u = policy(x, 0.0, tight.drift(x))
     assert len(policy.saturation_events) == 1
     assert abs(u[0]) > 1e-4                       # not clipped
 

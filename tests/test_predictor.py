@@ -198,7 +198,7 @@ def test_linear_recovers_constant_uncertainty(bench3d):
 
     import dataclasses
 
-    true = dataclasses.replace(nom, uncertainty=lambda x, u: const, name="const")
+    true = dataclasses.replace(nom, uncertainty=lambda x, u, fx: const, name="const")
     ref = small_ref_dataset(nom, n=3, T=1.0)
     ds = generate_perturbed_dataset(true, ref, "open_loop_reference", "train")
     p = train(ds, "linear_features", TrainConfig(degree=1))
@@ -300,9 +300,10 @@ def test_recorded_uncertainty_matches_recomputation(datasets):
     _, true, _, _, _, train_ds = datasets
     e = train_ds.entries[0]
     for k in (0, 10, 60):
+        x = e.record.states[k]
         np.testing.assert_allclose(
             e.record.uncertainties[k],
-            true.uncertainty(e.record.states[k], e.record.inputs[k]),
+            true.uncertainty(x, e.record.inputs[k], true.drift(x)),
             atol=1e-13,
         )
 

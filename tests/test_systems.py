@@ -35,7 +35,7 @@ def scalar_decay():
     )
 
 
-def zero_input(x, t):
+def zero_input(x, t, fx):
     return np.zeros(1)
 
 
@@ -85,7 +85,7 @@ def test_3d_zero_perturbation_zero_uncertainty():
     for _ in range(25):
         x = rng.uniform(-5, 5, 3)
         u = rng.uniform(-1.5, 1.5, 2)
-        np.testing.assert_allclose(true.uncertainty(x, u), np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(true.uncertainty(x, u, true.drift(x)), np.zeros(3), atol=1e-14)
 
 
 def make_benchmark_3d_direct(theta=(0.4, 0.2, 0.1), delta=(0.0, 0.02, -0.01)) -> DynamicalSystem:
@@ -134,7 +134,7 @@ def test_vtol_disturbance_arithmetic():
     assert chan[0] == pytest.approx(-0.04 * 1.0 + 0.05 * np.sqrt(2.0), abs=1e-14)
     assert chan[1] == pytest.approx(0.05 * np.sqrt(2.0), abs=1e-14)
     vt = make_benchmark_vtol()
-    zeta = vt.uncertainty(x, u)
+    zeta = vt.uncertainty(x, u, vt.drift(x))
     np.testing.assert_allclose(zeta[:4], np.zeros(4), atol=1e-15)
     assert zeta[4] == pytest.approx((chan[0] + chan[1]) / VTOL_MASS)
     assert zeta[5] == pytest.approx((chan[0] - chan[1]) * VTOL_ARM / VTOL_INERTIA)
@@ -198,9 +198,9 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
     _, true = make_benchmark_3d()
     calls = []
 
-    def counted(x, u):
+    def counted(x, u, fx):
         calls.append(1)
-        return true.uncertainty(x, u)
+        return true.uncertainty(x, u, fx)
 
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
     dt, n_steps = 0.01, 100
@@ -215,7 +215,7 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
     states, zetas = [x], []
     for k in range(n_steps + 1):
         t = rec.times[k]
-        zetas.append(true.uncertainty(x, pol(x, t)))
+        zetas.append(true.uncertainty(x, pol(x, t), true.drift(x)))
         if k == n_steps:
             break
         k1 = f(x, t)
@@ -250,9 +250,10 @@ def _count_drifts(monkeypatch) -> dict:
 
 @pytest.mark.parametrize("bench", ["threeD", "vtol"])
 def test_one_drift_evaluation_per_plant_and_rk4_stage(bench, monkeypatch, metric3d, metric_vtol):
-    """A track block evaluates the nominal drift once per RK4 stage state
-    (the feedback, the plant field and the 3D uncertainty share it), and the
-    3D true drift once; so does an open-loop block of the 3D true plant."""
+    """A track block evaluates the nominal drift once per evaluated state,
+    grid point or RK4 stage (the feedback, the plant field and the 3D
+    uncertainty share it), and the 3D true drift once; so does an open-loop
+    block."""
     from prcitube.control import track
     from prcitube.predictor import make_zero_predictor
     from prcitube.systems import replay
@@ -277,45 +278,46 @@ def test_one_drift_evaluation_per_plant_and_rk4_stage(bench, monkeypatch, metric
     track(true, metric, make_zero_predictor(nom.state_dim, 2), refs, starts + 0.01)
     assert {name: counts[name] for name in names} == each_stage
 
-    # open loop, the last grid point needs the drift only for the 3D uncertainty
     counts.update(dict.fromkeys(counts, 0))
     replay(true, starts, signals, T, dt)
-    last = bench == "threeD"
-    assert {name: counts[name] for name in names} == {name: 4 * n_steps + last for name in names}
+    assert {name: counts[name] for name in names} == each_stage
 
 
 @pytest.mark.parametrize("bench", ["threeD", "vtol"])
-def test_drift_memo_never_serves_a_stale_value(bench):
-    """The plants' nominal drift remembers its value only for an array that
-    cannot be written, by identity: a writeable array mutated in place, or a
-    read-only view of one, gets a fresh drift, and rows that differ only in
-    the sign of a zero keep their own bits."""
-    import prcitube.systems as systems
+def test_rows_differing_in_the_sign_of_a_zero_keep_their_own_bits(bench, metric3d, metric_vtol):
+    """-0.0 == 0.0, but tanh and sin keep the sign of a zero: in a replay
+    block and in a track block, a row starting at +0.0 and one at -0.0 each
+    equal their one-row run bit for bit."""
+    from prcitube.control import track
+    from prcitube.predictor import make_zero_predictor
+    from prcitube.systems import replay
 
     if bench == "threeD":
-        plant, raw = make_benchmark_3d()[0], systems._field3(0.4, 0.2, 0.1, _B3_NOMINAL)
+        nom, true = make_benchmark_3d()
+        metric, u0 = metric3d, np.zeros(2)
     else:
-        plant, raw = make_benchmark_vtol(), systems.vtol_drift
-    drift, n = plant.drift, plant.state_dim
+        true = make_benchmark_vtol()
+        nom, metric = true.nominal, metric_vtol
+        u0 = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2)
+    T, dt, n = 0.2, 0.01, nom.state_dim
+    starts = np.array([np.zeros(n), np.full(n, -0.0)])
+    signals = [PiecewiseLinearInput(np.array([0.0, T]), np.tile(u0, (2, 1)))] * 2
+    refs = replay(nom, starts, signals, T, dt)
+    predictor = make_zero_predictor(n, 2)
 
-    x = np.full((2, n), 0.3)
-    before = drift(x).tobytes()
-    x[1] = -0.7
-    assert drift(x).tobytes() == raw(x.copy()).tobytes() != before
+    def replay_rows(rows):
+        return replay(true, starts[rows], [signals[i] for i in rows], T, dt)
 
-    base = np.full((2, n), 0.3)
-    view = base[:1]
-    view.flags.writeable = False
-    assert drift(view).tobytes() == raw(base[:1].copy()).tobytes()
-    base[0] = -0.7
-    assert drift(view).tobytes() == raw(base[:1].copy()).tobytes()
+    def track_rows(rows):
+        return track(true, metric, predictor, [refs[i] for i in rows], starts[rows])
 
-    pos, neg = np.zeros((1, n)), np.full((1, n), -0.0)
-    pos.flags.writeable = neg.flags.writeable = False
-    assert drift(pos) is drift(pos)             # remembered, by identity
-    for z in (pos, neg, pos, neg):
-        assert drift(z).tobytes() == raw(z.copy()).tobytes()
-    assert drift(pos).tobytes() != drift(neg).tobytes()
+    for run in (replay_rows, track_rows):
+        block = run([0, 1])
+        assert block[0].states.tobytes() != block[1].states.tobytes()
+        for i in (0, 1):
+            (solo,) = run([i])
+            for name in ("states", "inputs", "uncertainties"):
+                assert getattr(block[i], name).tobytes() == getattr(solo, name).tobytes(), name
 
 
 def test_integrate_determinism():
@@ -349,7 +351,7 @@ def test_integrate_fills_uncertainties_at_grid():
     for k in (0, 17, 50):
         np.testing.assert_allclose(
             rec.uncertainties[k],
-            true.uncertainty(rec.states[k], rec.inputs[k]),
+            true.uncertainty(rec.states[k], rec.inputs[k], true.drift(rec.states[k])),
             atol=1e-14,
         )
 
