@@ -11,11 +11,12 @@ frozen eager loader of ``tests/scalar_oracle.py`` patched in for
 ``harness.load_dataset`` alternate with K resumes of the tree as it is, the
 first of each pair alternating too.  Each side reports the median and
 quartiles of its CPU seconds per resume (``time.process_time``, BLAS pinned
-to one thread), and what one resume reads (counted in one more resume per
-side, outside the timing): its ``TrajectoryRecord.from_csv`` calls, the
-bytes of JSON text it decodes and the ``*.signal.json`` files it opens.
-Each row also says whether every resume rewrote ``report.json`` byte for
-byte.  ``--full`` adds the same row for the full-size
+to one thread), and what one resume reads and writes (counted in one more
+resume per side, outside the timing): its ``TrajectoryRecord.from_csv``
+calls, the bytes of JSON text it decodes, the ``*.signal.json`` files it
+opens, the files it opens for writing and its reads of the ledger
+``provenance.json``.  Each row also says whether ``report.json`` kept the
+cold run's bytes through every resume.  ``--full`` adds the same row for the full-size
 ``configs/threeD_desk.toml`` (about 10 s of CPU cold).
 """
 
@@ -42,11 +43,14 @@ FULL_RESUMES = 5
 
 
 def reads_per_resume(config) -> dict:
-    """What one resume of ``config`` reads: ``TrajectoryRecord.from_csv``
-    calls, bytes of JSON text decoded (``json.load`` decodes through
-    ``json.loads``) and signal files opened."""
+    """What one resume of ``config`` reads and writes:
+    ``TrajectoryRecord.from_csv`` calls, bytes of JSON text decoded
+    (``json.load`` decodes through ``json.loads``), signal files opened,
+    files opened for writing and ledger reads (every file the library opens
+    goes through ``builtins.open``)."""
     counts = {"csv_parses_per_resume": 0, "json_bytes_per_resume": 0,
-              "signal_files_per_resume": 0}
+              "signal_files_per_resume": 0, "files_written_per_resume": 0,
+              "ledger_reads_per_resume": 0}
     from_csv, loads, open_ = TrajectoryRecord.__dict__["from_csv"], json.loads, builtins.open
 
     def counted_from_csv(text):
@@ -57,9 +61,12 @@ def reads_per_resume(config) -> dict:
         counts["json_bytes_per_resume"] += len(text.encode() if isinstance(text, str) else text)
         return loads(text, *args, **kwargs)
 
-    def counted_open(file, *args, **kwargs):
+    def counted_open(file, mode="r", *args, **kwargs):
+        writes = any(c in mode for c in "wax+")
         counts["signal_files_per_resume"] += str(file).endswith(".signal.json")
-        return open_(file, *args, **kwargs)
+        counts["files_written_per_resume"] += writes
+        counts["ledger_reads_per_resume"] += Path(file).name == harness.LEDGER and not writes
+        return open_(file, mode, *args, **kwargs)
 
     TrajectoryRecord.from_csv = staticmethod(counted_from_csv)
     json.loads, builtins.open = counted_loads, counted_open
@@ -108,7 +115,9 @@ def resume_row(config, k: int) -> dict:
 def report(name: str, row: dict) -> None:
     sides = "; ".join(
         f"{side} {1e3 * r['median_s']:.1f} ms, {r['csv_parses_per_resume']} parses, "
-        f"{r['json_bytes_per_resume']} JSON bytes, {r['signal_files_per_resume']} signal files"
+        f"{r['json_bytes_per_resume']} JSON bytes, {r['signal_files_per_resume']} signal files, "
+        f"{r['files_written_per_resume']} files written, "
+        f"{r['ledger_reads_per_resume']} ledger reads"
         for side, r in (("eager", row["eager"]), ("lazy", row["lazy"])))
     print(f"{name}: {sides}; ratio {row['ratio']:.3f}, "
           f"report identical: {row['report_identical']}", flush=True)

@@ -9,9 +9,12 @@ workload and seed, the workload's template in ``perfbench/workloads/`` (read,
 never written) plus ``seed`` and ``out_dir`` becomes a config file in a
 temporary directory.  Each tree then runs ``harness.run_pipeline`` on it cold,
 in a fresh process with BLAS pinned to one thread, into the same ``out_dir``
-path (the first tree's output is moved aside), because ``config.json`` and
+path (the first tree's output is read, then deleted), because ``config.json`` and
 ``report.json`` record that path.  Every file of the two output trees is
-compared byte for byte.
+compared byte for byte.  Then each tree resumes its own output once, in
+another fresh process, and the resumed tree is compared with the cold one:
+a file that the resume changes, adds or removes is a difference.  So the
+two resumed trees differ only where the two cold trees or a resume did.
 
 Prints one line per workload and seed and one per differing file, and exits 1
 on any difference (a file on one side only counts, as does a run that fails),
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,14 +65,23 @@ def run(src: Path, config: Path) -> str:
 
 
 def files(top: Path) -> dict:
-    return {p.relative_to(top).as_posix(): p for p in sorted(top.rglob("*")) if p.is_file()}
+    """Relative path -> bytes of every file under ``top``."""
+    return {p.relative_to(top).as_posix(): p.read_bytes() for p in sorted(top.rglob("*"))
+            if p.is_file()}
 
 
-def compare(a: Path, b: Path) -> list[str]:
-    """Relative paths that differ between the trees a and b."""
-    fa, fb = files(a), files(b)
-    return [name for name in sorted(set(fa) | set(fb))
-            if name not in fa or name not in fb or fa[name].read_bytes() != fb[name].read_bytes()]
+def compare(fa: dict, fb: dict) -> list[str]:
+    """Relative paths that differ between the trees fa and fb (``files``)."""
+    return [name for name in sorted(set(fa) | set(fb)) if fa.get(name) != fb.get(name)]
+
+
+def cold_and_resumed(src: Path, config: Path, out: Path) -> tuple[str, dict, dict]:
+    """Run ``src`` cold on ``config``, then resume it once; the error text
+    (or ''), and the output tree after each run."""
+    error = run(src, config)
+    cold = files(out) if out.exists() else {}
+    error = error or run(src, config)
+    return error, cold, files(out) if out.exists() else {}
 
 
 def main(argv=None) -> int:
@@ -89,17 +102,16 @@ def main(argv=None) -> int:
                 out = tmp / "out"
                 config = tmp / f"{workload}-{seed}.toml"
                 config.write_text(template + f"seed = {seed}\nout_dir = {json.dumps(str(out))}\n")
-                errors, kept = {}, {}
+                errors, cold, resumed = {}, {}, {}
                 for side, src in trees.items():
-                    errors[side] = run(src, config)
-                    kept[side] = tmp / f"{workload}-{seed}-{side}"
-                    if out.exists():
-                        out.rename(kept[side])
-                    else:                   # the run failed before writing anything
-                        kept[side].mkdir()
+                    errors[side], cold[side], resumed[side] = cold_and_resumed(src, config, out)
+                    shutil.rmtree(out, ignore_errors=True)
                 bad = [f"{side} failed: {err}" for side, err in errors.items() if err]
-                bad += [] if bad else compare(kept["parent"], kept["change"])
-                n_files = len(files(kept["change"]))
+                if not bad:
+                    bad = compare(cold["parent"], cold["change"])
+                    bad += [f"{side} resume changed {name}" for side in trees
+                            for name in compare(cold[side], resumed[side])]
+                n_files = len(cold["change"])
                 verdict = "identical" if not bad else f"{len(bad)} differing"
                 print(f"{workload} seed {seed}: {n_files} files, {verdict}", flush=True)
                 for line in bad:

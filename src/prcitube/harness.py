@@ -9,7 +9,14 @@ columns) and the ledger ``provenance.json`` records that stage under the
 digest of the current config (without ``out_dir``); any config change
 except ``out_dir`` therefore recomputes every stage, and deleting one
 artifact, a trajectory CSV or a signal file included, regenerates exactly
-its stage.
+its stage.  A run reads the ledger once and keeps it in memory, writing it
+back only when it drops an entry before a stage recomputes or stamps a
+stage whose files are written.  ``config.json`` and ``report.json`` are
+rewritten only when their content changes, so a full resume writes no file.
+The train stage stores the report's predictor section as
+``train_report.json``; ``predictor.json`` is decoded only when a
+recomputing stage (cal_data, calibrate, plan or evaluate) asks for the
+predictor, and then once.
 
 A dataset directory holds ``<id>.csv`` per record and ``manifest.json``,
 which lists each entry's id, CSV, reference id and envelope.  Each
@@ -40,17 +47,23 @@ reports.
 
 Config files are a flat key = value text format (TOML-compatible subset):
 ints, floats, booleans, quoted strings and JSON-style lists; '#' comments.
+A key that names a variant takes one of the values ``CHOICES`` lists, and
+any other value is refused when the config is built, before a run writes
+anything.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+import os
 import zlib
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -60,6 +73,7 @@ from .metric import ContractionMetric, box_grid, synthesize_constant_metric, ver
 from .control import track
 from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
 from .predictor import (
+    FAMILIES,
     PiecewiseLinearInput,
     TrainConfig,
     TrainingDataset,
@@ -122,6 +136,19 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
+# The values a config may give each key that names a variant, checked when
+# the config is built, before a run writes anything.  ``start_mode`` is kept
+# so that configs and reports keep the key: a start in the tube ball would
+# need the calibrated radius, which does not exist yet when the calibration
+# block tracks the test rollouts.
+CHOICES = {
+    "benchmark": ("threeD", "vtol"),
+    "reference_sampler": ("spline", "waypoint_pd"),
+    "predictor_family": FAMILIES,
+    "start_mode": ("center",),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     benchmark: str = "threeD"
@@ -171,11 +198,10 @@ class ExperimentConfig:
     out_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        # Kept so that configs and reports keep the key.  A start in the
-        # tube ball would need the calibrated radius, which does not exist
-        # yet when the calibration block tracks the test rollouts.
-        if self.start_mode != "center":
-            raise ValueError(f"start_mode must be 'center', got {self.start_mode!r}")
+        for key, allowed in CHOICES.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -316,6 +342,8 @@ def _waypoint_pd_inputs(config, sys_nom, counts: dict) -> list[PiecewiseLinearIn
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
+    if isinstance(obj, (str, int, type(None))):     # bool included: the common leaves
+        return obj
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -328,7 +356,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)    # 'inf' / '-inf' / 'nan', JSON-safe
     return obj
 
@@ -344,6 +372,27 @@ def write_json(path, payload) -> None:
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _compact(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _write_json_if_changed(path: Path, payload):
+    """``write_json(path, payload)`` unless the file already holds exactly
+    that content; returns the content as ``read_json`` gives it back.  The
+    file's parsed content and the payload are compared as compact,
+    key-sorted JSON text, which is equal exactly when the indented files
+    would be."""
+    text = _compact(_jsonable(payload))
+    try:
+        stored = read_json(path)
+        if _compact(stored) == text:
+            return stored
+    except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
+        pass
+    write_json(path, payload)
+    return json.loads(text)
 
 
 def _signal_name(entry_id: str) -> str:
@@ -394,10 +443,14 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     path = directory / "manifest.json"
     manifest = read_json(path)
 
-    def stored(file: Path) -> Path:
-        if not file.is_file():
-            raise FileNotFoundError(f"{file}: listed in {path}, missing")
-        return file
+    listed = {}     # folder -> the names in it, listed once rather than a stat per file
+
+    def stored(folder: Path, name: str) -> Path:
+        if folder not in listed:
+            listed[folder] = set(os.listdir(folder))
+        if name not in listed[folder]:
+            raise FileNotFoundError(f"{folder / name}: listed in {path}, missing")
+        return folder / name
 
     entries = []
     for item in manifest["entries"]:
@@ -405,58 +458,67 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
             raise ValueError(f"{path}: input signals inline, not in signal files")
         reference_id, policy, reference = item["reference_id"], None, None
         if reference_id is None:
-            policy = stored(directory / _signal_name(item["id"]))
+            policy = stored(directory, _signal_name(item["id"]))
         elif references is not None:
-            policy = stored(references / _signal_name(reference_id))
-            reference = stored(references / f"{reference_id}.csv")
-        entries.append(DatasetEntry(item["id"], stored(directory / item["csv"]), policy, reference))
+            policy = stored(references, _signal_name(reference_id))
+            reference = stored(references, f"{reference_id}.csv")
+        entries.append(DatasetEntry(item["id"], stored(directory, item["csv"]), policy, reference))
     return TrainingDataset(tuple(entries), manifest["split_tag"])
 
 
 LEDGER = "provenance.json"
 
 
-def _ledger(out: Path) -> dict:
-    try:
-        return read_json(out / LEDGER)
-    except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
-        return {}
+class _Ledger:
+    """The ledger ``provenance.json`` of one run: read once when the run
+    starts (an unreadable one counts as empty) and kept in memory.  It is
+    written back only when an entry is dropped before its stage recomputes
+    and when a stage is stamped after its files are written, so no entry
+    ever vouches for files its stage has not finished writing."""
+
+    def __init__(self, config: ExperimentConfig, out: Path):
+        self.path, self.digest = out / LEDGER, config.digest
+        try:
+            self.entries = read_json(self.path)
+        except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
+            self.entries = {}
+
+    def reuse(self, stage: str, *paths: Path) -> bool:
+        """The one reuse rule: True when every artifact of ``stage``
+        (``paths``) exists and the ledger records the stage under this
+        config's digest; otherwise the stage's entry is dropped."""
+        if self.entries.get(stage) == self.digest and all(p.exists() for p in paths):
+            return True
+        self.drop(stage)
+        return False
+
+    def drop(self, stage: str) -> None:
+        if self.entries.pop(stage, None) is not None:
+            write_json(self.path, self.entries)
+
+    def record(self, stage: str) -> None:
+        """Vouch for ``stage``'s artifacts, once they are all written."""
+        self.entries[stage] = self.digest
+        write_json(self.path, self.entries)
 
 
-def _reuse(config: ExperimentConfig, out: Path, stage: str, *paths: Path) -> bool:
-    """The one reuse rule: True when every artifact of ``stage`` (``paths``)
-    exists and the ledger records the stage under this config's digest.
-    Otherwise the stage's ledger entry is dropped before it recomputes, so an
-    entry never vouches for files its stage has not finished writing."""
-    ledger = _ledger(out)
-    if ledger.get(stage) == config.digest and all(p.exists() for p in paths):
-        return True
-    if ledger.pop(stage, None) is not None:
-        write_json(out / LEDGER, ledger)
-    return False
-
-
-def _record(config: ExperimentConfig, out: Path, stage: str) -> None:
-    """Vouch for ``stage``'s artifacts, once they are all written."""
-    write_json(out / LEDGER, {**_ledger(out), stage: config.digest})
-
-
-def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> TrainingDataset:
+def _dataset_stage(config, out: Path, ledger: _Ledger, stage: str, reference_dir,
+                   generate) -> TrainingDataset:
     """A dataset stage: the directory ``out / stage`` (its manifest is written
-    last) is reused when ``_reuse`` and ``load_dataset`` accept it, else
+    last) is reused when the ledger and ``load_dataset`` accept it, else
     ``generate()`` runs and its dataset is saved.  A reused CSV body or
     signal file that does not parse raises ``ValueError`` naming the file
     when a recomputed stage reads it (the ledger vouched for it, so it was
     edited since)."""
     directory = out / stage
-    if _reuse(config, out, stage, directory / "manifest.json"):
+    if ledger.reuse(stage, directory / "manifest.json"):
         try:
             return load_dataset(directory, reference_dir)
         except (OSError, ValueError):   # unreadable: drop the entry, then recompute
-            write_json(out / LEDGER, {k: v for k, v in _ledger(out).items() if k != stage})
+            ledger.drop(stage)
     ds = generate()
     save_dataset(ds, directory, config.benchmark)
-    _record(config, out, stage)
+    ledger.record(stage)
     return ds
 
 
@@ -464,10 +526,10 @@ def _dataset_stage(config, out: Path, stage: str, reference_dir, generate) -> Tr
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path):
+def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path, ledger: _Ledger):
     path = out / "metric.json"
     vpath = out / "metric_verification.json"
-    if _reuse(config, out, "metric", path, vpath):
+    if ledger.reuse("metric", path, vpath):
         return ContractionMetric.from_json_dict(read_json(path)), read_json(vpath)
     grid = _metric_grid(config, sys_nom, config.metric_grid_points)
     metric = synthesize_constant_metric(
@@ -477,7 +539,7 @@ def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path):
     write_json(path, metric.to_json_dict())
     fine = _metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
     write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
-    _record(config, out, "metric")
+    ledger.record("metric")
     return metric, read_json(vpath)
 
 
@@ -569,23 +631,32 @@ class _Simulations:
         return track(self.sys_true, metric, predictor, refs, [r.states[0] for r in refs])
 
 
-def stage_ref_data(config, sims: _Simulations, out: Path) -> TrainingDataset:
+def stage_ref_data(config, sims: _Simulations, out: Path, ledger: _Ledger) -> TrainingDataset:
     """The reference dataset; the test references replayed with it stay in
     ``sims``, unsaved."""
-    return _dataset_stage(config, out, "ref_data", None, sims.references)
+    return _dataset_stage(config, out, ledger, "ref_data", None, sims.references)
 
 
-def stage_train_data(config, sys_true, ref_train, out: Path) -> TrainingDataset:
+def stage_train_data(config, sys_true, ref_train, out: Path, ledger: _Ledger) -> TrainingDataset:
     return _dataset_stage(
-        config, out, "train_data", out / "ref_data",
+        config, out, ledger, "train_data", out / "ref_data",
         lambda: generate_perturbed_dataset(sys_true, ref_train, "open_loop_reference", "train"),
     )
 
 
-def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
+def stage_train(
+    config, train_ds, out: Path, ledger: _Ledger
+) -> tuple[dict, Callable[[], UncertaintyPredictor]]:
+    """The predictor's report section, stored as ``train_report.json``, and
+    a function that returns the predictor.  A reused predictor is decoded
+    from ``predictor.json`` on the first call, once, so a run that reuses
+    every later stage never reads it."""
     path = out / "predictor.json"
-    if _reuse(config, out, "train", path):
-        return UncertaintyPredictor.from_json_dict(read_json(path))
+    rpath = out / "train_report.json"
+    if ledger.reuse("train", path, rpath):
+        return read_json(rpath), functools.cache(
+            lambda: UncertaintyPredictor.from_json_dict(read_json(path))
+        )
     cfg = TrainConfig(
         seed=config.seed,
         epochs=config.predictor_epochs,
@@ -596,31 +667,36 @@ def stage_train(config, train_ds, out: Path) -> UncertaintyPredictor:
     )
     p = train(train_ds, config.predictor_family, cfg)
     write_json(path, p.to_json_dict())
-    _record(config, out, "train")
-    return p
+    write_json(rpath, {"family": p.family, "sup_loss": p.training_info.get("sup_loss"),
+                       "n_records": p.training_info.get("n_records")})
+    ledger.record("train")
+    return read_json(rpath), lambda: p
 
 
-def stage_cal_data(config, sims: _Simulations, ref_cal, metric, predictor, out: Path):
+def stage_cal_data(config, sims: _Simulations, ref_cal, metric, get_predictor, out: Path,
+                   ledger: _Ledger):
     return _dataset_stage(
-        config, out, "cal_data", out / "ref_data",
-        lambda: sims.calibration_data(ref_cal, metric, predictor),
+        config, out, ledger, "cal_data", out / "ref_data",
+        lambda: sims.calibration_data(ref_cal, metric, get_predictor()),
     )
 
 
-def stage_calibrate(config, cal_ds, predictor, sys_true, out: Path) -> conformal.CalibrationResult:
+def stage_calibrate(config, cal_ds, get_predictor, sys_true, out: Path,
+                    ledger: _Ledger) -> conformal.CalibrationResult:
     spath = out / "scores.json"
     cpath = out / "calibration.json"
-    if _reuse(config, out, "calibrate", spath, cpath):
+    if ledger.reuse("calibrate", spath, cpath):
         return conformal.CalibrationResult.from_json_dict(read_json(cpath))
+    predictor = get_predictor()
     scores = conformal.score_dataset(cal_ds, predictor, sys_true)
     write_json(spath, {"scores": list(map(float, scores))})
     result = conformal.calibrate(scores, config.alpha, {"predictor": predictor.family})
     write_json(cpath, result.to_json_dict())
-    _record(config, out, "calibrate")
+    ledger.record("calibrate")
     return result
 
 
-def stage_tube(config, metric, calibration, cal_ds, out: Path) -> dict:
+def stage_tube(config, metric, calibration, cal_ds, out: Path, ledger: _Ledger) -> dict:
     """The tube around the first calibration reference.  Its radius comes
     from the metric and the calibration alone, so the reference record is
     read only when ``tube.json`` is written."""
@@ -629,14 +705,14 @@ def stage_tube(config, metric, calibration, cal_ds, out: Path) -> dict:
     radius = tube_mod.tube_radius(metric, calibration)
     # an infinite tube has no projection; none may survive from another config
     finite = bool(np.isfinite(radius))
-    if not _reuse(config, out, "tube", path, *([csv_path] if finite else [])):
+    if not ledger.reuse("tube", path, *([csv_path] if finite else [])):
         reference = cal_ds.entries[0].reference or cal_ds.entries[0].record
         t = PRCITube.from_calibration(reference, metric, calibration, source_id="calibration")
         write_json(path, t.to_json_dict())
         csv_path.unlink(missing_ok=True)
         if finite:
             project_tube_2d(t, tuple(config.projection_coords)).save_csv(csv_path)
-        _record(config, out, "tube")
+        ledger.record("tube")
     return {"radius": radius, "alpha": calibration.alpha}
 
 
@@ -648,15 +724,17 @@ def _parse_obstacles(config) -> tuple:
     )
 
 
-def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) -> dict:
+def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Path,
+               ledger: _Ledger) -> dict:
     """Tightened planning with the two-step calibration protocol."""
     plan_dir = out / "plan"
     report_path = plan_dir / "plan_report.json"
     written = ("plan.csv", "plan_manifest.json", "calibration_tube.json",
                "calibration_tracking.json", "plan_report.json")
-    if _reuse(config, out, "plan", *(plan_dir / name for name in written)):
+    if ledger.reuse("plan", *(plan_dir / name for name in written)):
         return read_json(report_path)
     plan_dir.mkdir(parents=True, exist_ok=True)
+    predictor = get_predictor()
 
     n = len(cal_ds)
     n1 = int(round(config.two_step_fraction * n)) if config.two_step else n
@@ -767,18 +845,19 @@ def stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out: Path) 
         "end_to_end": {k: v for k, v in run.items() if k != "rollouts"},
     }
     write_json(report_path, report)
-    _record(config, out, "plan")
+    ledger.record("plan")
     return read_json(report_path)
 
 
-def stage_evaluate(config, sims: _Simulations, metric, predictor, calibration, out: Path) -> dict:
+def stage_evaluate(config, sims: _Simulations, metric, get_predictor, calibration, out: Path,
+                   ledger: _Ledger) -> dict:
     """Judge the test rollouts against their tubes."""
     rpath = out / "test" / "coverage.json"
     csv_path = out / "test" / "sup_distances.csv"
-    if _reuse(config, out, "evaluate", rpath, csv_path):
+    if ledger.reuse("evaluate", rpath, csv_path):
         return read_json(rpath)
     (out / "test").mkdir(parents=True, exist_ok=True)
-    ids, refs, rollouts = sims.test_set(metric, predictor)
+    ids, refs, rollouts = sims.test_set(metric, get_predictor())
     tubes = [PRCITube.from_calibration(ref, metric, calibration, source_id="test") for ref in refs]
     # a diverged rollout (None) stays in the count as not contained
     result = tube_mod.containment_experiment(tubes, rollouts)
@@ -789,7 +868,7 @@ def stage_evaluate(config, sims: _Simulations, metric, predictor, calibration, o
         lines.append(f"{i},{s:.17g},{int(s <= result['radius'])}")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _record(config, out, "evaluate")
+    ledger.record("evaluate")
     return read_json(rpath)
 
 
@@ -801,21 +880,24 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     """Execute the staged pipeline up to ``stop_after``; returns the report.
 
     Stage artifacts persist under config.out_dir and are reused by the rule
-    of ``_reuse``.  The final report.json is deterministic for a fixed config.
+    of ``_Ledger.reuse``.  The final report.json is deterministic for a fixed
+    config; it and ``config.json`` are rewritten only when their content
+    changes, so a full resume writes no file.
     """
     if stop_after not in PIPELINE_STAGES:
         raise ValueError(f"unknown stage {stop_after!r}")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": config.to_dict(), "stages": []}
-    write_json(out / "config.json", report["config"])
+    _write_json_if_changed(out / "config.json", report["config"])
+    ledger = _Ledger(config, out)
     sys_nom, sys_true = benchmark_systems(config)
 
     def reached(stage):
         report["stages"].append(stage)
         return stage == stop_after
 
-    metric, verification = stage_metric(config, sys_nom, out)
+    metric, verification = stage_metric(config, sys_nom, out, ledger)
     report["metric"] = {
         "lambda": metric.rate,
         "m_lower": metric.lower_bound,
@@ -829,9 +911,9 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         return _finish(report, out)
 
     sims = _Simulations(config, sys_nom, sys_true, stop_after)
-    ref = stage_ref_data(config, sims, out)
+    ref = stage_ref_data(config, sims, out, ledger)
     ref_train, ref_cal = split_reference(ref, min(config.n_train, len(ref)), min(config.n_cal, max(len(ref) - config.n_train, 0)))
-    train_ds = stage_train_data(config, sys_true, ref_train, out)
+    train_ds = stage_train_data(config, sys_true, ref_train, out, ledger)
     report["data"] = {
         "n_ref": len(ref),
         "n_train": len(train_ds),
@@ -841,17 +923,12 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("gen-data"):
         return _finish(report, out)
 
-    predictor = stage_train(config, train_ds, out)
-    report["predictor"] = {
-        "family": predictor.family,
-        "sup_loss": predictor.training_info.get("sup_loss"),
-        "n_records": predictor.training_info.get("n_records"),
-    }
+    report["predictor"], get_predictor = stage_train(config, train_ds, out, ledger)
     if reached("train"):
         return _finish(report, out)
 
-    cal_ds = stage_cal_data(config, sims, ref_cal, metric, predictor, out)
-    calibration = stage_calibrate(config, cal_ds, predictor, sys_true, out)
+    cal_ds = stage_cal_data(config, sims, ref_cal, metric, get_predictor, out, ledger)
+    calibration = stage_calibrate(config, cal_ds, get_predictor, sys_true, out, ledger)
     report["calibration"] = {
         "n_cal": calibration.n_scores,
         "alpha": calibration.alpha,
@@ -862,16 +939,18 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("calibrate"):
         return _finish(report, out)
 
-    report["tube"] = stage_tube(config, metric, calibration, cal_ds, out)
+    report["tube"] = stage_tube(config, metric, calibration, cal_ds, out, ledger)
     if reached("tube"):
         return _finish(report, out)
 
     if config.plan_enabled:
-        report["plan"] = stage_plan(config, sys_nom, sys_true, metric, predictor, cal_ds, out)
+        report["plan"] = stage_plan(
+            config, sys_nom, sys_true, metric, get_predictor, cal_ds, out, ledger
+        )
     if reached("plan"):
         return _finish(report, out)
 
-    coverage = stage_evaluate(config, sims, metric, predictor, calibration, out)
+    coverage = stage_evaluate(config, sims, metric, get_predictor, calibration, out, ledger)
     report["coverage"] = {
         k: coverage[k]
         for k in (
@@ -886,8 +965,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
 
 
 def _finish(report: dict, out: Path) -> dict:
+    """The report as a reader of report.json sees it; the file is rewritten
+    only when it changes."""
     report.setdefault("valid", True)
-    write_json(out / "report.json", report)
-    # Round-trip through the file so the returned dict is exactly what a
-    # reader of report.json sees.
-    return read_json(out / "report.json")
+    return _write_json_if_changed(out / "report.json", report)

@@ -45,6 +45,7 @@ Array = np.ndarray
 log = logging.getLogger(__name__)
 
 SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surrogate
+FAMILIES = ("zero", "linear_features", "mlp")   # the families ``train`` fits
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,7 @@ def test_pipeline_smoke_artifacts(smoke_run):
         "ref_data/manifest.json",
         "train_data/manifest.json",
         "predictor.json",
+        "train_report.json",
         "cal_data/manifest.json",
         "scores.json",
         "calibration.json",
@@ -419,6 +420,110 @@ def test_full_resume_opens_no_signal_file_and_parses_no_csv(smoke_run, tmp_path,
     opened = _opened_signal_files(monkeypatch)
     run_pipeline(cfg)
     assert parsed == [] and opened == []
+    assert _tree_bytes(run_dir) == before
+
+
+def _opened_files(monkeypatch) -> list:
+    """``(path, mode)`` of every file opened from now on."""
+    import builtins
+
+    real, opened = builtins.open, []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((Path(file), mode))
+        return real(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    return opened
+
+
+def _written(opened, top: Path) -> list:
+    """The files of ``opened`` opened for writing, relative to ``top``."""
+    return [p.relative_to(top).as_posix() for p, mode in opened if any(c in mode for c in "wax+")]
+
+
+def _restored_copy(smoke_run, tmp_path):
+    """``_copy_of`` the smoke run, with whatever earlier tests removed from
+    the shared run put back; its bytes."""
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)
+    return cfg, run_dir, _tree_bytes(run_dir)
+
+
+def test_full_resume_writes_nothing_reads_the_ledger_once_and_no_predictor(
+    smoke_run, tmp_path, monkeypatch
+):
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    _forbid_recompute(monkeypatch)
+    opened = _opened_files(monkeypatch)
+    report = run_pipeline(cfg)
+    assert _written(opened, run_dir) == []
+    paths = [p for p, _ in opened]
+    assert paths.count(run_dir / "provenance.json") == 1
+    assert run_dir / "predictor.json" not in paths
+    assert _tree_bytes(run_dir) == before
+    assert report == read_json(run_dir / "report.json")
+
+
+def test_resume_under_another_out_dir_rewrites_config_and_report(smoke_run, tmp_path, monkeypatch):
+    cfg, run_dir, _ = _restored_copy(smoke_run, tmp_path)
+    moved = tmp_path / "moved"
+    shutil.copytree(run_dir, moved)
+    moved_cfg = dataclasses.replace(cfg, out_dir=str(moved))
+    _forbid_recompute(monkeypatch)
+    opened = _opened_files(monkeypatch)
+    report = run_pipeline(moved_cfg)
+    assert sorted(_written(opened, moved)) == ["config.json", "report.json"]
+    assert (moved / "config.json").read_text() == json.dumps(
+        moved_cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert report == read_json(moved / "report.json")
+    assert report == {**read_json(run_dir / "report.json"), "config": moved_cfg.to_dict()}
+
+
+@pytest.mark.parametrize("name", ["report.json", "config.json"])
+def test_truncated_report_or_config_is_rewritten_byte_identical(
+    smoke_run, tmp_path, monkeypatch, name
+):
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    (run_dir / name).write_bytes(before[name][: len(before[name]) // 2])
+    _forbid_recompute(monkeypatch)
+    opened = _opened_files(monkeypatch)
+    run_pipeline(cfg)
+    assert _written(opened, run_dir) == [name]
+    assert _tree_bytes(run_dir) == before
+
+
+def test_deleted_train_report_retrains_only_the_train_stage(smoke_run, tmp_path, monkeypatch):
+    import prcitube.harness as harness
+
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    (run_dir / "train_report.json").unlink()
+    real_train, trained = harness.train, []
+    _forbid_recompute(monkeypatch)
+    monkeypatch.setattr(harness, "train", lambda *a: trained.append(1) or real_train(*a))
+    opened = _opened_files(monkeypatch)
+    run_pipeline(cfg)
+    assert trained == [1]
+    assert set(_written(opened, run_dir)) == {"predictor.json", "train_report.json",
+                                               "provenance.json"}
+    assert _tree_bytes(run_dir) == before
+
+
+def test_recomputed_stages_over_a_reused_predictor_decode_it_once(smoke_run, tmp_path, monkeypatch):
+    """cal_data, calibrate and evaluate all recompute over a reused train
+    stage, and share one decoding of ``predictor.json``."""
+    from prcitube.predictor import UncertaintyPredictor
+
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    for name in ("cal_data/manifest.json", "calibration.json", "test/coverage.json"):
+        (run_dir / name).unlink()
+    real, decoded = UncertaintyPredictor.from_json_dict, []
+    monkeypatch.setattr(UncertaintyPredictor, "from_json_dict",
+                        staticmethod(lambda d: decoded.append(d) or real(d)))
+    opened = _opened_files(monkeypatch)
+    run_pipeline(cfg)
+    assert len(decoded) == 1
+    assert [p for p, _ in opened].count(run_dir / "predictor.json") == 1
     assert _tree_bytes(run_dir) == before
 
 
@@ -810,6 +915,20 @@ def test_start_mode_other_than_center_is_refused(tmp_path, capsys):
     cfg = write_smoke(tmp_path, 'start_mode = "ball"\n')
     assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert "start_mode" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("benchmark", "quadrotor"),
+    ("reference_sampler", "waypoint"),
+    ("predictor_family", "gp"),
+])
+def test_unknown_variant_is_refused_before_anything_is_written(tmp_path, capsys, key, value):
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({key: value})
+    cfg = write_smoke(tmp_path, f"{key} = {json.dumps(value)}\n")
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
