@@ -33,12 +33,15 @@ a drift in machine speed during the run hits both sides:
   passes each makes, and whether the plans are bit-identical.
 * metric: for each benchmark workload, the seed-0 metric stage.  Every
   ``_worst_margin`` call of one ``synthesize_constant_metric`` run on the
-  workload's synthesis grid is replayed through the oracle of
+  workload's synthesis grid is replayed in order through the oracle of
   ``tests/scalar_oracle.py`` (a full ``eigh`` of the grid's stack) and
-  through the screened one (``eigvalsh`` of the stack, ``eigh`` only near
-  the top): microseconds per call.  Then ``verify_contraction`` on the
-  workload's fine grid, the per-point oracle against the batch (one FD call
-  per function): milliseconds per verification.
+  through the screen (one ``eigh`` of the leader, one LDL^T of the stack,
+  ``eigh`` of the survivors), each attempt with its own warm array, its
+  first call cold: microseconds per call, the mean number of points that
+  survive the factorization per warm call, and how often the leader is the
+  point that wins.  Then ``verify_contraction`` on the workload's fine grid,
+  the per-point oracle against the batch (one FD call per function):
+  milliseconds per verification.
 * blocks: for each perfbench workload, the closed-loop tracking of a cold
   pipeline on its seed-0 calibration references (the calibration split of
   ``ref_data``) and test references, over the full horizon: a calibration
@@ -302,9 +305,22 @@ def median_ms(run) -> float:
     return statistics.median(samples)
 
 
-def worst_margin_bits(func, W, lam, jacs, cokers) -> bytes:
-    worst, (A, w) = func(W, lam, jacs, cokers)
+def worst_margin_bits(result) -> bytes:
+    worst, (A, w) = result
     return np.float64(worst).tobytes() + A.tobytes() + w.tobytes()
+
+
+def replay_screen(attempts, jacs, cokers, check=None):
+    """Every call of every attempt through the screen, each attempt with a
+    fresh warm array; ``check(call, result, warm_before)`` sees each call."""
+    shape = (cokers.shape[0], cokers.shape[2])
+    for calls in attempts:
+        warm = np.empty(shape)
+        for W, lam, cold in calls:
+            before = warm.copy() if check else None
+            result = metric_mod._worst_margin(W, lam, jacs, cokers, warm, cold)
+            if check:
+                check((W, lam, cold), result, before)
 
 
 def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
@@ -313,12 +329,14 @@ def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
     sys_nom, _ = harness.benchmark_systems(config)
     grid = harness._metric_grid(config, sys_nom, config.metric_grid_points)
     fine = harness._metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
-    screened = metric_mod._worst_margin
-    calls = []
+    screen = metric_mod._worst_margin
+    attempts = []
 
-    def spy(W, lam, jacs, cokers):
-        calls.append((W, lam))
-        return screened(W, lam, jacs, cokers)
+    def spy(W, lam, jacs, cokers, warm, cold=False):
+        if cold:
+            attempts.append([])
+        attempts[-1].append((W, lam, cold))
+        return screen(W, lam, jacs, cokers, warm, cold)
 
     metric_mod._worst_margin = spy
     try:
@@ -326,26 +344,61 @@ def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
             sys_nom, grid, (config.lambda_lo, config.lambda_hi),
             chi_max=config.metric_chi_max, margin_target=config.metric_margin)
     finally:
-        metric_mod._worst_margin = screened
+        metric_mod._worst_margin = screen
     jacs, cokers = metric_mod._grid_condition_data(sys_nom, grid)
-    us = {name: 1e3 * median_ms(lambda: [func(W, lam, jacs, cokers) for W, lam in calls])
-          / len(calls)
-          for name, func in (("oracle", oracle.worst_margin), ("screened", screened))}
-    same_calls = sum(worst_margin_bits(oracle.worst_margin, W, lam, jacs, cokers)
-                     == worst_margin_bits(screened, W, lam, jacs, cokers) for W, lam in calls)
+    calls = [call for calls in attempts for call in calls]
+    us = {"oracle": 1e3 * median_ms(
+              lambda: [oracle.worst_margin(W, lam, jacs, cokers) for W, lam, _ in calls]),
+          "screen": 1e3 * median_ms(lambda: replay_screen(attempts, jacs, cokers))}
+    us = {name: t / len(calls) for name, t in us.items()}
+
+    # one more replay that counts: bits against the oracle, the survivors of
+    # each warm call's factorization, and whether its leader won
+    below = metric_mod._certified_below
+    survivors = []
+    tally = {"same": 0, "warm": 0, "leader_won": 0}
+
+    def count(C, theta):
+        ok = below(C, theta)
+        survivors.append(int(ok.size - ok.sum()))
+        return ok
+
+    def check(call, result, before):
+        W, lam, cold = call
+        want = oracle.worst_margin(W, lam, jacs, cokers)
+        tally["same"] += worst_margin_bits(result) == worst_margin_bits(want)
+        if cokers.shape[2] > 1 and not cold:
+            S = jacs @ W + W @ jacs.transpose(0, 2, 1) + 2.0 * lam * W
+            C = metric_mod._sym(cokers.transpose(0, 2, 1) @ S @ cokers)
+            lead = np.argmax(np.einsum("pi,pij,pj->p", before, C, before))
+            tally["warm"] += 1
+            tally["leader_won"] += int(lead == np.argmax(np.linalg.eigh(C)[0][:, -1]))
+
+    metric_mod._certified_below = count
+    try:
+        replay_screen(attempts, jacs, cokers, check)
+    finally:
+        metric_mod._certified_below = below
     ms = {"oracle": median_ms(lambda: oracle.verify_contraction(metric, sys_nom, fine)),
           "batch": median_ms(lambda: metric_mod.verify_contraction(metric, sys_nom, fine))}
     got, _ = metric_mod._grid_margins(metric, sys_nom, fine)
     want, _, report = oracle.verify_contraction(metric, sys_nom, fine)
     same_points = int(np.sum(np.logical_and.reduce(
         [got[k].view(np.int64) == want[k].view(np.int64) for k in want])))
+    warm_calls = tally["warm"]
     result = {
         "grid_points": int(grid.shape[0]),
+        "condition_dim": int(cokers.shape[2]),
+        "attempts": len(attempts),
         "worst_margin_calls": len(calls),
         "oracle_us_per_worst_margin": us["oracle"],
-        "screened_us_per_worst_margin": us["screened"],
-        "worst_margin_speedup": us["oracle"] / us["screened"],
-        "bit_identical_worst_margin_calls": same_calls,
+        "screen_us_per_worst_margin": us["screen"],
+        "worst_margin_speedup": us["oracle"] / us["screen"],
+        "bit_identical_worst_margin_calls": tally["same"],
+        "warm_calls": warm_calls,
+        "mean_survivors_per_warm_call": (
+            statistics.mean(survivors) if survivors else None),
+        "leader_hit_rate": tally["leader_won"] / warm_calls if warm_calls else None,
         "fine_grid_points": int(fine.shape[0]),
         "oracle_ms_per_verification": ms["oracle"],
         "batch_ms_per_verification": ms["batch"],
@@ -354,9 +407,12 @@ def metric_stage(workload: str, tmp: Path, bench: str) -> dict:
         "same_verification_report": metric_mod.verify_contraction(
             metric, sys_nom, fine).to_json_dict() == report,
     }
-    print(f"metric {bench}: _worst_margin oracle {us['oracle']:.1f} us, screened "
-          f"{us['screened']:.1f} us per call, {same_calls}/{len(calls)} calls bit-identical; "
-          f"verification oracle {ms['oracle']:.1f} ms, batch {ms['batch']:.1f} ms, "
+    screen_note = (f"{result['mean_survivors_per_warm_call']:.2f} survivors per warm call, "
+                   f"leader won {result['leader_hit_rate']:.0%}" if warm_calls
+                   else "one-point conditions, no factorization")
+    print(f"metric {bench}: _worst_margin oracle {us['oracle']:.1f} us, screen "
+          f"{us['screen']:.1f} us per call, {screen_note}, {tally['same']}/{len(calls)} calls "
+          f"bit-identical; verification oracle {ms['oracle']:.1f} ms, batch {ms['batch']:.1f} ms, "
           f"{same_points}/{fine.shape[0]} points bit-identical", flush=True)
     return result
 

@@ -49,7 +49,7 @@ Config files are a flat key = value text format (TOML-compatible subset):
 ints, floats, booleans, quoted strings and JSON-style lists; '#' comments.
 A key that names a variant takes one of the values ``CHOICES`` lists, and
 any other value is refused when the config is built, before a run writes
-anything.
+anything; so is the waypoint-PD sampler on a benchmark other than the VTOL.
 """
 
 from __future__ import annotations
@@ -202,6 +202,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value not in allowed:
                 raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
+        if self.reference_sampler == "waypoint_pd" and self.benchmark != "vtol":
+            raise ValueError("reference_sampler = 'waypoint_pd' flies the VTOL and needs "
+                             f"benchmark = 'vtol', got benchmark = {self.benchmark!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

@@ -16,7 +16,11 @@ bounds, the Killing-type condition on the actuation columns, and negativity
 of the projected drift condition) are checked at grid points, with Jacobians
 by central finite differences.  Synthesis searches constant metrics only,
 via bisection on the rate and a subgradient descent on the Cholesky factor
-of the inverse metric against the worst grid margin.
+of the inverse metric against the worst grid margin.  Each step finds that
+margin exactly, bit for bit what a full ``eigh`` of the grid's stack gives:
+one ``eigh`` of the point that the attempt's warm eigenvectors rank first,
+then an LDL^T factorization of the whole stack that certifies which points
+lie below it, and an ``eigh`` of the few that are not.
 """
 
 from __future__ import annotations
@@ -516,33 +520,76 @@ def _grid_condition_data(sys: DynamicalSystem, grid: Array):
     return jacobian_fd(sys.drift, grid), np.stack(cokers)
 
 
-def _worst_margin(W: Array, lam: float, jacs: Array, cokers: Array):
+def _certified_below(C: Array, theta: float) -> Array:
+    """Points of a ``(P, k, k)`` stack whose unpivoted LDL^T of theta I - C_i
+    completes with every pivot > 0, vectorised over the grid.
+
+    The stack is laid out ``(k, k, P)`` so that each entry is one contiguous
+    row.  A NaN pivot compares false, so a non-finite C_i is never below."""
+    k = C.shape[-1]
+    H = np.negative(C.transpose(1, 2, 0), order="C")
+    d = H.reshape(k * k, -1)[:: k + 1]          # the pivots, a view
+    d += theta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(k - 1):
+            r = H[j, j + 1:]
+            H[j + 1:, j + 1:] -= r[:, None] * (r / d[j])
+    return d.min(axis=0) > 0
+
+
+def _worst_margin(W: Array, lam: float, jacs: Array, cokers: Array, warm: Array,
+                  cold: bool = False):
     """max over grid of lambda_max(P^T (A W + W A^T + 2 lam W) P), with argmax.
 
-    ``eigvalsh`` gives every point's top eigenvalue; ``eigh`` runs only on
-    the points within ``tol = 1e-9 * max|C|`` of the largest, and the first
-    of them with the largest ``eigh`` value wins, as ``np.argmax`` over a
-    full ``eigh`` would pick it.  This is safe because the two LAPACK
-    drivers differ by O(eps * ||C||), some 10^7 below ``tol``, so no
-    screened-out point can hold the largest ``eigh`` value.  A NaN keeps
-    the whole stack.
+    Bit for bit what ``np.argmax`` over a full ``eigh`` of the stack picks,
+    from one ``eigh`` of a likely top point and one factorization of the
+    stack.  ``warm``, a ``(P, k)`` array, holds each point's last known top
+    eigenvector and is updated in place; a ``cold`` call (an attempt's
+    first) fills it from a full ``eigh``.
+
+    The leader is the point with the largest Rayleigh quotient of its warm
+    vector; the top t of its ``eigh`` sets theta = t - tol with
+    ``tol = 1e-9 * max|C|``.  A point is dropped only if the LDL^T of
+    theta I - C_i completes with positive pivots.  The computed factors are
+    then exact for a perturbation of theta I - C_i of norm O(k^2 eps ||C||)
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 10.1), so
+    lambda_max(C_i) < theta + O(k^2 eps ||C||), some 10^5 below ``tol``;
+    ``eigh`` is backward stable, so its value for a dropped point stays
+    below t, which is at most the largest ``eigh`` value of the stack.
+    Every point holding that value survives, ties included; the survivors
+    get an ``eigh`` in grid order and the first with the largest value
+    wins.  Stale warm vectors cost time, never bits.  A non-finite C makes
+    ``tol`` non-finite, so no point is dropped and the whole stack goes to
+    ``eigh``.  With k = 1 the entry is the eigenvalue (LAPACK returns a 1x1
+    matrix's entry and the vector 1), and ``warm`` is not used.
     """
     S = jacs @ W + W @ jacs.transpose(0, 2, 1) + 2.0 * lam * W
     C = _sym(cokers.transpose(0, 2, 1) @ S @ cokers)
-    top = np.linalg.eigvalsh(C)[:, -1]
-    tol = 1e-9 * np.max(np.abs(C))
-    near = np.flatnonzero(~(top < top.max() - tol))
-    vals, vecs = np.linalg.eigh(C[near])
-    k = int(np.argmax(vals[:, -1]))
-    g = near[k]
-    return float(vals[k, -1]), (jacs[g], cokers[g] @ vecs[k, :, -1])
+    if C.shape[-1] == 1:
+        top = C[:, 0, 0]
+        g = int(top.argmax())
+        return float(top[g]), (jacs[g], cokers[g] @ np.ones(1))
+    if cold:
+        near = np.arange(C.shape[0])
+        vals, vecs = np.linalg.eigh(C)
+    else:
+        lead = int(np.matmul(warm[:, None, :], np.matmul(C, warm[:, :, None])).argmax())
+        vals, vecs = np.linalg.eigh(C[lead:lead + 1])
+        theta = vals[0, -1] - 1e-9 * np.abs(C).max()
+        near = np.flatnonzero(~_certified_below(C, theta))
+        if near.size != 1 or near[0] != lead:
+            vals, vecs = np.linalg.eigh(C[near])
+    warm[near] = vecs[:, :, -1]
+    i = int(vals[:, -1].argmax())
+    g = near[i]
+    return float(vals[i, -1]), (jacs[g], cokers[g] @ vecs[i, :, -1])
 
 
 def _normalize_w(W: Array, chi_max: float) -> Array:
     vals, vecs = np.linalg.eigh(_sym(W))
-    vals = np.clip(vals, max(vals[-1] / chi_max, 1e-12), None)
+    vals = np.maximum(vals, max(vals[-1] / chi_max, 1e-12))  # np.clip's own body
     W = (vecs * vals) @ vecs.T
-    return _sym(W / np.min(np.linalg.eigvalsh(W)))
+    return _sym(W / np.linalg.eigvalsh(W)[0])               # ascending: [0] is the min
 
 
 def _search_constant_w(jacs, cokers, lam, n, W0, chi_max, target):
@@ -553,22 +600,28 @@ def _search_constant_w(jacs, cokers, lam, n, W0, chi_max, target):
     When the best iterate is below ``target`` (feasible), it is pulled toward
     the identity as far as the margin stays below the target: anisotropy
     (chi) costs tube volume downstream, so among feasible metrics flatter is
-    better.
+    better.  The attempt owns one warm array of top eigenvectors, which its
+    first ``_worst_margin`` call fills and every later one, the shrink's
+    included, reads and refreshes.
     """
     W = np.eye(n) if W0 is None else _normalize_w(W0, chi_max)
     L = np.linalg.cholesky(W)
-    best_margin, _ = _worst_margin(W, lam, jacs, cokers)
+    warm = np.empty((cokers.shape[0], cokers.shape[2]))
+    best_margin, _ = _worst_margin(W, lam, jacs, cokers, warm, cold=True)
     best_w = W
+    tri = np.tri(n, dtype=bool)
     step = 0.5
     for _ in range(SEARCH_ITERS):
-        margin, (A, w) = _worst_margin(L @ L.T, lam, jacs, cokers)
+        margin, (A, w) = _worst_margin(L @ L.T, lam, jacs, cokers, warm)
         if margin < best_margin:
             best_margin, best_w = margin, _normalize_w(L @ L.T, chi_max)
         # d margin / d W = A^T w w^T + w w^T A + 2 lam w w^T; chain to L.
-        Gw = np.outer(A.T @ w, w)
-        Gw = Gw + Gw.T + 2.0 * lam * np.outer(w, w)
-        gL = 2.0 * np.tril(Gw @ L)
-        gn = np.linalg.norm(gL)
+        # np.outer, np.tril and np.linalg.norm, written as their own bodies
+        Gw = (A.T @ w)[:, None] * w[None, :]
+        Gw = Gw + Gw.T + 2.0 * lam * (w[:, None] * w[None, :])
+        gL = 2.0 * np.where(tri, Gw @ L, 0.0)
+        g = gL.ravel()
+        gn = np.sqrt(g.dot(g))
         if gn < 1e-14:
             break
         L = L - (step / gn) * gL
@@ -577,18 +630,18 @@ def _search_constant_w(jacs, cokers, lam, n, W0, chi_max, target):
         step *= 0.995
     if best_margin < target:
         best_w, best_margin = _shrink_toward_identity(
-            best_w, best_margin, lam, jacs, cokers, chi_max, target
+            best_w, best_margin, lam, jacs, cokers, warm, chi_max, target
         )
     return best_w, best_margin
 
 
-def _shrink_toward_identity(W, margin, lam, jacs, cokers, chi_max, target):
+def _shrink_toward_identity(W, margin, lam, jacs, cokers, warm, chi_max, target):
     """Blend a feasible W toward the identity while the margin holds."""
     for _ in range(60):
         improved = False
         for beta in (0.5, 0.2, 0.05):
             cand = _normalize_w((1.0 - beta) * W + beta * np.eye(W.shape[0]), chi_max)
-            m, _ = _worst_margin(cand, lam, jacs, cokers)
+            m, _ = _worst_margin(cand, lam, jacs, cokers, warm)
             if m < target:
                 W, margin, improved = cand, m, True
                 break

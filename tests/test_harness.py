@@ -932,6 +932,20 @@ def test_unknown_variant_is_refused_before_anything_is_written(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_waypoint_pd_sampler_on_the_3d_benchmark_is_refused_before_anything_is_written(
+    tmp_path, capsys
+):
+    ExperimentConfig.from_dict({"benchmark": "vtol", "reference_sampler": "waypoint_pd"})
+    with pytest.raises(ValueError, match="reference_sampler") as err:
+        ExperimentConfig.from_dict({"benchmark": "threeD", "reference_sampler": "waypoint_pd"})
+    assert "benchmark" in str(err.value)
+    cfg = write_smoke(tmp_path, 'reference_sampler = "waypoint_pd"\n')
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "reference_sampler" in err and "benchmark" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_benchmark_tracer_targets_resolve(monkeypatch):
     """Every function the benchmark tracer wraps still exists under its
     traced name, and the tracer leaves nothing patched behind."""

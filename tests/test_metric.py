@@ -416,21 +416,26 @@ def test_every_worst_margin_call_of_an_attempt_is_the_oracle(
     bench3d, vtol, monkeypatch, workload, points, lam, chi_max
 ):
     """One full 400-step attempt at the top of the workload's rate range:
-    each screened call returns what the full ``eigh`` of the oracle returns."""
+    each screened call, with the attempt's own warm array, returns what the
+    full ``eigh`` of the oracle returns; only the first call is cold."""
     sys, grid = workload_grids(bench3d, vtol, points)[workload]
     jacs, cokers = oracle.grid_condition_data(sys, grid)
     screened = metric_mod._worst_margin
-    calls = []
+    calls, colds, warms = [], [], set()
 
-    def both(W, lam_, jacs_, cokers_):
-        got = outcome(screened, W, lam_, jacs_, cokers_)
-        calls.append(got == outcome(oracle.worst_margin, W, lam_, jacs_, cokers_))
-        return screened(W, lam_, jacs_, cokers_)
+    def both(W, lam_, jacs_, cokers_, warm, cold=False):
+        got = screened(W, lam_, jacs_, cokers_, warm, cold)
+        calls.append(outcome(lambda: got) == outcome(oracle.worst_margin, W, lam_, jacs_, cokers_))
+        colds.append(cold)
+        warms.add(id(warm))
+        return got
 
     monkeypatch.setattr(metric_mod, "_worst_margin", both)
     metric_mod._search_constant_w(jacs, cokers, lam, sys.state_dim, None, chi_max, -1e-9)
     assert len(calls) > metric_mod.SEARCH_ITERS
     assert all(calls)
+    assert colds == [True] + [False] * (len(colds) - 1)
+    assert len(warms) == 1
 
 
 def test_worst_margin_on_ties_and_nans_is_the_oracle():
@@ -441,6 +446,8 @@ def test_worst_margin_on_ties_and_nans_is_the_oracle():
         cokers = np.linalg.qr(rng.normal(size=(P, n, r)))[0]
         W = np.eye(n) + 0.1 * np.diag(rng.uniform(size=n))
         lam = float(rng.uniform(0.1, 1.0))
+        warm = np.empty((P, r))     # top vectors of the stack before the ties
+        metric_mod._worst_margin(W, lam, jacs, cokers, warm, cold=True)
         _, (A, _) = oracle.worst_margin(W, lam, jacs, cokers)
         g = int(np.flatnonzero((jacs == A).all(axis=(1, 2)))[0])
         # exact ties at the worst point, some of them before it; a flipped
@@ -452,18 +459,87 @@ def test_worst_margin_on_ties_and_nans_is_the_oracle():
         for i in rng.choice(P, 3, replace=False):
             jacs[i] = np.nextafter(jacs[g], np.inf if trial % 2 else -np.inf)
             cokers[i] = cokers[g]
-        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers) == outcome(
+        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers, warm) == outcome(
             oracle.worst_margin, W, lam, jacs, cokers)
         jacs[int(rng.integers(P)), 0, 0] = np.nan
-        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers) == outcome(
+        assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers, warm) == outcome(
             oracle.worst_margin, W, lam, jacs, cokers)
     # one-dimensional conditions: a NaN is a value, not a LAPACK failure
     jacs = rng.normal(size=(6, 2, 2))
     jacs[3, 1, 1] = np.nan
     cokers = np.tile(np.array([[[0.0], [1.0]]]), (6, 1, 1))
-    got = outcome(metric_mod._worst_margin, np.eye(2), 0.5, jacs, cokers)
+    warm = np.empty((6, 1))
+    got = outcome(metric_mod._worst_margin, np.eye(2), 0.5, jacs, cokers, warm)
     assert got == outcome(oracle.worst_margin, np.eye(2), 0.5, jacs, cokers)
-    assert math.isnan(metric_mod._worst_margin(np.eye(2), 0.5, jacs, cokers)[0])
+    assert math.isnan(metric_mod._worst_margin(np.eye(2), 0.5, jacs, cokers, warm)[0])
+
+
+def test_worst_margin_with_adversarial_warm_vectors_is_the_oracle(monkeypatch):
+    """Warm vectors choose only which point is factored first, so none of
+    them can change the bits: stale vectors from another W, a leader aimed
+    at a low point, exact ties before and after the leader, one-ulp near
+    ties and NaN stacks all give what the full ``eigh`` gives."""
+    def eigvalsh(*_):
+        raise AssertionError("_worst_margin called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    rng = np.random.default_rng(20)
+    P, n = 24, 5
+    for trial in range(48):
+        k = trial % 4 + 1
+        jacs = rng.normal(size=(P, n, n))
+        cokers = np.linalg.qr(rng.normal(size=(P, n, k)))[0]
+        W = np.eye(n) + 0.1 * np.diag(rng.uniform(size=n))
+        lam = float(rng.uniform(0.1, 1.0))
+
+        def check(warm):
+            want = outcome(oracle.worst_margin, W, lam, jacs, cokers)
+            assert outcome(metric_mod._worst_margin, W, lam, jacs, cokers, warm) == want
+
+        def stack():
+            S = jacs @ W + W @ jacs.transpose(0, 2, 1) + 2.0 * lam * W
+            C = cokers.transpose(0, 2, 1) @ S @ cokers
+            return 0.5 * (C + C.transpose(0, 2, 1))
+
+        def leader(warm):
+            return int(np.argmax(np.einsum("pi,pij,pj->p", warm, stack(), warm)))
+
+        # stale: the top vectors of a far-off W
+        stale = np.empty((P, k))
+        metric_mod._worst_margin(np.diag(rng.uniform(1.0, 50.0, size=n)), lam, jacs, cokers,
+                                 stale, cold=True)
+        check(stale.copy())
+        # the leader aimed at the lowest point with a positive top: its top
+        # vector scaled up, the worst point given its bottom vector
+        vals, vecs = np.linalg.eigh(stack())
+        g = int(np.argmax(vals[:, -1]))
+        j = int(np.argmin(np.where(vals[:, -1] > 0, vals[:, -1], np.inf)))
+        aimed = vecs[:, :, -1].copy()
+        aimed[g] = vecs[g, :, 0]
+        aimed[j] *= 1e3
+        assert k == 1 or leader(aimed) == j != g
+        check(aimed.copy())
+        # exact ties with the worst point before and after the leader (a
+        # flipped cokernel basis gives the same condition but a flipped w, so
+        # the returned bits show which copy won), the leader aimed at a copy
+        # in the middle, and one-ulp near ties around it
+        copies = np.sort(rng.choice(np.delete(np.arange(P), g), 5, replace=False))
+        for c, i in enumerate(copies):
+            jacs[i], cokers[i] = jacs[g], (-1.0) ** c * cokers[g]
+        for i in rng.choice(np.setdiff1d(np.arange(P), np.append(copies, g)), 3, replace=False):
+            jacs[i] = np.nextafter(jacs[g], np.inf if trial % 2 else -np.inf)
+            cokers[i] = cokers[g]
+        tied = np.linalg.eigh(stack())[1][:, :, -1].copy()
+        tied[copies[2]] *= 1e3
+        assert k == 1 or leader(tied) == copies[2]
+        check(tied.copy())
+        check(stale.copy())
+        # a NaN at the leader, and one elsewhere
+        for i in (copies[2], int(rng.integers(P))):
+            saved = jacs[i, 0, 0]
+            jacs[i, 0, 0] = np.nan
+            check(tied.copy())
+            jacs[i, 0, 0] = saved
 
 
 def assert_verification_is_the_oracle(metric, sys, grid):
@@ -516,7 +592,9 @@ def test_synthesis_with_the_oracle_patched_in_is_byte_identical(
     vtol_args = (vsys, vgrid, (0.1, 0.6))
     vtol_kw = dict(chi_max=300.0, margin_target=-0.02)
     got = {"vtol6d": synthesize_constant_metric(*vtol_args, **vtol_kw), "desk3d": metric3d}
-    monkeypatch.setattr(metric_mod, "_worst_margin", oracle.worst_margin)
+    monkeypatch.setattr(metric_mod, "_worst_margin",
+                        lambda W, lam, jacs, cokers, warm, cold=False:
+                        oracle.worst_margin(W, lam, jacs, cokers))
     monkeypatch.setattr(metric_mod, "_grid_condition_data", oracle.grid_condition_data)
     want = {
         "vtol6d": synthesize_constant_metric(*vtol_args, **vtol_kw),
