@@ -191,15 +191,14 @@ def min_norm_feedback(
 class ContractingPolicy:
     """Closed-loop tracking policy with optional uncertainty compensation.
 
-    ``reference`` is one TrajectoryRecord, tracked from one state ``(n,)``,
-    or a sequence of records on one time grid, tracked row by row from an
-    ``(N, n)`` block; the delayed input and ``saturation_events`` are then
-    kept per row.  Carries the sampled-and-held delayed input, so an
-    instance is confined to one rollout (or block) at a time; the state
-    resets whenever the integrator notifies a step at t = 0.  The composed
-    input is never clipped: input constraints belong to the planner, and
-    excursions outside the input box are only recorded in
-    ``saturation_events`` (a list of times, or one such list per row).
+    ``references`` is a sequence of N records on one time grid, tracked row
+    by row from an ``(N, n)`` block (one reference is a one-row block); the
+    delayed input and ``saturation_events`` are kept per row.  Carries the
+    sampled-and-held delayed input, so an instance is confined to one block
+    at a time; the state resets whenever the integrator notifies a step at
+    t = 0.  The composed input is never clipped: input constraints belong to
+    the planner, and excursions outside the input box are only recorded in
+    ``saturation_events``, one list of times per row.
 
     The reference side of an evaluation (x_ref, u_ref and v_r, see
     ``reference_side``) does not depend on the tracked state.  It is
@@ -219,21 +218,17 @@ class ContractingPolicy:
         self,
         metric: ContractionMetric,
         sys_nominal: DynamicalSystem,
-        reference,
+        references: Sequence[TrajectoryRecord],
         predictor=None,
     ):
         self.metric = metric
         self.sys_nominal = sys_nominal
-        self.reference = reference
+        self.references = references
         self.predictor = predictor
-        if isinstance(reference, TrajectoryRecord):
-            self._grid, self._rows = reference, None
-            self._ref_states, self._ref_inputs = reference.states, reference.inputs
-        else:
-            self._grid, self._rows = reference[0], len(reference)
-            # grid-major (T, N, .) tables: one interpolation samples every row
-            self._ref_states = np.stack([r.states for r in reference], axis=1)
-            self._ref_inputs = np.stack([r.inputs for r in reference], axis=1)
+        self._grid = references[0]
+        # grid-major (T, N, .) tables: one interpolation samples every row
+        self._ref_states = np.stack([r.states for r in references], axis=1)
+        self._ref_inputs = np.stack([r.inputs for r in references], axis=1)
         self.dt = self._grid.dt
         self._table_steps = range(0)       # grid steps that self._table covers
         self._table = None
@@ -244,13 +239,10 @@ class ContractingPolicy:
         self._step_index = -1
         self._u_prev = self._zero_input()
         self._u_curr = self._zero_input()
-        self.saturation_events: list = (
-            [] if self._rows is None else [[] for _ in range(self._rows)]
-        )
+        self.saturation_events = [[] for _ in self.references]
 
     def _zero_input(self) -> Array:
-        rows = () if self._rows is None else (self._rows,)
-        return np.zeros(rows + (self.sys_nominal.input_dim,))
+        return np.zeros((len(self.references), self.sys_nominal.input_dim))
 
     # -- delayed-input ladder ------------------------------------------------
 
@@ -312,9 +304,8 @@ class ContractingPolicy:
             u = u - matvec(np.linalg.pinv(B, rcond=PINV_RCOND), zeta_hat)
         box = self.sys_nominal.input_box
         outside = np.any((u < box[:, 0]) | (u > box[:, 1]), axis=-1)
-        events = [self.saturation_events] if self._rows is None else self.saturation_events
         for i in np.flatnonzero(outside):
-            events[i].append(float(t))
+            self.saturation_events[i].append(float(t))
         return u
 
 

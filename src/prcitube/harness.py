@@ -4,12 +4,12 @@ A pipeline run is a sequence of stages, each persisting its artifacts under
 the output directory.  A stage loads its artifacts back instead of
 recomputing only when all of them exist (for a dataset directory: its
 manifest reads, every CSV and signal file it lists exists, references
-included, and a train or cal record's CSV header has its ``zeta_*``
-columns) and the ledger ``provenance.json`` records that stage under the
-digest of the current config (without ``out_dir``); any config change
-except ``out_dir`` therefore recomputes every stage, and deleting one
-artifact, a trajectory CSV or a signal file included, regenerates exactly
-its stage.  A run reads the ledger once and keeps it in memory, writing it
+included, and each train or cal entry's envelope says its record carries
+the realized uncertainty) and the ledger ``provenance.json`` records that
+stage under the digest of the current config (without ``out_dir``); any
+config change except ``out_dir`` therefore recomputes every stage, and
+deleting one artifact, a trajectory CSV or a signal file included,
+regenerates exactly its stage.  A run reads the ledger once and keeps it in memory, writing it
 back only when it drops an entry before a stage recomputes or stamps a
 stage whose files are written.  ``config.json`` and ``report.json`` are
 rewritten only when their content changes, so a full resume writes no file.
@@ -38,7 +38,7 @@ tag as one block before it), and its closed-loop block tracks the test
 rollouts after the calibration records; evaluate then only builds their
 tubes and judges them.  A reused stage asks for nothing, so a later stage
 that still needs the test set has it replayed or tracked alone.  A
-resumed run reuses every stage: it simulates nothing and parses no
+resumed run reuses every stage: it simulates nothing and opens no
 dataset CSV and no input signal.
 All randomness flows through named counter-based streams derived from the
 config seed, so records can be generated in any order (or in parallel)
@@ -74,6 +74,7 @@ from .control import track
 from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
 from .predictor import (
     FAMILIES,
+    UNCERTAIN_SPLITS,
     PiecewiseLinearInput,
     TrainConfig,
     TrainingDataset,
@@ -433,14 +434,15 @@ def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
 def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     """The dataset saved in ``directory``, its references from
     ``reference_dir``.  Reads the manifest and checks that every file it
-    lists exists: each record's CSV (and, for the train and cal splits, that
-    its header carries the ``zeta_*`` columns) and signal, a perturbed
-    entry's reference CSV and signal in ``reference_dir``.  Each CSV body is
-    parsed on first access to its entry's ``record`` or ``reference``, and
-    each signal file on first access to ``policy``.  A manifest that carries
-    its signals inline (the layout before signal files) raises
-    ``ValueError``; a perturbed entry loaded without ``reference_dir`` has
-    neither reference nor policy."""
+    lists exists, without opening any: each record's CSV and signal, a
+    perturbed entry's reference CSV and signal in ``reference_dir``.  Each
+    CSV is parsed on first access to its entry's ``record`` or
+    ``reference``, and each signal file on first access to ``policy``.  A
+    manifest that carries its signals inline (the layout before signal
+    files) raises ``ValueError``, and so does a train or cal entry whose
+    envelope says its record has no uncertainty (a CSV without the
+    ``zeta_*`` columns does when its record is parsed); a perturbed entry
+    loaded without ``reference_dir`` has neither reference nor policy."""
     directory = Path(directory)
     references = None if reference_dir is None else Path(reference_dir)
     path = directory / "manifest.json"
@@ -455,10 +457,13 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
             raise FileNotFoundError(f"{folder / name}: listed in {path}, missing")
         return folder / name
 
+    split_tag = manifest["split_tag"]
     entries = []
     for item in manifest["entries"]:
         if "policy" in item:
             raise ValueError(f"{path}: input signals inline, not in signal files")
+        if split_tag in UNCERTAIN_SPLITS and not item["envelope"]["has_uncertainty"]:
+            raise ValueError(f"{path}: {item['id']}: uncertainties missing in {split_tag} split")
         reference_id, policy, reference = item["reference_id"], None, None
         if reference_id is None:
             policy = stored(directory, _signal_name(item["id"]))
@@ -466,7 +471,7 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
             policy = stored(references, _signal_name(reference_id))
             reference = stored(references, f"{reference_id}.csv")
         entries.append(DatasetEntry(item["id"], stored(directory, item["csv"]), policy, reference))
-    return TrainingDataset(tuple(entries), manifest["split_tag"])
+    return TrainingDataset(tuple(entries), split_tag)
 
 
 LEDGER = "provenance.json"

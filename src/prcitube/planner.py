@@ -255,8 +255,9 @@ class _Shooting:
             xb2 = J2.T @ kb2
             kb1 = (dt / 6.0) * lam + 0.5 * dt * xb2
             xb1 = J1.T @ kb1
-            gU[k] += B(x1).T @ kb1 + 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3)
-            gU[k + 1] += 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3) + B(x4).T @ kb4
+            mid = 0.5 * (B(x2).T @ kb2 + B(x3).T @ kb3)     # midpoint stages, half to each node
+            gU[k] += B(x1).T @ kb1 + mid
+            gU[k + 1] += mid + B(x4).T @ kb4
             lam = lam + xb1 + xb2 + xb3 + xb4 + obj.run_gx[k]
         return gU
 

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 
 SURROGATE_TEMPERATURE = 20.0    # softmax temperature of the mlp's sup-loss surrogate
 FAMILIES = ("zero", "linear_features", "mlp")   # the families ``train`` fits
+UNCERTAIN_SPLITS = ("train", "cal")     # splits whose records carry their uncertainty
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,8 @@ class DatasetEntry:
     signal file (``harness.load_dataset``: a reference's own, which its
     perturbed records share).  A stored file is parsed on first access,
     once, and its value kept; one that does not parse raises ``ValueError``
-    naming the file.
+    naming the file, and so does a stored record without its realized
+    uncertainty in a split that needs one (``expect_uncertainties``).
     """
 
     def __init__(
@@ -88,6 +90,7 @@ class DatasetEntry:
         self._policy = policy
         self._record = record
         self._reference = reference
+        self._split_tag: Optional[str] = None       # set when uncertainties are expected
 
     @property
     def policy(self) -> Optional[PiecewiseLinearInput]:
@@ -100,7 +103,14 @@ class DatasetEntry:
 
     @property
     def record(self) -> TrajectoryRecord:
-        self._record = _parsed(self._record)
+        if isinstance(self._record, Path):
+            record = _parsed(self._record)
+            if self._split_tag is not None and record.uncertainties is None:
+                raise ValueError(
+                    f"{self._record}: uncertainties missing in {self._split_tag} split"
+                    " (no zeta_* columns)"
+                )
+            self._record = record
         return self._record
 
     @property
@@ -108,32 +118,31 @@ class DatasetEntry:
         self._reference = _parsed(self._reference)
         return self._reference
 
-    @functools.cached_property
-    def has_uncertainties(self) -> bool:
-        """Whether the record carries its realized uncertainty; a stored
-        record answers from the ``zeta_*`` columns of its CSV header alone."""
-        if isinstance(self._record, TrajectoryRecord):
-            return self._record.uncertainties is not None
-        with open(self._record) as fh:
-            return any(c.startswith("zeta_") for c in fh.readline().strip().split(","))
+    def expect_uncertainties(self, split_tag: str) -> None:
+        """Hold the record to carrying its realized uncertainty, as the
+        records of ``split_tag`` must: a record in memory without one raises
+        ``ValueError`` here, a stored one when it is parsed (its file is not
+        opened before; ``harness.load_dataset`` has checked the manifest)."""
+        if isinstance(self._record, TrajectoryRecord) and self._record.uncertainties is None:
+            raise ValueError(f"{self.entry_id}: uncertainties missing in {split_tag} split")
+        self._split_tag = split_tag
 
 
 @dataclass(frozen=True, eq=False)
 class TrainingDataset:
     """A list of trajectory records with their reference input policies.
 
-    split_tag is one of "ref", "train", "cal", "test".  Records in "train"
-    and "cal" splits carry a complete realized-uncertainty sequence.
+    split_tag is one of "ref", "train", "cal", "test".  Records in the
+    UNCERTAIN_SPLITS carry a complete realized-uncertainty sequence.
     """
 
     entries: tuple
     split_tag: str
 
     def __post_init__(self):
-        if self.split_tag in ("train", "cal"):
+        if self.split_tag in UNCERTAIN_SPLITS:
             for e in self.entries:
-                if not e.has_uncertainties:
-                    raise ValueError(f"{e.entry_id}: uncertainties missing in {self.split_tag} split")
+                e.expect_uncertainties(self.split_tag)
 
     def __len__(self):
         return len(self.entries)

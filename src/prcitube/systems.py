@@ -17,10 +17,6 @@ written as stacked matrix products (``matvec``, ``rowdot``, ``rownorm``):
 NumPy evaluates each slice of a stacked ``matmul`` with the same
 matrix-vector or dot kernel as the one-row product, while a GEMM over the
 rows, ``einsum``, ``sum(-1)`` or ``norm(axis=-1)`` round differently.
-One exception is inherent: a single ``(n,)`` state unpacks into floats,
-whose ``** 2`` is the libm ``pow`` and not the array square, so the 3D
-plant's one-state values may differ from its row values in the last bit
-(in about 0.1% of squares); VTOL rows match one-state calls exactly.
 
 Block callers: ``control.track`` steps the closed-loop rollouts and
 ``replay`` the open-loop ones.  The harness's per-run ``_Simulations``
@@ -148,13 +144,6 @@ class DynamicalSystem:
             raise ValueError("state_box must be (n, 2)")
         if self.input_box.shape != (self.input_dim, 2):
             raise ValueError("input_box must be (m, 2)")
-
-    def dynamics(self, x: Array, u: Array) -> Array:
-        fx = self.drift(x)
-        dx = fx + matvec(self.actuation(x), u)
-        if self.uncertainty is not None:
-            dx = dx + self.uncertainty(x, u, fx)
-        return dx
 
     @property
     def nominal(self) -> "DynamicalSystem":
@@ -500,7 +489,7 @@ def _field3(theta1, theta2, theta3, B):
 
     def drift(x):
         x1, x2, x3 = _components(x)
-        sq = x1 ** 2
+        sq = x1 * x1
         q = theta3 * sq
         base = _compose([x3 - theta1 * x1, sq - x2, np.tanh(x2)])
         return base - matvec(B, _compose([theta2 * x3 + q, theta2 * x2 + q]))

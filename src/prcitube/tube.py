@@ -265,7 +265,9 @@ def tighten_input_box(
     Estimates sup over tube cross-sections of |kappa_j(xi, x_ref)| by
     Monte-Carlo (``budget`` points per section, drawn from a nested stream
     so the estimate is monotone in the budget) on INPUT_MAX_SECTIONS evenly
-    strided cross-sections, inflated by INPUT_INFLATION.
+    strided cross-sections, inflated by INPUT_INFLATION.  A section's
+    points are the rows of one ``min_norm_feedback`` block, its reference
+    state and input broadcast to every row.
     A sampled inner approximation of the exact tightened set.
     """
     input_box = np.asarray(input_box, dtype=float)
@@ -277,11 +279,11 @@ def tighten_input_box(
     margins = np.zeros(m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for k in range(0, len(ref.times), stride):
-        x_ref = ref.states[k]
-        u_ref = ref.inputs[k]
-        for xi in sample_metric_ball(metric, x_ref, tube.radius, budget, rng):
-            kappa = min_norm_feedback(metric, sys_nominal, xi, x_ref, u_ref)
-            margins = np.maximum(margins, np.abs(kappa))
+        xi = sample_metric_ball(metric, ref.states[k], tube.radius, budget, rng)
+        x_ref = np.broadcast_to(ref.states[k], xi.shape)
+        u_ref = np.broadcast_to(ref.inputs[k], (budget, m))
+        kappa = min_norm_feedback(metric, sys_nominal, xi, x_ref, u_ref)
+        margins = np.maximum(margins, np.abs(kappa).max(axis=0))
     margins = margins * (1.0 + INPUT_INFLATION)
     return _shrink(input_box, margins)
 

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from prcitube.metric import ContractionMetric, box_grid, synthesize_constant_metric
-from prcitube.systems import make_benchmark_3d, make_benchmark_vtol
+from prcitube.systems import make_benchmark_3d, make_benchmark_vtol, matvec
+
+
+def plant_field(sys, x, u):
+    """The plant field f(x) + B(x) u + zeta(x, u) at one state or at every
+    row, the drift computed once and handed to zeta, as ``integrate`` forms
+    it."""
+    fx = sys.drift(x)
+    dx = fx + matvec(sys.actuation(x), u)
+    if sys.uncertainty is not None:
+        dx = dx + sys.uncertainty(x, u, fx)
+    return dx
 
 
 @pytest.fixture(scope="session")

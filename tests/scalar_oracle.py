@@ -5,10 +5,10 @@ it kept its forward passes, and for the dataset loader, before it parsed
 records on first use), frozen here as the oracles that the new paths are
 checked against.
 
-One state at a time: the plant functions index scalars (``x[0] ** 2`` is a
-NumPy-scalar power), every product is a plain one-row ``@``, the constant
-feedback is the scalar ``feedback_terms``, the policy keeps one
-delayed-input ladder and each FD Jacobian is taken at one state.  Nothing
+One state at a time: the plant functions index scalars, every product is
+a plain one-row ``@``, the constant feedback is the scalar
+``feedback_terms``, the policy keeps one delayed-input ladder and each FD
+Jacobian is taken at one state.  Nothing
 here imports the code under test except plain data (the constant matrices,
 a metric's matrix and rate, a trained predictor's parameters, a planning
 problem's plant and obstacles), for the metric stage a metric's
@@ -51,11 +51,11 @@ DEGENERATE_TOL = 1e-10
 
 def _field3(theta1, theta2, theta3, B):
     def phi(x):
-        q = theta3 * x[0] ** 2
+        q = theta3 * (x[0] * x[0])
         return np.array([theta2 * x[2] + q, theta2 * x[1] + q])
 
     def drift(x):
-        base = np.array([x[2] - theta1 * x[0], x[0] ** 2 - x[1], np.tanh(x[1])])
+        base = np.array([x[2] - theta1 * x[0], x[0] * x[0] - x[1], np.tanh(x[1])])
         return base - B @ phi(x)
 
     return drift

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from prcitube.conformal import calibrate, empirical_coverage
-from prcitube.control import ContractingPolicy, feedback_terms, min_norm_feedback
+from prcitube.control import feedback_terms, min_norm_feedback, track
 from prcitube.harness import ExperimentConfig, run_pipeline
 from prcitube.metric import ContractionMetric, riemannian_distance
 from prcitube.systems import PiecewiseLinearInput, integrate
@@ -108,8 +108,7 @@ def test_criterion_4_nominal_contraction(bench3d, metric3d):
         )
         ref = integrate(nom, x_ref0, knots, T, dt)
         x0 = x_ref0 + rng.uniform(-0.4, 0.4, 3)
-        policy = ContractingPolicy(metric3d, nom, ref)
-        roll = integrate(nom, x0, policy, T, dt)
+        (roll,) = track(nom, metric3d, None, [ref], [x0])
         D = roll.states - ref.states
         d = np.sqrt(np.einsum("ki,ij,kj->k", D, M, D))
         mask = d > 0

@@ -1,12 +1,10 @@
 """Rollouts and FD Jacobians taken as one (N, n) block.
 
 Closed loop: the block is checked against the frozen per-rollout path in
-``scalar_oracle.py`` (bit for bit on VTOL; to a relative 1e-12 on 3D, whose
-one-state plant squares scalars with libm ``pow`` where rows use the array
-square), against its own one-row calls (bit for bit on both), and layer by
-layer.  Open loop: dataset and sampler blocks are checked against
-one-state ``integrate`` runs, and ``jacobian_fd`` rows against one-state
-Jacobians, with the same tolerances.
+``scalar_oracle.py``, against its own one-row calls, and layer by layer.
+Open loop: dataset and sampler blocks are checked against one-state
+``integrate`` runs, and ``jacobian_fd`` rows against one-state Jacobians.
+Every comparison is bit for bit, on both plants.
 """
 
 import logging
@@ -16,6 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from conftest import plant_field
 from prcitube import harness
 from prcitube.control import feedback_terms, min_norm_feedback, residual_norms, track
 from prcitube.errors import DegenerateConstraint, DimensionMismatch
@@ -35,6 +34,13 @@ from prcitube.systems import (
     integrate,
     matvec,
 )
+from prcitube.tube import (
+    INPUT_INFLATION,
+    INPUT_MAX_SECTIONS,
+    PRCITube,
+    sample_metric_ball,
+    tighten_input_box,
+)
 
 FAMILIES = {"mlp": TrainConfig(epochs=5, hidden=(8, 8)), "linear_features": TrainConfig(degree=2)}
 FIELDS = ("times", "states", "inputs", "uncertainties")
@@ -53,17 +59,16 @@ def _reference_set(sys_nom, rng, count, T, x_half, u_center, u_half):
 @pytest.fixture(scope="module", params=["threeD", "vtol"])
 def case(request, bench3d, metric3d, vtol, metric_vtol):
     """Plant, metric, four references with offset starts, and one trained
-    predictor per family; ``exact`` says whether the oracle matches bit for
-    bit."""
+    predictor per family."""
     rng = np.random.default_rng(23)
     if request.param == "threeD":
         nom, true = bench3d
-        metric, plant, exact, T = metric3d, oracle.plant_3d(), False, 1.5
+        metric, plant, T = metric3d, oracle.plant_3d(), 1.5
         x_half, u_center, u_half, offset = 0.5, np.zeros(2), 0.3, 0.05
     else:
         true = vtol
         nom = vtol.nominal
-        metric, plant, exact, T = metric_vtol, oracle.plant_vtol(), True, 1.0
+        metric, plant, T = metric_vtol, oracle.plant_vtol(), 1.0
         x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
         u_center, u_half, offset = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05, 0.01
     refs = _reference_set(nom, rng, 10, T, x_half, u_center, u_half)
@@ -73,15 +78,8 @@ def case(request, bench3d, metric3d, vtol, metric_vtol):
     predictors = {family: train(train_ds, family, cfg) for family, cfg in FAMILIES.items()}
     tracked = [e.record for e in refs.entries[6:]]
     starts = [r.states[0] + rng.uniform(-offset, offset, r.state_dim) for r in tracked]
-    return SimpleNamespace(true=true, nom=nom, metric=metric, plant=plant, exact=exact,
+    return SimpleNamespace(true=true, nom=nom, metric=metric, plant=plant,
                            refs=tracked, starts=starts, predictors=predictors)
-
-
-def _assert_match(got, want, exact):
-    if exact:
-        assert got.tobytes() == want.tobytes()
-    else:
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -92,10 +90,9 @@ def test_block_track_matches_scalar_oracle(case, family):
     for ref, x0, rec in zip(case.refs, case.starts, block):
         want = oracle.track(case.plant, case.metric, p, ref, x0)
         for name in FIELDS:
-            _assert_match(getattr(rec, name), getattr(want, name), case.exact)
-        _assert_match(
-            residual_norms(case.true, p, rec), oracle.residual_norms(case.plant, p, want), case.exact
-        )
+            assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
+        got = residual_norms(case.true, p, rec)
+        assert got.tobytes() == oracle.residual_norms(case.plant, p, want).tobytes()
 
 
 def test_block_rows_equal_one_row_calls(case):
@@ -257,8 +254,7 @@ def rows(request, bench3d, metric3d, vtol, metric_vtol):
     U = rng.uniform(ibox[:, 0], ibox[:, 1], (N, true.input_dim))
     X_ref = X + rng.normal(scale=0.1, size=X.shape)
     X_ref[::10] = X[::10]
-    return SimpleNamespace(name=request.param, nom=nom, true=true, metric=metric,
-                           X=X, U=U, X_ref=X_ref)
+    return SimpleNamespace(nom=nom, true=true, metric=metric, X=X, U=U, X_ref=X_ref)
 
 
 def _one_row_calls(fn, *blocks):
@@ -270,16 +266,35 @@ def test_plant_rows_equal_one_row_calls(rows):
     for fn, args in (
         (sys.drift, (X,)),
         (sys.uncertainty, (X, U, sys.drift(X))),
-        (sys.dynamics, (X, U)),
+        (lambda x, u: plant_field(sys, x, u), (X, U)),
         (lambda x: np.broadcast_to(sys.actuation(x), x.shape[:-1] + (sys.state_dim, 2)), (X,)),
     ):
         block = fn(*args)
         assert block.tobytes() == _one_row_calls(fn, *args).tobytes()
         one_state = np.array([fn(*(a[i] for a in args)) for i in range(len(X))])
-        if rows.name == "vtol":
-            assert block.tobytes() == one_state.tobytes()
-        else:   # one-state squares round as libm pow, off by an ulp at most
-            np.testing.assert_allclose(block, one_state, rtol=0, atol=1e-13 * np.max(np.abs(block)))
+        assert block.tobytes() == one_state.tobytes()
+
+
+@pytest.mark.parametrize("bench", ["threeD", "vtol"])
+def test_one_state_plant_calls_round_as_rows_on_many_states(bench, bench3d, vtol):
+    """One-state calls of the plant and of the oracle's plant compute on
+    scalars, a block on arrays; a square taken as ``pow`` on a scalar
+    differs from the array square in about 0.1% of states, which 1,000
+    rows can miss."""
+    if bench == "threeD":
+        sys, plant = bench3d[1], oracle.plant_3d()
+    else:
+        sys, plant = vtol, oracle.plant_vtol()
+    rng = np.random.default_rng(12)
+    box, ibox = sys.state_box, sys.input_box
+    X = rng.uniform(box[:, 0], box[:, 1], (20000, sys.state_dim))
+    U = rng.uniform(ibox[:, 0], ibox[:, 1], (20000, sys.input_dim))
+    fX, zeta = sys.drift(X), sys.uncertainty(X, U, sys.drift(X))
+    assert fX.tobytes() == np.array([sys.drift(x) for x in X]).tobytes()
+    assert fX.tobytes() == np.array([plant.drift(x) for x in X]).tobytes()
+    one_state = [sys.uncertainty(x, u, fx) for x, u, fx in zip(X, U, fX)]
+    assert zeta.tobytes() == np.array(one_state).tobytes()
+    assert zeta.tobytes() == np.array([plant.zeta(x, u) for x, u in zip(X, U)]).tobytes()
 
 
 def test_min_norm_feedback_rows_equal_one_row_calls(rows):
@@ -297,11 +312,10 @@ def test_min_norm_feedback_rows_equal_one_row_calls(rows):
     assert min_norm_feedback(rows.metric, rows.nom, *args, fx=fx).tobytes() == kappa.tobytes()
     given = feedback_terms(rows.metric, rows.nom, *args, fx=fx)
     assert [np.asarray(v).tobytes() for v in given] == [np.asarray(v).tobytes() for v in terms]
-    if rows.name == "vtol":
-        one_state = np.array([
-            min_norm_feedback(rows.metric, rows.nom, *(a[i] for a in args)) for i in range(1000)
-        ])
-        assert kappa.tobytes() == one_state.tobytes()
+    one_state = np.array([
+        min_norm_feedback(rows.metric, rows.nom, *(a[i] for a in args)) for i in range(1000)
+    ])
+    assert kappa.tobytes() == one_state.tobytes()
 
 
 def test_degenerate_row_raises_for_the_whole_block():
@@ -341,6 +355,44 @@ def test_state_dependent_metric_feedback_takes_one_geodesic_per_row(poly_metric_
         assert (block.b[i], block.energy[i], block.a_scale[i]) == (one.b, one.energy, one.a_scale)
 
 
+@pytest.mark.parametrize("bench", ["threeD", "vtol"])
+def test_input_tightening_equals_a_per_sample_loop(bench, bench3d, metric3d, vtol, metric_vtol,
+                                                   monkeypatch):
+    """One feedback block per cross-section gives the margins, bit for bit,
+    of one ``min_norm_feedback`` call per sampled state on the same stream."""
+    import prcitube.tube as tube_mod
+
+    if bench == "threeD":
+        nom, metric, radii = bench3d[0], metric3d, (0.05, 2.0)
+        x_half, u_center, u_half = 0.5, np.zeros(2), 0.3
+    else:
+        nom, metric, radii = vtol.nominal, metric_vtol, (0.01, 0.5)
+        x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
+        u_center, u_half = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05
+    rng = np.random.default_rng(6)
+    refs = _reference_set(nom, rng, 10, 1.0, x_half, u_center, u_half)
+    calls = []
+    monkeypatch.setattr(tube_mod, "min_norm_feedback",
+                        lambda *a: calls.append(a[2].shape) or min_norm_feedback(*a))
+    budget = 16
+    for seed, (entry, radius) in enumerate(zip(refs.entries, rng.uniform(*radii, len(refs)))):
+        ref = entry.record
+        calls.clear()
+        got = tighten_input_box(nom.input_box, PRCITube(ref, metric, radius, 0.1), metric, nom,
+                                budget=budget, seed=seed)
+        stride = max(1, len(ref.times) // INPUT_MAX_SECTIONS)
+        sections = range(0, len(ref.times), stride)
+        assert calls == [(budget, nom.state_dim)] * len(sections)
+        margins = np.zeros(nom.input_dim)
+        stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        for k in sections:
+            for xi in sample_metric_ball(metric, ref.states[k], radius, budget, stream):
+                kappa = min_norm_feedback(metric, nom, xi, ref.states[k], ref.inputs[k])
+                margins = np.maximum(margins, np.abs(kappa))
+        assert np.all(margins > 0.0)
+        assert got.margins.tobytes() == (margins * (1.0 + INPUT_INFLATION)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Open loop and FD Jacobians
 # ---------------------------------------------------------------------------
@@ -359,18 +411,10 @@ def open_loop(request, bench3d, vtol):
         u_center, u_half = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05
     refs = _reference_set(nom, rng, 8, 1.0, x_half, u_center, u_half)
     train_ds = generate_perturbed_dataset(true, refs, "open_loop_reference", "train")
-    return SimpleNamespace(name=request.param, nom=nom, true=true, refs=refs, train=train_ds)
-
-
-def _assert_rows(got, want, exact):
-    if exact:
-        assert got.tobytes() == want.tobytes()
-    else:   # one-state 3D squares round as libm pow
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+    return SimpleNamespace(nom=nom, true=true, refs=refs, train=train_ds)
 
 
 def test_open_loop_block_rows_equal_one_state_integrate(open_loop):
-    exact = open_loop.name == "vtol"
     assert len(open_loop.refs) == len(open_loop.train) == 8
     for ref, rec in zip(open_loop.refs.entries, open_loop.train.entries):
         assert ref.entry_id == rec.entry_id
@@ -379,7 +423,7 @@ def test_open_loop_block_rows_equal_one_state_integrate(open_loop):
             want = integrate(plant, x0, ref.policy, T, dt)
             for name in FIELDS:
                 if getattr(want, name) is not None:
-                    _assert_rows(getattr(got, name), getattr(want, name), exact)
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -446,9 +490,4 @@ def test_jacobian_fd_rows_equal_one_state_jacobians(rows):
         (field, [jacobian_fd(lambda z: sys.drift(z) + sys.actuation(z) @ u, x)
                  for x, u in zip(X, U)]),
     ):
-        one_state = np.array(one_state)
-        if rows.name == "vtol":
-            assert block.tobytes() == one_state.tobytes()
-        else:   # a last-bit gap in the plant, divided by the FD step
-            np.testing.assert_allclose(block, one_state, rtol=0,
-                                       atol=1e-9 * np.max(np.abs(one_state)))
+        assert block.tobytes() == np.array(one_state).tobytes()

@@ -6,6 +6,7 @@ from prcitube.control import (
     feedback_terms,
     min_norm_feedback,
     residual_norms,
+    track,
 )
 from prcitube.errors import DegenerateConstraint
 from prcitube.metric import ContractionMetric
@@ -225,9 +226,9 @@ def make_reference(sys, x0, T=1.0, dt=0.01, knots=None):
 def test_zero_predictor_equals_no_predictor():
     sys, metric = scalar_tracking_setup(0.5)
     ref = make_reference(sys, np.array([1.0]))
-    x = np.array([0.4])
-    plain = ContractingPolicy(metric, sys, ref)
-    zeroed = ContractingPolicy(metric, sys, ref, predictor=make_zero_predictor(1, 1))
+    x = np.array([[0.4]])
+    plain = ContractingPolicy(metric, sys, [ref])
+    zeroed = ContractingPolicy(metric, sys, [ref], predictor=make_zero_predictor(1, 1))
     fx = sys.drift(x)
     np.testing.assert_array_equal(plain(x, 0.25, fx), zeroed(x, 0.25, fx))
 
@@ -255,9 +256,8 @@ def test_full_compensation_with_square_B():
 
     metric = ContractionMetric.constant(np.eye(2), rate=0.5)
     ref = make_reference(sys_true.nominal, np.array([0.5, -0.5]))
-    policy = ContractingPolicy(metric, sys_true.nominal, ref, predictor=Perfect())
-    roll = integrate(sys_true, np.array([0.5, -0.5]), policy, 1.0, 0.01)
-    norms = residual_norms(sys_true, policy.predictor, roll)
+    (roll,) = track(sys_true, metric, Perfect(), [ref], [ref.states[0]])
+    norms = residual_norms(sys_true, Perfect(), roll)
     # u_minus lags one tick, so the first step compensates zeta(x, 0) != zeta(x, u);
     # here zeta does not depend on u, so cancellation is exact everywhere.
     assert np.max(norms) < 1e-12
@@ -279,9 +279,8 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
         def predict(self, x, u):
             return 0.5 * vtol.uncertainty(x, u, vtol.drift(x))
 
-    policy = ContractingPolicy(metric_vtol, nom, ref, predictor=Half())
-    roll = integrate(vtol, np.zeros(6), policy, 1.0, 0.01)
-    norms = residual_norms(vtol, policy.predictor, roll)
+    (roll,) = track(vtol, metric_vtol, Half(), [ref], [np.zeros(6)])
+    norms = residual_norms(vtol, Half(), roll)
     B = nom.actuation(np.zeros(6))
     Bp = np.linalg.pinv(B, rcond=1e-10)
     for k in (0, 7, 50, 100):
@@ -296,14 +295,14 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
 def test_delayed_input_ladder():
     sys, metric = scalar_tracking_setup(0.8)
     ref = make_reference(sys, np.array([1.0]), T=0.1, dt=0.01)
-    policy = ContractingPolicy(metric, sys, ref)
+    policy = ContractingPolicy(metric, sys, [ref])
     dt = 0.01
-    x = np.array([0.5])
+    x = np.array([[0.5]])
     u0 = policy.notify_step(x, 0.0, sys.drift(x))
-    np.testing.assert_array_equal(policy.delayed_input(0.0), np.zeros(1))
-    np.testing.assert_array_equal(policy.delayed_input(0.5 * dt), np.zeros(1))
+    np.testing.assert_array_equal(policy.delayed_input(0.0), np.zeros((1, 1)))
+    np.testing.assert_array_equal(policy.delayed_input(0.5 * dt), np.zeros((1, 1)))
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
-    x1 = np.array([0.45])
+    x1 = np.array([[0.45]])
     u1 = policy.notify_step(x1, dt, sys.drift(x1))
     np.testing.assert_array_equal(policy.delayed_input(dt), u0)
     np.testing.assert_array_equal(policy.delayed_input(1.5 * dt), u0)
@@ -331,10 +330,10 @@ class CountingPolicy(ContractingPolicy):
 def test_boundary_inputs_match_stored_record():
     sys, metric = scalar_tracking_setup(0.8)
     ref = make_reference(sys, np.array([1.0]), T=0.2, dt=0.01)
-    policy = CountingPolicy(metric, sys, ref)
-    roll = integrate(sys, np.array([0.7]), policy, 0.2, 0.01)
+    policy = CountingPolicy(metric, sys, [ref])
+    (roll,) = integrate(sys, np.array([[0.7]]), policy, 0.2, 0.01)
     assert len(policy.committed) == len(roll.times)
-    np.testing.assert_array_equal(np.array(policy.committed), roll.inputs)
+    np.testing.assert_array_equal(np.array(policy.committed)[:, 0], roll.inputs)
 
 
 def test_policy_notified_once_and_called_three_times_per_step(vtol, metric_vtol):
@@ -344,8 +343,8 @@ def test_policy_notified_once_and_called_three_times_per_step(vtol, metric_vtol)
     hover = VTOL_MASS * VTOL_GRAVITY / 2.0
     knots = PiecewiseLinearInput(np.array([0.0, 1.0]), np.full((2, 2), hover))
     ref = integrate(nom, np.zeros(6), knots, 0.5, 0.01)
-    policy = CountingPolicy(metric_vtol, nom, ref, predictor=make_zero_predictor(6, 2))
-    roll = integrate(vtol, np.full(6, 0.01), policy, 0.5, 0.01)
+    policy = CountingPolicy(metric_vtol, nom, [ref], predictor=make_zero_predictor(6, 2))
+    (roll,) = integrate(vtol, np.full((1, 6), 0.01), policy, 0.5, 0.01)
     n_steps = len(roll.times) - 1
     assert n_steps == 50
     assert len(policy.committed) == n_steps + 1
@@ -364,8 +363,7 @@ def test_nominal_contraction_rate(bench3d, metric3d):
         )
         ref = integrate(nom, x_ref0, knots, T, 0.01)
         x0 = x_ref0 + rng.uniform(-0.3, 0.3, 3)
-        policy = ContractingPolicy(metric3d, nom, ref)
-        roll = integrate(nom, x0, policy, T, 0.01)
+        (roll,) = track(nom, metric3d, None, [ref], [x0])
         M = metric3d.constant_matrix
         D = roll.states - ref.states
         d = np.sqrt(np.einsum("ki,ij,kj->k", D, M, D))
@@ -385,11 +383,11 @@ def test_saturation_logged_not_applied_by_default():
         input_box=np.array([[-1e-4, 1e-4]]),
     )
     ref = make_reference(tight, np.array([1.0]))
-    policy = ContractingPolicy(metric, tight, ref)
-    x = np.array([3.0])
+    policy = ContractingPolicy(metric, tight, [ref])
+    x = np.array([[3.0]])
     u = policy(x, 0.0, tight.drift(x))
-    assert len(policy.saturation_events) == 1
-    assert abs(u[0]) > 1e-4                       # not clipped
+    assert policy.saturation_events == [[0.0]]
+    assert abs(u[0, 0]) > 1e-4                    # not clipped
 
 
 def test_qp_matches_scipy_slsqp_oracle():

@@ -281,8 +281,13 @@ def test_record_csv_without_uncertainty_columns_is_refused_and_regenerated(
 
     out = smoke_run[1]
     _, run_dir = _copy_of(smoke_run, tmp_path)
-    # the reference's CSV, which has no zeta_* columns, in place of the record's
+    # the reference's CSV, which has no zeta_* columns, in place of the
+    # record's, and a manifest whose envelope says so
     shutil.copy(run_dir / "ref_data" / f"{entry}.csv", run_dir / stage / f"{entry}.csv")
+    manifest = read_json(run_dir / stage / "manifest.json")
+    (item,) = [item for item in manifest["entries"] if item["id"] == entry]
+    item["envelope"]["has_uncertainty"] = False
+    harness.write_json(run_dir / stage / "manifest.json", manifest)
     with pytest.raises(ValueError, match="uncertainties missing"):
         load_dataset(run_dir / stage, reference_dir=run_dir / "ref_data")
     real_generate = getattr(harness, generator)
@@ -292,6 +297,28 @@ def test_record_csv_without_uncertainty_columns_is_refused_and_regenerated(
     assert cli_main([command, "--config", str(cfg_file), "--out", str(run_dir)]) == 0
     for name in (f"{stage}/{entry}.csv", f"{stage}/manifest.json"):
         assert (run_dir / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stage, entry, artifact", [
+    ("train_data", "ref-0000", "predictor.json"),
+    ("cal_data", "ref-0002", "calibration.json"),
+])
+def test_record_csv_without_uncertainty_columns_raises_naming_the_file_when_read(
+    smoke_run, tmp_path, stage, entry, artifact
+):
+    """The manifest vouches for a record's uncertainty, so loading opens no
+    CSV: a record CSV that lost its ``zeta_*`` columns under a manifest that
+    says it has them is found when a recomputed stage parses it."""
+    cfg, run_dir = _copy_of(smoke_run, tmp_path)
+    run_pipeline(cfg)
+    shutil.copy(run_dir / "ref_data" / f"{entry}.csv", run_dir / stage / f"{entry}.csv")
+    ds = load_dataset(run_dir / stage, reference_dir=run_dir / "ref_data")
+    with pytest.raises(ValueError, match=f"{entry}.csv: uncertainties missing in"):
+        ds.entries[ds.ids().index(entry)].record
+    run_pipeline(cfg)
+    (run_dir / artifact).unlink()
+    with pytest.raises(ValueError, match=f"{entry}.csv: uncertainties missing in"):
+        run_pipeline(cfg)
 
 
 def test_garbled_csv_body_raises_naming_the_file_when_read(smoke_run, tmp_path):
@@ -463,6 +490,21 @@ def test_full_resume_writes_nothing_reads_the_ledger_once_and_no_predictor(
     assert run_dir / "predictor.json" not in paths
     assert _tree_bytes(run_dir) == before
     assert report == read_json(run_dir / "report.json")
+
+
+def test_full_desk3d_resume_opens_no_csv(tmp_path, monkeypatch):
+    """The benchmark's desk3d workload at seed 0: a resume takes each train
+    and cal record's uncertainty from its manifest and opens no CSV."""
+    text = (Path(__file__).parents[1] / "perfbench" / "workloads" / "desk3d.toml").read_text()
+    cfg = ExperimentConfig.from_dict(
+        dict(parse_flat_config(text), seed=0, out_dir=str(tmp_path / "run"))
+    )
+    run_pipeline(cfg)
+    _forbid_recompute(monkeypatch)
+    opened = _opened_files(monkeypatch)
+    run_pipeline(cfg)
+    assert [p for p, _ in opened if p.suffix == ".csv"] == []
+    assert any(p.name == "manifest.json" for p, _ in opened)
 
 
 def test_resume_under_another_out_dir_rewrites_config_and_report(smoke_run, tmp_path, monkeypatch):

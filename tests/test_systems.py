@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import plant_field
 from prcitube.errors import NonFiniteState
 from prcitube.harness import read_json, write_json
 from prcitube.systems import (
@@ -57,14 +58,14 @@ def test_3d_nominal_matches_hand_evaluation():
     x = np.array([1.0, 0.0, 0.0])
     u = np.zeros(2)
     expected = hand_dynamics_3d(x, u, (0.4, 0.2, 0.1))
-    np.testing.assert_allclose(nom.dynamics(x, u), expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(plant_field(nom, x, u), expected, rtol=0, atol=1e-15)
     np.testing.assert_allclose(expected[:2], [-0.4, 0.9])
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.uniform(-3, 3, 3)
         u = rng.uniform(-1.5, 1.5, 2)
         np.testing.assert_allclose(
-            nom.dynamics(x, u), hand_dynamics_3d(x, u, (0.4, 0.2, 0.1)), atol=1e-12
+            plant_field(nom, x, u), hand_dynamics_3d(x, u, (0.4, 0.2, 0.1)), atol=1e-12
         )
 
 
@@ -73,7 +74,7 @@ def test_3d_paper_configuration_is_default():
     nom_explicit, _ = make_benchmark_3d(theta=(0.4, 0.2, 0.1), delta=(0.0, 0.02, -0.01))
     x = np.array([0.7, -0.3, 1.1])
     u = np.array([0.2, -0.4])
-    np.testing.assert_array_equal(nom_default.dynamics(x, u), nom_explicit.dynamics(x, u))
+    np.testing.assert_array_equal(plant_field(nom_default, x, u), plant_field(nom_explicit, x, u))
     assert true_default.uncertainty is not None
     np.testing.assert_array_equal(nom_default.state_box, np.array([[-15.0, 15.0]] * 3))
     np.testing.assert_array_equal(nom_default.input_box, np.array([[-1.5, 1.5]] * 2))
@@ -121,7 +122,7 @@ def test_vtol_parameter_readback():
 def test_vtol_hover_force_balance():
     vt = make_benchmark_vtol()
     hover = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0)
-    dx = vt.nominal.dynamics(np.zeros(6), hover)
+    dx = plant_field(vt.nominal, np.zeros(6), hover)
     assert abs(dx[4]) < 1e-12      # vertical acceleration balances gravity
     np.testing.assert_allclose(dx, np.zeros(6), atol=1e-12)
 
@@ -179,7 +180,7 @@ def test_integrate_is_textbook_rk4_bit_for_bit():
     rec = integrate(true, np.array([0.1, 0.2, -0.1]), pol, 1.0, dt)
 
     def f(x, t):
-        return true.dynamics(x, pol(x, t))
+        return plant_field(true, x, pol(x, t))
 
     x = rec.states[0]
     for k in range(len(rec.times) - 1):
@@ -209,7 +210,7 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
 
     # textbook RK4 that evaluates the full field, uncertainty included, at every stage
     def f(x, t):
-        return true.dynamics(x, pol(x, t))
+        return plant_field(true, x, pol(x, t))
 
     x = rec.states[0]
     states, zetas = [x], []

@@ -182,15 +182,14 @@ def test_envelope_at_takes_arrays():
 
 def test_envelope_violation_nonpositive_for_nominal(metric3d, bench3d):
     nom, _ = bench3d
-    from prcitube.control import ContractingPolicy
+    from prcitube.control import track
 
     rng = np.random.default_rng(5)
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), rng.uniform(-0.2, 0.2, (2, 2)))
     ref = integrate(nom, np.array([0.2, -0.1, 0.3]), pol, 1.0, 0.01)
     cal = calibrate([0.05, 0.08, 0.12], 0.3)
     tube = PRCITube.from_calibration(ref, metric3d, cal)
-    policy = ContractingPolicy(metric3d, nom, ref)
-    roll = integrate(nom, ref.states[0], policy, 1.0, 0.01)
+    (roll,) = track(nom, metric3d, None, [ref], [ref.states[0]])
     assert rollout_containment(tube, roll).envelope_excess <= 0.0
 
 
