@@ -4,7 +4,7 @@ point) at a time against one (N, n) block.
 
     python3 scripts/bench_simulation.py [--out BENCH_simulation.json]
 
-Six sections, all timed in CPU time with BLAS pinned to one thread, each
+Seven sections, all timed in CPU time with BLAS pinned to one thread, each
 figure the median over REPEATS runs.  The two sides of a comparison run
 alternately, and its speedup is the median of the per-pair ratios, so that
 a drift in machine speed during the run hits both sides:
@@ -52,6 +52,15 @@ a drift in machine speed during the run hits both sides:
   vtol6d the waypoint-PD flights that draw the inputs, one block per
   replay): the reference dataset and then the test references, against the
   one block that the ref_data stage now replays.
+* score: for each benchmark workload, the nonconformity score of each
+  seed-0 calibration record (the ``cal_data`` of a pipeline run up to
+  ``calibrate``, full horizon): the frozen ``residual_norms`` of
+  ``tests/scalar_oracle.py``, which re-evaluates the true plant's
+  uncertainty at every grid point, one point at a time, against
+  ``conformal.nonconformity_score``, which reads the uncertainty the record
+  stored, all grid points as one block.  Microseconds per score (each side
+  scores every record SCORE_PASSES times per sample) and the residual
+  traces that are bit-identical.
 
 Each section also counts how many block results equal their one-at-a-time
 counterpart bit for bit.  The horizon of the rollouts is shortened to
@@ -84,7 +93,8 @@ import scalar_oracle as oracle  # noqa: E402
 
 from prcitube import harness  # noqa: E402
 from prcitube import metric as metric_mod  # noqa: E402
-from prcitube.control import track  # noqa: E402
+from prcitube.conformal import nonconformity_score  # noqa: E402
+from prcitube.control import residual_norms, track  # noqa: E402
 from prcitube.metric import ContractionMetric  # noqa: E402
 from prcitube.planner import _Shooting, plan  # noqa: E402
 from prcitube.predictor import UncertaintyPredictor  # noqa: E402
@@ -93,6 +103,7 @@ from prcitube.systems import integrate, replay  # noqa: E402
 ROWS = (1, 4, 7, 20, 100)
 OPEN_ROWS = (1, 4, 8, 20)
 REPEATS = 5
+SCORE_PASSES = 20
 HORIZON_S = 0.5
 WORKLOADS = {"threeD": ("desk3d", oracle.plant_3d), "vtol": ("vtol6d", oracle.plant_vtol)}
 BLOCK_WORKLOADS = ("desk3d", "plan3d", "vtol6d")
@@ -469,6 +480,43 @@ def blocks(workload: str, tmp: Path) -> dict:
     return result
 
 
+def score(workload: str, tmp: Path, plant, bench: str) -> dict:
+    """A workload's seed-0 calibration records scored by the oracle, which
+    re-evaluates the plant, and by the library, which reads each record's
+    stored uncertainty."""
+    config = workload_config(workload, tmp)
+    harness.run_pipeline(config, stop_after="calibrate")
+    out = Path(config.out_dir)
+    sys_nom, _ = harness.benchmark_systems(config)
+    predictor = UncertaintyPredictor.from_json_dict(harness.read_json(out / "predictor.json"))
+    records = [e.record for e in harness.load_dataset(out / "cal_data").entries]
+
+    def passes(score_one):
+        return [[score_one(r) for r in records] for _ in range(SCORE_PASSES)][-1]
+
+    oracle_s, library_s, speedup, want, got = paired(
+        lambda: passes(lambda r: float(np.max(oracle.residual_norms(plant, predictor, r)))),
+        lambda: passes(lambda r: nonconformity_score(r, predictor, sys_nom)))
+    us = {name: 1e6 * t / (SCORE_PASSES * len(records))
+          for name, t in (("oracle", oracle_s), ("library", library_s))}
+    result = {
+        "records": len(records),
+        "points_per_record": len(records[0].times),
+        "oracle_us_per_score": us["oracle"],
+        "library_us_per_score": us["library"],
+        "speedup": speedup,
+        "same_scores": got == want,
+        "bit_identical_traces": sum(
+            oracle.residual_norms(plant, predictor, r).tobytes()
+            == residual_norms(sys_nom, predictor, r).tobytes()
+            for r in records),
+    }
+    print(f"score {bench}: oracle {us['oracle']:.1f} us, library {us['library']:.1f} us per "
+          f"score, {speedup:.1f}x, {result['bit_identical_traces']}/{len(records)} traces "
+          f"bit-identical", flush=True)
+    return result
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(ROOT / "BENCH_simulation.json"))
@@ -477,7 +525,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "protocol": {"clock": "time.process_time", "repeats": REPEATS, "statistic": "median",
                      "horizon_s": HORIZON_S, "seed": 0, "rows": list(ROWS),
-                     "open_loop_rows": list(OPEN_ROWS)},
+                     "open_loop_rows": list(OPEN_ROWS), "score_passes": SCORE_PASSES},
         "benchmarks": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -489,6 +537,7 @@ def main(argv=None) -> int:
                 "closed_loop": closed_loop(sys_true, metric, predictor, refs, make_plant(), bench),
                 "open_loop": open_loop(sys_true, refs, signals, bench),
                 "metric": metric_stage(workload, Path(tmp), bench),
+                "score": score(workload, Path(tmp), make_plant(), bench),
             }
         problem, init, max_iter = plan3d_problem(Path(tmp))
         result["adjoint"] = adjoint(problem, init)

@@ -2,11 +2,12 @@
 
 The nonconformity score of a closed-loop record is the worst residual norm
 over its time grid (the continuous-time sup realized on the only samples
-that exist).  With N2 calibration scores and miscoverage alpha, the
-conformal quantile is the j-th smallest score, j = ceil((1-alpha)(N2+1)),
-computed in exact integer arithmetic.  j > N2 yields +inf: the guarantee is
-vacuous at that (N2, alpha) and the flag makes it visible rather than
-raising.
+that exist), read from the uncertainty the record stored and the nominal
+actuation: a score needs no model of the uncertainty.  With N2
+calibration scores and miscoverage alpha, the conformal quantile is the
+j-th smallest score, j = ceil((1-alpha)(N2+1)), computed in exact integer
+arithmetic.  j > N2 yields +inf: the guarantee is vacuous at that
+(N2, alpha) and the flag makes it visible rather than raising.
 """
 
 from __future__ import annotations
@@ -91,24 +92,24 @@ def empirical_coverage(test_scores: Sequence[float], quantile_value: float) -> f
 
 
 def nonconformity_score(
-    record: TrajectoryRecord, predictor: Optional[UncertaintyPredictor], sys_true: DynamicalSystem
+    record: TrajectoryRecord, predictor: UncertaintyPredictor, sys_nominal: DynamicalSystem
 ) -> float:
     """Worst residual norm over the record's grid (closed-loop protocol)."""
-    return float(np.max(residual_norms(sys_true, predictor, record)))
+    return float(np.max(residual_norms(sys_nominal, predictor, record)))
 
 
 def score_dataset(
-    dataset: TrainingDataset, predictor: Optional[UncertaintyPredictor], sys_true: DynamicalSystem
+    dataset: TrainingDataset, predictor: UncertaintyPredictor, sys_nominal: DynamicalSystem
 ) -> Array:
     return np.array(
-        [nonconformity_score(e.record, predictor, sys_true) for e in dataset.entries]
+        [nonconformity_score(e.record, predictor, sys_nominal) for e in dataset.entries]
     )
 
 
 def two_step_calibrate(
     cal_dataset: TrainingDataset,
-    predictor: Optional[UncertaintyPredictor],
-    sys_true: DynamicalSystem,
+    predictor: UncertaintyPredictor,
+    sys_nominal: DynamicalSystem,
     alpha: float,
     split_fraction: float = 0.5,
     second_stage_records: Optional[TrainingDataset] = None,
@@ -134,8 +135,8 @@ def two_step_calibrate(
         raise InsufficientCalibrationData(
             f"two-step split needs both halves non-empty, got {len(first)}/{len(second)}"
         )
-    s1 = [nonconformity_score(e.record, predictor, sys_true) for e in first]
-    s2 = [nonconformity_score(e.record, predictor, sys_true) for e in second]
+    s1 = [nonconformity_score(e.record, predictor, sys_nominal) for e in first]
+    s2 = [nonconformity_score(e.record, predictor, sys_nominal) for e in second]
     tube_q = calibrate(s1, alpha, {"step": "tube-radius", "n": len(s1)})
     track_q = calibrate(s2, alpha, {"step": "tracking", "n": len(s2)})
     return tube_q, track_q

@@ -42,8 +42,8 @@ product is a stacked matrix product (``systems.matvec``, ``rowdot``,
 exactly as the same row run alone (see ``systems``).
 
 ``residual_norms`` is the residual trace of a stored rollout: the norm of
-the uncertainty left after compensation at every grid point, whose
-supremum is the conformal score.
+the uncertainty it recorded, less the compensation through the nominal
+actuation, at every grid point; its supremum is the conformal score.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def min_norm_feedback(
 
 
 class ContractingPolicy:
-    """Closed-loop tracking policy with optional uncertainty compensation.
+    """Closed-loop tracking policy with uncertainty compensation.
 
     ``references`` is a sequence of N records on one time grid, tracked row
     by row from an ``(N, n)`` block (one reference is a one-row block); the
@@ -219,7 +219,7 @@ class ContractingPolicy:
         metric: ContractionMetric,
         sys_nominal: DynamicalSystem,
         references: Sequence[TrajectoryRecord],
-        predictor=None,
+        predictor,
     ):
         self.metric = metric
         self.sys_nominal = sys_nominal
@@ -297,11 +297,9 @@ class ContractingPolicy:
             table = self._table
         x_ref, u_ref, v_ref = table[0][j], table[1][j], table[2][j]
         kappa = min_norm_feedback(self.metric, self.sys_nominal, x, x_ref, u_ref, v_ref, fx)
-        u = u_ref + kappa
-        if self.predictor is not None:
-            zeta_hat = self.predictor.predict(x, u_minus)
-            B = self.sys_nominal.actuation(x)
-            u = u - matvec(np.linalg.pinv(B, rcond=PINV_RCOND), zeta_hat)
+        zeta_hat = self.predictor.predict(x, u_minus)
+        B = self.sys_nominal.actuation(x)
+        u = u_ref + kappa - matvec(np.linalg.pinv(B, rcond=PINV_RCOND), zeta_hat)
         box = self.sys_nominal.input_box
         outside = np.any((u < box[:, 0]) | (u > box[:, 1]), axis=-1)
         for i in np.flatnonzero(outside):
@@ -333,27 +331,28 @@ def track(
     grid = references[0]
     if any(not np.array_equal(r.times, grid.times) for r in references):
         raise ValueError("references of one track call must share a time grid")
-    policy = ContractingPolicy(metric, sys_true.nominal, references, predictor=predictor)
+    policy = ContractingPolicy(metric, sys_true.nominal, references, predictor)
     x0 = np.reshape(np.asarray(starts, dtype=float), (len(references), sys_true.state_dim))
     return integrate(sys_true, x0, policy, grid.horizon, grid.dt)
 
 
 def residual_norms(
-    sys_true: DynamicalSystem, predictor, trajectory: TrajectoryRecord
+    sys_nominal: DynamicalSystem, predictor, trajectory: TrajectoryRecord
 ) -> Array:
-    """||zeta(x_k, u_k) - B B^+ zeta_hat(x_k, u_minus_k)|| on the grid,
-    evaluated over all grid points as one block of rows.
+    """||zeta_k - B B^+ zeta_hat(x_k, u_minus_k)|| on the grid, over all
+    grid points as one block of rows: zeta_k is the uncertainty the rollout
+    recorded and B the nominal actuation at x_k.
 
     u_minus follows the tick ladder of the stored inputs: zero at k = 0,
-    inputs[k-1] after.  ``predictor`` may be None (no compensation).
+    inputs[k-1] after.  A record without uncertainties (a reference) raises
+    ``ValueError``.
     """
+    if trajectory.uncertainties is None:
+        raise ValueError("residual_norms needs a record of its realized uncertainty")
     X, U = trajectory.states, trajectory.inputs
-    if sys_true.uncertainty is None:
-        r = np.zeros_like(X)
-    else:
-        r = sys_true.uncertainty(X, U, sys_true.drift(X))
-    if predictor is not None:
-        U_minus = np.concatenate([np.zeros_like(U[:1]), U[:-1]])
-        B = sys_true.actuation(X)
-        r = r - matvec(B, matvec(np.linalg.pinv(B, rcond=PINV_RCOND), predictor.predict(X, U_minus)))
-    return rownorm(r)
+    U_minus = np.concatenate([np.zeros_like(U[:1]), U[:-1]])
+    B = sys_nominal.actuation(X)
+    zeta_hat = predictor.predict(X, U_minus)
+    return rownorm(
+        trajectory.uncertainties - matvec(B, matvec(np.linalg.pinv(B, rcond=PINV_RCOND), zeta_hat))
+    )

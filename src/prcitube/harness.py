@@ -21,12 +21,11 @@ predictor, and then once.
 A dataset directory holds ``<id>.csv`` per record and ``manifest.json``,
 which lists each entry's id, CSV, reference id and envelope.  Each
 reference's input signal is stored once, as ``ref_data/<id>.signal.json``;
-a train or cal record ran under its reference's signal, so its directory
-stores none and ``load_dataset`` points it at the reference's file.  A
-reused dataset parses a CSV body or a signal file only when a recomputed
-stage reads that record or signal.  A manifest that carries its signals
-inline, as directories written before signal files did, is refused, so
-its stage is regenerated.
+nothing reads the input a train or cal record ran under, so their entries
+carry none.  A reused dataset parses a CSV body or a signal file only when
+a recomputed stage reads that record or signal.  A manifest that carries
+its signals inline, as directories written before signal files did, is
+refused, so its stage is regenerated.
 
 One ``_Simulations`` object per run owns the simulations that the
 ref_data, cal_data and evaluate stages ask for, and runs each block at most
@@ -180,7 +179,6 @@ class ExperimentConfig:
     metric_grid_points: int = 5
     metric_margin: float = -0.05
     metric_chi_max: float = 100.0
-    metric_box: Optional[list] = None       # certificate region, flat [lo,hi,...]
     # tube / projection
     projection_coords: list = field(default_factory=lambda: [0, 1])
     start_mode: str = "center"              # test rollouts start on their reference; the only mode
@@ -406,8 +404,8 @@ def _signal_name(entry_id: str) -> str:
 def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
     """Each record as ``<id>.csv``; the input signal of an entry without a
     reference (the ref split) as ``<id>.signal.json`` beside it, while a
-    perturbed entry's signal is its reference's and is stored there; then
-    ``manifest.json``, which lists the entries and carries no knots."""
+    perturbed entry carries none; then ``manifest.json``, which lists the
+    entries and carries no knots."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -434,15 +432,15 @@ def save_dataset(ds: TrainingDataset, directory, benchmark: str) -> None:
 def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     """The dataset saved in ``directory``, its references from
     ``reference_dir``.  Reads the manifest and checks that every file it
-    lists exists, without opening any: each record's CSV and signal, a
-    perturbed entry's reference CSV and signal in ``reference_dir``.  Each
+    lists exists, without opening any: each record's CSV, a ref entry's
+    signal, a perturbed entry's reference CSV in ``reference_dir``.  Each
     CSV is parsed on first access to its entry's ``record`` or
     ``reference``, and each signal file on first access to ``policy``.  A
     manifest that carries its signals inline (the layout before signal
     files) raises ``ValueError``, and so does a train or cal entry whose
     envelope says its record has no uncertainty (a CSV without the
-    ``zeta_*`` columns does when its record is parsed); a perturbed entry
-    loaded without ``reference_dir`` has neither reference nor policy."""
+    ``zeta_*`` columns does when its record is parsed).  A perturbed entry
+    has no policy, and one loaded without ``reference_dir`` no reference."""
     directory = Path(directory)
     references = None if reference_dir is None else Path(reference_dir)
     path = directory / "manifest.json"
@@ -468,7 +466,6 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
         if reference_id is None:
             policy = stored(directory, _signal_name(item["id"]))
         elif references is not None:
-            policy = stored(references, _signal_name(reference_id))
             reference = stored(references, f"{reference_id}.csv")
         entries.append(DatasetEntry(item["id"], stored(directory, item["csv"]), policy, reference))
     return TrainingDataset(tuple(entries), split_tag)
@@ -552,10 +549,8 @@ def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path, 
 
 
 def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
-    if config.metric_box is not None:
-        box = np.asarray(config.metric_box, dtype=float).reshape(-1, 2)
-    elif config.benchmark == "vtol":
-        # No constant metric certifies the full attitude box; default to the
+    if config.benchmark == "vtol":
+        # No constant metric certifies the full attitude box; certify the
         # near-hover region.  Positions drop out (dynamics are invariant).
         r = float(np.deg2rad(30.0))
         box = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
@@ -689,14 +684,14 @@ def stage_cal_data(config, sims: _Simulations, ref_cal, metric, get_predictor, o
     )
 
 
-def stage_calibrate(config, cal_ds, get_predictor, sys_true, out: Path,
+def stage_calibrate(config, cal_ds, get_predictor, sys_nom, out: Path,
                     ledger: _Ledger) -> conformal.CalibrationResult:
     spath = out / "scores.json"
     cpath = out / "calibration.json"
     if ledger.reuse("calibrate", spath, cpath):
         return conformal.CalibrationResult.from_json_dict(read_json(cpath))
     predictor = get_predictor()
-    scores = conformal.score_dataset(cal_ds, predictor, sys_true)
+    scores = conformal.score_dataset(cal_ds, predictor, sys_nom)
     write_json(spath, {"scores": list(map(float, scores))})
     result = conformal.calibrate(scores, config.alpha, {"predictor": predictor.family})
     write_json(cpath, result.to_json_dict())
@@ -747,7 +742,7 @@ def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Pa
     n = len(cal_ds)
     n1 = int(round(config.two_step_fraction * n)) if config.two_step else n
     first = TrainingDataset(cal_ds.entries[:n1], "cal")
-    scores_a = conformal.score_dataset(first, predictor, sys_true)
+    scores_a = conformal.score_dataset(first, predictor, sys_nom)
     cal_a = conformal.calibrate(
         scores_a, config.alpha, {"step": "tube-radius", "n": len(scores_a)}
     )
@@ -826,7 +821,7 @@ def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Pa
     if config.two_step:
         # The first half was scored once, above.  A diverged record is skipped.
         scores_b = [
-            conformal.nonconformity_score(rec, predictor, sys_true)
+            conformal.nonconformity_score(rec, predictor, sys_nom)
             for rec in records
             if rec is not None
         ]
@@ -840,7 +835,7 @@ def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Pa
     write_json(plan_dir / "calibration_tube.json", cal_tube.to_json_dict())
     write_json(plan_dir / "calibration_tracking.json", cal_track.to_json_dict())
 
-    run = end_to_end_run(sys_true, result, metric, cal_track, test_rollouts, obstacles=obstacles)
+    run = end_to_end_run(sys_nom, result, metric, cal_track, test_rollouts, obstacles=obstacles)
     report = {
         "plan_cost": result.cost,
         "plan_converged": result.converged,
@@ -936,7 +931,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         return _finish(report, out)
 
     cal_ds = stage_cal_data(config, sims, ref_cal, metric, get_predictor, out, ledger)
-    calibration = stage_calibrate(config, cal_ds, get_predictor, sys_true, out, ledger)
+    calibration = stage_calibrate(config, cal_ds, get_predictor, sys_nom, out, ledger)
     report["calibration"] = {
         "n_cal": calibration.n_scores,
         "alpha": calibration.alpha,

@@ -371,7 +371,7 @@ def plan(
 # ---------------------------------------------------------------------------
 
 def end_to_end_run(
-    sys_true: DynamicalSystem,
+    sys_nominal: DynamicalSystem,
     plan_result: PlanResult,
     metric: ContractionMetric,
     calibration,
@@ -402,8 +402,8 @@ def end_to_end_run(
             row.update(state_ok=False, input_ok=False, min_clearance=float("-inf"))
         else:
             row.update(
-                state_ok=_in_box(roll.states, sys_true.state_box),
-                input_ok=_in_box(roll.inputs, sys_true.input_box),
+                state_ok=_in_box(roll.states, sys_nominal.state_box),
+                input_ok=_in_box(roll.inputs, sys_nominal.input_box),
                 min_clearance=float(
                     min((o.clearance(x) for o in obstacles for x in roll.states), default=np.inf)
                 ),

@@ -67,16 +67,15 @@ def _parsed(record: Optional[StoredRecord]) -> Optional[TrajectoryRecord]:
 
 
 class DatasetEntry:
-    """One record of a dataset, with the input signal it ran under and, in
-    the perturbed splits, the reference it ran over.
+    """One record of a dataset: in the ref split with the input signal it
+    ran under, in the perturbed splits with the reference it ran over.
 
     ``record`` and ``reference`` are given as records, or as the paths of
     stored CSVs; ``policy`` as a signal, or as the path of its stored
-    signal file (``harness.load_dataset``: a reference's own, which its
-    perturbed records share).  A stored file is parsed on first access,
-    once, and its value kept; one that does not parse raises ``ValueError``
-    naming the file, and so does a stored record without its realized
-    uncertainty in a split that needs one (``expect_uncertainties``).
+    signal file (``harness.load_dataset``).  A stored file is parsed on
+    first access, once, and its value kept; one that does not parse raises
+    ``ValueError`` naming the file, and so does a stored record without its
+    realized uncertainty in a split that needs one (``expect_uncertainties``).
     """
 
     def __init__(
@@ -130,7 +129,7 @@ class DatasetEntry:
 
 @dataclass(frozen=True, eq=False)
 class TrainingDataset:
-    """A list of trajectory records with their reference input policies.
+    """A list of dataset entries (``DatasetEntry``).
 
     split_tag is one of "ref", "train", "cal", "test".  Records in the
     UNCERTAIN_SPLITS carry a complete realized-uncertainty sequence.
@@ -223,14 +222,14 @@ def perturbed_dataset(
     source: TrainingDataset, records: Sequence[Optional[TrajectoryRecord]], split_tag: str
 ) -> TrainingDataset:
     """The dataset of ``records``, record i run over reference entry i of
-    ``source`` and stored under that entry's id and policy, with its record
-    as the reference.  A diverged record (None) is skipped and logged."""
+    ``source`` and stored under that entry's id, with its record as the
+    reference.  A diverged record (None) is skipped and logged."""
     entries = []
     for e, rec in zip(source.entries, records):
         if rec is None:
             log.warning("skipping %s", e.entry_id)
             continue
-        entries.append(DatasetEntry(e.entry_id, rec, e.policy, reference=e.record))
+        entries.append(DatasetEntry(e.entry_id, rec, None, reference=e.record))
     return TrainingDataset(tuple(entries), split_tag)
 
 

@@ -19,6 +19,7 @@ from prcitube.conformal import calibrate, empirical_coverage
 from prcitube.control import feedback_terms, min_norm_feedback, track
 from prcitube.harness import ExperimentConfig, run_pipeline
 from prcitube.metric import ContractionMetric, riemannian_distance
+from prcitube.predictor import make_zero_predictor
 from prcitube.systems import PiecewiseLinearInput, integrate
 from prcitube.tube import PRCITube, project_tube_2d, sample_metric_ball
 from tests.test_control import kkt_qp, random_instance
@@ -108,7 +109,7 @@ def test_criterion_4_nominal_contraction(bench3d, metric3d):
         )
         ref = integrate(nom, x_ref0, knots, T, dt)
         x0 = x_ref0 + rng.uniform(-0.4, 0.4, 3)
-        (roll,) = track(nom, metric3d, None, [ref], [x0])
+        (roll,) = track(nom, metric3d, make_zero_predictor(3, 2), [ref], [x0])
         D = roll.states - ref.states
         d = np.sqrt(np.einsum("ki,ij,kj->k", D, M, D))
         mask = d > 0

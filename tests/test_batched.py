@@ -91,7 +91,9 @@ def test_block_track_matches_scalar_oracle(case, family):
         want = oracle.track(case.plant, case.metric, p, ref, x0)
         for name in FIELDS:
             assert getattr(rec, name).tobytes() == getattr(want, name).tobytes(), name
-        got = residual_norms(case.true, p, rec)
+        # the library reads the stored uncertainty and the oracle re-evaluates
+        # the plant, so equal traces mean the rollout stored the model's zeta
+        got = residual_norms(case.nom, p, rec)
         assert got.tobytes() == oracle.residual_norms(case.plant, p, want).tobytes()
 
 
@@ -193,16 +195,17 @@ def test_diverged_row_is_none_and_other_rows_are_untouched(case, caplog):
 def test_nonfinite_start_row_is_none(case):
     starts = list(case.starts)
     starts[2] = np.full(case.true.state_dim, np.nan)
-    block = track(case.true, case.metric, None, case.refs, starts)
+    block = track(case.true, case.metric, case.predictors["mlp"], case.refs, starts)
     assert block[2] is None and all(r is not None for i, r in enumerate(block) if i != 2)
 
 
 def test_track_rejects_references_on_different_grids(case):
     short = integrate(case.nom, case.refs[0].states[0], lambda x, t, fx: case.refs[0].inputs[0],
                       0.5, 0.01)
+    p = case.predictors["mlp"]
     with pytest.raises(ValueError, match="time grid"):
-        track(case.true, case.metric, None, [case.refs[0], short], case.starts[:2])
-    assert track(case.true, case.metric, None, [], []) == []
+        track(case.true, case.metric, p, [case.refs[0], short], case.starts[:2])
+    assert track(case.true, case.metric, p, [], []) == []
 
 
 def test_open_loop_block_freezes_a_blowup_row():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -21,9 +22,11 @@ from prcitube.predictor import (
     TrainConfig,
     TrainingDataset,
     generate_perturbed_dataset,
+    make_zero_predictor,
     split_reference,
     train,
 )
+from prcitube.systems import TrajectoryRecord
 from tests.test_predictor import closed_loop_dataset, small_ref_dataset
 
 
@@ -144,36 +147,77 @@ def cal_setup(bench3d, metric3d):
 def test_score_equals_max_residual_trace(cal_setup):
     nom, true, metric, predictor, cal_ds = cal_setup
     e = cal_ds.entries[0]
-    trace = residual_norms(true, predictor, e.record)
-    score = nonconformity_score(e.record, predictor, true)
+    trace = residual_norms(nom, predictor, e.record)
+    score = nonconformity_score(e.record, predictor, nom)
     assert score == pytest.approx(np.max(trace), rel=1e-12)
 
 
-def test_score_zero_without_uncertainty(cal_setup, bench3d):
-    nom, _, metric, predictor, cal_ds = cal_setup
-    e = cal_ds.entries[0]
-    assert nonconformity_score(e.record, None, nom) == 0.0
+def test_zero_predictor_scores_the_largest_recorded_uncertainty(cal_setup):
+    nom, _, _, _, cal_ds = cal_setup
+    zero = make_zero_predictor(3, 2)
+    for e in cal_ds.entries:
+        want = np.max(np.linalg.norm(e.record.uncertainties, axis=1))
+        assert nonconformity_score(e.record, zero, nom) == pytest.approx(want, rel=1e-15)
+
+
+def test_score_reads_the_recorded_uncertainty(cal_setup):
+    """A record whose stored uncertainty is edited scores by the edited
+    values, not by a re-evaluation of the plant's model."""
+    nom, _, _, predictor, cal_ds = cal_setup
+    rec = cal_ds.entries[0].record
+    zeta = 2.0 * rec.uncertainties
+    zeta[7] += np.array([3.0, -4.0, 12.0])
+    edited = TrajectoryRecord(rec.times, rec.states, rec.inputs, zeta)
+    U_minus = np.vstack([np.zeros((1, 2)), rec.inputs[:-1]])
+    B = nom.actuation(rec.states[0])
+    compensation = (B @ np.linalg.pinv(B, rcond=1e-10) @ predictor.predict(rec.states, U_minus).T).T
+    want = np.max(np.linalg.norm(zeta - compensation, axis=1))
+    score = nonconformity_score(edited, predictor, nom)
+    assert score == pytest.approx(want, rel=1e-12)
+    assert score > nonconformity_score(rec, predictor, nom) + 10.0
+
+
+def test_score_calls_no_plant_drift_or_uncertainty(cal_setup):
+    nom, _, _, predictor, cal_ds = cal_setup
+
+    def boom(*args):
+        raise AssertionError("a score evaluated the plant's model")
+
+    blind = dataclasses.replace(nom, drift=boom, uncertainty=boom)
+    for e in cal_ds.entries:
+        assert (nonconformity_score(e.record, predictor, blind)
+                == nonconformity_score(e.record, predictor, nom))
+    assert np.array_equal(score_dataset(cal_ds, predictor, blind),
+                          score_dataset(cal_ds, predictor, nom))
+
+
+def test_score_of_a_reference_raises(cal_setup):
+    nom, _, _, predictor, cal_ds = cal_setup
+    reference = cal_ds.entries[0].reference
+    assert reference.uncertainties is None
+    with pytest.raises(ValueError, match="uncertainty"):
+        nonconformity_score(reference, predictor, nom)
 
 
 def test_two_step_bookkeeping(cal_setup):
-    _, true, _, predictor, cal_ds = cal_setup
-    q1, q2 = two_step_calibrate(cal_ds, predictor, true, alpha=0.4, split_fraction=0.5)
+    nom, _, _, predictor, cal_ds = cal_setup
+    q1, q2 = two_step_calibrate(cal_ds, predictor, nom, alpha=0.4, split_fraction=0.5)
     assert q1.n_scores == 2 and q2.n_scores == 2
     assert q1.metadata["step"] == "tube-radius"
     assert q2.metadata["step"] == "tracking"
 
 
 def test_two_step_degenerate_alpha_flags_infinity(cal_setup):
-    _, true, _, predictor, cal_ds = cal_setup
-    q1, q2 = two_step_calibrate(cal_ds, predictor, true, alpha=0.01, split_fraction=0.5)
+    nom, _, _, predictor, cal_ds = cal_setup
+    q1, q2 = two_step_calibrate(cal_ds, predictor, nom, alpha=0.01, split_fraction=0.5)
     assert q1.infinite and q2.infinite
 
 
 def test_two_step_insufficient_data(cal_setup):
-    _, true, _, predictor, cal_ds = cal_setup
+    nom, _, _, predictor, cal_ds = cal_setup
     small = TrainingDataset(cal_ds.entries[:1], "cal")
     with pytest.raises(InsufficientCalibrationData):
-        two_step_calibrate(small, predictor, true, alpha=0.5, split_fraction=0.2)
+        two_step_calibrate(small, predictor, nom, alpha=0.5, split_fraction=0.2)
 
 
 def test_two_step_halves_within_order_statistic_band():
@@ -204,8 +248,8 @@ def test_calibration_result_json_roundtrip(tmp_path):
 
 
 def test_score_dataset_vectorizes(cal_setup):
-    _, true, _, predictor, cal_ds = cal_setup
-    scores = score_dataset(cal_ds, predictor, true)
+    nom, _, _, predictor, cal_ds = cal_setup
+    scores = score_dataset(cal_ds, predictor, nom)
     assert scores.shape == (len(cal_ds),)
     assert np.all(scores >= 0)
 
@@ -223,7 +267,7 @@ def test_pipeline_is_family_agnostic(bench3d, metric3d, family):
     train_ds = generate_perturbed_dataset(true, ref_train, "open_loop_reference", "train")
     predictor = train(train_ds, family, TrainConfig(seed=0, epochs=5, degree=2))
     cal_ds = closed_loop_dataset(true, ref_cal, metric3d, predictor)
-    scores = score_dataset(cal_ds, predictor, true)
+    scores = score_dataset(cal_ds, predictor, nom)
     result = calibrate(scores, alpha=0.3)
     assert result.n_scores == 3
     assert np.isfinite(result.quantile_value)

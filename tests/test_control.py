@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import scalar_oracle as oracle
 from prcitube.control import (
     ContractingPolicy,
     feedback_terms,
@@ -223,14 +224,18 @@ def make_reference(sys, x0, T=1.0, dt=0.01, knots=None):
     return integrate(sys, x0, pol, T, dt)
 
 
-def test_zero_predictor_equals_no_predictor():
-    sys, metric = scalar_tracking_setup(0.5)
-    ref = make_reference(sys, np.array([1.0]))
-    x = np.array([[0.4]])
-    plain = ContractingPolicy(metric, sys, [ref])
-    zeroed = ContractingPolicy(metric, sys, [ref], predictor=make_zero_predictor(1, 1))
-    fx = sys.drift(x)
-    np.testing.assert_array_equal(plain(x, 0.25, fx), zeroed(x, 0.25, fx))
+def test_zero_predictor_equals_no_predictor(bench3d, metric3d):
+    """A rollout under the zero predictor equals the frozen oracle's
+    uncompensated loop.  Compared by value: subtracting an exact-zero
+    compensation may flip the sign of a zero input."""
+    nom, true = bench3d
+    knots = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.1], [-0.1, 0.2]]))
+    ref = integrate(nom, np.array([0.3, -0.2, 0.1]), knots, 1.0, 0.01)
+    x0 = ref.states[0] + 0.05
+    (roll,) = track(true, metric3d, make_zero_predictor(3, 2), [ref], [x0])
+    want = oracle.track(oracle.plant_3d(), metric3d, None, ref, x0)
+    for name in ("states", "inputs", "uncertainties"):
+        np.testing.assert_array_equal(getattr(roll, name), getattr(want, name))
 
 
 def test_full_compensation_with_square_B():
@@ -257,7 +262,7 @@ def test_full_compensation_with_square_B():
     metric = ContractionMetric.constant(np.eye(2), rate=0.5)
     ref = make_reference(sys_true.nominal, np.array([0.5, -0.5]))
     (roll,) = track(sys_true, metric, Perfect(), [ref], [ref.states[0]])
-    norms = residual_norms(sys_true, Perfect(), roll)
+    norms = residual_norms(sys_true.nominal, Perfect(), roll)
     # u_minus lags one tick, so the first step compensates zeta(x, 0) != zeta(x, u);
     # here zeta does not depend on u, so cancellation is exact everywhere.
     assert np.max(norms) < 1e-12
@@ -280,7 +285,7 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
             return 0.5 * vtol.uncertainty(x, u, vtol.drift(x))
 
     (roll,) = track(vtol, metric_vtol, Half(), [ref], [np.zeros(6)])
-    norms = residual_norms(vtol, Half(), roll)
+    norms = residual_norms(nom, Half(), roll)
     B = nom.actuation(np.zeros(6))
     Bp = np.linalg.pinv(B, rcond=1e-10)
     for k in (0, 7, 50, 100):
@@ -295,7 +300,7 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
 def test_delayed_input_ladder():
     sys, metric = scalar_tracking_setup(0.8)
     ref = make_reference(sys, np.array([1.0]), T=0.1, dt=0.01)
-    policy = ContractingPolicy(metric, sys, [ref])
+    policy = ContractingPolicy(metric, sys, [ref], make_zero_predictor(1, 1))
     dt = 0.01
     x = np.array([[0.5]])
     u0 = policy.notify_step(x, 0.0, sys.drift(x))
@@ -330,7 +335,7 @@ class CountingPolicy(ContractingPolicy):
 def test_boundary_inputs_match_stored_record():
     sys, metric = scalar_tracking_setup(0.8)
     ref = make_reference(sys, np.array([1.0]), T=0.2, dt=0.01)
-    policy = CountingPolicy(metric, sys, [ref])
+    policy = CountingPolicy(metric, sys, [ref], make_zero_predictor(1, 1))
     (roll,) = integrate(sys, np.array([[0.7]]), policy, 0.2, 0.01)
     assert len(policy.committed) == len(roll.times)
     np.testing.assert_array_equal(np.array(policy.committed)[:, 0], roll.inputs)
@@ -343,7 +348,7 @@ def test_policy_notified_once_and_called_three_times_per_step(vtol, metric_vtol)
     hover = VTOL_MASS * VTOL_GRAVITY / 2.0
     knots = PiecewiseLinearInput(np.array([0.0, 1.0]), np.full((2, 2), hover))
     ref = integrate(nom, np.zeros(6), knots, 0.5, 0.01)
-    policy = CountingPolicy(metric_vtol, nom, [ref], predictor=make_zero_predictor(6, 2))
+    policy = CountingPolicy(metric_vtol, nom, [ref], make_zero_predictor(6, 2))
     (roll,) = integrate(vtol, np.full((1, 6), 0.01), policy, 0.5, 0.01)
     n_steps = len(roll.times) - 1
     assert n_steps == 50
@@ -363,7 +368,7 @@ def test_nominal_contraction_rate(bench3d, metric3d):
         )
         ref = integrate(nom, x_ref0, knots, T, 0.01)
         x0 = x_ref0 + rng.uniform(-0.3, 0.3, 3)
-        (roll,) = track(nom, metric3d, None, [ref], [x0])
+        (roll,) = track(nom, metric3d, make_zero_predictor(3, 2), [ref], [x0])
         M = metric3d.constant_matrix
         D = roll.states - ref.states
         d = np.sqrt(np.einsum("ki,ij,kj->k", D, M, D))
@@ -383,7 +388,7 @@ def test_saturation_logged_not_applied_by_default():
         input_box=np.array([[-1e-4, 1e-4]]),
     )
     ref = make_reference(tight, np.array([1.0]))
-    policy = ContractingPolicy(metric, tight, [ref])
+    policy = ContractingPolicy(metric, tight, [ref], make_zero_predictor(1, 1))
     x = np.array([[3.0]])
     u = policy(x, 0.0, tight.drift(x))
     assert policy.saturation_events == [[0.0]]

@@ -220,7 +220,8 @@ def _count_parses(monkeypatch) -> list:
 
 def test_stored_datasets_match_the_eager_oracle_loader(smoke_run):
     """Every entry of the smoke run's three datasets equals the frozen eager
-    loader's, array for array, references included."""
+    loader's, array for array, references included; the input signal is
+    compared in the ref split, the only one whose entries carry it."""
     _, out, _ = smoke_run
     for name, refs in (("ref_data", None), ("train_data", out / "ref_data"),
                        ("cal_data", out / "ref_data")):
@@ -228,8 +229,11 @@ def test_stored_datasets_match_the_eager_oracle_loader(smoke_run):
         want = oracle.load_dataset(out / name, reference_dir=refs)
         assert got.split_tag == want.split_tag and got.ids() == want.ids() and len(got) > 0
         for a, b in zip(got.entries, want.entries):
-            for field in ("knot_times", "knot_values"):
-                assert getattr(a.policy, field).tobytes() == getattr(b.policy, field).tobytes()
+            if refs is None:
+                for field in ("knot_times", "knot_values"):
+                    assert getattr(a.policy, field).tobytes() == getattr(b.policy, field).tobytes()
+            else:
+                assert a.policy is None
             assert (a.reference is None) == (b.reference is None) == (refs is None)
             pairs = [(a.record, b.record)] + ([(a.reference, b.reference)] if refs else [])
             for x, y in pairs:
@@ -604,9 +608,10 @@ def test_deleted_signal_file_regenerates_only_its_stage(smoke_run, tmp_path, mon
     run_pipeline(cfg)
     before = _tree_bytes(run_dir)
     (run_dir / "ref_data" / "ref-0001.signal.json").unlink()
-    for name, refs in (("ref_data", None), ("train_data", run_dir / "ref_data")):
-        with pytest.raises(FileNotFoundError, match="ref-0001.signal.json"):
-            load_dataset(run_dir / name, reference_dir=refs)
+    with pytest.raises(FileNotFoundError, match="ref-0001.signal.json"):
+        load_dataset(run_dir / "ref_data")
+    # a train record carries no signal, so its directory does not need one
+    assert len(load_dataset(run_dir / "train_data", reference_dir=run_dir / "ref_data")) > 0
     real_generate = harness.generate_reference_dataset
     _forbid_recompute(monkeypatch)     # train_data and cal_data must be reused
     monkeypatch.setattr(harness, "generate_reference_dataset", real_generate)
@@ -647,8 +652,8 @@ def test_manifest_with_inline_signals_is_refused_and_regenerated(smoke_run, tmp_
 
 @pytest.mark.parametrize("sampler", ["spline", "waypoint_pd"])
 def test_loaded_signals_equal_the_generated_ones(tmp_path, sampler):
-    """A stored signal loads back bit for bit, a reference's from its own
-    file and a training record's from its reference's."""
+    """A stored reference signal loads back bit for bit from its own file;
+    a training record carries no signal, generated or loaded."""
     import prcitube.harness as harness
 
     settings = (dict(parse_flat_config(SMOKE)) if sampler == "spline"
@@ -663,10 +668,11 @@ def test_loaded_signals_equal_the_generated_ones(tmp_path, sampler):
               load_dataset(tmp_path / "train", reference_dir=tmp_path / "ref"))
     for got, want in zip(loaded, (ref, train)):
         assert got.ids() == want.ids() and len(got) > 0
-        for a, b in zip(got.entries, want.entries):
-            for field in ("knot_times", "knot_values"):
-                u, v = getattr(a.policy, field), getattr(b.policy, field)
-                assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+    for a, b in zip(loaded[0].entries, ref.entries):
+        for field in ("knot_times", "knot_values"):
+            u, v = getattr(a.policy, field), getattr(b.policy, field)
+            assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+    assert all(e.policy is None for e in loaded[1].entries + train.entries)
 
 
 def test_foreign_ledger_digest_is_recomputed(smoke_run, tmp_path):

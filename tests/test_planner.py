@@ -15,6 +15,7 @@ from prcitube.planner import (
     end_to_end_run,
     plan,
 )
+from prcitube.predictor import make_zero_predictor
 from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate, make_benchmark_vtol
 from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
 from prcitube import metric as metric_mod
@@ -505,7 +506,7 @@ def test_end_to_end_nominal_all_margins(bench3d, metric3d):
     cal = calibrate([0.05, 0.07, 0.06, 0.09], 0.25)
     ref = result.record
     # "true" plant without uncertainty; every rollout starts at the reference start
-    rollouts = track(nom, metric3d, None, [ref] * 3, [ref.states[0]] * 3)
+    rollouts = track(nom, metric3d, make_zero_predictor(3, 2), [ref] * 3, [ref.states[0]] * 3)
     report = end_to_end_run(nom, result, metric3d, cal, rollouts)
     assert report["n_rollouts"] == 3 and report["n_start_eligible"] == 3
     assert report["containment_fraction"] == 1.0
@@ -519,19 +520,20 @@ def test_diverged_track_counts_as_failure(bench3d, metric3d, monkeypatch):
     nom, true = bench3d
     knots = PiecewiseLinearInput(np.array([0.0, 0.5]), np.zeros((2, 2)))
     ref = integrate(nom, np.array([0.3, 0.0, 0.0]), knots, 0.5, 0.01)
-    (roll,) = track(true, metric3d, None, [ref], [ref.states[0]])
+    zero = make_zero_predictor(3, 2)
+    (roll,) = track(true, metric3d, zero, [ref], [ref.states[0]])
     assert roll.states.shape == ref.states.shape
     # a start beyond the divergence guard diverges at once, without raising
-    assert track(true, metric3d, None, [ref], [np.full(3, np.inf)]) == [None]
+    assert track(true, metric3d, zero, [ref], [np.full(3, np.inf)]) == [None]
 
     def diverge(sys, x0, policy, T, dt):
         return [None] * len(x0)
 
     monkeypatch.setattr(control, "integrate", diverge)
-    assert track(true, metric3d, None, [ref], [ref.states[0]]) == [None]
+    assert track(true, metric3d, zero, [ref], [ref.states[0]]) == [None]
     result = PlanResult(ref, 0.0, (0.0,), True, {})
-    rollouts = track(true, metric3d, None, [ref] * 2, [ref.states[0]] * 2)
-    report = end_to_end_run(true, result, metric3d, calibrate([0.05, 0.07, 0.06], 0.25), rollouts)
+    rollouts = track(true, metric3d, zero, [ref] * 2, [ref.states[0]] * 2)
+    report = end_to_end_run(nom, result, metric3d, calibrate([0.05, 0.07, 0.06], 0.25), rollouts)
     assert report["n_rollouts"] == 2
     assert report["containment_fraction"] == 0.0
     assert report["original_violation_fraction"] == 1.0

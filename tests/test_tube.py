@@ -4,6 +4,7 @@ import pytest
 from prcitube.conformal import calibrate
 from prcitube.errors import SingularBlock
 from prcitube.metric import ContractionMetric
+from prcitube.predictor import make_zero_predictor
 from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate
 from prcitube.tube import (
     IEBEnvelope,
@@ -189,7 +190,7 @@ def test_envelope_violation_nonpositive_for_nominal(metric3d, bench3d):
     ref = integrate(nom, np.array([0.2, -0.1, 0.3]), pol, 1.0, 0.01)
     cal = calibrate([0.05, 0.08, 0.12], 0.3)
     tube = PRCITube.from_calibration(ref, metric3d, cal)
-    (roll,) = track(nom, metric3d, None, [ref], [ref.states[0]])
+    (roll,) = track(nom, metric3d, make_zero_predictor(3, 2), [ref], [ref.states[0]])
     assert rollout_containment(tube, roll).envelope_excess <= 0.0
 
 
