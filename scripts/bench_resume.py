@@ -14,8 +14,9 @@ quartiles of its CPU seconds per resume (``time.process_time``, BLAS pinned
 to one thread), and what one resume reads and writes (counted in one more
 resume per side, outside the timing): its ``TrajectoryRecord.from_csv``
 calls, the bytes of JSON text it decodes, the ``*.signal.json`` files it
-opens, the files it opens for writing and its reads of the ledger
-``provenance.json``.  Each row also says whether ``report.json`` kept the
+opens, the files it opens for writing, its reads of the ledger
+``provenance.json``, the plant pairs it builds (``harness.benchmark_systems``
+calls) and its ``np.linalg.eigvalsh`` calls.  Each row also says whether ``report.json`` kept the
 cold run's bytes through every resume.  ``--full`` adds the same row for the full-size
 ``configs/threeD_desk.toml`` (about 10 s of CPU cold).
 """
@@ -31,6 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 # sets the BLAS thread variables before NumPy loads, and puts src/ and
 # tests/ on the path
 from bench_simulation import CLOCK, ROOT, harness, machine, oracle, workload_config
@@ -43,15 +46,18 @@ FULL_RESUMES = 5
 
 
 def reads_per_resume(config) -> dict:
-    """What one resume of ``config`` reads and writes:
+    """What one resume of ``config`` reads, writes and builds:
     ``TrajectoryRecord.from_csv`` calls, bytes of JSON text decoded
     (``json.load`` decodes through ``json.loads``), signal files opened,
     files opened for writing and ledger reads (every file the library opens
-    goes through ``builtins.open``)."""
+    goes through ``builtins.open``), plant pairs built and eigenvalue
+    decompositions."""
     counts = {"csv_parses_per_resume": 0, "json_bytes_per_resume": 0,
               "signal_files_per_resume": 0, "files_written_per_resume": 0,
-              "ledger_reads_per_resume": 0}
+              "ledger_reads_per_resume": 0, "plants_built_per_resume": 0,
+              "eigvalsh_per_resume": 0}
     from_csv, loads, open_ = TrajectoryRecord.__dict__["from_csv"], json.loads, builtins.open
+    plants, eigvalsh = harness.benchmark_systems, np.linalg.eigvalsh
 
     def counted_from_csv(text):
         counts["csv_parses_per_resume"] += 1
@@ -68,13 +74,23 @@ def reads_per_resume(config) -> dict:
         counts["ledger_reads_per_resume"] += Path(file).name == harness.LEDGER and not writes
         return open_(file, mode, *args, **kwargs)
 
+    def counted_plants(*args, **kwargs):
+        counts["plants_built_per_resume"] += 1
+        return plants(*args, **kwargs)
+
+    def counted_eigvalsh(*args, **kwargs):
+        counts["eigvalsh_per_resume"] += 1
+        return eigvalsh(*args, **kwargs)
+
     TrajectoryRecord.from_csv = staticmethod(counted_from_csv)
     json.loads, builtins.open = counted_loads, counted_open
+    harness.benchmark_systems, np.linalg.eigvalsh = counted_plants, counted_eigvalsh
     try:
         harness.run_pipeline(config)
     finally:
         TrajectoryRecord.from_csv = from_csv
         json.loads, builtins.open = loads, open_
+        harness.benchmark_systems, np.linalg.eigvalsh = plants, eigvalsh
     return counts
 
 
@@ -117,7 +133,8 @@ def report(name: str, row: dict) -> None:
         f"{side} {1e3 * r['median_s']:.1f} ms, {r['csv_parses_per_resume']} parses, "
         f"{r['json_bytes_per_resume']} JSON bytes, {r['signal_files_per_resume']} signal files, "
         f"{r['files_written_per_resume']} files written, "
-        f"{r['ledger_reads_per_resume']} ledger reads"
+        f"{r['ledger_reads_per_resume']} ledger reads, {r['plants_built_per_resume']} plants built, "
+        f"{r['eigvalsh_per_resume']} eigvalsh"
         for side, r in (("eager", row["eager"]), ("lazy", row["lazy"])))
     print(f"{name}: {sides}; ratio {row['ratio']:.3f}, "
           f"report identical: {row['report_identical']}", flush=True)

@@ -55,7 +55,10 @@ def _print_coverage(report: dict) -> None:
     print("coverage summary")
     print(f"  rollouts    : {cov['n_rollouts']}")
     print(f"  contained   : {cov['contained']}")
-    print(f"  fraction    : {cov['fraction']:.4f}")
+    fraction = cov["fraction"]
+    if not isinstance(fraction, str):   # no rollouts: "nan", printed as the report holds it
+        fraction = f"{fraction:.4f}"
+    print(f"  fraction    : {fraction}")
     print(f"  tube radius : {cov['radius']}")
     print(f"  envelope worst excess (contained): {cov['envelope_worst_excess_contained']}")
 

@@ -16,7 +16,14 @@ rewritten only when their content changes, so a full resume writes no file.
 The train stage stores the report's predictor section as
 ``train_report.json``; ``predictor.json`` is decoded only when a
 recomputing stage (cal_data, calibrate, plan or evaluate) asks for the
-predictor, and then once.
+predictor, and then once.  The plant pair is built the same way, on the
+first call of a recomputing stage.  So a full resume reads
+``config.json``, the ledger, ``metric.json``, ``metric_verification.json``,
+the three manifests, ``train_report.json``, ``calibration.json``,
+``plan/plan_report.json`` (when the plan stage runs), ``test/coverage.json``
+and ``report.json``; it builds no plant and no eigendecomposition (a
+metric read back keeps its stored bounds), and it encodes the config once,
+as ``ExperimentConfig.canonical``, which ``config.json`` is compared with.
 
 A dataset directory holds ``<id>.csv`` per record and ``manifest.json``,
 which lists each entry's id, CSV, reference id and envelope.  Each
@@ -59,7 +66,7 @@ import json
 import math
 import os
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional
@@ -219,17 +226,31 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(parse_flat_config(fh.read()))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every key and its value, as ``config.json`` holds them."""
+        return {**json.loads(self.canonical), "out_dir": self.out_dir}
+
+    @cached_property
+    def canonical(self) -> str:
+        """The key-sorted JSON text of every key except ``out_dir``, encoded
+        once per config (a non-finite float spelled as ``write_json`` spells
+        it): ``digest`` hashes it, ``to_dict`` decodes it and a run compares
+        ``config.json`` with it."""
+        return json.dumps(
+            _jsonable({f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}),
+            sort_keys=True,
+        )
 
     @cached_property
     def digest(self) -> str:
-        """sha256 of the canonical JSON of every key except ``out_dir``."""
-        d = self.to_dict()
-        del d["out_dir"]
-        return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+        """sha256 of ``canonical``."""
+        return hashlib.sha256(self.canonical.encode()).hexdigest()
+
+
+Plants = Callable[[], tuple[DynamicalSystem, DynamicalSystem]]
 
 
 def benchmark_systems(config: ExperimentConfig) -> tuple[DynamicalSystem, DynamicalSystem]:
+    """The (nominal, true) plant pair of the config's benchmark."""
     if config.benchmark == "threeD":
         return make_benchmark_3d()
     if config.benchmark == "vtol":
@@ -372,12 +393,20 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, "rb") as fh:    # bytes: json decodes them without a text layer
+        return json.loads(fh.read())
 
 
 def _compact(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """The compact, key-sorted JSON text of ``_jsonable(obj)``.  The encoder
+    hands ``_jsonable`` only the values it cannot encode itself (NumPy's); a
+    non-finite float, which it would spell differently, makes it walk the
+    whole object first."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                          default=_jsonable)
+    except ValueError:
+        return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
 def _write_json_if_changed(path: Path, payload):
@@ -386,7 +415,7 @@ def _write_json_if_changed(path: Path, payload):
     file's parsed content and the payload are compared as compact,
     key-sorted JSON text, which is equal exactly when the indented files
     would be."""
-    text = _compact(_jsonable(payload))
+    text = _compact(payload)
     try:
         stored = read_json(path)
         if _compact(stored) == text:
@@ -395,6 +424,20 @@ def _write_json_if_changed(path: Path, payload):
         pass
     write_json(path, payload)
     return json.loads(text)
+
+
+def _write_config_if_changed(config: ExperimentConfig, path: Path) -> None:
+    """``write_json(path, config.to_dict())`` unless the file already holds
+    exactly that content: its ``out_dir`` and, encoded as ``canonical`` is,
+    every other key."""
+    try:
+        stored = read_json(path)
+        if (isinstance(stored, dict) and stored.pop("out_dir", None) == config.out_dir
+                and json.dumps(stored, sort_keys=True) == config.canonical):
+            return
+    except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
+        pass
+    write_json(path, config.to_dict())
 
 
 def _signal_name(entry_id: str) -> str:
@@ -435,7 +478,8 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
     lists exists, without opening any: each record's CSV, a ref entry's
     signal, a perturbed entry's reference CSV in ``reference_dir``.  Each
     CSV is parsed on first access to its entry's ``record`` or
-    ``reference``, and each signal file on first access to ``policy``.  A
+    ``reference``, and each signal file on first access to ``policy``; an
+    entry holds each file's folder and name, joined into a path only then.  A
     manifest that carries its signals inline (the layout before signal
     files) raises ``ValueError``, and so does a train or cal entry whose
     envelope says its record has no uncertainty (a CSV without the
@@ -448,12 +492,12 @@ def load_dataset(directory, reference_dir=None) -> TrainingDataset:
 
     listed = {}     # folder -> the names in it, listed once rather than a stat per file
 
-    def stored(folder: Path, name: str) -> Path:
+    def stored(folder: Path, name: str) -> tuple[Path, str]:
         if folder not in listed:
             listed[folder] = set(os.listdir(folder))
         if name not in listed[folder]:
             raise FileNotFoundError(f"{folder / name}: listed in {path}, missing")
-        return folder / name
+        return folder, name
 
     split_tag = manifest["split_tag"]
     entries = []
@@ -531,11 +575,12 @@ def _dataset_stage(config, out: Path, ledger: _Ledger, stage: str, reference_dir
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_metric(config: ExperimentConfig, sys_nom: DynamicalSystem, out: Path, ledger: _Ledger):
+def stage_metric(config: ExperimentConfig, plants: Plants, out: Path, ledger: _Ledger):
     path = out / "metric.json"
     vpath = out / "metric_verification.json"
     if ledger.reuse("metric", path, vpath):
         return ContractionMetric.from_json_dict(read_json(path)), read_json(vpath)
+    sys_nom = plants()[0]
     grid = _metric_grid(config, sys_nom, config.metric_grid_points)
     metric = synthesize_constant_metric(
         sys_nom, grid, (config.lambda_lo, config.lambda_hi),
@@ -588,10 +633,11 @@ class _Simulations:
     """The simulations of one run, each block run at most once, on the first
     request.  When the run goes on to ``evaluate``, the nominal and the
     closed-loop block carry the test set after their own rows; a block row
-    rounds as the row alone, so this changes no bit of either set."""
+    rounds as the row alone, so this changes no bit of either set.  The
+    plants are built on the first simulation."""
 
-    def __init__(self, config, sys_nom, sys_true, stop_after: str):
-        self.config, self.sys_nom, self.sys_true = config, sys_nom, sys_true
+    def __init__(self, config, plants: Plants, stop_after: str):
+        self.config, self.plants = config, plants
         self.evaluates = stop_after == "evaluate"
         self._nominal_test = self._tracked_test = None
 
@@ -600,7 +646,7 @@ class _Simulations:
         counts = {"ref": self.config.n_train + self.config.n_cal}
         if self.evaluates:
             counts["test"] = self.config.n_test
-        entries = _replay_references(self.config, self.sys_nom, counts)
+        entries = _replay_references(self.config, self.plants()[0], counts)
         if self.evaluates:
             self._nominal_test = _test_set(entries["test"])
         return TrainingDataset(tuple(entries["ref"]), "ref")
@@ -626,12 +672,12 @@ class _Simulations:
 
     def _replayed_tests(self):
         if self._nominal_test is None:
-            self._nominal_test = _test_references(self.config, self.sys_nom)
+            self._nominal_test = _test_references(self.config, self.plants()[0])
         return self._nominal_test
 
     def _track(self, metric, predictor, refs) -> list:
         """Each reference tracked from its first state; a diverged rollout is None."""
-        return track(self.sys_true, metric, predictor, refs, [r.states[0] for r in refs])
+        return track(self.plants()[1], metric, predictor, refs, [r.states[0] for r in refs])
 
 
 def stage_ref_data(config, sims: _Simulations, out: Path, ledger: _Ledger) -> TrainingDataset:
@@ -640,10 +686,11 @@ def stage_ref_data(config, sims: _Simulations, out: Path, ledger: _Ledger) -> Tr
     return _dataset_stage(config, out, ledger, "ref_data", None, sims.references)
 
 
-def stage_train_data(config, sys_true, ref_train, out: Path, ledger: _Ledger) -> TrainingDataset:
+def stage_train_data(config, plants: Plants, ref_train, out: Path,
+                     ledger: _Ledger) -> TrainingDataset:
     return _dataset_stage(
         config, out, ledger, "train_data", out / "ref_data",
-        lambda: generate_perturbed_dataset(sys_true, ref_train, "open_loop_reference", "train"),
+        lambda: generate_perturbed_dataset(plants()[1], ref_train, "open_loop_reference", "train"),
     )
 
 
@@ -684,14 +731,14 @@ def stage_cal_data(config, sims: _Simulations, ref_cal, metric, get_predictor, o
     )
 
 
-def stage_calibrate(config, cal_ds, get_predictor, sys_nom, out: Path,
+def stage_calibrate(config, cal_ds, get_predictor, plants: Plants, out: Path,
                     ledger: _Ledger) -> conformal.CalibrationResult:
     spath = out / "scores.json"
     cpath = out / "calibration.json"
     if ledger.reuse("calibrate", spath, cpath):
         return conformal.CalibrationResult.from_json_dict(read_json(cpath))
     predictor = get_predictor()
-    scores = conformal.score_dataset(cal_ds, predictor, sys_nom)
+    scores = conformal.score_dataset(cal_ds, predictor, plants()[0])
     write_json(spath, {"scores": list(map(float, scores))})
     result = conformal.calibrate(scores, config.alpha, {"predictor": predictor.family})
     write_json(cpath, result.to_json_dict())
@@ -727,7 +774,7 @@ def _parse_obstacles(config) -> tuple:
     )
 
 
-def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Path,
+def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
                ledger: _Ledger) -> dict:
     """Tightened planning with the two-step calibration protocol."""
     plan_dir = out / "plan"
@@ -737,6 +784,7 @@ def stage_plan(config, sys_nom, sys_true, metric, get_predictor, cal_ds, out: Pa
     if ledger.reuse("plan", *(plan_dir / name for name in written)):
         return read_json(report_path)
     plan_dir.mkdir(parents=True, exist_ok=True)
+    sys_nom, sys_true = plants()
     predictor = get_predictor()
 
     n = len(cal_ds)
@@ -892,15 +940,16 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": config.to_dict(), "stages": []}
-    _write_json_if_changed(out / "config.json", report["config"])
+    _write_config_if_changed(config, out / "config.json")
     ledger = _Ledger(config, out)
-    sys_nom, sys_true = benchmark_systems(config)
+    # built on the first call, which only a recomputing stage makes
+    plants = functools.cache(lambda: benchmark_systems(config))
 
     def reached(stage):
         report["stages"].append(stage)
         return stage == stop_after
 
-    metric, verification = stage_metric(config, sys_nom, out, ledger)
+    metric, verification = stage_metric(config, plants, out, ledger)
     report["metric"] = {
         "lambda": metric.rate,
         "m_lower": metric.lower_bound,
@@ -913,10 +962,10 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     if reached("metric"):
         return _finish(report, out)
 
-    sims = _Simulations(config, sys_nom, sys_true, stop_after)
+    sims = _Simulations(config, plants, stop_after)
     ref = stage_ref_data(config, sims, out, ledger)
     ref_train, ref_cal = split_reference(ref, min(config.n_train, len(ref)), min(config.n_cal, max(len(ref) - config.n_train, 0)))
-    train_ds = stage_train_data(config, sys_true, ref_train, out, ledger)
+    train_ds = stage_train_data(config, plants, ref_train, out, ledger)
     report["data"] = {
         "n_ref": len(ref),
         "n_train": len(train_ds),
@@ -931,7 +980,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         return _finish(report, out)
 
     cal_ds = stage_cal_data(config, sims, ref_cal, metric, get_predictor, out, ledger)
-    calibration = stage_calibrate(config, cal_ds, get_predictor, sys_nom, out, ledger)
+    calibration = stage_calibrate(config, cal_ds, get_predictor, plants, out, ledger)
     report["calibration"] = {
         "n_cal": calibration.n_scores,
         "alpha": calibration.alpha,
@@ -947,9 +996,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
         return _finish(report, out)
 
     if config.plan_enabled:
-        report["plan"] = stage_plan(
-            config, sys_nom, sys_true, metric, get_predictor, cal_ds, out, ledger
-        )
+        report["plan"] = stage_plan(config, plants, metric, get_predictor, cal_ds, out, ledger)
     if reached("plan"):
         return _finish(report, out)
 

@@ -78,12 +78,15 @@ class ContractionMetric:
 
     @classmethod
     def constant(cls, matrix, rate: float, lower=None, upper=None) -> "ContractionMetric":
+        """M(x) = ``matrix``; a bound not given is its extreme eigenvalue,
+        and the eigenvalues are computed only then."""
         matrix = _sym(np.asarray(matrix, dtype=float))
-        eig = np.linalg.eigvalsh(matrix)
-        lo = float(eig[0]) if lower is None else float(lower)
-        hi = float(eig[-1]) if upper is None else float(upper)
+        if lower is None or upper is None:
+            eig = np.linalg.eigvalsh(matrix)
+            lower = eig[0] if lower is None else lower
+            upper = eig[-1] if upper is None else upper
         n = matrix.shape[0]
-        return cls("constant", ((tuple([0] * n), matrix),), lo, hi, float(rate))
+        return cls("constant", ((tuple([0] * n), matrix),), float(lower), float(upper), float(rate))
 
     @classmethod
     def polynomial(cls, terms, rate: float, lower: float, upper: float) -> "ContractionMetric":

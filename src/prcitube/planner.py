@@ -384,7 +384,8 @@ def end_to_end_run(
     Reports per-rollout tube containment, original state/input constraint
     satisfaction and obstacle clearance; a diverged rollout fails all of
     them.  A start counts as eligible when it lies in the tube's initial
-    cross-section.
+    cross-section.  A fraction over no rollouts is NaN, as in
+    ``tube.containment_experiment``.
     """
     tube = PRCITube.from_calibration(
         plan_result.record, metric, calibration, source_id="end-to-end"
@@ -409,21 +410,22 @@ def end_to_end_run(
                 ),
             )
         per.append(row)
-    n = len(per)
+
+    def fraction(rows, passes) -> float:
+        """The share of ``rows`` that ``passes``; NaN for no rows."""
+        return sum(map(passes, rows)) / len(rows) if rows else float("nan")
+
     eligible = [r for r in per if r["start_eligible"]]
     return {
-        "n_rollouts": n,
+        "n_rollouts": len(per),
         "radius": tube.radius,
         "alpha": tube.alpha,
-        "containment_fraction": sum(r["contained"] for r in per) / n,
+        "containment_fraction": fraction(per, lambda r: r["contained"]),
         "n_start_eligible": len(eligible),
-        "containment_fraction_eligible": (
-            sum(r["contained"] for r in eligible) / len(eligible) if eligible else float("nan")
+        "containment_fraction_eligible": fraction(eligible, lambda r: r["contained"]),
+        "original_violation_fraction": fraction(
+            per, lambda r: (not r["state_ok"]) or (not r["input_ok"])
         ),
-        "original_violation_fraction": sum(
-            (not r["state_ok"]) or (not r["input_ok"]) for r in per
-        )
-        / n,
-        "obstacle_violation_fraction": sum(r["min_clearance"] < 0.0 for r in per) / n,
+        "obstacle_violation_fraction": fraction(per, lambda r: r["min_clearance"] < 0.0),
         "rollouts": per,
     }

@@ -53,29 +53,34 @@ UNCERTAIN_SPLITS = ("train", "cal")     # splits whose records carry their uncer
 # Datasets
 # ---------------------------------------------------------------------------
 
-StoredRecord = Union[TrajectoryRecord, Path]
-StoredPolicy = Union[PiecewiseLinearInput, Path]
+# A stored file is its folder and its name, joined into a path only when
+# the file is parsed.
+StoredFile = tuple[Path, str]
+StoredRecord = Union[TrajectoryRecord, StoredFile]
+StoredPolicy = Union[PiecewiseLinearInput, StoredFile]
 
 
 def _parsed(record: Optional[StoredRecord]) -> Optional[TrajectoryRecord]:
-    if record is None or isinstance(record, TrajectoryRecord):
+    if not isinstance(record, tuple):
         return record
+    path = record[0] / record[1]
     try:
-        return TrajectoryRecord.load_csv(record)
+        return TrajectoryRecord.load_csv(path)
     except (ValueError, IndexError) as err:
-        raise ValueError(f"{record}: unreadable trajectory CSV ({err})") from err
+        raise ValueError(f"{path}: unreadable trajectory CSV ({err})") from err
 
 
 class DatasetEntry:
     """One record of a dataset: in the ref split with the input signal it
     ran under, in the perturbed splits with the reference it ran over.
 
-    ``record`` and ``reference`` are given as records, or as the paths of
-    stored CSVs; ``policy`` as a signal, or as the path of its stored
-    signal file (``harness.load_dataset``).  A stored file is parsed on
-    first access, once, and its value kept; one that does not parse raises
-    ``ValueError`` naming the file, and so does a stored record without its
-    realized uncertainty in a split that needs one (``expect_uncertainties``).
+    ``record`` and ``reference`` are given as records, or as the
+    ``(folder, name)`` of stored CSVs; ``policy`` as a signal, or as the
+    ``(folder, name)`` of its stored signal file (``harness.load_dataset``).
+    A stored file is parsed on first access, once, and its value kept; one
+    that does not parse raises ``ValueError`` naming the file, and so does a
+    stored record without its realized uncertainty in a split that needs one
+    (``expect_uncertainties``).
     """
 
     def __init__(
@@ -93,21 +98,22 @@ class DatasetEntry:
 
     @property
     def policy(self) -> Optional[PiecewiseLinearInput]:
-        if isinstance(self._policy, Path):
+        if isinstance(self._policy, tuple):
+            path = self._policy[0] / self._policy[1]
             try:
-                self._policy = PiecewiseLinearInput.load_json(self._policy)
+                self._policy = PiecewiseLinearInput.load_json(path)
             except (ValueError, KeyError) as err:
-                raise ValueError(f"{self._policy}: unreadable input signal ({err})") from err
+                raise ValueError(f"{path}: unreadable input signal ({err})") from err
         return self._policy
 
     @property
     def record(self) -> TrajectoryRecord:
-        if isinstance(self._record, Path):
+        if isinstance(self._record, tuple):
             record = _parsed(self._record)
             if self._split_tag is not None and record.uncertainties is None:
                 raise ValueError(
-                    f"{self._record}: uncertainties missing in {self._split_tag} split"
-                    " (no zeta_* columns)"
+                    f"{self._record[0] / self._record[1]}: uncertainties missing in "
+                    f"{self._split_tag} split (no zeta_* columns)"
                 )
             self._record = record
         return self._record

@@ -402,12 +402,10 @@ def integrate(
     inputs = np.empty((n_steps + 1,) + rows + (sys.input_dim,))
     zetas = np.empty_like(states) if sys.uncertainty is not None else None
 
-    lo, hi = sys.state_box[:, 0], sys.state_box[:, 1]
     x = x0.copy()
     held = np.zeros_like(x0)                # where a frozen row stays
     frozen = np.zeros(rows, dtype=bool)
     any_frozen = False
-    left_box = np.zeros(rows, dtype=bool)
 
     def evaluate(z, t_z, law):
         """Input of ``law``, uncertainty and field at z, all reading one drift."""
@@ -443,11 +441,13 @@ def integrate(
         inputs[k] = u_k
         if zetas is not None:
             zetas[k] = zeta_k
-        left_box |= ~((x >= lo) & (x <= hi)).all(axis=-1)
         if k == n_steps:
             break
         x, _ = rk4_step(slope, x, dt, k1)
 
+    # a row left the box when some stored state of it did
+    lo, hi = sys.state_box[:, 0], sys.state_box[:, 1]
+    left_box = (~((states >= lo) & (states <= hi)).all(axis=-1)).any(axis=0)
     if not rows:
         return TrajectoryRecord(times, states, inputs, zetas, left_state_box=bool(left_box))
     return [

@@ -104,6 +104,19 @@ def test_rng_stream_reproducible_and_independent():
     assert not np.array_equal(a, d)
 
 
+def test_config_is_encoded_once_as_the_text_its_digest_hashes():
+    """``canonical`` is the key-sorted JSON of every field but ``out_dir``,
+    the text the digest hashes, and ``to_dict`` gives every field back."""
+    import hashlib
+
+    cfg = ExperimentConfig.from_dict(dict(parse_flat_config(SMOKE), out_dir="runs/x"))
+    fields = dataclasses.asdict(cfg)
+    assert cfg.to_dict() == fields
+    del fields["out_dir"]
+    assert cfg.canonical == json.dumps(fields, sort_keys=True)
+    assert cfg.digest == hashlib.sha256(cfg.canonical.encode()).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Dataset persistence
 # ---------------------------------------------------------------------------
@@ -120,6 +133,22 @@ def test_dataset_save_load_roundtrip(tmp_path, bench3d):
     np.testing.assert_array_equal(
         back.entries[0].policy.knot_values, ds.entries[0].policy.knot_values
     )
+
+
+@pytest.mark.parametrize("payload", [
+    {"b": 1, "a": 1.0, "c": [True, None, "x", -0.0], "d": {"z": 0.1, "y": (1, 2)}},
+    {"f64": np.float64(0.1), "f32": np.float32(0.1), "i": np.int64(3), "b": np.bool_(True),
+     "arr": np.array([[1.0, 2.0], [3.0, 4.0]])},
+    {"inf": float("inf"), "nan": [float("nan"), -float("inf")], "f": 0.5},
+    {"np_inf": np.float64("inf"), "arr": np.array([np.inf, -1.0])},
+], ids=["native", "numpy", "non_finite", "numpy_non_finite"])
+def test_compact_text_is_the_text_of_the_jsonable_payload(payload):
+    """The report comparison's encoding spells every value as ``_jsonable``
+    does, NumPy values and non-finite floats included."""
+    import prcitube.harness as harness
+
+    want = json.dumps(harness._jsonable(payload), sort_keys=True, separators=(",", ":"))
+    assert harness._compact(payload) == want
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +221,10 @@ def test_pipeline_resumable(smoke_run):
 
 
 def test_deleted_dataset_csv_regenerates_its_stage(smoke_run, tmp_path, monkeypatch):
-    import prcitube.harness as harness
-
     out = smoke_run[1]
     _, run_dir = _copy_of(smoke_run, tmp_path)
     (run_dir / "ref_data" / "ref-0000.csv").unlink()
-    real_generate = harness.generate_reference_dataset
-    _forbid_recompute(monkeypatch)
-    monkeypatch.setattr(harness, "generate_reference_dataset", real_generate)
+    _forbid_recompute(monkeypatch, "generate_reference_dataset")
     cfg_file = write_smoke(tmp_path)
     assert cli_main(["calibrate", "--config", str(cfg_file), "--out", str(run_dir)]) == 0
     for name in ("ref_data/ref-0000.csv", "ref_data/manifest.json", "calibration.json"):
@@ -257,14 +282,10 @@ def test_recalibration_parses_each_calibration_csv_once(smoke_run, monkeypatch):
 
 
 def test_deleted_calibration_csv_regenerates_its_stage(smoke_run, tmp_path, monkeypatch):
-    import prcitube.harness as harness
-
     out = smoke_run[1]
     _, run_dir = _copy_of(smoke_run, tmp_path)
     (run_dir / "cal_data" / "ref-0003.csv").unlink()
-    real_track = harness.track
-    _forbid_recompute(monkeypatch)
-    monkeypatch.setattr(harness, "track", real_track)
+    _forbid_recompute(monkeypatch, "track")
     _, calls = _spy_track(monkeypatch)
     cfg_file = write_smoke(tmp_path)
     assert cli_main(["calibrate", "--config", str(cfg_file), "--out", str(run_dir)]) == 0
@@ -294,9 +315,7 @@ def test_record_csv_without_uncertainty_columns_is_refused_and_regenerated(
     harness.write_json(run_dir / stage / "manifest.json", manifest)
     with pytest.raises(ValueError, match="uncertainties missing"):
         load_dataset(run_dir / stage, reference_dir=run_dir / "ref_data")
-    real_generate = getattr(harness, generator)
-    _forbid_recompute(monkeypatch)
-    monkeypatch.setattr(harness, generator, real_generate)
+    _forbid_recompute(monkeypatch, generator)
     cfg_file = write_smoke(tmp_path)
     assert cli_main([command, "--config", str(cfg_file), "--out", str(run_dir)]) == 0
     for name in (f"{stage}/{entry}.csv", f"{stage}/manifest.json"):
@@ -379,17 +398,25 @@ def test_changed_alpha_recalibrates_under_cli(tmp_path, capsys):
     assert (out / "calibration.json").read_bytes() == (fresh / "calibration.json").read_bytes()
 
 
-def _forbid_recompute(monkeypatch):
-    """Make every stage's computation fail, so only reuse can succeed."""
+def _forbid_recompute(monkeypatch, *recomputed):
+    """Make every stage's computation fail, so only reuse can succeed; so
+    do building the plants and an eigendecomposition, which no reused stage
+    needs.  The harness functions named in ``recomputed`` stay, and then so
+    does ``benchmark_systems``: the stages that call them build the plants."""
     import prcitube.harness as harness
 
     def boom(*args, **kwargs):
         raise AssertionError("a stage recomputed")
 
-    for name in ("synthesize_constant_metric", "verify_contraction", "generate_reference_dataset",
-                 "generate_perturbed_dataset", "train", "project_tube_2d", "track"):
+    forbidden = {"synthesize_constant_metric", "verify_contraction", "generate_reference_dataset",
+                 "generate_perturbed_dataset", "train", "project_tube_2d", "track",
+                 "benchmark_systems"}
+    if recomputed:
+        forbidden -= {*recomputed, "benchmark_systems"}
+    for name in forbidden:
         monkeypatch.setattr(harness, name, boom)
     monkeypatch.setattr(harness.conformal, "score_dataset", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
 
 
 def test_same_config_resume_reuses_every_stage(smoke_run, monkeypatch):
@@ -496,6 +523,20 @@ def test_full_resume_writes_nothing_reads_the_ledger_once_and_no_predictor(
     assert report == read_json(run_dir / "report.json")
 
 
+def test_partial_resume_builds_the_plants_once(smoke_run, tmp_path, monkeypatch):
+    """A resume that recomputes only the calibrate stage builds the plant
+    pair once, for that stage, and leaves every file as it was."""
+    import prcitube.harness as harness
+
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    (run_dir / "calibration.json").unlink()
+    real, built = harness.benchmark_systems, []
+    monkeypatch.setattr(harness, "benchmark_systems", lambda c: built.append(c) or real(c))
+    run_pipeline(cfg)
+    assert built == [cfg]
+    assert _tree_bytes(run_dir) == before
+
+
 def test_full_desk3d_resume_opens_no_csv(tmp_path, monkeypatch):
     """The benchmark's desk3d workload at seed 0: a resume takes each train
     and cal record's uncertainty from its manifest and opens no CSV."""
@@ -586,15 +627,11 @@ def test_each_reference_signal_is_stored_once_in_ref_data(smoke_run):
 
 
 def test_regenerated_training_data_reads_each_training_signal_once(smoke_run, tmp_path, monkeypatch):
-    import prcitube.harness as harness
-
     cfg, run_dir = _copy_of(smoke_run, tmp_path)
     run_pipeline(cfg)
     before = _tree_bytes(run_dir / "train_data")
     (run_dir / "train_data" / "manifest.json").unlink()
-    real_generate = harness.generate_perturbed_dataset
-    _forbid_recompute(monkeypatch)
-    monkeypatch.setattr(harness, "generate_perturbed_dataset", real_generate)
+    _forbid_recompute(monkeypatch, "generate_perturbed_dataset")
     opened = _opened_signal_files(monkeypatch)
     run_pipeline(cfg)
     assert opened == [run_dir / "ref_data" / f"ref-{i:04d}.signal.json" for i in range(cfg.n_train)]
@@ -602,8 +639,6 @@ def test_regenerated_training_data_reads_each_training_signal_once(smoke_run, tm
 
 
 def test_deleted_signal_file_regenerates_only_its_stage(smoke_run, tmp_path, monkeypatch):
-    import prcitube.harness as harness
-
     cfg, run_dir = _copy_of(smoke_run, tmp_path)
     run_pipeline(cfg)
     before = _tree_bytes(run_dir)
@@ -612,9 +647,8 @@ def test_deleted_signal_file_regenerates_only_its_stage(smoke_run, tmp_path, mon
         load_dataset(run_dir / "ref_data")
     # a train record carries no signal, so its directory does not need one
     assert len(load_dataset(run_dir / "train_data", reference_dir=run_dir / "ref_data")) > 0
-    real_generate = harness.generate_reference_dataset
-    _forbid_recompute(monkeypatch)     # train_data and cal_data must be reused
-    monkeypatch.setattr(harness, "generate_reference_dataset", real_generate)
+    # train_data and cal_data must be reused
+    _forbid_recompute(monkeypatch, "generate_reference_dataset")
     replays = _spy_reference_replays(monkeypatch)
     run_pipeline(cfg)
     assert len(replays) == 1
@@ -641,11 +675,9 @@ def test_manifest_with_inline_signals_is_refused_and_regenerated(smoke_run, tmp_
     for name in ("train_data", "cal_data"):
         with pytest.raises(ValueError, match="inline"):
             load_dataset(run_dir / name, reference_dir=run_dir / "ref_data")
-    real = {n: getattr(harness, n) for n in
-            ("generate_reference_dataset", "generate_perturbed_dataset", "track")}
-    _forbid_recompute(monkeypatch)      # every later stage must be reused
-    for n, f in real.items():
-        monkeypatch.setattr(harness, n, f)
+    # every later stage must be reused
+    _forbid_recompute(monkeypatch, "generate_reference_dataset", "generate_perturbed_dataset",
+                      "track")
     run_pipeline(cfg)
     assert _tree_bytes(run_dir) == before
 
@@ -660,7 +692,7 @@ def test_loaded_signals_equal_the_generated_ones(tmp_path, sampler):
                 else dict(VTOL_MICRO, reference_sampler="waypoint_pd"))
     cfg = ExperimentConfig.from_dict(dict(settings, out_dir=str(tmp_path / "run")))
     sys_nom, sys_true = benchmark_systems(cfg)
-    ref = harness._Simulations(cfg, sys_nom, sys_true, "gen-data").references()
+    ref = harness._Simulations(cfg, lambda: (sys_nom, sys_true), "gen-data").references()
     train = harness.generate_perturbed_dataset(sys_true, ref, "open_loop_reference", "train")
     save_dataset(ref, tmp_path / "ref", cfg.benchmark)
     save_dataset(train, tmp_path / "train", cfg.benchmark)
@@ -1194,6 +1226,27 @@ def test_cli_warns_when_planner_does_not_converge(tmp_path, capsys):
     assert "converged=False" in captured.out
     assert "warning: planner did not converge" in captured.err
     assert json.loads((out / "report.json").read_text())["plan"]["plan_converged"] is False
+
+
+def test_plan_stage_without_test_rollouts_reports_nan_fractions(tmp_path):
+    """n_test = 0: the plan stage judges no end-to-end rollout, and each
+    fraction over them is NaN, as the coverage fraction is."""
+    settings = dict(SINGLE_STEP_PLAN, two_step=True, n_test=0)
+    cfg = ExperimentConfig.from_dict(dict(settings, out_dir=str(tmp_path / "plan")))
+    report = run_pipeline(cfg)
+    end_to_end = report["plan"]["end_to_end"]
+    assert end_to_end["n_rollouts"] == end_to_end["n_start_eligible"] == 0
+    for key in ("containment_fraction", "containment_fraction_eligible",
+                "original_violation_fraction", "obstacle_violation_fraction"):
+        assert end_to_end[key] == "nan", key
+    assert report["coverage"]["n_rollouts"] == 0 and report["coverage"]["fraction"] == "nan"
+
+
+def test_cli_pipeline_without_test_rollouts_prints_the_nan_fraction(tmp_path, capsys):
+    cfg = write_smoke(tmp_path, "n_test = 0\n")
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    assert "  rollouts    : 0\n" in out and "  fraction    : nan\n" in out
 
 
 VTOL_MICRO = {
