@@ -22,8 +22,8 @@ floor(t/dt)*dt - dt.  notify_step returns the input it commits, and the
 integrator uses that input as the step's first RK4 stage, so the policy
 is evaluated once per grid point plus three times per step.  Each of
 those evaluations reads the nominal drift f(x) at the tracked state, which
-the plant field and the 3D uncertainty need at the same state too; the
-integrator computes it once and passes it to all three (the policy takes
+the plant field (and through it the 3D uncertainty) needs at the same state
+too; the integrator computes it once and passes it to both (the policy takes
 it as ``policy(x, t, fx)`` and hands it to ``min_norm_feedback``), so a
 closed-loop stage makes one nominal drift evaluation (and, on the 3D
 plant, one true one).  Every compensated closed-loop rollout of the true

@@ -9,10 +9,11 @@ the realized uncertainty) and the ledger ``provenance.json`` records that
 stage under the digest of the current config (without ``out_dir``); any
 config change except ``out_dir`` therefore recomputes every stage, and
 deleting one artifact, a trajectory CSV or a signal file included,
-regenerates exactly its stage.  A run reads the ledger once and keeps it in memory, writing it
-back only when it drops an entry before a stage recomputes or stamps a
-stage whose files are written.  ``config.json`` and ``report.json`` are
-rewritten only when their content changes, so a full resume writes no file.
+regenerates exactly its stage.  A run reads the ledger once and keeps it
+in memory, writing it back only when it drops an entry before a stage
+recomputes or stamps a stage whose files are written.  ``write_json``
+rewrites a JSON artifact only when its content changes, so a full resume
+writes no file.
 The train stage stores the report's predictor section as
 ``train_report.json``; ``predictor.json`` is decoded only when a
 recomputing stage (cal_data, calibrate, plan or evaluate) asks for the
@@ -22,8 +23,7 @@ first call of a recomputing stage.  So a full resume reads
 the three manifests, ``train_report.json``, ``calibration.json``,
 ``plan/plan_report.json`` (when the plan stage runs), ``test/coverage.json``
 and ``report.json``; it builds no plant and no eigendecomposition (a
-metric read back keeps its stored bounds), and it encodes the config once,
-as ``ExperimentConfig.canonical``, which ``config.json`` is compared with.
+metric read back keeps its stored bounds).
 
 A dataset directory holds ``<id>.csv`` per record and ``manifest.json``,
 which lists each entry's id, CSV, reference id and envelope.  Each
@@ -55,7 +55,8 @@ Config files are a flat key = value text format (TOML-compatible subset):
 ints, floats, booleans, quoted strings and JSON-style lists; '#' comments.
 A key that names a variant takes one of the values ``CHOICES`` lists, and
 any other value is refused when the config is built, before a run writes
-anything; so is the waypoint-PD sampler on a benchmark other than the VTOL.
+anything; so is the waypoint-PD sampler on a benchmark other than the VTOL,
+and a malformed ``plan_obstacles`` entry.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ class ExperimentConfig:
     plan_goal: Optional[list] = None
     plan_w1: float = 0.1
     plan_w2: float = 1.0
-    plan_obstacles: list = field(default_factory=list)   # flat [cx,cy,q11,q12,q22] each
+    plan_obstacles: list = field(default_factory=list)   # [cx,cy,q11,q12,q22] each
     plan_max_iter: int = 120
     two_step: bool = False
     two_step_fraction: float = 0.5
@@ -211,6 +212,14 @@ class ExperimentConfig:
         if self.reference_sampler == "waypoint_pd" and self.benchmark != "vtol":
             raise ValueError("reference_sampler = 'waypoint_pd' flies the VTOL and needs "
                              f"benchmark = 'vtol', got benchmark = {self.benchmark!r}")
+        obstacles = self.plan_obstacles
+        for ob in obstacles if isinstance(obstacles, (list, tuple)) else [obstacles]:
+            if not (isinstance(ob, (list, tuple)) and len(ob) == 5 and all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                    for v in ob) and ob[2] > 0 and ob[2] * ob[4] > ob[3] * ob[3]):
+                raise ValueError("each plan_obstacles entry must be five finite numbers "
+                                 "[cx, cy, q11, q12, q22] with [[q11, q12], [q12, q22]] "
+                                 f"positive definite, got {ob!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -233,8 +242,7 @@ class ExperimentConfig:
     def canonical(self) -> str:
         """The key-sorted JSON text of every key except ``out_dir``, encoded
         once per config (a non-finite float spelled as ``write_json`` spells
-        it): ``digest`` hashes it, ``to_dict`` decodes it and a run compares
-        ``config.json`` with it."""
+        it): ``digest`` hashes it and ``to_dict`` decodes it."""
         return json.dumps(
             _jsonable({f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}),
             sort_keys=True,
@@ -384,14 +392,6 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path, payload) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def read_json(path):
     with open(path, "rb") as fh:    # bytes: json decodes them without a text layer
         return json.loads(fh.read())
@@ -409,12 +409,12 @@ def _compact(obj) -> str:
         return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
 
 
-def _write_json_if_changed(path: Path, payload):
-    """``write_json(path, payload)`` unless the file already holds exactly
-    that content; returns the content as ``read_json`` gives it back.  The
-    file's parsed content and the payload are compared as compact,
-    key-sorted JSON text, which is equal exactly when the indented files
-    would be."""
+def write_json(path, payload):
+    """Store ``payload`` at ``path`` as indented, key-sorted JSON, unless the
+    file already holds exactly that content; returns the content as
+    ``read_json`` reads it back.  The file's decoded content and the payload
+    are compared as ``_compact`` text, which is equal exactly when the
+    indented files would be; a missing or cut-off file counts as changed."""
     text = _compact(payload)
     try:
         stored = read_json(path)
@@ -422,22 +422,11 @@ def _write_json_if_changed(path: Path, payload):
             return stored
     except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
         pass
-    write_json(path, payload)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return json.loads(text)
-
-
-def _write_config_if_changed(config: ExperimentConfig, path: Path) -> None:
-    """``write_json(path, config.to_dict())`` unless the file already holds
-    exactly that content: its ``out_dir`` and, encoded as ``canonical`` is,
-    every other key."""
-    try:
-        stored = read_json(path)
-        if (isinstance(stored, dict) and stored.pop("out_dir", None) == config.out_dir
-                and json.dumps(stored, sort_keys=True) == config.canonical):
-            return
-    except (FileNotFoundError, ValueError):     # none yet, or cut off mid-write
-        pass
-    write_json(path, config.to_dict())
 
 
 def _signal_name(entry_id: str) -> str:
@@ -588,9 +577,9 @@ def stage_metric(config: ExperimentConfig, plants: Plants, out: Path, ledger: _L
     )
     write_json(path, metric.to_json_dict())
     fine = _metric_grid(config, sys_nom, 2 * config.metric_grid_points - 1)
-    write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
+    verification = write_json(vpath, verify_contraction(metric, sys_nom, fine).to_json_dict())
     ledger.record("metric")
-    return metric, read_json(vpath)
+    return metric, verification
 
 
 def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
@@ -717,10 +706,10 @@ def stage_train(
     )
     p = train(train_ds, config.predictor_family, cfg)
     write_json(path, p.to_json_dict())
-    write_json(rpath, {"family": p.family, "sup_loss": p.training_info.get("sup_loss"),
-                       "n_records": p.training_info.get("n_records")})
+    section = write_json(rpath, {"family": p.family, "sup_loss": p.training_info.get("sup_loss"),
+                                 "n_records": p.training_info.get("n_records")})
     ledger.record("train")
-    return read_json(rpath), lambda: p
+    return section, lambda: p
 
 
 def stage_cal_data(config, sims: _Simulations, ref_cal, metric, get_predictor, out: Path,
@@ -884,7 +873,7 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
     write_json(plan_dir / "calibration_tracking.json", cal_track.to_json_dict())
 
     run = end_to_end_run(sys_nom, result, metric, cal_track, test_rollouts, obstacles=obstacles)
-    report = {
+    report = write_json(report_path, {
         "plan_cost": result.cost,
         "plan_converged": result.converged,
         "plan_violations": result.violations,
@@ -894,10 +883,9 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
         "state_margins": s_box.margins,
         "input_margins": a_box.margins,
         "end_to_end": {k: v for k, v in run.items() if k != "rollouts"},
-    }
-    write_json(report_path, report)
+    })
     ledger.record("plan")
-    return read_json(report_path)
+    return report
 
 
 def stage_evaluate(config, sims: _Simulations, metric, get_predictor, calibration, out: Path,
@@ -913,14 +901,14 @@ def stage_evaluate(config, sims: _Simulations, metric, get_predictor, calibratio
     # a diverged rollout (None) stays in the count as not contained
     result = tube_mod.containment_experiment(tubes, rollouts)
     result["ids"] = ids
-    write_json(rpath, result)
+    coverage = write_json(rpath, result)
     lines = ["id,sup_distance,contained"]
     for i, s in zip(ids, result["sup_distances"]):
         lines.append(f"{i},{s:.17g},{int(s <= result['radius'])}")
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     ledger.record("evaluate")
-    return read_json(rpath)
+    return coverage
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +920,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
 
     Stage artifacts persist under config.out_dir and are reused by the rule
     of ``_Ledger.reuse``.  The final report.json is deterministic for a fixed
-    config; it and ``config.json`` are rewritten only when their content
+    config; like every JSON artifact, it is rewritten only when its content
     changes, so a full resume writes no file.
     """
     if stop_after not in PIPELINE_STAGES:
@@ -940,7 +928,7 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": config.to_dict(), "stages": []}
-    _write_config_if_changed(config, out / "config.json")
+    write_json(out / "config.json", report["config"])
     ledger = _Ledger(config, out)
     # built on the first call, which only a recomputing stage makes
     plants = functools.cache(lambda: benchmark_systems(config))
@@ -1015,7 +1003,6 @@ def run_pipeline(config: ExperimentConfig, stop_after: str = "evaluate") -> dict
 
 
 def _finish(report: dict, out: Path) -> dict:
-    """The report as a reader of report.json sees it; the file is rewritten
-    only when it changes."""
+    """The report as a reader of report.json sees it."""
     report.setdefault("valid", True)
-    return _write_json_if_changed(out / "report.json", report)
+    return write_json(out / "report.json", report)

@@ -78,11 +78,12 @@ class ContractionMetric:
 
     @classmethod
     def constant(cls, matrix, rate: float, lower=None, upper=None) -> "ContractionMetric":
-        """M(x) = ``matrix``; a bound not given is its extreme eigenvalue,
+        """M(x) = ``matrix``, which ``__post_init__`` checks and symmetrizes;
+        a bound not given is an extreme eigenvalue of the symmetrized matrix,
         and the eigenvalues are computed only then."""
-        matrix = _sym(np.asarray(matrix, dtype=float))
+        matrix = np.asarray(matrix, dtype=float)
         if lower is None or upper is None:
-            eig = np.linalg.eigvalsh(matrix)
+            eig = np.linalg.eigvalsh(_sym(matrix))
             lower = eig[0] if lower is None else lower
             upper = eig[-1] if upper is None else upper
         n = matrix.shape[0]

@@ -500,41 +500,49 @@ def _train_mlp(data, n, m, cfg: TrainConfig):
     def forward(ps, Zb, tb):
         return _surrogate_forward(ps, Zb, tb, SURROGATE_TEMPERATURE, out_shift, out_scale)
 
-    def surrogate(ps, Zb, tb):
-        s, values = forward(ps, Zb, tb)
-        return s, _surrogate_backward(ps, s, values, SURROGATE_TEMPERATURE, out_scale)
-
     def full_loss(ps):
-        return float(np.mean([forward(ps, Zb, tb)[0] for Zb, tb in blocks]))
+        """The mean surrogate under ``ps``, and the forward values of the
+        records of ``order``'s first minibatch, which runs under ``ps`` and
+        so reuses them: each epoch's order is drawn before this pass."""
+        first = set(order[: cfg.batch_size].tolist())
+        losses, kept = [], {}
+        for idx, (Zb, tb) in enumerate(blocks):
+            s, values = forward(ps, Zb, tb)
+            losses.append(s)
+            if idx in first:
+                kept[idx] = (s, values)
+        return float(np.mean(losses)), kept
 
     lr = cfg.learning_rate
-    loss = full_loss(params)
-    history = [loss]
     order = np.arange(len(blocks))
+    rng.shuffle(order)
+    loss, at_start = full_loss(params)
+    history = [loss]
     for epoch in range(cfg.epochs):
-        rng.shuffle(order)
-        snapshot = [(W.copy(), b.copy()) for W, b in params]
+        snapshot, at_snapshot = [(W.copy(), b.copy()) for W, b in params], at_start
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
             for idx in batch:
-                Zb, tb = blocks[idx]
-                s, grads = surrogate(params, Zb, tb)
+                s, values = at_start.get(idx) or forward(params, *blocks[idx])
                 if not np.isfinite(s):
                     raise NonFiniteLoss(f"epoch {epoch}, record index {idx}")
+                grads = _surrogate_backward(params, s, values, SURROGATE_TEMPERATURE, out_scale)
                 for a, g in zip(acc, grads):
                     a[0][...] += g[0]
                     a[1][...] += g[1]
+            at_start = {}
             k = float(len(batch))
             params = [
                 (W - lr * gW / k, b - lr * gb / k)
                 for (W, b), (gW, gb) in zip(params, acc)
             ]
-        new_loss = full_loss(params)
+        rng.shuffle(order)
+        new_loss, at_start = full_loss(params)
         if not np.isfinite(new_loss):
             raise NonFiniteLoss(f"epoch {epoch} full loss")
         if new_loss > loss:
-            params = snapshot          # reject the epoch, halve the step
+            params, at_start = snapshot, at_snapshot    # reject the epoch, halve the step
             lr *= 0.5
             new_loss = loss
         loss = new_loss

@@ -39,11 +39,12 @@ point and so also supplies the step's first stage.
 
 Each state that ``integrate`` evaluates (a grid point or an RK4 stage
 state) has its drift fx = f(x) computed once and passed on as an argument:
-to the policy, ``policy(x, t, fx)``, whose feedback constraint reads it;
-to the plant field; and to the uncertainty, ``uncertainty(x, u, fx)``,
-which on the 3D plant reads the nominal drift from it.  Per evaluated
-state the 3D true plant makes one nominal and one true drift evaluation,
-open or closed loop, and the VTOL one drift evaluation.
+to the policy, ``policy(x, t, fx)``, whose feedback constraint reads it,
+and into the nominal field f = fx + B(x) u, which the uncertainty is
+handed as ``uncertainty(x, u, f)``: the 3D plant's subtracts it from the
+true field.  Per evaluated state the 3D true plant makes one nominal and
+one true drift evaluation, open or closed loop, and the VTOL one drift
+evaluation.
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ class DynamicalSystem:
 
     The callables take ``(..., n)`` state rows and ``(..., m)`` input rows;
     ``actuation`` returns ``(..., n, m)`` or, for a constant input matrix,
-    one ``(n, m)`` matrix that every row shares.  ``uncertainty(x, u, fx)``
-    is also handed the drift fx = f(x) at x, and is None for nominal
-    plants.  ``state_box`` and ``input_box`` are (n, 2) / (m, 2)
-    arrays of per-coordinate bounds.
+    one ``(n, m)`` matrix that every row shares.  ``uncertainty(x, u, f)``
+    is also handed the nominal field f = f(x) + B(x) u at (x, u), and is
+    None for nominal plants.  ``state_box`` and ``input_box`` are (n, 2) /
+    (m, 2) arrays of per-coordinate bounds.
     """
 
     state_dim: int
@@ -370,15 +371,16 @@ def integrate(
     """Simulate the closed loop with classical fixed-step RK4.
 
     Each evaluated state x (a grid point or an RK4 stage state) has its
-    drift fx = ``sys.drift(x)`` computed once, and the policy
-    ``policy(x, t, fx)``, the plant field fx + B(x) u + zeta and the
-    uncertainty ``sys.uncertainty(x, u, fx)`` all read it.  The policy is
-    evaluated at every RK4 stage.  If the policy object has a
-    ``notify_step(x, t, fx)`` method it is called once at the start of each
-    grid step (and at the final grid point) instead of the first-stage
-    call; it advances sampled-and-held controller state and returns the
-    input it commits, which is stored and drives the first stage, as does
-    the stored uncertainty of the true plant at that grid point.
+    drift fx = ``sys.drift(x)`` computed once, which the policy
+    ``policy(x, t, fx)`` and the nominal field f = fx + B(x) u read; the
+    uncertainty ``sys.uncertainty(x, u, f)`` reads f, and the plant field is
+    f + zeta.  The policy is evaluated at every RK4 stage.  If the policy
+    object has a ``notify_step(x, t, fx)`` method it is called once at the
+    start of each grid step (and at the final grid point) instead of the
+    first-stage call; it advances sampled-and-held controller state and
+    returns the input it commits, which is stored and drives the first
+    stage, as does the stored uncertainty of the true plant at that grid
+    point.
 
     ``x0`` is one state ``(n,)`` or a block of N starts ``(N, n)`` on the
     same grid, which the plant and the policy then see as ``(N, n)`` rows.
@@ -414,7 +416,7 @@ def integrate(
         dz = fz + matvec(sys.actuation(z), u)
         if sys.uncertainty is None:
             return u, None, dz
-        zeta = sys.uncertainty(z, u, fz)
+        zeta = sys.uncertainty(z, u, dz)
         return u, zeta, dz + zeta
 
     def slope(z, c):
@@ -507,8 +509,8 @@ def make_benchmark_3d(
     The true plant carries the perturbed parameters theta + delta and a
     mismatched input matrix (pass ``true_actuation=_B3_NOMINAL`` for the
     matched case); it is returned in the additive nominal form,
-    zeta(x, u) = f_true(x, u) - f_nom(x, u).  Both plants' drift is the
-    nominal one, and zeta reads f_nom(x) from the drift ``fx`` it is
+    zeta(x, u) = f_true(x, u) - f_nom(x, u), and the nominal plant is its
+    ``.nominal`` twin.  zeta reads f_nom(x, u) from the nominal field it is
     handed, so it evaluates only the true drift itself.
     """
     th = np.asarray(theta, dtype=float)
@@ -518,22 +520,17 @@ def make_benchmark_3d(
     drift_nom = _field3(*th, _B3_NOMINAL)
     drift_true = _field3(*dth, B_true)
 
-    def zeta(x, u, fx):
-        f_true = drift_true(x) + matvec(B_true, u)
-        f_nom = fx + matvec(_B3_NOMINAL, u)
-        return f_true - f_nom
+    def zeta(x, u, f_nom):
+        return drift_true(x) + matvec(B_true, u) - f_nom
 
     state_box = np.array([[-15.0, 15.0]] * 3)
     input_box = np.array([[-1.5, 1.5]] * 2)
 
-    nominal = DynamicalSystem(
-        3, 2, drift_nom, lambda x: _B3_NOMINAL, state_box, input_box, name="threeD-nominal"
-    )
     true = DynamicalSystem(
         3, 2, drift_nom, lambda x: _B3_NOMINAL, state_box, input_box,
-        uncertainty=zeta, name="threeD-true",
+        uncertainty=zeta, name="threeD",
     )
-    return nominal, true
+    return true.nominal, true
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +585,7 @@ def make_benchmark_vtol() -> DynamicalSystem:
     """Planar VTOL with the thrust-channel disturbance (the true plant).
     Use ``.nominal`` for the unperturbed twin."""
 
-    def zeta(x, u, fx):
+    def zeta(x, u, f):
         return matvec(_B_VTOL, vtol_thrust_disturbance(x, u))
 
     # Published benchmark bounds: phi, phidot within +-60 deg(/s),

@@ -142,6 +142,7 @@ class RolloutContainment(NamedTuple):
     contained: bool             # sup_distance <= radius
     envelope_excess: float      # worst excess over the envelope + ENVELOPE_SLACK*c2;
                                 # nonpositive means the envelope holds at every grid time
+                                # (-inf for an infinite tube)
 
 
 def rollout_containment(tube: PRCITube, rollout: Optional[TrajectoryRecord]) -> RolloutContainment:
@@ -155,8 +156,11 @@ def rollout_containment(tube: PRCITube, rollout: Optional[TrajectoryRecord]) -> 
         return RolloutContainment(np.inf, np.inf, False, np.inf)
     d = trajectory_distances(tube, rollout)
     sup = float(np.max(d))
-    env = envelope_at(tube.envelope(float(d[0])), rollout.times)
-    excess = float(np.max(d - (env + ENVELOPE_SLACK * tube.radius)))
+    if np.isinf(tube.radius):   # the envelope would read inf - inf; nothing exceeds it
+        excess = -np.inf
+    else:
+        env = envelope_at(tube.envelope(float(d[0])), rollout.times)
+        excess = float(np.max(d - (env + ENVELOPE_SLACK * tube.radius)))
     return RolloutContainment(sup, float(d[0]), bool(sup <= tube.radius), excess)
 
 

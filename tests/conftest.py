@@ -5,15 +5,20 @@ from prcitube.metric import ContractionMetric, box_grid, synthesize_constant_met
 from prcitube.systems import make_benchmark_3d, make_benchmark_vtol, matvec
 
 
+def nominal_field(sys, x, u):
+    """The nominal field f(x) + B(x) u at one state or at every row, the
+    field ``integrate`` hands the uncertainty."""
+    return sys.drift(x) + matvec(sys.actuation(x), u)
+
+
 def plant_field(sys, x, u):
     """The plant field f(x) + B(x) u + zeta(x, u) at one state or at every
-    row, the drift computed once and handed to zeta, as ``integrate`` forms
-    it."""
-    fx = sys.drift(x)
-    dx = fx + matvec(sys.actuation(x), u)
+    row, the nominal field formed once and handed to zeta, as ``integrate``
+    forms it."""
+    f = nominal_field(sys, x, u)
     if sys.uncertainty is not None:
-        dx = dx + sys.uncertainty(x, u, fx)
-    return dx
+        f = f + sys.uncertainty(x, u, f)
+    return f
 
 
 @pytest.fixture(scope="session")

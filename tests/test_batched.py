@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
-from conftest import plant_field
+from conftest import nominal_field, plant_field
 from prcitube import harness
 from prcitube.control import feedback_terms, min_norm_feedback, residual_norms, track
 from prcitube.errors import DegenerateConstraint, DimensionMismatch
@@ -292,10 +292,11 @@ def test_one_state_plant_calls_round_as_rows_on_many_states(bench, bench3d, vtol
     box, ibox = sys.state_box, sys.input_box
     X = rng.uniform(box[:, 0], box[:, 1], (20000, sys.state_dim))
     U = rng.uniform(ibox[:, 0], ibox[:, 1], (20000, sys.input_dim))
-    fX, zeta = sys.drift(X), sys.uncertainty(X, U, sys.drift(X))
+    fX, F = sys.drift(X), nominal_field(sys, X, U)
+    zeta = sys.uncertainty(X, U, F)
     assert fX.tobytes() == np.array([sys.drift(x) for x in X]).tobytes()
     assert fX.tobytes() == np.array([plant.drift(x) for x in X]).tobytes()
-    one_state = [sys.uncertainty(x, u, fx) for x, u, fx in zip(X, U, fX)]
+    one_state = [sys.uncertainty(x, u, f) for x, u, f in zip(X, U, F)]
     assert zeta.tobytes() == np.array(one_state).tobytes()
     assert zeta.tobytes() == np.array([plant.zeta(x, u) for x, u in zip(X, U)]).tobytes()
 
@@ -439,7 +440,7 @@ def test_diverged_open_loop_row_is_skipped_by_id(caplog):
         )
 
     nom = plant(None)
-    true = plant(lambda x, u, fx: x ** 2 + x)      # the true plant is xdot = x^2 + u
+    true = plant(lambda x, u, f: x ** 2 + x)      # the true plant is xdot = x^2 + u
     signal = PiecewiseLinearInput(np.array([0.0, 1.0]), np.zeros((2, 1)))
     refs = generate_reference_dataset(nom, np.array([[0.1], [2.0], [-0.5]]), [signal] * 3, 2.0, 0.01)
     assert refs.ids() == ["ref-0000", "ref-0001", "ref-0002"]

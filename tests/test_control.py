@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle as oracle
+from conftest import nominal_field
 from prcitube.control import (
     ContractingPolicy,
     feedback_terms,
@@ -250,7 +251,7 @@ def test_full_compensation_with_square_B():
         actuation=lambda x: np.eye(2),
         state_box=np.array([[-5.0, 5.0]] * 2),
         input_box=np.array([[-10.0, 10.0]] * 2),
-        uncertainty=lambda x, u, fx: zeta(x, u),
+        uncertainty=lambda x, u, f: zeta(x, u),
     )
 
     class Perfect:
@@ -282,7 +283,7 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
         family = "half"
 
         def predict(self, x, u):
-            return 0.5 * vtol.uncertainty(x, u, vtol.drift(x))
+            return 0.5 * vtol.uncertainty(x, u, nominal_field(vtol, x, u))
 
     (roll,) = track(vtol, metric_vtol, Half(), [ref], [np.zeros(6)])
     norms = residual_norms(nom, Half(), roll)
@@ -290,9 +291,9 @@ def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
     Bp = np.linalg.pinv(B, rcond=1e-10)
     for k in (0, 7, 50, 100):
         u_minus = roll.inputs[k - 1] if k else np.zeros(2)
-        x, fx = roll.states[k], vtol.drift(roll.states[k])
-        r = vtol.uncertainty(x, roll.inputs[k], fx) - B @ (
-            Bp @ (0.5 * vtol.uncertainty(x, u_minus, fx))
+        x, u = roll.states[k], roll.inputs[k]
+        r = vtol.uncertainty(x, u, nominal_field(vtol, x, u)) - B @ (
+            Bp @ (0.5 * vtol.uncertainty(x, u_minus, nominal_field(vtol, x, u_minus)))
         )
         assert norms[k] == pytest.approx(np.linalg.norm(r), abs=1e-12)
 

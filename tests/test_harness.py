@@ -591,8 +591,34 @@ def test_deleted_train_report_retrains_only_the_train_stage(smoke_run, tmp_path,
     opened = _opened_files(monkeypatch)
     run_pipeline(cfg)
     assert trained == [1]
-    assert set(_written(opened, run_dir)) == {"predictor.json", "train_report.json",
-                                               "provenance.json"}
+    # the retrained predictor.json holds what it held, so it is left alone
+    assert set(_written(opened, run_dir)) == {"train_report.json", "provenance.json"}
+    assert _tree_bytes(run_dir) == before
+
+
+def test_recomputed_metric_stage_rewrites_only_the_json_files_it_changes(
+    smoke_run, tmp_path, monkeypatch
+):
+    """With ``metric.json`` deleted the metric stage recomputes, and
+    ``metric_verification.json``, whose content it reproduces, is not
+    reopened for writing; once a value in that file is edited, the
+    recompute rewrites it as it was."""
+    cfg, run_dir, before = _restored_copy(smoke_run, tmp_path)
+    (run_dir / "metric.json").unlink()
+    opened = _opened_files(monkeypatch)
+    run_pipeline(cfg)
+    assert _written(opened, run_dir) == ["provenance.json", "metric.json", "provenance.json"]
+    assert _tree_bytes(run_dir) == before
+
+    vpath = run_dir / "metric_verification.json"
+    edited = read_json(vpath)
+    edited["n_points"] += 1
+    vpath.write_text(json.dumps(edited, indent=2, sort_keys=True) + "\n")
+    (run_dir / "metric.json").unlink()
+    opened.clear()
+    run_pipeline(cfg)
+    assert _written(opened, run_dir) == ["provenance.json", "metric.json",
+                                         "metric_verification.json", "provenance.json"]
     assert _tree_bytes(run_dir) == before
 
 
@@ -1002,6 +1028,15 @@ def test_start_mode_other_than_center_is_refused(tmp_path, capsys):
     ("benchmark", "quadrotor"),
     ("reference_sampler", "waypoint"),
     ("predictor_family", "gp"),
+    # a plan_obstacles entry must be five finite numbers with a positive-definite shape
+    pytest.param("plan_obstacles", [[0.0, 0.3, 25.0, 0.0]], id="plan_obstacles-four"),
+    pytest.param("plan_obstacles", 3.0, id="plan_obstacles-scalar"),
+    pytest.param("plan_obstacles", [0.0, 0.3, 25.0, 0.0, 25.0], id="plan_obstacles-flat"),
+    pytest.param("plan_obstacles", [[0.0, 0.3, 25.0, 0.0, 25.0], [0.0, 0.3, 25.0, 30.0, 25.0]],
+                 id="plan_obstacles-indefinite"),
+    pytest.param("plan_obstacles", [[0.0, 0.3, -25.0, 0.0, -25.0]], id="plan_obstacles-negative"),
+    pytest.param("plan_obstacles", [[0.0, float("nan"), 25.0, 0.0, 25.0]], id="plan_obstacles-nan"),
+    pytest.param("plan_obstacles", [[0.0, 0.3, 25.0, 0.0, "25"]], id="plan_obstacles-string"),
 ])
 def test_unknown_variant_is_refused_before_anything_is_written(tmp_path, capsys, key, value):
     with pytest.raises(ValueError, match=key):

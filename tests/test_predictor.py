@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from conftest import nominal_field
 from prcitube.control import track
 from prcitube.errors import DimensionMismatch
 from prcitube.predictor import (
@@ -198,7 +199,7 @@ def test_linear_recovers_constant_uncertainty(bench3d):
 
     import dataclasses
 
-    true = dataclasses.replace(nom, uncertainty=lambda x, u, fx: const, name="const")
+    true = dataclasses.replace(nom, uncertainty=lambda x, u, f: const, name="const")
     ref = small_ref_dataset(nom, n=3, T=1.0)
     ds = generate_perturbed_dataset(true, ref, "open_loop_reference", "train")
     p = train(ds, "linear_features", TrainConfig(degree=1))
@@ -219,6 +220,79 @@ def test_training_monotone_surrogate(datasets):
     p = train(train_ds, "mlp", TrainConfig(seed=2, epochs=25))
     hist = np.array(p.training_info["surrogate_history"])
     assert np.all(np.diff(hist) <= 1e-12)
+
+
+def _recomputing_train_mlp(data, cfg, forward):
+    """``predictor._train_mlp`` with every forward pass recomputed, through
+    ``forward``; its theta and surrogate history."""
+    import prcitube.predictor as trainer
+
+    layers = [data[0][0].shape[1] + data[0][1].shape[1], *cfg.hidden, data[0][0].shape[1]]
+    XU = np.vstack([np.hstack([X, U]) for X, U, _ in data])
+    shift, scale = XU.mean(axis=0), np.maximum(XU.std(axis=0), 1e-8)
+    ZS = np.vstack([Z for _, _, Z in data])
+    out_shift, out_scale = ZS.mean(axis=0), np.maximum(ZS.std(axis=0), 1e-8)
+    blocks = [((np.hstack([X, U]) - shift) / scale, Z) for X, U, Z in data]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    params = [(rng.normal(0.0, np.sqrt(2.0 / i), (o, i)), np.zeros(o))
+              for o, i in trainer._mlp_shapes(layers)]
+    tau = trainer.SURROGATE_TEMPERATURE
+
+    def full_loss(ps):
+        return float(np.mean([forward(ps, Zb, tb, tau, out_shift, out_scale)[0]
+                              for Zb, tb in blocks]))
+
+    lr, loss = cfg.learning_rate, full_loss(params)
+    history, order = [loss], np.arange(len(blocks))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        snapshot = params
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            acc = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+            for idx in batch:
+                s, values = forward(params, *blocks[idx], tau, out_shift, out_scale)
+                grads = trainer._surrogate_backward(params, s, values, tau, out_scale)
+                for a, g in zip(acc, grads):
+                    a[0][...] += g[0]
+                    a[1][...] += g[1]
+            k = float(len(batch))
+            params = [(W - lr * gW / k, b - lr * gb / k) for (W, b), (gW, gb) in zip(params, acc)]
+        new_loss = full_loss(params)
+        if new_loss > loss:
+            params, lr, new_loss = snapshot, lr * 0.5, loss
+        loss = new_loss
+        history.append(loss)
+        if lr < 1e-8:
+            break
+    return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in params]), history
+
+
+@pytest.mark.parametrize("batch_size, lr", [(8, 0.05), (4, 3.0)], ids=["one_batch", "rejecting"])
+def test_mlp_training_reuses_the_full_loss_forward_pass(datasets, monkeypatch, batch_size, lr):
+    """An epoch's first minibatch takes its forward values from the full
+    loss under the same parameters, after a rejected epoch too, and training
+    keeps the bits of a loop that recomputes them.  With every record in one
+    minibatch, an epoch runs one forward pass per record."""
+    import prcitube.predictor as trainer
+
+    _, _, _, _, _, train_ds = datasets
+    cfg = TrainConfig(seed=3, epochs=12, batch_size=batch_size, learning_rate=lr)
+    real, calls = trainer._surrogate_forward, []
+    monkeypatch.setattr(trainer, "_surrogate_forward", lambda *a: calls.append(1) or real(*a))
+    theta, _, info = trainer._train_mlp(trainer._record_arrays(train_ds), 3, 2, cfg)
+    want_calls = []
+    want_theta, want_history = _recomputing_train_mlp(
+        trainer._record_arrays(train_ds), cfg, lambda *a: want_calls.append(1) or real(*a))
+    assert theta.tobytes() == want_theta.tobytes()
+    assert info["surrogate_history"] == want_history
+    n = len(train_ds)
+    if batch_size >= n:
+        assert info["final_lr"] == lr
+        assert len(calls) == n * (1 + cfg.epochs) < len(want_calls)
+    else:
+        assert info["final_lr"] < lr      # some epoch was rejected
+        assert len(calls) < len(want_calls)
 
 
 def test_mlp_beats_zero_family_on_held_out(bench3d):
@@ -303,7 +377,7 @@ def test_recorded_uncertainty_matches_recomputation(datasets):
         x = e.record.states[k]
         np.testing.assert_allclose(
             e.record.uncertainties[k],
-            true.uncertainty(x, e.record.inputs[k], true.drift(x)),
+            true.uncertainty(x, e.record.inputs[k], nominal_field(true, x, e.record.inputs[k])),
             atol=1e-13,
         )
 

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import plant_field
+from conftest import nominal_field, plant_field
 from prcitube.errors import NonFiniteState
 from prcitube.harness import read_json, write_json
 from prcitube.systems import (
@@ -76,6 +76,10 @@ def test_3d_paper_configuration_is_default():
     u = np.array([0.2, -0.4])
     np.testing.assert_array_equal(plant_field(nom_default, x, u), plant_field(nom_explicit, x, u))
     assert true_default.uncertainty is not None
+    # the nominal plant is the true plant's twin without the uncertainty
+    assert nom_default.uncertainty is None and nom_default.name == "threeD-nominal"
+    assert nom_default.drift is true_default.drift
+    assert nom_default.actuation is true_default.actuation
     np.testing.assert_array_equal(nom_default.state_box, np.array([[-15.0, 15.0]] * 3))
     np.testing.assert_array_equal(nom_default.input_box, np.array([[-1.5, 1.5]] * 2))
 
@@ -86,7 +90,8 @@ def test_3d_zero_perturbation_zero_uncertainty():
     for _ in range(25):
         x = rng.uniform(-5, 5, 3)
         u = rng.uniform(-1.5, 1.5, 2)
-        np.testing.assert_allclose(true.uncertainty(x, u, true.drift(x)), np.zeros(3), atol=1e-14)
+        np.testing.assert_allclose(true.uncertainty(x, u, nominal_field(true, x, u)), np.zeros(3),
+                                   atol=1e-14)
 
 
 def make_benchmark_3d_direct(theta=(0.4, 0.2, 0.1), delta=(0.0, 0.02, -0.01)) -> DynamicalSystem:
@@ -135,7 +140,7 @@ def test_vtol_disturbance_arithmetic():
     assert chan[0] == pytest.approx(-0.04 * 1.0 + 0.05 * np.sqrt(2.0), abs=1e-14)
     assert chan[1] == pytest.approx(0.05 * np.sqrt(2.0), abs=1e-14)
     vt = make_benchmark_vtol()
-    zeta = vt.uncertainty(x, u, vt.drift(x))
+    zeta = vt.uncertainty(x, u, nominal_field(vt, x, u))
     np.testing.assert_allclose(zeta[:4], np.zeros(4), atol=1e-15)
     assert zeta[4] == pytest.approx((chan[0] + chan[1]) / VTOL_MASS)
     assert zeta[5] == pytest.approx((chan[0] - chan[1]) * VTOL_ARM / VTOL_INERTIA)
@@ -199,9 +204,9 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
     _, true = make_benchmark_3d()
     calls = []
 
-    def counted(x, u, fx):
+    def counted(x, u, f):
         calls.append(1)
-        return true.uncertainty(x, u, fx)
+        return true.uncertainty(x, u, f)
 
     pol = PiecewiseLinearInput(np.array([0.0, 1.0]), np.array([[0.2, -0.3], [0.1, 0.4]]))
     dt, n_steps = 0.01, 100
@@ -216,7 +221,8 @@ def test_integrate_evaluates_uncertainty_once_per_grid_point():
     states, zetas = [x], []
     for k in range(n_steps + 1):
         t = rec.times[k]
-        zetas.append(true.uncertainty(x, pol(x, t), true.drift(x)))
+        u = pol(x, t)
+        zetas.append(true.uncertainty(x, u, nominal_field(true, x, u)))
         if k == n_steps:
             break
         k1 = f(x, t)
@@ -352,7 +358,8 @@ def test_integrate_fills_uncertainties_at_grid():
     for k in (0, 17, 50):
         np.testing.assert_allclose(
             rec.uncertainties[k],
-            true.uncertainty(rec.states[k], rec.inputs[k], true.drift(rec.states[k])),
+            true.uncertainty(rec.states[k], rec.inputs[k],
+                             nominal_field(true, rec.states[k], rec.inputs[k])),
             atol=1e-14,
         )
 

@@ -153,6 +153,20 @@ def test_rollout_containment_decides_once_and_fails_diverged_rollouts():
     assert result["envelope_worst_excess_contained"] == c.envelope_excess
 
 
+def test_infinite_tube_envelope_is_never_exceeded():
+    """An infinite radius (too few calibration scores for alpha) contains
+    every finite rollout, and its envelope (d0 - inf) e^(-rate t) + inf
+    cannot be exceeded: the excess is -inf, not NaN."""
+    tube = flat_tube(n=2, radius=np.inf)
+    ref = tube.reference
+    rollout = TrajectoryRecord(ref.times, np.tile([0.0, 3.0], (len(ref.times), 1)), ref.inputs)
+    c = rollout_containment(tube, rollout)
+    assert (c.sup_distance, c.contained, c.envelope_excess) == (3.0, True, -np.inf)
+    result = containment_experiment([tube] * 2, [rollout, None])
+    assert result["contained"] == 1
+    assert result["envelope_worst_excess_contained"] == -np.inf
+
+
 def test_start_in_ball_is_the_second_ball_sample(metric3d):
     center = np.array([0.2, -0.1, 0.3])
     for seed in range(5):
