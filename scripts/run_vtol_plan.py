@@ -18,8 +18,8 @@ from prcitube.metric import box_grid, synthesize_constant_metric
 from prcitube.planner import ObstacleEllipse, PlanProblem, plan
 from prcitube.systems import (
     TrajectoryRecord,
-    VTOL_GRAVITY,
-    VTOL_MASS,
+    VTOL_CERTIFIED_BOX,
+    VTOL_HOVER_THRUST,
     make_benchmark_vtol,
 )
 from prcitube.tube import PRCITube, project_tube_2d
@@ -36,10 +36,8 @@ def main(argv=None):
 
     vtol = make_benchmark_vtol()
     nom = vtol.nominal
-    r = np.deg2rad(30.0)
-    cert_box = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
     metric = synthesize_constant_metric(
-        nom, box_grid(cert_box, [1, 1, 5, 5, 5, 5]), (0.1, 0.6),
+        nom, box_grid(VTOL_CERTIFIED_BOX, [1, 1, 5, 5, 5, 5]), (0.1, 0.6),
         chi_max=300.0, margin_target=-0.02,
     )
 
@@ -54,7 +52,6 @@ def main(argv=None):
 
     obstacle = ObstacleEllipse(np.array([0.0, 0.3]), np.diag([1 / 0.35**2, 1 / 0.35**2]))
     inflated = obstacle.inflate(proj.max_extent())
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
     problem = PlanProblem(
         sys=nom,
         T=3.0,
@@ -62,13 +59,13 @@ def main(argv=None):
         x0=np.array([-1.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
         goal=np.array([1.5, 0.0, 0.0, 0.0, 0.0, 0.0]),
         state_box=np.array([[-20.0, 20.0]] * 6),
-        input_box=np.array([[0.0, 4.0 * hover]] * 2),
+        input_box=np.array([[0.0, 4.0 * VTOL_HOVER_THRUST]] * 2),
         obstacles=(inflated,),
         w1=0.005,
         w2=1.0,
         goal_weights=np.array([2.0, 2.0, 0.3, 0.3, 0.3, 0.3]),
     )
-    warm = np.tile([hover, hover], (int(round(3.0 / 0.02)) + 1, 1))
+    warm = np.tile([VTOL_HOVER_THRUST] * 2, (int(round(3.0 / 0.02)) + 1, 1))
     result = plan(problem, init=warm, max_iter=250)
     result.record.save_csv(out / "plan.csv")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,18 +54,17 @@ class CalibrationResult:
             "scores": list(map(float, self.scores)),
             "alpha": self.alpha,
             "quantile_index": self.quantile_index,
-            "quantile_value": self.quantile_value if not self.infinite else "inf",
+            "quantile_value": self.quantile_value,
             "metadata": self.metadata,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "CalibrationResult":
-        q = d["quantile_value"]
         return CalibrationResult(
             np.array(d["scores"], dtype=float),
             d["alpha"],
             d["quantile_index"],
-            np.inf if q == "inf" else float(q),
+            float(d["quantile_value"]),     # write_json spells +inf "inf"
             d.get("metadata", {}),
         )
 
@@ -106,6 +105,27 @@ def score_dataset(
     )
 
 
+def split_calibration(
+    cal_dataset: TrainingDataset, fraction: float
+) -> tuple[TrainingDataset, TrainingDataset]:
+    """The two-step split: the first round(fraction * n) entries, in order,
+    and the rest, as two datasets of ``cal_dataset``'s split."""
+    if not (0.0 < fraction < 1.0):
+        raise ValueError(f"split_fraction must be in (0, 1), got {fraction!r}")
+    n1 = int(round(fraction * len(cal_dataset)))
+    parts = cal_dataset.entries[:n1], cal_dataset.entries[n1:]
+    return tuple(TrainingDataset(part, cal_dataset.split_tag) for part in parts)
+
+
+def calibrate_step(records: Iterable[TrajectoryRecord], predictor: UncertaintyPredictor,
+                   sys_nominal: DynamicalSystem, alpha: float, step: str) -> CalibrationResult:
+    """One step of the two-step protocol: score ``records`` and calibrate."""
+    scores = [nonconformity_score(r, predictor, sys_nominal) for r in records]
+    if not scores:
+        raise InsufficientCalibrationData(f"the {step} calibration step has no records")
+    return calibrate(scores, alpha, {"step": step, "n": len(scores)})
+
+
 def two_step_calibrate(
     cal_dataset: TrainingDataset,
     predictor: UncertaintyPredictor,
@@ -123,20 +143,10 @@ def two_step_calibrate(
     (without them the second half of ``cal_dataset`` is used as-is, which
     is only exact when no tightening is applied).
     """
-    if not (0.0 < split_fraction < 1.0):
-        raise ValueError("split_fraction must be in (0, 1)")
-    n = len(cal_dataset)
-    n1 = int(round(split_fraction * n))
-    first = cal_dataset.entries[:n1]
-    second = (
-        second_stage_records.entries if second_stage_records is not None else cal_dataset.entries[n1:]
-    )
-    if len(first) == 0 or len(second) == 0:
-        raise InsufficientCalibrationData(
-            f"two-step split needs both halves non-empty, got {len(first)}/{len(second)}"
-        )
-    s1 = [nonconformity_score(e.record, predictor, sys_nominal) for e in first]
-    s2 = [nonconformity_score(e.record, predictor, sys_nominal) for e in second]
-    tube_q = calibrate(s1, alpha, {"step": "tube-radius", "n": len(s1)})
-    track_q = calibrate(s2, alpha, {"step": "tracking", "n": len(s2)})
+    first, rest = split_calibration(cal_dataset, split_fraction)
+    second = rest if second_stage_records is None else second_stage_records
+    tube_q = calibrate_step((e.record for e in first.entries), predictor, sys_nominal, alpha,
+                            "tube-radius")
+    track_q = calibrate_step((e.record for e in second.entries), predictor, sys_nominal, alpha,
+                             "tracking")
     return tube_q, track_q

@@ -75,7 +75,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import conformal, tube as tube_mod
-from .errors import InsufficientCalibrationData, PrcitubeError
+from .errors import PrcitubeError
 from .metric import ContractionMetric, box_grid, synthesize_constant_metric, verify_contraction
 from .control import track
 from .planner import ObstacleEllipse, PlanProblem, end_to_end_run, plan as solve_plan
@@ -95,7 +95,9 @@ from .predictor import (
 )
 from .systems import (
     VTOL_ARM,
+    VTOL_CERTIFIED_BOX,
     VTOL_GRAVITY,
+    VTOL_HOVER_THRUST,
     VTOL_INERTIA,
     VTOL_MASS,
     DynamicalSystem,
@@ -281,7 +283,7 @@ def _default_init_box(config: ExperimentConfig) -> np.ndarray:
 
 def _input_center(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndarray:
     if config.benchmark == "vtol":
-        return np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0)
+        return np.full(2, VTOL_HOVER_THRUST)
     return np.zeros(sys_nom.input_dim)
 
 
@@ -583,13 +585,9 @@ def stage_metric(config: ExperimentConfig, plants: Plants, out: Path, ledger: _L
 
 
 def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
-    if config.benchmark == "vtol":
-        # No constant metric certifies the full attitude box; certify the
-        # near-hover region.  Positions drop out (dynamics are invariant).
-        r = float(np.deg2rad(30.0))
-        box = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
-    else:
-        box = sys_nom.state_box
+    # on the VTOL, the near-hover region: no constant metric certifies the
+    # full attitude box
+    box = VTOL_CERTIFIED_BOX if config.benchmark == "vtol" else sys_nom.state_box
     per_dim = [1 if hi <= lo else points for lo, hi in box]
     return box_grid(box, per_dim)
 
@@ -765,7 +763,10 @@ def _parse_obstacles(config) -> tuple:
 
 def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
                ledger: _Ledger) -> dict:
-    """Tightened planning with the two-step calibration protocol."""
+    """Tightened planning with the two-step calibration protocol: the first
+    part of ``conformal.split_calibration`` sizes the tube that tightens the
+    boxes, and the tracking step's records are regenerated under the plan
+    (the one-step path has none: the whole set sizes the tube)."""
     plan_dir = out / "plan"
     report_path = plan_dir / "plan_report.json"
     written = ("plan.csv", "plan_manifest.json", "calibration_tube.json",
@@ -776,12 +777,10 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
     sys_nom, sys_true = plants()
     predictor = get_predictor()
 
-    n = len(cal_ds)
-    n1 = int(round(config.two_step_fraction * n)) if config.two_step else n
-    first = TrainingDataset(cal_ds.entries[:n1], "cal")
-    scores_a = conformal.score_dataset(first, predictor, sys_nom)
-    cal_a = conformal.calibrate(
-        scores_a, config.alpha, {"step": "tube-radius", "n": len(scores_a)}
+    first, rest = (conformal.split_calibration(cal_ds, config.two_step_fraction)
+                   if config.two_step else (cal_ds, ()))
+    cal_a = conformal.calibrate_step(
+        (e.record for e in first.entries), predictor, sys_nom, config.alpha, "tube-radius"
     )
     rep_ref = first.entries[0].reference or first.entries[0].record
     rep_tube = PRCITube.from_calibration(rep_ref, metric, cal_a, "tightening")
@@ -845,29 +844,20 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
         tube_mod.start_in_ball(
             metric, x0, radius_a, rng_stream(config.seed, f"twostep-start-{i}")
         )
-        for i in range(n - n1)
+        for i in range(len(rest))
     ]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed + 1)))
     starts += [tube_mod.start_in_ball(metric, x0, radius_a, rng) for _ in range(config.n_test)]
     rollouts = track(sys_true, metric, predictor, [result.record] * len(starts), starts)
-    records, test_rollouts = rollouts[: n - n1], rollouts[n - n1 :]
+    records, test_rollouts = rollouts[: len(rest)], rollouts[len(rest) :]
 
     # Single-step fallback: the tightening quantile doubles as the tracking
     # quantile (the Remark-1 exchangeability caveat applies).
     cal_tube = cal_track = cal_a
     if config.two_step:
-        # The first half was scored once, above.  A diverged record is skipped.
-        scores_b = [
-            conformal.nonconformity_score(rec, predictor, sys_nom)
-            for rec in records
-            if rec is not None
-        ]
-        if not scores_b:
-            raise InsufficientCalibrationData(
-                f"two-step split needs both halves non-empty, got {n1}/0"
-            )
-        cal_track = conformal.calibrate(
-            scores_b, config.alpha, {"step": "tracking", "n": len(scores_b)}
+        cal_track = conformal.calibrate_step(
+            (rec for rec in records if rec is not None),    # a diverged record is skipped
+            predictor, sys_nom, config.alpha, "tracking",
         )
     write_json(plan_dir / "calibration_tube.json", cal_tube.to_json_dict())
     write_json(plan_dir / "calibration_tracking.json", cal_track.to_json_dict())

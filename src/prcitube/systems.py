@@ -160,15 +160,12 @@ class TrajectoryRecord:
 
     All sequences share the length of ``times``; the grid is uniform.
     ``uncertainties`` is None for reference (nominal) records.
-    ``left_state_box`` flags that some committed state left the admissible
-    box during simulation (recorded, not an error).
     """
 
     times: Array
     states: Array
     inputs: Array
     uncertainties: Optional[Array] = None
-    left_state_box: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "times", _readonly(self.times))
@@ -275,7 +272,6 @@ class TrajectoryRecord:
             "horizon_s": self.horizon,
             "samples": int(len(self.times)),
             "has_uncertainty": self.uncertainties is not None,
-            "left_state_box": bool(self.left_state_box),
         }
 
 
@@ -447,15 +443,11 @@ def integrate(
             break
         x, _ = rk4_step(slope, x, dt, k1)
 
-    # a row left the box when some stored state of it did
-    lo, hi = sys.state_box[:, 0], sys.state_box[:, 1]
-    left_box = (~((states >= lo) & (states <= hi)).all(axis=-1)).any(axis=0)
     if not rows:
-        return TrajectoryRecord(times, states, inputs, zetas, left_state_box=bool(left_box))
+        return TrajectoryRecord(times, states, inputs, zetas)
     return [
         None if frozen[i] else TrajectoryRecord(
-            times, states[:, i], inputs[:, i], None if zetas is None else zetas[:, i],
-            left_state_box=bool(left_box[i]),
+            times, states[:, i], inputs[:, i], None if zetas is None else zetas[:, i]
         )
         for i in range(len(x0))
     ]
@@ -543,6 +535,12 @@ VTOL_GRAVITY = 9.81     # m/s^2
 VTOL_ARM = 0.25         # m
 VTOL_KZ = 0.04
 VTOL_KPHIDOT = 0.05
+VTOL_HOVER_THRUST = VTOL_MASS * VTOL_GRAVITY / 2.0     # N per rotor: the hover trim
+
+# The near-hover box a constant metric certifies (none certifies +-60 deg);
+# positions drop out, the dynamics being position-invariant.
+_R30 = np.deg2rad(30.0)
+VTOL_CERTIFIED_BOX = _readonly([[0, 0], [0, 0], [-_R30, _R30], [-1, 1], [-0.5, 0.5], [-_R30, _R30]])
 
 _B_VTOL = _readonly(
     [
@@ -602,8 +600,7 @@ def make_benchmark_vtol() -> DynamicalSystem:
             [-rad60, rad60],
         ]
     )
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
-    input_box = np.array([[0.0, 4.0 * hover], [0.0, 4.0 * hover]])
+    input_box = np.array([[0.0, 4.0 * VTOL_HOVER_THRUST], [0.0, 4.0 * VTOL_HOVER_THRUST]])
     return DynamicalSystem(
         6, 2, vtol_drift, lambda x: _B_VTOL, state_box, input_box,
         uncertainty=zeta, name="vtol",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prcitube.metric import ContractionMetric, box_grid, synthesize_constant_metric
-from prcitube.systems import make_benchmark_3d, make_benchmark_vtol, matvec
+from prcitube.systems import VTOL_CERTIFIED_BOX, make_benchmark_3d, make_benchmark_vtol, matvec
 
 
 def nominal_field(sys, x, u):
@@ -40,12 +40,8 @@ def vtol():
 
 @pytest.fixture(scope="session")
 def metric_vtol(vtol):
-    # Constant-metric certificate region: near-hover attitudes/velocities.
-    # (No constant metric exists on the full +-60 deg box; positions are
-    # irrelevant because the dynamics are position-invariant.)
-    r = np.deg2rad(30.0)
-    box = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
-    grid = box_grid(box, [1, 1, 5, 5, 5, 5])
+    # the near-hover certificate region
+    grid = box_grid(VTOL_CERTIFIED_BOX, [1, 1, 5, 5, 5, 5])
     return synthesize_constant_metric(
         vtol.nominal, grid, (0.1, 0.6), chi_max=300.0, margin_target=-0.02
     )

@@ -27,8 +27,7 @@ from prcitube.predictor import (
     train,
 )
 from prcitube.systems import (
-    VTOL_GRAVITY,
-    VTOL_MASS,
+    VTOL_HOVER_THRUST,
     DynamicalSystem,
     PiecewiseLinearInput,
     integrate,
@@ -70,7 +69,7 @@ def case(request, bench3d, metric3d, vtol, metric_vtol):
         nom = vtol.nominal
         metric, plant, T = metric_vtol, oracle.plant_vtol(), 1.0
         x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
-        u_center, u_half, offset = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05, 0.01
+        u_center, u_half, offset = np.full(2, VTOL_HOVER_THRUST), 0.05, 0.01
     refs = _reference_set(nom, rng, 10, T, x_half, u_center, u_half)
     train_ds = generate_perturbed_dataset(
         true, type(refs)(refs.entries[:6], "ref"), "open_loop_reference", "train"
@@ -372,7 +371,7 @@ def test_input_tightening_equals_a_per_sample_loop(bench, bench3d, metric3d, vto
     else:
         nom, metric, radii = vtol.nominal, metric_vtol, (0.01, 0.5)
         x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
-        u_center, u_half = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05
+        u_center, u_half = np.full(2, VTOL_HOVER_THRUST), 0.05
     rng = np.random.default_rng(6)
     refs = _reference_set(nom, rng, 10, 1.0, x_half, u_center, u_half)
     calls = []
@@ -412,7 +411,7 @@ def open_loop(request, bench3d, vtol):
     else:
         nom, true = vtol.nominal, vtol
         x_half = np.array([0.3, 0.3, 0.05, 0.1, 0.1, 0.05])
-        u_center, u_half = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0), 0.05
+        u_center, u_half = np.full(2, VTOL_HOVER_THRUST), 0.05
     refs = _reference_set(nom, rng, 8, 1.0, x_half, u_center, u_half)
     train_ds = generate_perturbed_dataset(true, refs, "open_loop_reference", "train")
     return SimpleNamespace(nom=nom, true=true, refs=refs, train=train_ds)

@@ -10,14 +10,17 @@ from hypothesis import given, settings, strategies as st
 from prcitube.conformal import (
     CalibrationResult,
     calibrate,
+    calibrate_step,
     conformal_index,
     empirical_coverage,
     nonconformity_score,
     score_dataset,
+    split_calibration,
     two_step_calibrate,
 )
 from prcitube.control import residual_norms
 from prcitube.errors import InsufficientCalibrationData, InvalidAlpha
+from prcitube.harness import read_json, write_json
 from prcitube.predictor import (
     TrainConfig,
     TrainingDataset,
@@ -220,6 +223,31 @@ def test_two_step_insufficient_data(cal_setup):
         two_step_calibrate(small, predictor, nom, alpha=0.5, split_fraction=0.2)
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.5])
+def test_split_refuses_a_fraction_outside_the_open_unit_interval(cal_setup, fraction):
+    cal_ds = cal_setup[4]
+    with pytest.raises(ValueError, match="split_fraction"):
+        split_calibration(cal_ds, fraction)
+
+
+def test_split_keeps_order_and_rounds_the_first_part(cal_setup):
+    cal_ds = cal_setup[4]
+    for fraction, n1 in ((0.5, 2), (0.6, 2), (0.7, 3), (0.1, 0)):
+        first, rest = split_calibration(cal_ds, fraction)
+        assert first.ids() + rest.ids() == cal_ds.ids() and len(first) == n1
+        assert first.split_tag == rest.split_tag == cal_ds.split_tag
+
+
+def test_step_scores_its_records_and_refuses_none(cal_setup):
+    nom, _, _, predictor, cal_ds = cal_setup
+    records = [e.record for e in cal_ds.entries]
+    step = calibrate_step(records, predictor, nom, 0.4, "tracking")
+    want = calibrate(score_dataset(cal_ds, predictor, nom), 0.4, {"step": "tracking", "n": 4})
+    assert step.to_json_dict() == want.to_json_dict()
+    with pytest.raises(InsufficientCalibrationData, match="tracking"):
+        calibrate_step([], predictor, nom, 0.4, "tracking")
+
+
 def test_two_step_halves_within_order_statistic_band():
     # identical score distributions in both halves: compare each half's
     # quantile against a resampled band of the same order statistic
@@ -245,6 +273,16 @@ def test_calibration_result_json_roundtrip(tmp_path):
     inf = calibrate([1.0], 0.05)
     back = CalibrationResult.from_json_dict(json.loads(json.dumps(inf.to_json_dict())))
     assert back.infinite
+
+
+def test_infinite_quantile_roundtrips_through_write_json(tmp_path):
+    res = calibrate([1.0, 2.0], 0.05, {"step": "tracking", "n": 2})
+    assert res.infinite
+    write_json(tmp_path / "cal.json", res.to_json_dict())
+    assert '"quantile_value": "inf"' in (tmp_path / "cal.json").read_text()
+    back = CalibrationResult.from_json_dict(read_json(tmp_path / "cal.json"))
+    assert back.quantile_value == np.inf and back.quantile_index == 3
+    assert back.scores.tolist() == [1.0, 2.0] and back.metadata == res.metadata
 
 
 def test_score_dataset_vectorizes(cal_setup):

@@ -271,9 +271,9 @@ def test_full_compensation_with_square_B():
 
 def test_residual_trace_matches_pointwise_recomputation(vtol, metric_vtol):
     nom = vtol.nominal
-    from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
+    from prcitube.systems import VTOL_HOVER_THRUST
 
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+    hover = VTOL_HOVER_THRUST
     knots = PiecewiseLinearInput(
         np.array([0.0, 1.0]), np.tile([hover, hover], (2, 1))
     )
@@ -343,10 +343,10 @@ def test_boundary_inputs_match_stored_record():
 
 
 def test_policy_notified_once_and_called_three_times_per_step(vtol, metric_vtol):
-    from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
+    from prcitube.systems import VTOL_HOVER_THRUST
 
     nom = vtol.nominal
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+    hover = VTOL_HOVER_THRUST
     knots = PiecewiseLinearInput(np.array([0.0, 1.0]), np.full((2, 2), hover))
     ref = integrate(nom, np.zeros(6), knots, 0.5, 0.01)
     policy = CountingPolicy(metric_vtol, nom, [ref], make_zero_predictor(6, 2))

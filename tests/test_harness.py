@@ -17,6 +17,7 @@ from prcitube.harness import (
     rng_stream,
     run_pipeline,
     save_dataset,
+    write_json,
 )
 from prcitube.predictor import generate_reference_dataset
 from prcitube.systems import PiecewiseLinearInput, TrajectoryRecord
@@ -415,7 +416,10 @@ def _forbid_recompute(monkeypatch, *recomputed):
         forbidden -= {*recomputed, "benchmark_systems"}
     for name in forbidden:
         monkeypatch.setattr(harness, name, boom)
-    monkeypatch.setattr(harness.conformal, "score_dataset", boom)
+    # the calibrate stage scores through score_dataset, the plan stage's
+    # two calibration steps through calibrate_step
+    for name in ("score_dataset", "calibrate_step"):
+        monkeypatch.setattr(harness.conformal, name, boom)
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
 
 
@@ -1222,6 +1226,52 @@ def test_plan_stage_tracks_second_step_and_end_to_end_as_one_block(tmp_path, mon
     for a, b in zip(rolls, apart):
         for name in ("states", "inputs", "uncertainties"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("fraction", [1.5, -0.5])
+def test_plan_stage_refuses_a_two_step_fraction_outside_the_unit_interval(tmp_path, fraction):
+    cfg = ExperimentConfig.from_dict(dict(
+        SINGLE_STEP_PLAN, two_step=True, two_step_fraction=fraction, out_dir=str(tmp_path / "p")
+    ))
+    with pytest.raises(ValueError, match="split_fraction"):
+        run_pipeline(cfg, stop_after="plan")
+    assert not (tmp_path / "p" / "plan" / "plan_report.json").exists()
+
+
+def test_plan_stage_calibrations_are_the_conformal_two_step(tmp_path, monkeypatch):
+    """The plan stage's two calibration files hold, bit for bit, what
+    ``two_step_calibrate`` gives on the calibration set and on the
+    second-step records the plan stage tracked; a resume recomputes
+    neither."""
+    from prcitube import conformal
+    from prcitube.predictor import DatasetEntry, TrainingDataset
+
+    _, calls = _spy_track(monkeypatch)
+    cfg = ExperimentConfig.from_dict(
+        dict(SINGLE_STEP_PLAN, two_step=True, out_dir=str(tmp_path / "two"))
+    )
+    run_pipeline(cfg, stop_after="plan")
+    out = tmp_path / "two"
+    _, _, predictor, references, _, rolls = calls[-1]
+    cal_ds = load_dataset(out / "cal_data", reference_dir=out / "ref_data")
+    n2 = len(conformal.split_calibration(cal_ds, cfg.two_step_fraction)[1])
+    second = TrainingDataset(
+        tuple(DatasetEntry(f"twostep-{i}", r, None, references[i])
+              for i, r in enumerate(rolls[:n2]) if r is not None),
+        "cal",
+    )
+    steps = conformal.two_step_calibrate(cal_ds, predictor, benchmark_systems(cfg)[0], cfg.alpha,
+                                         cfg.two_step_fraction, second)
+    files = [out / "plan" / name for name in ("calibration_tube.json", "calibration_tracking.json")]
+    for path, step in zip(files, steps):
+        want = tmp_path / path.name
+        write_json(want, step.to_json_dict())
+        assert path.read_bytes() == want.read_bytes(), path.name
+
+    before = [path.read_bytes() for path in files]
+    _forbid_recompute(monkeypatch)
+    run_pipeline(cfg, stop_after="plan")
+    assert [path.read_bytes() for path in files] == before
 
 
 def test_plan_inflates_obstacles_by_projected_tube_extent(tmp_path):

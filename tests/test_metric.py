@@ -19,7 +19,7 @@ from prcitube.metric import (
     synthesize_constant_metric,
     verify_contraction,
 )
-from prcitube.systems import DynamicalSystem
+from prcitube.systems import VTOL_CERTIFIED_BOX, DynamicalSystem
 
 
 def scalar_system():
@@ -382,12 +382,10 @@ def test_verification_report_json(tmp_path, bench3d, metric3d):
 def workload_grids(bench3d, vtol, points):
     """(plant, grid) of the desk3d and vtol6d metric stages: ``points`` per
     axis on the 3D state box and on the near-hover VTOL box."""
-    r = np.deg2rad(30.0)
-    vbox = np.array([[0, 0], [0, 0], [-r, r], [-1, 1], [-0.5, 0.5], [-r, r]])
     nom = bench3d[0]
     return {
         "desk3d": (nom, box_grid(nom.state_box, points)),
-        "vtol6d": (vtol.nominal, box_grid(vbox, [1, 1] + [points] * 4)),
+        "vtol6d": (vtol.nominal, box_grid(VTOL_CERTIFIED_BOX, [1, 1] + [points] * 4)),
     }
 
 

@@ -17,7 +17,7 @@ from prcitube.planner import (
 )
 from prcitube.predictor import make_zero_predictor
 from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate, make_benchmark_vtol
-from prcitube.systems import VTOL_GRAVITY, VTOL_MASS
+from prcitube.systems import VTOL_HOVER_THRUST
 from prcitube import metric as metric_mod
 from prcitube import planner as planner_mod
 from prcitube.tube import PRCITube, project_tube_2d, tighten_state_box
@@ -95,7 +95,7 @@ def test_rollout_is_textbook_rk4_bit_for_bit():
     )
     sh = _Shooting(problem)
     rng = np.random.default_rng(2)
-    U = VTOL_MASS * VTOL_GRAVITY / 2.0 + 0.1 * rng.normal(size=(sh.n_steps + 1, 2))
+    U = VTOL_HOVER_THRUST + 0.1 * rng.normal(size=(sh.n_steps + 1, 2))
     X, S, V = sh._forward(U)
     assert S.shape == (sh.n_steps, 4, 6) and V.shape == (sh.n_steps, 3, 2)
 
@@ -134,7 +134,7 @@ def test_adjoint_gradient_matches_finite_differences():
     )
     sh = _Shooting(problem)
     rng = np.random.default_rng(0)
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+    hover = VTOL_HOVER_THRUST
     U = hover + 0.1 * rng.normal(size=(sh.n_steps + 1, 2))
     cost, grad = sh.cost_and_grad(U)
     assert np.isfinite(cost)
@@ -162,7 +162,7 @@ def _adjoint_case(name, bench3d):
         U = np.random.default_rng(4).normal(size=(16, 1))
         return problem, plant, U
     if name == "vtol":
-        hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+        hover = VTOL_HOVER_THRUST
         problem = PlanProblem(
             sys=make_benchmark_vtol().nominal, T=0.2, dt=0.02,
             x0=np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.02]),
@@ -465,7 +465,7 @@ def test_vtol_plan_clears_inflated_obstacles(vtol, metric_vtol):
     # steer around it (dead-center it is a symmetric saddle)
     obstacle = ObstacleEllipse(np.array([0.0, 0.3]), np.diag([1.0 / 0.35**2, 1.0 / 0.35**2]))
     inflated = obstacle.inflate(extent)
-    hover = VTOL_MASS * VTOL_GRAVITY / 2.0
+    hover = VTOL_HOVER_THRUST
     problem = PlanProblem(
         sys=nom,
         T=3.0,

@@ -16,6 +16,7 @@ from prcitube.systems import (
     vtol_thrust_disturbance,
     VTOL_ARM,
     VTOL_GRAVITY,
+    VTOL_HOVER_THRUST,
     VTOL_INERTIA,
     VTOL_MASS,
     _B3_NOMINAL,
@@ -126,7 +127,7 @@ def test_vtol_parameter_readback():
 
 def test_vtol_hover_force_balance():
     vt = make_benchmark_vtol()
-    hover = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2.0)
+    hover = np.full(2, VTOL_HOVER_THRUST)
     dx = plant_field(vt.nominal, np.zeros(6), hover)
     assert abs(dx[4]) < 1e-12      # vertical acceleration balances gravity
     np.testing.assert_allclose(dx, np.zeros(6), atol=1e-12)
@@ -272,7 +273,7 @@ def test_one_drift_evaluation_per_plant_and_rk4_stage(bench, monkeypatch, metric
     else:
         true = make_benchmark_vtol()
         nom, metric, names = true.nominal, metric_vtol, ("vtol",)
-        u0 = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2)
+        u0 = np.full(2, VTOL_HOVER_THRUST)
     rng = np.random.default_rng(5)
     T, dt, n_steps = 0.3, 0.01, 30
     signals = [PiecewiseLinearInput(np.array([0.0, T]), u0 + rng.uniform(-0.1, 0.1, (2, 2)))
@@ -305,7 +306,7 @@ def test_rows_differing_in_the_sign_of_a_zero_keep_their_own_bits(bench, metric3
     else:
         true = make_benchmark_vtol()
         nom, metric = true.nominal, metric_vtol
-        u0 = np.full(2, VTOL_MASS * VTOL_GRAVITY / 2)
+        u0 = np.full(2, VTOL_HOVER_THRUST)
     T, dt, n = 0.2, 0.01, nom.state_dim
     starts = np.array([np.zeros(n), np.full(n, -0.0)])
     signals = [PiecewiseLinearInput(np.array([0.0, T]), np.tile(u0, (2, 1)))] * 2
@@ -362,22 +363,6 @@ def test_integrate_fills_uncertainties_at_grid():
                              nominal_field(true, rec.states[k], rec.inputs[k])),
             atol=1e-14,
         )
-
-
-def test_left_state_box_flag():
-    sys = scalar_decay()
-    rec = integrate(sys, np.array([1.0]), zero_input, 0.5, 0.01)
-    assert not rec.left_state_box
-    grow = DynamicalSystem(
-        1,
-        1,
-        drift=lambda x: x,
-        actuation=lambda x: np.zeros((1, 1)),
-        state_box=np.array([[-2.0, 2.0]]),
-        input_box=np.array([[-1.0, 1.0]]),
-    )
-    rec = integrate(grow, np.array([1.0]), zero_input, 1.0, 0.01)
-    assert rec.left_state_box
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +422,8 @@ def test_record_csv_roundtrip(tmp_path):
 def test_record_envelope(tmp_path):
     rec = integrate(scalar_decay(), np.array([1.0]), zero_input, 1.0, 0.1)
     env = rec.envelope("scalar")
+    assert set(env) == {"benchmark", "state_dim", "input_dim", "dt_s", "horizon_s", "samples",
+                        "has_uncertainty"}
     assert env["state_dim"] == 1 and env["input_dim"] == 1
     assert env["dt_s"] == pytest.approx(0.1)
     assert env["horizon_s"] == pytest.approx(1.0)
