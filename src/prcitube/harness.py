@@ -53,10 +53,10 @@ reports.
 
 Config files are a flat key = value text format (TOML-compatible subset):
 ints, floats, booleans, quoted strings and JSON-style lists; '#' comments.
-A key that names a variant takes one of the values ``CHOICES`` lists, and
-any other value is refused when the config is built, before a run writes
-anything; so is the waypoint-PD sampler on a benchmark other than the VTOL,
-and a malformed ``plan_obstacles`` entry.
+``ExperimentConfig`` checks every value when it is built (``replace``
+included), before a run writes anything: against its annotated type
+(``TYPES``), then against its key's choices, range or shape in ``RULES``.
+``BENCHMARKS`` holds each benchmark's facts, so no check builds a plant.
 """
 
 from __future__ import annotations
@@ -146,16 +146,105 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-# The values a config may give each key that names a variant, checked when
-# the config is built, before a run writes anything.  ``start_mode`` is kept
-# so that configs and reports keep the key: a start in the tube ball would
-# need the calibrated radius, which does not exist yet when the calibration
-# block tracks the test rollouts.
-CHOICES = {
-    "benchmark": ("threeD", "vtol"),
-    "reference_sampler": ("spline", "waypoint_pd"),
-    "predictor_family": FAMILIES,
-    "start_mode": ("center",),
+@dataclass(frozen=True)
+class Benchmark:
+    """The facts of one benchmark that configs and stages read; reading them builds no plant."""
+    state_dim: int      # what a config's per-state shapes resolve to
+    true_plant: Callable[[], DynamicalSystem]   # its ``.nominal`` twin is the nominal plant
+    init_box: tuple     # the default init_box, flat [lo1, hi1, lo2, hi2, ...]
+    input_center: tuple     # the reference signals' centre and the planner's warm start
+    metric_box: Callable[[DynamicalSystem], np.ndarray]     # nominal plant -> metric grid's box
+
+
+BENCHMARKS = {
+    "threeD": Benchmark(3, lambda: make_benchmark_3d()[1], (-1.0, 1.0) * 3, (0.0, 0.0),
+                        lambda nominal: nominal.state_box),
+    # near hover; the metric grid too: no constant metric certifies the attitude box
+    "vtol": Benchmark(6, make_benchmark_vtol,
+                      (-0.5, 0.5, -0.5, 0.5, -0.1, 0.1, -0.2, 0.2, -0.2, 0.2, -0.1, 0.1),
+                      (VTOL_HOVER_THRUST,) * 2, lambda nominal: VTOL_CERTIFIED_BOX),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _numbers(v, n: int) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_finite, v))
+
+
+def _box(v, n: int) -> bool:    # a flat [lo1, hi1, ..., lo_n, hi_n] with each lo <= hi
+    return _numbers(v, 2 * n) and all(lo <= hi for lo, hi in zip(v[::2], v[1::2]))
+
+
+# A value is checked, never converted, so it encodes as given: first its type, ...
+TYPES = {
+    "str": ("a string", lambda v, c: isinstance(v, str)),
+    "bool": ("true or false", lambda v, c: isinstance(v, bool)),
+    "int": ("an integer", lambda v, c: _is_int(v)),
+    "float": ("a finite number", lambda v, c: _is_finite(v)),
+    "list": ("a list", lambda v, c: isinstance(v, (list, tuple))),
+    "Optional[list]": ("a list or None", lambda v, c: v is None or isinstance(v, (list, tuple))),
+}
+# ... then against its key's rule, in this order, so a rule may read the keys
+# before it.  ``start_mode`` keeps its one value so configs and reports keep the
+# key: a start in the tube ball needs a radius not known when tests are tracked.
+RULES = {
+    "benchmark": (f"one of {tuple(BENCHMARKS)}", lambda v, c: v in BENCHMARKS),
+    "seed": (">= 0", lambda v, c: v >= 0),
+    "n_train": (">= 1", lambda v, c: v >= 1),
+    "n_cal": (">= 1", lambda v, c: v >= 1),
+    "n_test": (">= 0", lambda v, c: v >= 0),
+    "dt_s": ("> 0", lambda v, c: v > 0),
+    "horizon_s": (">= dt_s", lambda v, c: v >= c.dt_s),
+    "alpha": ("in (0, 1)", lambda v, c: 0 < v < 1),
+    "init_box": ("None or finite [lo1, hi1, lo2, hi2, ...], lo <= hi, per state",
+                 lambda v, c: v is None or _box(v, BENCHMARKS[c.benchmark].state_dim)),
+    "reference_sampler": ("'spline', or 'waypoint_pd' (it flies the VTOL) with benchmark = 'vtol'",
+                          lambda v, c: v == "spline" or (v, c.benchmark) == ("waypoint_pd", "vtol")),
+    "input_knot_amp": (">= 0", lambda v, c: v >= 0),
+    "knot_spacing_s": ("> 0", lambda v, c: v > 0),
+    "waypoint_box": ("None or finite [px_lo, px_hi, pz_lo, pz_hi], lo <= hi",
+                     lambda v, c: v is None or _box(v, 2)),
+    "predictor_family": (f"one of {FAMILIES}", lambda v, c: v in FAMILIES),
+    "predictor_epochs": (">= 0", lambda v, c: v >= 0),
+    "predictor_hidden": ("positive integer widths",
+                         lambda v, c: all(_is_int(w) and w > 0 for w in v)),
+    "predictor_degree": (">= 0", lambda v, c: v >= 0),
+    "predictor_lr": ("> 0", lambda v, c: v > 0),
+    "predictor_batch": (">= 1", lambda v, c: v >= 1),
+    "lambda_lo": ("> 0", lambda v, c: v > 0),
+    "lambda_hi": (">= lambda_lo", lambda v, c: v >= c.lambda_lo),
+    "metric_grid_points": (">= 2, to reach the box's corners", lambda v, c: v >= 2),
+    "metric_chi_max": (">= 1, a condition-number cap", lambda v, c: v >= 1),
+    "projection_coords": ("two distinct state indices", lambda v, c: len(v) == 2 and v[0] != v[1]
+                          and all(_is_int(i) and 0 <= i < BENCHMARKS[c.benchmark].state_dim
+                                  for i in v)),
+    "start_mode": ("'center'", lambda v, c: v == "center"),
+    "plan_start": ("one finite number per state when plan_enabled",
+                   lambda v, c: not c.plan_enabled
+                   or _numbers(v, BENCHMARKS[c.benchmark].state_dim)),
+    "plan_goal": ("one finite number per state when plan_enabled",
+                  lambda v, c: not c.plan_enabled
+                  or _numbers(v, BENCHMARKS[c.benchmark].state_dim)),
+    "plan_w1": (">= 0", lambda v, c: v >= 0),
+    "plan_w2": (">= 0", lambda v, c: v >= 0),
+    "plan_obstacles": ("five finite numbers [cx, cy, q11, q12, q22] each, "
+                       "[[q11, q12], [q12, q22]] positive definite",
+                       lambda v, c: all(_numbers(ob, 5) and ob[2] > 0
+                                        and ob[2] * ob[4] > ob[3] * ob[3] for ob in v)),
+    "plan_max_iter": (">= 0", lambda v, c: v >= 0),
+    # outside (0, 1), test rollouts would become the second step's calibration
+    # set; a step without a requested record has nothing to calibrate on
+    "two_step_fraction": ("in (0, 1), and with two_step, round(it * n_cal) in [1, n_cal - 1]",
+                          lambda v, c: 0 < v < 1
+                          and (not c.two_step or 0 < round(v * c.n_cal) < c.n_cal)),
+    "tighten_budget": (">= 1", lambda v, c: v >= 1),
 }
 
 
@@ -207,27 +296,17 @@ class ExperimentConfig:
     out_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        for key, allowed in CHOICES.items():
+        """Check every key against its annotated type, then ``RULES``."""
+        checks = [(f.name, TYPES[f.type]) for f in fields(self)] + list(RULES.items())
+        for key, (text, holds) in checks:
             value = getattr(self, key)
-            if value not in allowed:
-                raise ValueError(f"{key} must be one of {allowed}, got {value!r}")
-        if self.reference_sampler == "waypoint_pd" and self.benchmark != "vtol":
-            raise ValueError("reference_sampler = 'waypoint_pd' flies the VTOL and needs "
-                             f"benchmark = 'vtol', got benchmark = {self.benchmark!r}")
-        obstacles = self.plan_obstacles
-        for ob in obstacles if isinstance(obstacles, (list, tuple)) else [obstacles]:
-            if not (isinstance(ob, (list, tuple)) and len(ob) == 5 and all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-                    for v in ob) and ob[2] > 0 and ob[2] * ob[4] > ob[3] * ob[3]):
-                raise ValueError("each plan_obstacles entry must be five finite numbers "
-                                 "[cx, cy, q11, q12, q22] with [[q11, q12], [q12, q22]] "
-                                 f"positive definite, got {ob!r}")
+            if not holds(value, self):
+                raise ValueError(f"{key} must be {text}, got {value!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
+        unknown = set(d).difference(f.name for f in fields(ExperimentConfig))
+        if unknown:     # the constructor would refuse them with a TypeError
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return ExperimentConfig(**d)
 
@@ -261,34 +340,13 @@ Plants = Callable[[], tuple[DynamicalSystem, DynamicalSystem]]
 
 def benchmark_systems(config: ExperimentConfig) -> tuple[DynamicalSystem, DynamicalSystem]:
     """The (nominal, true) plant pair of the config's benchmark."""
-    if config.benchmark == "threeD":
-        return make_benchmark_3d()
-    if config.benchmark == "vtol":
-        true = make_benchmark_vtol()
-        return true.nominal, true
-    raise ValueError(f"unknown benchmark {config.benchmark!r}")
-
-
-def _default_init_box(config: ExperimentConfig) -> np.ndarray:
-    if config.init_box is not None:
-        flat = np.asarray(config.init_box, dtype=float)
-        return flat.reshape(-1, 2)
-    if config.benchmark == "threeD":
-        return np.array([[-1.0, 1.0]] * 3)
-    # vtol: near-hover attitudes and small velocities, positions near origin
-    return np.array(
-        [[-0.5, 0.5], [-0.5, 0.5], [-0.1, 0.1], [-0.2, 0.2], [-0.2, 0.2], [-0.1, 0.1]]
-    )
-
-
-def _input_center(config: ExperimentConfig, sys_nom: DynamicalSystem) -> np.ndarray:
-    if config.benchmark == "vtol":
-        return np.full(2, VTOL_HOVER_THRUST)
-    return np.zeros(sys_nom.input_dim)
+    true = BENCHMARKS[config.benchmark].true_plant()
+    return true.nominal, true
 
 
 def sample_initial_condition(config, tag: str, index: int) -> np.ndarray:
-    box = _default_init_box(config)
+    flat = config.init_box or BENCHMARKS[config.benchmark].init_box
+    box = np.asarray(flat, dtype=float).reshape(-1, 2)
     rng = rng_stream(config.seed, f"{tag}-ic-{index}")
     return rng.uniform(box[:, 0], box[:, 1])
 
@@ -308,7 +366,7 @@ def _reference_signals(config, sys_nom, counts: dict) -> list[PiecewiseLinearInp
     knot_times = np.arange(n_knots) * config.knot_spacing_s
     if knot_times[-1] < config.horizon_s:
         knot_times = np.append(knot_times, config.horizon_s)
-    center = _input_center(config, sys_nom)
+    center = np.array(BENCHMARKS[config.benchmark].input_center)
     amp = config.input_knot_amp
     box = sys_nom.input_box
     signals = []
@@ -332,11 +390,7 @@ def _waypoint_pd_inputs(config, sys_nom, counts: dict) -> list[PiecewiseLinearIn
     block, flight i of a tag from its initial condition i to the waypoint
     drawn from the stream ``{tag}-policy-{i}``.
     """
-    wbox = (
-        np.asarray(config.waypoint_box, dtype=float).reshape(-1, 2)
-        if config.waypoint_box is not None
-        else np.array([[-1.0, 1.0], [-0.6, 0.6]])
-    )
+    wbox = np.asarray(config.waypoint_box or [-1.0, 1.0, -0.6, 0.6], dtype=float).reshape(-1, 2)
     flights = [(tag, i) for tag, n in counts.items() for i in range(n)]
     if not flights:
         return []
@@ -585,9 +639,7 @@ def stage_metric(config: ExperimentConfig, plants: Plants, out: Path, ledger: _L
 
 
 def _metric_grid(config, sys_nom, points: int) -> np.ndarray:
-    # on the VTOL, the near-hover region: no constant metric certifies the
-    # full attitude box
-    box = VTOL_CERTIFIED_BOX if config.benchmark == "vtol" else sys_nom.state_box
+    box = BENCHMARKS[config.benchmark].metric_box(sys_nom)
     per_dim = [1 if hi <= lo else points for lo, hi in box]
     return box_grid(box, per_dim)
 
@@ -753,14 +805,6 @@ def stage_tube(config, metric, calibration, cal_ds, out: Path, ledger: _Ledger) 
     return {"radius": radius, "alpha": calibration.alpha}
 
 
-def _parse_obstacles(config) -> tuple:
-    coords = tuple(config.projection_coords)
-    return tuple(
-        ObstacleEllipse(np.array([cx, cy]), np.array([[q11, q12], [q12, q22]]), coords)
-        for cx, cy, q11, q12, q22 in config.plan_obstacles
-    )
-
-
 def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
                ledger: _Ledger) -> dict:
     """Tightened planning with the two-step calibration protocol: the first
@@ -794,9 +838,13 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
     if s_box.empty or a_box.empty:
         raise PrcitubeError("tightened boxes are empty; tube too large for the scenario")
 
-    obstacles = _parse_obstacles(config)
+    coords = tuple(config.projection_coords)
+    obstacles = tuple(
+        ObstacleEllipse(np.array([cx, cy]), np.array([[q11, q12], [q12, q22]]), coords)
+        for cx, cy, q11, q12, q22 in config.plan_obstacles
+    )
     if obstacles and np.isfinite(radius_a):
-        inflate_by = project_tube_2d(rep_tube, tuple(config.projection_coords)).max_extent()
+        inflate_by = project_tube_2d(rep_tube, coords).max_extent()
         planning_obstacles = tuple(o.inflate(inflate_by) for o in obstacles)
     else:
         planning_obstacles = obstacles
@@ -815,7 +863,7 @@ def stage_plan(config, plants: Plants, metric, get_predictor, cal_ds, out: Path,
     )
     # warm start: the input center held over the horizon
     n_steps = int(round(config.horizon_s / config.dt_s))
-    init = np.tile(_input_center(config, sys_nom), (n_steps + 1, 1))
+    init = np.tile(BENCHMARKS[config.benchmark].input_center, (n_steps + 1, 1))
     result = solve_plan(problem, init=init, max_iter=config.plan_max_iter)
     result.record.save_csv(plan_dir / "plan.csv")
     write_json(

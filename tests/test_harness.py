@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prcitube.cli import main as cli_main
 from prcitube.harness import (
@@ -1041,14 +1042,190 @@ def test_start_mode_other_than_center_is_refused(tmp_path, capsys):
     pytest.param("plan_obstacles", [[0.0, 0.3, -25.0, 0.0, -25.0]], id="plan_obstacles-negative"),
     pytest.param("plan_obstacles", [[0.0, float("nan"), 25.0, 0.0, 25.0]], id="plan_obstacles-nan"),
     pytest.param("plan_obstacles", [[0.0, 0.3, 25.0, 0.0, "25"]], id="plan_obstacles-string"),
+    # values that a run took, then failed on after writing 1-37 files or
+    # ran to the end on, reporting something false (two_step_fraction = 1.5
+    # has its own test below)
+    ("alpha", 1.5),
+    ("n_cal", 0),
+    ("n_train", 0),
+    ("dt_s", 0.0),
+    ("lambda_lo", 2.0),     # above lambda_hi
+    pytest.param("init_box", [-1.0, 1.0, -1.0, 1.0], id="init_box-four-on-3d"),
+    pytest.param("projection_coords", [0, 7], id="projection_coords-0-7"),
+    pytest.param("predictor_hidden", [0], id="predictor_hidden-0"),
+    ("metric_grid_points", 1),      # a certificate on one state
+    ("seed", -1),
+    ("n_cal", 2.5),
 ])
 def test_unknown_variant_is_refused_before_anything_is_written(tmp_path, capsys, key, value):
+    _assert_refused(tmp_path, capsys, key, {key: value})
+
+
+def _assert_refused(tmp_path, capsys, key, values):
+    """``from_dict(values)`` raises a ValueError naming ``key``; the CLI, on
+    the smoke config with ``values`` appended, exits 1 naming it and leaves
+    no output directory."""
     with pytest.raises(ValueError, match=key):
-        ExperimentConfig.from_dict({key: value})
-    cfg = write_smoke(tmp_path, f"{key} = {json.dumps(value)}\n")
+        ExperimentConfig.from_dict(values)
+    cfg = write_smoke(tmp_path, "".join(f"{k} = {json.dumps(v)}\n" for k, v in values.items()))
     assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key", ["plan_start", "plan_goal"])
+def test_plan_point_of_the_wrong_length_is_refused_before_anything_is_written(
+    tmp_path, capsys, key
+):
+    plan = {"plan_enabled": True, "plan_start": [0.6, 0.4, 0.24], "plan_goal": [-0.5, 0.25, -0.2]}
+    ExperimentConfig.from_dict(plan)
+    _assert_refused(tmp_path, capsys, key, {**plan, key: [0.6, 0.4]})
+
+
+def test_inline_comment_is_refused_before_anything_is_written(tmp_path, capsys):
+    """A '#' after a value is no comment: the value is the string before it
+    was cut, so a number key refuses it."""
+    cfg = write_smoke(tmp_path, "alpha = 0.4  # miscoverage\n")
+    assert parse_flat_config(cfg.read_text())["alpha"] == "0.4  # miscoverage"
+    _assert_refused(tmp_path, capsys, "alpha", {"alpha": "0.4  # miscoverage"})
+
+
+def test_cli_negative_seed_override_is_refused_before_anything_is_written(tmp_path, capsys):
+    cfg = write_smoke(tmp_path)
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                     "--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", [*sorted(ROOT.glob("configs/*.toml")),
+                                  *sorted(ROOT.glob("perfbench/workloads/*.toml"))],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_load(path):
+    """Every shipped config loads, a benchmark workload completed as the
+    benchmark completes it; so does the ``config.json`` a run stores."""
+    text = path.read_text()
+    if path.parent.name == "workloads":
+        text += f"seed = 0\nout_dir = {json.dumps('out')}\n"
+    config = ExperimentConfig.from_dict(parse_flat_config(text))
+    assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+
+_LISTS = st.lists(st.integers(), max_size=3)
+_TEXT = st.text(max_size=4)
+# values of the wrong type for each annotation
+_WRONG_TYPE = {
+    "str": st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), _LISTS),
+    "bool": st.one_of(st.integers(), st.floats(), _TEXT, st.none()),
+    "int": st.one_of(st.floats(), st.booleans(), _TEXT, st.none(), _LISTS),
+    "float": st.one_of(st.sampled_from([float("inf"), -float("inf"), float("nan")]),
+                       st.booleans(), _TEXT, st.none(), _LISTS),
+    "list": st.one_of(st.integers(), st.floats(), _TEXT, st.none()),
+    "Optional[list]": st.one_of(st.integers(), st.floats(), _TEXT, st.booleans()),
+}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NOT_OPEN_UNIT = st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0))
+
+
+def _below(bound):
+    return st.integers(max_value=bound - 1)
+
+
+def _flat(n_not):
+    """Finite flat lists of any length but ``n_not``."""
+    return st.lists(_FINITE, max_size=8).filter(lambda v: len(v) != n_not)
+
+
+# values of the right type that break each key's rule, on the default config
+# (3 states) with the context of ``_CONTEXT``
+_WRONG_VALUE = {
+    "benchmark": _TEXT.filter(lambda v: v not in ("threeD", "vtol")),
+    "seed": _below(0),
+    "n_train": _below(1),
+    "n_cal": _below(1),
+    "n_test": _below(0),
+    "dt_s": st.floats(max_value=0.0),
+    "horizon_s": st.floats(max_value=0.01, exclude_max=True),
+    "alpha": _NOT_OPEN_UNIT,
+    "init_box": st.one_of(_flat(6), st.just([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])),
+    "reference_sampler": _TEXT.filter(lambda v: v != "spline"),    # waypoint_pd needs the vtol
+    "input_knot_amp": st.floats(max_value=0.0, exclude_max=True),
+    "knot_spacing_s": st.floats(max_value=0.0),
+    "waypoint_box": st.one_of(_flat(4), st.just([1.0, -1.0, -0.6, 0.6])),
+    "predictor_family": _TEXT.filter(lambda v: v not in ("zero", "linear_features", "mlp")),
+    "predictor_epochs": _below(0),
+    "predictor_hidden": st.lists(st.integers(max_value=0), min_size=1, max_size=3),
+    "predictor_degree": _below(0),
+    "predictor_lr": st.floats(max_value=0.0),
+    "predictor_batch": _below(1),
+    "lambda_lo": st.floats(max_value=0.0),
+    "lambda_hi": st.floats(max_value=0.3, exclude_max=True),
+    "metric_grid_points": _below(2),
+    "metric_chi_max": st.floats(max_value=1.0, exclude_max=True),
+    "projection_coords": st.one_of(
+        st.lists(st.integers(0, 2), max_size=4).filter(lambda v: len(v) != 2),
+        st.integers(0, 2).map(lambda i: [i, i]),
+        st.integers().filter(lambda i: not 0 <= i < 3).map(lambda i: [0, i]),
+    ),
+    "start_mode": _TEXT.filter(lambda v: v != "center"),
+    "plan_start": st.one_of(_flat(3), st.none()),
+    "plan_goal": st.one_of(_flat(3), st.none()),
+    "plan_w1": st.floats(max_value=0.0, exclude_max=True),
+    "plan_w2": st.floats(max_value=0.0, exclude_max=True),
+    "plan_obstacles": st.one_of(
+        st.lists(_FINITE, max_size=7).filter(lambda v: len(v) != 5).map(lambda ob: [ob]),
+        st.tuples(_FINITE, _FINITE, _FINITE, _FINITE).map(    # q11 q22 <= q12^2
+            lambda v: [[v[0], v[1], abs(v[2]), abs(v[2]) + abs(v[3]), abs(v[2])]]),
+        st.just([[0.0, 0.3, -25.0, 0.0, -25.0]]),
+    ),
+    "plan_max_iter": _below(0),
+    "two_step_fraction": _NOT_OPEN_UNIT,
+    "tighten_budget": _below(1),
+}
+_CONTEXT = {
+    "plan_start": {"plan_enabled": True, "plan_goal": [-0.5, 0.25, -0.2]},
+    "plan_goal": {"plan_enabled": True, "plan_start": [0.6, 0.4, 0.24]},
+}
+
+
+def test_every_rule_has_values_that_break_it():
+    import prcitube.harness as harness
+
+    assert set(_WRONG_VALUE) == set(harness.RULES)
+    assert {f.type for f in dataclasses.fields(ExperimentConfig)} == set(_WRONG_TYPE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_value_outside_its_rule_is_refused_before_anything_is_written(data):
+    """A key and a value of the wrong type or outside the key's rule: the
+    config refuses it naming the key, and so does the CLI, from the config
+    file or (a negative seed) from ``--seed``, writing nothing."""
+    import contextlib
+    import io
+    import tempfile
+
+    field = data.draw(st.sampled_from(dataclasses.fields(ExperimentConfig)), label="key")
+    key = field.name
+    value = data.draw(st.one_of(_WRONG_TYPE[field.type], _WRONG_VALUE.get(key, st.nothing())),
+                      label="value")
+    values = {**_CONTEXT.get(key, {}), key: value}
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict(values)
+    runs = [([f"{k} = {json.dumps(v)}" for k, v in values.items()], [])]
+    if key == "seed" and type(value) is int:
+        runs.append(([], ["--seed", str(value)]))
+    for lines, args in runs:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            cfg = Path(tmp) / "smoke.toml"
+            cfg.write_text(SMOKE + "".join(line + "\n" for line in lines))
+            run = Path(tmp) / "run"
+            assert cli_main(["pipeline", "--config", str(cfg), "--out", str(run), *args]) == 1
+            assert key in err.getvalue()
+            assert not run.exists()
 
 
 def test_waypoint_pd_sampler_on_the_3d_benchmark_is_refused_before_anything_is_written(
@@ -1229,13 +1406,22 @@ def test_plan_stage_tracks_second_step_and_end_to_end_as_one_block(tmp_path, mon
 
 
 @pytest.mark.parametrize("fraction", [1.5, -0.5])
-def test_plan_stage_refuses_a_two_step_fraction_outside_the_unit_interval(tmp_path, fraction):
-    cfg = ExperimentConfig.from_dict(dict(
-        SINGLE_STEP_PLAN, two_step=True, two_step_fraction=fraction, out_dir=str(tmp_path / "p")
-    ))
-    with pytest.raises(ValueError, match="split_fraction"):
-        run_pipeline(cfg, stop_after="plan")
-    assert not (tmp_path / "p" / "plan" / "plan_report.json").exists()
+def test_config_refuses_a_two_step_fraction_outside_the_unit_interval(tmp_path, capsys, fraction):
+    """Refused when the config is built, long before the plan stage's
+    ``conformal.split_calibration`` would refuse it."""
+    _assert_refused(tmp_path, capsys, "two_step_fraction",
+                    dict(SINGLE_STEP_PLAN, two_step=True, two_step_fraction=fraction))
+
+
+@pytest.mark.parametrize("n_cal, fraction", [(1, 0.5), (3, 0.9)])
+def test_two_step_split_that_leaves_a_step_empty_is_refused(tmp_path, capsys, n_cal, fraction):
+    """round(fraction * n_cal) records size the tube and the rest are
+    regenerated for tracking; a step left without one would fail after
+    every stage up to the tube had written its files."""
+    ExperimentConfig.from_dict(dict(SINGLE_STEP_PLAN, two_step=False, n_cal=n_cal,
+                                    two_step_fraction=fraction))
+    _assert_refused(tmp_path, capsys, "two_step_fraction",
+                    dict(SINGLE_STEP_PLAN, two_step=True, n_cal=n_cal, two_step_fraction=fraction))
 
 
 def test_plan_stage_calibrations_are_the_conformal_two_step(tmp_path, monkeypatch):
