@@ -69,8 +69,8 @@ def main(argv=None):
     result = plan(problem, init=warm, max_iter=250)
     result.record.save_csv(out / "plan.csv")
 
-    inflated_clear = min(inflated.clearance(x) for x in result.record.states)
-    original_clear = min(obstacle.clearance(x) for x in result.record.states)
+    inflated_clear = float(np.min(inflated.clearance(result.record.states)))
+    original_clear = float(np.min(obstacle.clearance(result.record.states)))
     print(f"tube radius {radius:.3f} (planar extent {proj.max_extent():.3f} m)")
     print(f"plan cost {result.cost:.4f}, converged={result.converged}")
     print(f"min clearance: inflated {inflated_clear:.4f}, original {original_clear:.4f}")

@@ -9,9 +9,9 @@ solves the min-norm program
 whose single inequality asks the geodesic energy between the tracked and
 reference states to decay at the metric's rate.  With one constraint the
 solution is the projection of the origin onto the halfspace, so no QP
-solver is involved:  kappa = 0 when b <= 0, else (b/||a||^2) a.  Constant
-metrics take the constraint data in closed form on the straight segment;
-state-dependent metrics compute a discretized geodesic.
+solver is involved:  kappa = 0 when b <= 0, else (b/||a||^2) a.  The
+geodesic's endpoint tangents and energy are ``metric.geodesic_ends``, which
+alone decides how to find them (in closed form for a constant metric).
 
 The compensated policy subtracts the predicted uncertainty through the
 actuation pseudo-inverse, u = u_c - B(x)^+ zeta_hat(x, u_minus), where
@@ -53,7 +53,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateConstraint
-from .metric import GEODESIC_SEGMENTS, ContractionMetric, riemannian_distance
+from .metric import ContractionMetric, geodesic_ends
 from .systems import (
     DynamicalSystem,
     TrajectoryRecord,
@@ -69,10 +69,6 @@ PINV_RCOND = 1e-10
 DEGENERATE_TOL = 1e-10
 STAGE_OFFSETS = np.array([0.0, 0.5, 1.0])      # RK4 stage times of a grid step, in steps
 TABLE_STEPS = 50        # grid steps per table of the reference side
-# the four discretized-geodesic nodes that the endpoint tangents read
-_NODE_WEIGHTS = (
-    np.array([1.0, 2.0, GEODESIC_SEGMENTS - 2.0, GEODESIC_SEGMENTS - 1.0]) / GEODESIC_SEGMENTS
-)
 
 
 class FeedbackTerms(NamedTuple):
@@ -100,29 +96,10 @@ def feedback_terms(
     gamma(0) = x_ref, gamma(1) = x.  ``v_ref`` is the reference side
     ``reference_velocity(metric, sys_nominal, x_ref, u_ref)`` and ``fx`` the
     nominal drift ``sys_nominal.drift(x)``, each computed here when not
-    given.  A constant metric's geodesic is the straight segment
-    and is not built: the energy is d^T M d, d = x - x_ref, and the tangents
-    are ``Geodesic.endpoint_tangents`` of its discretization at the four
-    nodes they read.  They equal d in exact arithmetic only; VTOL
-    closed loops amplify that last-bit gap to 3e-4 in a calibration quantile.
-    A state-dependent metric computes one geodesic per row.
+    given.  The geodesic's tangents and energy are ``metric.geodesic_ends``.
     """
-    if metric.is_constant:
-        d = x - x_ref
-        K = GEODESIC_SEGMENTS
-        w = np.reshape(_NODE_WEIGHTS, (4,) + (1,) * d.ndim)
-        c1, c2, c_2, c_1 = (1.0 - w) * x_ref + w * x
-        g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
-        g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
-        M_x = metric.constant_matrix
-        energy = rowdot(np.matmul(d[..., None, :], M_x)[..., 0, :], d)
-    else:
-        n = x.shape[-1]
-        pairs = list(zip(np.reshape(x, (-1, n)), np.reshape(x_ref, (-1, n))))
-        geos = [riemannian_distance(metric, r, xi)[1] for xi, r in pairs]
-        g0, g1 = (np.reshape(g, x.shape) for g in zip(*(geo.endpoint_tangents() for geo in geos)))
-        energy = np.reshape([geo.energy for geo in geos], x.shape[:-1])
-        M_x = np.reshape([metric.evaluate(xi) for xi, _ in pairs], x.shape + (n,))
+    g0, g1, energy = geodesic_ends(metric, x_ref, x)
+    M_x = metric.evaluate(x)
     if v_ref is None:
         v_ref = reference_velocity(metric, sys_nominal, x_ref, u_ref)
     if fx is None:
@@ -148,14 +125,8 @@ def reference_velocity(
     """v_r = M(x_ref) (f(x_ref) + B(x_ref) u_ref), the reference side of the
     feedback constraint (t2 = g0^T v_r), for one reference state or every
     row of a block of them; it does not depend on the tracked state."""
-    if metric.is_constant:
-        M_r = metric.constant_matrix
-    else:
-        n = x_ref.shape[-1]
-        rows = np.reshape(x_ref, (-1, n))
-        M_r = np.reshape([metric.evaluate(r) for r in rows], x_ref.shape + (n,))
     Br = sys_nominal.actuation(x_ref)
-    return matvec(M_r, sys_nominal.drift(x_ref) + matvec(Br, u_ref))
+    return matvec(metric.evaluate(x_ref), sys_nominal.drift(x_ref) + matvec(Br, u_ref))
 
 
 def min_norm_feedback(

@@ -1,15 +1,17 @@
 """Contraction metrics, Riemannian distances and grid certification.
 
 A metric is a positive-definite matrix field M(x) with uniform eigenvalue
-bounds m_lower I <= M(x) <= m_upper I and a contraction rate.  Distances are
-computed on discretized curves: the energy of a K-segment polyline is
+bounds m_lower I <= M(x) <= m_upper I and a contraction rate, evaluated at
+one state or at every row of a block.  Distances are computed on
+discretized curves: the energy of a K-segment polyline is
 
     E = sum_i K * (c_{i+1}-c_i)^T M(midpoint_i) (c_{i+1}-c_i)
 
 and the minimizing geodesic is found by gradient descent over the interior
 nodes, so for state-dependent metrics the result is a local minimizer from
 the straight-segment start and the distance an upper bound.  For constant
-metrics the straight segment is exact and used in closed form.
+metrics the straight segment is exact, and every quantity read of it is
+taken here in closed form: no other module tells the kinds of metric apart.
 
 Certification is sample-based: the three contraction conditions (eigenvalue
 bounds, the Killing-type condition on the actuation columns, and negativity
@@ -31,13 +33,17 @@ from typing import Callable
 import numpy as np
 
 from .errors import InfeasibleMetric
-from .systems import DynamicalSystem
+from .systems import DynamicalSystem, matvec, rowdot
 
 Array = np.ndarray
 
 GEODESIC_SEGMENTS = 16          # default K
 GEODESIC_TOL = 1e-9             # relative energy decrease at convergence
 GEODESIC_MAX_ITER = 500
+# the four nodes of the discretized straight geodesic that its endpoint tangents read
+_NODE_WEIGHTS = (
+    np.array([1.0, 2.0, GEODESIC_SEGMENTS - 2.0, GEODESIC_SEGMENTS - 1.0]) / GEODESIC_SEGMENTS
+)
 
 
 def _sym(a: Array) -> Array:
@@ -108,45 +114,46 @@ class ContractionMetric:
         return self.terms[0][1]
 
     def evaluate(self, x: Array) -> Array:
-        """M(x), symmetric by construction."""
+        """M at one state ``(n,)`` or at every row of ``(..., n)``, each row
+        bit for bit its one-state call; a constant metric returns its one
+        stored ``(n, n)`` matrix, which broadcasts over any rows."""
         if self.is_constant:
             return self.terms[0][1]
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim, self.dim))
-        for expo, mat in self.terms:
-            mono = 1.0
-            for k, e in enumerate(expo):
-                if e:
-                    mono *= x[k] ** e
-            out += mono * mat
-        return out
+        return self._field(x, [(1.0, expo, mat) for expo, mat in self.terms])
 
     def partial(self, x: Array, k: int) -> Array:
-        """dM/dx_k, exact for the polynomial parameterization."""
-        if self.is_constant:
-            return np.zeros((self.dim, self.dim))
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim, self.dim))
-        for expo, mat in self.terms:
-            e = expo[k]
-            if e == 0:
-                continue
-            mono = float(e)
-            for j, ej in enumerate(expo):
-                p = ej - 1 if j == k else ej
-                if p:
-                    mono *= x[j] ** p
-            out += mono * mat
-        return out
+        """dM/dx_k at one state or every row, exact for the polynomial
+        parameterization (no term of a constant metric depends on x_k)."""
+        return self._field(x, [
+            (float(e[k]), e[:k] + (e[k] - 1,) + e[k + 1:], mat) for e, mat in self.terms if e[k]
+        ])
 
     def directional_partial(self, x: Array, p: Array) -> Array:
-        """sum_k (dM/dx_k) p_k."""
+        """sum_k (dM/dx_k) p_k at one state or every row, p's rows matching
+        x's; a zero p_k adds nothing (-0.0 leaves every sum's bits)."""
         if self.is_constant:
             return np.zeros((self.dim, self.dim))
-        out = np.zeros((self.dim, self.dim))
+        p = np.asarray(p, dtype=float)
+        out = np.zeros(np.broadcast_shapes(np.shape(x), p.shape)[:-1] + (self.dim, self.dim))
         for k in range(self.dim):
-            if p[k] != 0.0:
-                out += self.partial(x, k) * p[k]
+            pk = p[..., k, None, None]
+            out += np.where(pk != 0.0, self.partial(x, k) * pk, -0.0)
+        return out
+
+    def _field(self, x: Array, terms) -> Array:
+        """sum of coef * prod_j x_j^e_j * C over (coef, e, C) at every row of
+        x, each power a product of e_j factors, so that all rows round alike."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        for coef, expo, mat in terms:
+            mono = np.full(x.shape[:-1], coef)
+            for j, e in enumerate(expo):
+                if e:
+                    power = x[..., j]
+                    for _ in range(e - 1):
+                        power = power * x[..., j]
+                    mono = mono * power
+            out += np.asarray(mono)[..., None, None] * mat
         return out
 
     # -- serialization -----------------------------------------------------
@@ -202,43 +209,26 @@ class Geodesic:
 
     def length(self, metric: ContractionMetric) -> float:
         c = self.nodes
-        K = self.segments
-        total = 0.0
-        for i in range(K):
-            d = c[i + 1] - c[i]
-            m = metric.evaluate(0.5 * (c[i] + c[i + 1]))
-            total += np.sqrt(max(d @ m @ d, 0.0))
-        return float(total)
+        d = c[1:] - c[:-1]
+        q = rowdot(matvec(metric.evaluate(0.5 * (c[1:] + c[:-1])), d), d)
+        return float(np.sum(np.sqrt(np.maximum(q, 0.0))))
 
 
 def discrete_energy(metric: ContractionMetric, nodes: Array) -> float:
-    K = nodes.shape[0] - 1
     diffs = nodes[1:] - nodes[:-1]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    total = 0.0
-    for i in range(K):
-        total += diffs[i] @ metric.evaluate(mids[i]) @ diffs[i]
-    return float(K * total)
+    M = metric.evaluate(0.5 * (nodes[1:] + nodes[:-1]))
+    return float(len(diffs) * np.sum(rowdot(matvec(M, diffs), diffs)))
 
 
 def _energy_gradient(metric: ContractionMetric, nodes: Array) -> Array:
     """Gradient of the discrete energy w.r.t. interior nodes, (K-1, n)."""
-    K = nodes.shape[0] - 1
-    n = nodes.shape[1]
     diffs = nodes[1:] - nodes[:-1]
     mids = 0.5 * (nodes[1:] + nodes[:-1])
-    Ms = [metric.evaluate(m) for m in mids]
-    grad = np.zeros((K - 1, n))
-    for j in range(1, K):
-        g = 2.0 * (Ms[j - 1] @ diffs[j - 1]) - 2.0 * (Ms[j] @ diffs[j])
-        if not metric.is_constant:
-            for k in range(n):
-                dm_prev = metric.partial(mids[j - 1], k)
-                dm_next = metric.partial(mids[j], k)
-                g[k] += 0.5 * (diffs[j - 1] @ dm_prev @ diffs[j - 1])
-                g[k] += 0.5 * (diffs[j] @ dm_next @ diffs[j])
-        grad[j - 1] = K * g
-    return grad
+    Md = matvec(metric.evaluate(mids), diffs)
+    # d_i^T (dM/dx_k)(mid_i) d_i, (K, n)
+    dq = np.stack([rowdot(matvec(metric.partial(mids, k), diffs), diffs)
+                   for k in range(nodes.shape[1])], axis=-1)
+    return len(diffs) * (2.0 * Md[:-1] - 2.0 * Md[1:] + 0.5 * dq[:-1] + 0.5 * dq[1:])
 
 
 def riemannian_distance(
@@ -305,6 +295,56 @@ def riemannian_distance(
     return np.sqrt(max(energy, 0.0)), Geodesic(nodes, energy, converged=converged)
 
 
+def geodesic_ends(metric: ContractionMetric, x_ref: Array, x: Array):
+    """(gamma_mu(0), gamma_mu(1), energy) of the geodesic from x_ref to x, for
+    one pair of states or for every pair of rows.
+
+    A constant metric's geodesic is the straight segment and is not built:
+    the energy is d^T M d, d = x - x_ref, and the tangents are
+    ``Geodesic.endpoint_tangents`` of its discretization at the four nodes
+    they read.  They equal d in exact arithmetic only; VTOL closed loops
+    amplify that last-bit gap to 3e-4 in a calibration quantile.  A
+    state-dependent metric computes one geodesic per row.
+    """
+    if metric.is_constant:
+        d = x - x_ref
+        K = GEODESIC_SEGMENTS
+        w = np.reshape(_NODE_WEIGHTS, (4,) + (1,) * d.ndim)
+        c1, c2, c_2, c_1 = (1.0 - w) * x_ref + w * x
+        g0 = K * (2.0 * (c1 - x_ref) - 0.5 * (c2 - x_ref))
+        g1 = K * (2.0 * (x - c_1) - 0.5 * (x - c_2))
+        return g0, g1, rowdot(np.matmul(d[..., None, :], metric.constant_matrix)[..., 0, :], d)
+    n = x.shape[-1]
+    pairs = zip(np.reshape(x_ref, (-1, n)), np.reshape(x, (-1, n)))
+    geos = [riemannian_distance(metric, r, xi)[1] for r, xi in pairs]
+    g0, g1 = (np.reshape(g, x.shape) for g in zip(*(geo.endpoint_tangents() for geo in geos)))
+    return g0, g1, np.reshape([geo.energy for geo in geos], x.shape[:-1])
+
+
+def distances(metric: ContractionMetric, X: Array, Y: Array) -> Array:
+    """Riemannian distance from each row of X to the matching row of Y, for
+    one pair of states (a 0-d array) or for rows: sqrt(d^T M d), d = X - Y,
+    for a constant metric, else one ``riemannian_distance`` per row."""
+    X, Y = np.broadcast_arrays(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+    n = X.shape[-1]
+    if metric.is_constant:
+        D = np.reshape(X - Y, (-1, n))
+        d = np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", D, metric.constant_matrix, D), 0.0))
+    else:
+        pairs = zip(np.reshape(X, (-1, n)), np.reshape(Y, (-1, n)))
+        d = [riemannian_distance(metric, x, y)[0] for x, y in pairs]
+    return np.reshape(d, X.shape[:-1])
+
+
+def ball_reach(metric: ContractionMetric, radius: float) -> Array:
+    """Largest excursion along each axis of a metric ball of ``radius``: the
+    exact ellipsoid extents radius*sqrt((M^-1)_ii) for a constant metric, the
+    Euclidean outer bound radius/sqrt(m_lower) otherwise (sound, conservative)."""
+    if metric.is_constant:
+        return radius * np.sqrt(np.diag(np.linalg.inv(metric.constant_matrix)))
+    return np.full(metric.dim, radius / np.sqrt(metric.lower_bound))
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference Jacobians (black-box drift/actuation)
 # ---------------------------------------------------------------------------
@@ -335,20 +375,30 @@ def jacobian_fd(func: Callable[[Array], Array], x: Array) -> Array:
     return jac / np.reshape(2.0 * h, x.shape[:-1] + (1,) * (jac.ndim - x.ndim) + x.shape[-1:])
 
 
-def cokernel_basis(B: Array) -> Array:
-    """Orthonormal basis of coker(B) = null(B^T) as columns, possibly empty."""
-    n = B.shape[0]
+def _bases_by_rank(U: Array, s: Array) -> list:
+    """``(rank, rows, Q)`` per distinct rank of a stack, ascending, from its
+    singular values s and the ``(P, n, n)`` U whose columns past the rank span
+    the subspace: Q stacks them, or the identity (unprojected) at rank n."""
+    n = U.shape[-1]
+    rank = np.sum(s > RANK_REL_TOL * s[..., :1], axis=-1)
+    groups = []
+    for r in sorted(set(rank.tolist())):      # np.unique would import numpy.ma
+        rows = np.flatnonzero(rank == r)
+        Q = np.tile(np.eye(n), (rows.size, 1, 1)) if r == n else U[rows, :, r:]
+        groups.append((r, rows, np.ascontiguousarray(Q)))
+    return groups
+
+
+def cokernel_basis(B: Array) -> list:
+    """Orthonormal bases of coker(B_i) = null(B_i^T) of a (P, n, m) stack."""
     u, s, _ = np.linalg.svd(B, full_matrices=True)
-    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
-    return u[:, rank:] if rank < n else np.empty((n, 0))
+    return _bases_by_rank(u, s)
 
 
-def nullspace_basis(A: Array) -> Array:
-    """Orthonormal basis of null(A) (right null space) as columns."""
-    m, n = A.shape
+def nullspace_basis(A: Array) -> list:
+    """Orthonormal bases of the right null spaces of a (P, m, n) stack."""
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > RANK_REL_TOL * (s[0] if s.size else 1.0)))
-    return vt[rank:].T if rank < n else np.empty((n, 0))
+    return _bases_by_rank(np.swapaxes(vt, -1, -2), s)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +480,9 @@ def contraction_condition_matrix(
 ) -> Array:
     """df^T M + M df + d_f M + 2 lambda M at each grid row, ``(P, n, n)``
     (the time-varying term is zero)."""
-    Ms = np.stack([metric.evaluate(x) for x in grid])
+    Ms = metric.evaluate(grid)
     A = jacobian_fd(sys.drift, grid)
-    dM = np.stack([metric.directional_partial(x, f) for x, f in zip(grid, sys.drift(grid))])
+    dM = metric.directional_partial(grid, sys.drift(grid))
     return _sym(np.swapaxes(A, 1, 2) @ Ms + Ms @ A + dM + 2.0 * metric.rate * Ms)
 
 
@@ -441,32 +491,30 @@ def _grid_margins(metric: ContractionMetric, sys: DynamicalSystem, grid: Array):
     and whether B^T M has a trivial null space at some row.
 
     The FD Jacobians are one call on the whole grid for the drift and one
-    for the actuation.  M(x), its directional derivatives and the null-space
-    projection (whose rank may change between rows) are taken row by row.
+    for the actuation; M(x) and its directional derivatives are one row
+    call each (a constant metric's one matrix broadcasts), and the
+    null-space projection one stacked SVD, whose rows are grouped by rank.
     """
-    n = sys.state_dim
-    Ms = np.stack([metric.evaluate(x) for x in grid])
-    eig = _eigvalsh(Ms)
+    P = grid.shape[0]
+    Ms = metric.evaluate(grid)
+    eig = _eigvalsh(np.broadcast_to(Ms, (P,) + Ms.shape[-2:]))
     bounds = np.minimum(eig[:, 0] - metric.lower_bound, metric.upper_bound - eig[:, -1])
 
     actuation = _actuation_rows(sys)
     B = actuation(grid)
     dB = jacobian_fd(actuation, grid)              # (P, n, m, n)
-    k_val = np.zeros(grid.shape[0])
+    k_val = np.zeros(P)
     for j in range(sys.input_dim):
         dbj = dB[:, :, j, :]
-        dM = np.stack([metric.directional_partial(x, b) for x, b in zip(grid, B[:, :, j])])
+        dM = metric.directional_partial(grid, B[:, :, j])
         C = _sym(np.swapaxes(dbj, 1, 2) @ Ms + Ms @ dbj + dM)
         k_val = np.maximum(k_val, np.max(np.abs(_eigvalsh(C)), axis=-1))
 
     G = contraction_condition_matrix(metric, sys, grid)
-    Qs = [nullspace_basis(b.T @ m) for b, m in zip(B, Ms)]
-    fully_actuated = any(Q.shape[1] == 0 for Q in Qs)
-    Qs = [Q if Q.shape[1] else np.eye(n) for Q in Qs]
-    contraction = np.empty(grid.shape[0])
-    for rank in {Q.shape[1] for Q in Qs}:
-        rows = [i for i, Q in enumerate(Qs) if Q.shape[1] == rank]
-        Q = np.stack([Qs[i] for i in rows])
+    groups = nullspace_basis(np.swapaxes(B, 1, 2) @ Ms)
+    fully_actuated = groups[-1][0] == sys.state_dim
+    contraction = np.empty(P)
+    for _, rows, Q in groups:
         H = _sym(np.swapaxes(Q, 1, 2) @ G[rows] @ Q)
         contraction[rows] = -np.max(_eigvalsh(H), axis=-1)
 
@@ -516,12 +564,13 @@ SEARCH_ITERS = 400              # subgradient steps per attempted rate
 def _grid_condition_data(sys: DynamicalSystem, grid: Array):
     """Stacked drift Jacobians (one FD call on the grid) and cokernel bases
     of B at the grid rows."""
-    cokers = [cokernel_basis(B) for B in _actuation_rows(sys)(grid)]
-    # fully actuated: unprojected condition
-    cokers = [P if P.shape[1] else np.eye(sys.state_dim) for P in cokers]
-    if len({P.shape for P in cokers}) != 1:
+    groups = cokernel_basis(_actuation_rows(sys)(grid))
+    if len({Q.shape[1:] for _, _, Q in groups}) != 1:
         raise ValueError("actuation rank changes over the grid; refine the box")
-    return jacobian_fd(sys.drift, grid), np.stack(cokers)
+    cokers = np.empty((grid.shape[0],) + groups[0][2].shape[1:])
+    for _, rows, Q in groups:
+        cokers[rows] = Q
+    return jacobian_fd(sys.drift, grid), cokers
 
 
 def _certified_below(C: Array, theta: float) -> Array:

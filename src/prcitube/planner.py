@@ -49,10 +49,12 @@ class ObstacleEllipse:
     shape: Array            # 2x2 positive definite
     coords: tuple = (0, 1)
 
-    def clearance(self, x: Array) -> float:
-        """(y-c)^T Q (y-c) - 1 at the state's plane coordinates; >0 is outside."""
-        y = np.asarray(x)[list(self.coords)] - self.center
-        return float(y @ self.shape @ y - 1.0)
+    def clearance(self, x: Array):
+        """(y-c)^T Q (y-c) - 1 at the plane coordinates of one state, or of
+        every row of a block, each row bit for bit its one-state call; >0 is
+        outside."""
+        y = np.asarray(x)[..., list(self.coords)] - self.center
+        return rowdot(np.matmul(y[..., None, :], self.shape)[..., 0, :], y) - 1.0
 
     def inflate(self, margin: float) -> "ObstacleEllipse":
         """Grow every direction by at least ``margin`` (uniform scaling by
@@ -124,19 +126,16 @@ def _obstacle_barrier(X: Array, obstacles, mu: float):
     no value is computed (zeros elsewhere)."""
     val = np.zeros(len(X))
     grad = np.zeros_like(X)
-    parts = []
-    for o in obstacles:
-        Y = X[:, list(o.coords)] - o.center
-        # g = y^T Q y - 1, rounded as y @ Q @ y
-        parts.append((o, Y, rowdot(np.matmul(Y[:, None, :], o.shape)[:, 0, :], Y) - 1.0))
+    parts = [(o, o.clearance(X)) for o in obstacles]
     inside = np.zeros(len(X), dtype=bool)
-    for _, _, g in parts:
+    for _, g in parts:
         inside |= g <= 0.0
     if np.any(inside):
         val[inside] = np.inf
         return val, grad
-    for o, Y, g in parts:
+    for o, g in parts:
         i, j = o.coords
+        Y = X[:, [i, j]] - o.center
         val += mu * np.log1p(1.0 / g)
         # d/dg log(1 + 1/g) = -1 / (g (g+1)); dg/dy = 2 Q y
         coef = -mu / (g * (g + 1.0)) * 2.0
@@ -357,7 +356,7 @@ def plan(
             )
         ),
         "min_obstacle_clearance": (
-            min(min(o.clearance(x) for x in X) for o in p.obstacles)
+            min(float(np.min(o.clearance(X))) for o in p.obstacles)
             if p.obstacles
             else float("inf")
         ),
@@ -405,8 +404,8 @@ def end_to_end_run(
             row.update(
                 state_ok=_in_box(roll.states, sys_nominal.state_box),
                 input_ok=_in_box(roll.inputs, sys_nominal.input_box),
-                min_clearance=float(
-                    min((o.clearance(x) for o in obstacles for x in roll.states), default=np.inf)
+                min_clearance=min(
+                    (float(np.min(o.clearance(roll.states))) for o in obstacles), default=np.inf
                 ),
             )
         per.append(row)

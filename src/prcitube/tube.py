@@ -13,12 +13,13 @@ bounds the tracking error pathwise.  Where a closed-loop rollout starts
 (``start_in_ball``) and whether it stayed in the tube, a diverged rollout
 counting as not contained (``rollout_containment``), are decided here once.
 
-Tightening shrinks admissible boxes by the tube's worst-case excursion:
-exact per-axis ellipsoid extents for constant metrics, the conservative
-Euclidean outer bound radius/sqrt(m_lower) otherwise.  Input tightening is
-a sampled supremum of the feedback over tube cross-sections (inner
-approximation, inflated 10%).  2D projections marginalize the remaining
-coordinates with the Schur complement.
+Distances to the reference and the tube's per-axis reach come from
+``metric`` (``distances``, ``ball_reach``), which alone knows how each kind
+of metric takes them.  Tightening shrinks admissible boxes by that reach.
+Input tightening is a sampled supremum of the feedback over tube
+cross-sections (inner approximation, inflated 10%).  2D projections
+marginalize the remaining coordinates with the Schur complement of the
+metric at every reference state, one stacked projection.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .conformal import CalibrationResult
 from .control import min_norm_feedback
 from .errors import SingularBlock
-from .metric import ContractionMetric, riemannian_distance
+from .metric import ContractionMetric, ball_reach, distances
 from .systems import DynamicalSystem, TrajectoryRecord, csv_rows
 
 Array = np.ndarray
@@ -112,9 +113,8 @@ class Containment(NamedTuple):
 def tube_contains(tube: PRCITube, x: Array, t: float) -> Containment:
     """Membership of x in the cross-section at time t (reference linearly
     interpolated between grid points)."""
-    x_ref = tube.reference.state_at(t)
-    d, _ = riemannian_distance(tube.metric, np.asarray(x, dtype=float), x_ref)
-    return Containment(bool(d <= tube.radius), float(tube.radius - d), float(d))
+    d = float(distances(tube.metric, x, tube.reference.state_at(t)))
+    return Containment(bool(d <= tube.radius), float(tube.radius - d), d)
 
 
 def trajectory_distances(tube: PRCITube, rollout: TrajectoryRecord) -> Array:
@@ -124,16 +124,7 @@ def trajectory_distances(tube: PRCITube, rollout: TrajectoryRecord) -> Array:
         rollout.times, ref.times, rtol=0, atol=1e-12
     )
     ref_states = ref.states if same_grid else ref.state_at(rollout.times)
-    if tube.metric.is_constant:
-        D = rollout.states - ref_states
-        M = tube.metric.constant_matrix
-        return np.sqrt(np.maximum(np.einsum("ki,ij,kj->k", D, M, D), 0.0))
-    return np.array(
-        [
-            riemannian_distance(tube.metric, x, r)[0]
-            for x, r in zip(rollout.states, ref_states)
-        ]
-    )
+    return distances(tube.metric, rollout.states, ref_states)
 
 
 class RolloutContainment(NamedTuple):
@@ -209,22 +200,12 @@ def _shrink(box: Array, margins: Array) -> TightenedBox:
 
 
 def tighten_state_box(state_box: Array, radius: float, metric: ContractionMetric) -> TightenedBox:
-    """Admissible-state box minus the tube's worst per-axis excursion.
-
-    Constant metrics use the exact ellipsoid extents radius*sqrt((M^-1)_ii);
-    state-dependent metrics fall back to the Euclidean outer bound
-    radius/sqrt(m_lower) on every axis (sound, conservative).
-    """
+    """Admissible-state box minus the tube's worst per-axis excursion,
+    ``metric.ball_reach``."""
     state_box = np.asarray(state_box, dtype=float)
-    n = state_box.shape[0]
     if radius == 0.0:
-        return TightenedBox(state_box.copy(), np.zeros(n), False)
-    if metric.is_constant:
-        Minv = np.linalg.inv(metric.constant_matrix)
-        margins = radius * np.sqrt(np.diag(Minv))
-    else:
-        margins = np.full(n, radius / np.sqrt(metric.lower_bound))
-    return _shrink(state_box, margins)
+        return TightenedBox(state_box.copy(), np.zeros(state_box.shape[0]), False)
+    return _shrink(state_box, ball_reach(metric, radius))
 
 
 def sample_metric_ball(
@@ -333,33 +314,28 @@ class TubeProjection:
 
 
 def schur_projection(M: Array, coords: tuple) -> Array:
-    """Schur complement of the complementary block, restricted to coords."""
-    n = M.shape[0]
-    i, j = coords
-    keep = [i, j]
+    """Schur complement of the complementary block, restricted to coords,
+    of one matrix ``(n, n)`` or of each of a stack ``(..., n, n)``."""
+    n = M.shape[-1]
+    keep = list(coords)
     rest = [k for k in range(n) if k not in keep]
+    Mpp = M[..., keep, :][..., keep]
     if not rest:
-        return M[np.ix_(keep, keep)]
-    Mcc = M[np.ix_(rest, rest)]
+        return Mpp
+    Mcc = M[..., rest, :][..., rest]
     eig = np.linalg.eigvalsh(Mcc)
-    if eig[0] <= SCHUR_REL_TOL * max(float(np.max(np.abs(M))), 1e-300):
+    if np.any(eig[..., 0] <= SCHUR_REL_TOL * np.maximum(np.abs(M).max(axis=(-2, -1)), 1e-300)):
         raise SingularBlock("complementary metric block is singular")
-    Mpp = M[np.ix_(keep, keep)]
-    Mpc = M[np.ix_(keep, rest)]
-    return Mpp - Mpc @ np.linalg.solve(Mcc, Mpc.T)
+    Mpc = M[..., keep, :][..., rest]
+    return Mpp - Mpc @ np.linalg.solve(Mcc, np.swapaxes(Mpc, -1, -2))
 
 
 def project_tube_2d(tube: PRCITube, coords: tuple) -> TubeProjection:
     """Project the tube onto a coordinate plane, metric frozen at the
-    reference point of each cross-section."""
+    reference point of each cross-section (a constant metric's one
+    projection serves every time)."""
     i, j = coords
     ref = tube.reference
-    centers = ref.states[:, [i, j]]
-    if tube.metric.is_constant:
-        P = schur_projection(tube.metric.constant_matrix, coords)
-        shapes = np.broadcast_to(P, (len(ref.times), 2, 2)).copy()
-    else:
-        shapes = np.array(
-            [schur_projection(tube.metric.evaluate(x), coords) for x in ref.states]
-        )
-    return TubeProjection((i, j), ref.times.copy(), centers, shapes, tube.radius)
+    P = schur_projection(tube.metric.evaluate(ref.states), coords)
+    shapes = np.broadcast_to(P, (len(ref.times), 2, 2)).copy()
+    return TubeProjection((i, j), ref.times.copy(), ref.states[:, [i, j]], shapes, tube.radius)

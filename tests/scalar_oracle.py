@@ -11,8 +11,11 @@ a plain one-row ``@``, the constant feedback is the scalar
 Jacobian is taken at one state.  Nothing
 here imports the code under test except plain data (the constant matrices,
 a metric's matrix and rate, a trained predictor's parameters, a planning
-problem's plant and obstacles), for the metric stage a metric's
-``evaluate`` and ``directional_partial``, none of which is batched, and for
+problem's plant and obstacles), for the metric stage a metric's one-state
+``evaluate`` and ``directional_partial`` (so that a row call of the library
+is checked against its one-state calls; ``metric_evaluate``,
+``metric_partial`` and ``metric_directional_partial`` freeze the one-state
+monomial loops that the library evaluated before it took rows), and for
 the dataset loader the record's CSV parser and the dataset containers, which
 it fills with parsed records.
 """
@@ -528,6 +531,51 @@ TOL_BOUNDS = 1e-8
 
 def _sym(a):
     return 0.5 * (a + a.T)
+
+
+def metric_evaluate(metric, x):
+    """M(x) at one state from the metric's terms, one monomial at a time."""
+    if metric.is_constant:
+        return metric.terms[0][1]
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((metric.dim, metric.dim))
+    for expo, mat in metric.terms:
+        mono = 1.0
+        for k, e in enumerate(expo):
+            if e:
+                mono *= x[k] ** e
+        out += mono * mat
+    return out
+
+
+def metric_partial(metric, x, k):
+    """dM/dx_k at one state from the metric's terms."""
+    if metric.is_constant:
+        return np.zeros((metric.dim, metric.dim))
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((metric.dim, metric.dim))
+    for expo, mat in metric.terms:
+        e = expo[k]
+        if e == 0:
+            continue
+        mono = float(e)
+        for j, ej in enumerate(expo):
+            p = ej - 1 if j == k else ej
+            if p:
+                mono *= x[j] ** p
+        out += mono * mat
+    return out
+
+
+def metric_directional_partial(metric, x, p):
+    """sum_k (dM/dx_k) p_k at one state."""
+    if metric.is_constant:
+        return np.zeros((metric.dim, metric.dim))
+    out = np.zeros((metric.dim, metric.dim))
+    for k in range(metric.dim):
+        if p[k] != 0.0:
+            out += metric_partial(metric, x, k) * p[k]
+    return out
 
 
 def cokernel_basis(B):

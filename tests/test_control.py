@@ -13,7 +13,7 @@ from prcitube.control import (
 from prcitube.errors import DegenerateConstraint
 from prcitube.metric import ContractionMetric
 from prcitube.predictor import make_zero_predictor
-from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, integrate
+from prcitube.systems import DynamicalSystem, PiecewiseLinearInput, TrajectoryRecord, integrate
 
 
 def kkt_qp(a, b):
@@ -205,15 +205,42 @@ def test_constant_metric_terms_equal_discretized_geodesic_bit_for_bit():
 
 
 def test_constant_metric_feedback_builds_no_geodesic(monkeypatch):
-    import prcitube.control as control
+    """Neither the feedback nor the tube builds a geodesic for a constant
+    metric: ``metric`` answers every quantity they read in closed form."""
+    import prcitube.metric as metric_mod
+    from prcitube.control import reference_velocity
+    from prcitube.tube import (
+        PRCITube,
+        project_tube_2d,
+        tighten_state_box,
+        trajectory_distances,
+        tube_contains,
+    )
 
     def forbidden(*args, **kwargs):
         raise AssertionError("constant metrics need no geodesic")
 
-    monkeypatch.setattr(control, "riemannian_distance", forbidden)
+    monkeypatch.setattr(metric_mod, "riemannian_distance", forbidden)
     sys, metric = scalar_tracking_setup(1.5)
     k = min_norm_feedback(metric, sys, np.array([0.8]), np.array([0.0]), np.array([0.0]))
     assert k[0] == pytest.approx(-0.4, abs=1e-12)
+    v = reference_velocity(metric, sys, np.array([[0.5], [1.0]]), np.zeros((2, 1)))
+    np.testing.assert_array_equal(v, [[-0.5], [-1.0]])
+
+    M = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]])
+    metric = ContractionMetric.constant(M, rate=1.0)
+    times = np.arange(5) * 0.25
+    tube = PRCITube(TrajectoryRecord(times, np.zeros((5, 3)), np.zeros((5, 1))), metric, 1.0, 0.05)
+    x = np.array([0.3, -0.2, 0.1])
+    d = np.sqrt(x @ M @ x)
+    roll = TrajectoryRecord(times, np.tile(x, (5, 1)), np.zeros((5, 1)))
+    np.testing.assert_allclose(trajectory_distances(tube, roll), np.full(5, d), rtol=1e-15)
+    assert tube_contains(tube, x, 0.5).distance == pytest.approx(d, rel=1e-15)
+    box = tighten_state_box(np.array([[-2.0, 2.0]] * 3), 1.0, metric)
+    np.testing.assert_allclose(box.margins, np.sqrt(np.diag(np.linalg.inv(M))), rtol=1e-14)
+    schur = M[:2, :2] - np.outer(M[:2, 2], M[2, :2]) / M[2, 2]
+    np.testing.assert_allclose(project_tube_2d(tube, (0, 1)).shapes, np.tile(schur, (5, 1, 1)),
+                               rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

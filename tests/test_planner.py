@@ -262,6 +262,20 @@ def test_barriers_on_all_nodes_equal_the_node_loop():
         assert val.tobytes() == np.float64(want).tobytes() and g.tobytes() == want_g.tobytes()
 
 
+def test_clearance_of_rows_is_the_one_state_clearance_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        A = rng.normal(size=(2, 2))
+        coords = tuple(rng.choice(4, 2, replace=False))
+        o = ObstacleEllipse(rng.normal(size=2), A @ A.T + 0.1 * np.eye(2), coords)
+        X = rng.uniform(-3.0, 3.0, (101, 4))
+        rows = o.clearance(X)
+        for x, g in zip(X, rows):
+            y = x[list(coords)] - o.center
+            assert g.tobytes() == np.float64(o.clearance(x)).tobytes()
+            assert g.tobytes() == np.float64(y @ o.shape @ y - 1.0).tobytes()
+
+
 def test_cost_is_the_forward_half_of_cost_and_grad_bit_for_bit(bench3d):
     nom, _ = bench3d
     problem = PlanProblem(

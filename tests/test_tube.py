@@ -358,6 +358,23 @@ def test_projection_vtol_sound_and_tight(vtol, metric_vtol):
         assert y @ P @ y == pytest.approx(tube.radius**2, rel=1e-10)
 
 
+def test_state_dependent_projection_is_each_state_projected_alone():
+    M = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+    metric = ContractionMetric.polynomial(
+        [((0, 0, 0), M), ((2, 0, 0), np.diag([1.0, 0.0, 0.5])), ((0, 1, 1), 0.1 * M)],
+        rate=1.0, lower=0.5, upper=10.0,
+    )
+    times = np.arange(6) * 0.2
+    states = np.random.default_rng(4).uniform(-1.0, 1.0, (6, 3))
+    tube = PRCITube(TrajectoryRecord(times, states, np.zeros((6, 1))), metric, 1.0, 0.05)
+    for coords in ((0, 1), (2, 0)):
+        proj = project_tube_2d(tube, coords)
+        for x, P in zip(states, proj.shapes):
+            np.testing.assert_array_equal(P, schur_projection(metric.evaluate(x), coords))
+    with pytest.raises(SingularBlock):
+        schur_projection(np.stack([M, np.diag([1.0, 1.0, 1e-16])]), (0, 1))
+
+
 def test_projection_singular_block_raises():
     M = np.diag([1.0, 1.0, 1e-16])
     with pytest.raises(SingularBlock):
